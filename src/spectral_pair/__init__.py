@@ -8,7 +8,7 @@ GL(2,Z) act on both sides; this package implements both actions and the
 machinery to machine-check that the diagrams commute.
 """
 
-from ._backend import BACKEND
+from ._kernels_py import BACKEND
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     ClosedFormMismatch,

@@ -1,9 +1,8 @@
 """Pure-Python implementation of the hot 3x3 complex kernels.
 
 Matrices are flat row-major 9-tuples of built-in ``complex``; vectors are
-3-tuples.  The compiled twin in ``_kernels_cy`` exposes the same interface;
-``_backend`` picks one at import time.  Kernels never raise domain errors:
-they return data plus conditioning measures and leave policy to the wrappers.
+3-tuples.  Kernels never raise domain errors: they return data plus
+conditioning measures and leave policy to the wrappers.
 """
 
 import cmath

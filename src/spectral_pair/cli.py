@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import jsonio
-from ._backend import BACKEND
+from ._kernels_py import BACKEND
 from .config import DEFAULT_TOL
 from .errors import (
     DeterminantNotUnit,

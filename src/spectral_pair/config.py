@@ -13,7 +13,6 @@ from dataclasses import dataclass
 class ToleranceConfig:
     # core 3x3 numerics
     leading_coefficient: float = 1e-12   # |c3| vs max coefficient
-    cubic_residual: float = 1e-10        # scaled residual of returned roots
     singular: float = 1e-12              # |det| vs norm^3 for inversion
     rank: float = 1e-7                   # rank-2 detection window
     kernel_residual: float = 1e-8        # |M v| vs |M| for kernel vectors

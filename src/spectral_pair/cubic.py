@@ -4,12 +4,12 @@ point when the two matrices are exchanged."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CoincidentPoints, InputsNotIncident, LineOnCurve
+from .linalg import vec_norm
 from .spectral import CurveCoefficients
 
 
@@ -57,18 +57,14 @@ def _cross(p, q):
             p[0] * q[1] - p[1] * q[0])
 
 
-def _norm3(v) -> float:
-    return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)
-
-
 def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """Scale-free distance: norm of the cross product of unit representatives
     (the sine of the Fubini-Study angle)."""
     pc, qc = p.coords(), q.coords()
-    np_, nq = _norm3(pc), _norm3(qc)
+    np_, nq = vec_norm(pc), vec_norm(qc)
     if np_ == 0.0 or nq == 0.0:
         raise ValueError("zero projective point")
-    return _norm3(_cross(pc, qc)) / (np_ * nq)
+    return vec_norm(_cross(pc, qc)) / (np_ * nq)
 
 
 def evaluate_curve_raw(coeffs: CurveCoefficients, lam: complex, mu: complex,
@@ -88,9 +84,9 @@ def line_through(p: ProjectivePoint, q: ProjectivePoint,
     """Line through two distinct points, via the coordinate cross product."""
     pn, qn = p.normalized(), q.normalized()
     cross = _cross(pn.coords(), qn.coords())
-    if _norm3(cross) <= tol.coincident_points * 4.0:
+    if vec_norm(cross) <= tol.coincident_points * 4.0:
         raise CoincidentPoints("points are projectively equal",
-                               distance=_norm3(cross))
+                               distance=vec_norm(cross))
     return ProjectiveLine(*cross)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SingularA,
     SwappedPairDegenerate,
 )
-from .linalg import CubicPoly, Mat3, Vec3, inv3, solve_cubic
+from .linalg import CubicPoly, Mat3, Vec3, inv3, separation, solve_cubic
 from .reconstruct import canonical_form
 from .spectral import (
     CurveCoefficients,
@@ -152,8 +152,7 @@ def swap_spectral(sd: SpectralData,
         t=c.t)
     xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2), tol)
     xi = _sorted_triple(xi)
-    scale = max(abs(z) for z in xi)
-    sep = min(abs(xi[0] - xi[1]), abs(xi[0] - xi[2]), abs(xi[1] - xi[2]))
+    sep, scale = separation(xi)
     if scale == 0.0 or sep <= tol.eigenvalue_separation * scale:
         raise SwappedPairDegenerate(
             "second matrix has nearly repeated eigenvalues", separation=sep)

@@ -25,8 +25,7 @@ from .spectral import (
     validate_spectral_data,
 )
 
-COEFFICIENT_KEYS = ("d1", "d2", "p_plus", "p_minus", "q_plus", "q_minus",
-                    "r_plus", "r_minus", "t")
+COEFFICIENT_KEYS = CurveCoefficients.FIELDS
 
 
 def complex_to_json(z: complex) -> list[float]:

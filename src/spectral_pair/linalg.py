@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     DegenerateLeadingCoefficient,
@@ -146,6 +146,15 @@ def kernel_vector(m: Mat3, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
     return v
 
 
+def separation(values: Vec3) -> tuple[float, float]:
+    """Smallest pairwise gap and largest magnitude of a triple; callers
+    compare the two against their own threshold."""
+    sep = min(abs(values[0] - values[1]),
+              abs(values[0] - values[2]),
+              abs(values[1] - values[2]))
+    return sep, max(abs(z) for z in values)
+
+
 def eig3(a: Mat3, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
     """Eigenvalues (sorted by (re, im)) and matching unit eigenvectors.
 
@@ -154,10 +163,7 @@ def eig3(a: Mat3, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Vec3, tuple[Vec3,
     """
     c2, c1, c0 = kernels.char_poly3(a.entries)
     values = solve_cubic(CubicPoly(1.0, c2, c1, c0), tol)
-    scale = max(abs(h) for h in values)
-    sep = min(abs(values[0] - values[1]),
-              abs(values[0] - values[2]),
-              abs(values[1] - values[2]))
+    sep, scale = separation(values)
     if sep <= tol.eigenvalue_separation * max(scale, 1e-300):
         raise RepeatedEigenvalues("eigenvalues are not pairwise separated",
                                   separation=sep, scale=scale)

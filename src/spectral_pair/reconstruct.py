@@ -16,7 +16,7 @@ from .errors import (
     LinearSystemSingular,
     RepeatedEigenvalues,
 )
-from .linalg import CubicPoly, Mat3, Vec3, solve_cubic
+from .linalg import CubicPoly, Mat3, Vec3, separation, solve_cubic
 from .spectral import (
     CurveCoefficients,
     NormalizedPair,
@@ -26,8 +26,7 @@ from .spectral import (
 
 
 def _check_separation(h: Vec3, tol: ToleranceConfig) -> None:
-    scale = max(abs(z) for z in h)
-    sep = min(abs(h[0] - h[1]), abs(h[0] - h[2]), abs(h[1] - h[2]))
+    sep, scale = separation(h)
     if scale == 0.0 or sep <= tol.eigenvalue_separation * scale:
         raise RepeatedEigenvalues("eigenvalue triple is not pairwise separated",
                                   separation=sep, scale=scale)
@@ -87,12 +86,11 @@ def reconstruct(sd: SpectralData,
     data differs from the input.
     """
     h = sd.h
-    _check_separation(h, tol)
     h1, h2, h3 = h
     c = sd.coeffs
     L, M = sd.divisor.L, sd.divisor.M
 
-    u11, u22, u33 = diagonal_entries(c, h, tol)
+    u11, u22, u33 = diagonal_entries(c, h, tol)   # checks the separation
     u23 = L + h2 * M + u22
     u32 = L + h3 * M + u33
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     DegenerateDivisor,
@@ -21,7 +21,17 @@ from .errors import (
     InvariantViolation,
     SingularMatrix,
 )
-from .linalg import Mat3, Vec3, columns_matrix, det3, eig3, inv3
+from .linalg import (
+    CubicPoly,
+    Mat3,
+    Vec3,
+    columns_matrix,
+    det3,
+    eig3,
+    inv3,
+    separation,
+    solve_cubic,
+)
 
 
 @dataclass(frozen=True)
@@ -64,15 +74,15 @@ class CurveCoefficients:
     r_minus: complex
     t: complex
 
-    _FIELDS = ("d1", "d2", "p_plus", "p_minus", "q_plus", "q_minus",
-               "r_plus", "r_minus", "t")
+    FIELDS = ("d1", "d2", "p_plus", "p_minus", "q_plus", "q_minus",
+              "r_plus", "r_minus", "t")
 
     def as_tuple(self) -> tuple[complex, ...]:
         return (self.d1, self.d2, self.p_plus, self.p_minus, self.q_plus,
                 self.q_minus, self.r_plus, self.r_minus, self.t)
 
     def items(self):
-        return zip(self._FIELDS, self.as_tuple())
+        return zip(self.FIELDS, self.as_tuple())
 
     def max_magnitude(self) -> float:
         return max(1.0, *(abs(c) for c in self.as_tuple()))
@@ -143,10 +153,17 @@ def normalize_pair(pair: MatrixPair,
     values, vectors = eig3(pair.a, tol)
     if ordering is not None:
         values, vectors = _reorder_to_match(values, vectors, ordering)
+    return _gauge_fix(values, _in_eigenbasis(pair.b, vectors, tol), tol)
 
+
+def _in_eigenbasis(b: Mat3, vectors, tol: ToleranceConfig) -> Mat3:
+    """The matrix U0 = V^-1 B V of the second matrix in the eigenbasis V."""
     v = columns_matrix(*vectors)
-    u0 = inv3(v, tol) @ pair.b @ v
+    return inv3(v, tol) @ b @ v
 
+
+def _gauge_fix(values: Vec3, u0: Mat3, tol: ToleranceConfig) -> NormalizedPair:
+    """Rescale U0 by a diagonal conjugation so that u12 = u13 = 1."""
     scale = u0.norm()
     u12, u13 = u0[0, 1], u0[0, 2]
     if abs(u12) <= tol.gauge * scale or abs(u13) <= tol.gauge * scale:
@@ -257,18 +274,19 @@ def validate_spectral_data(sd: SpectralData,
                                  component="divisor", residual=residual)
 
 
+def relative_difference(x: complex, y: complex) -> float:
+    """|x - y| relative to the larger magnitude, floored at 1."""
+    return abs(x - y) / max(1.0, abs(x), abs(y))
+
+
 def spectral_residuals(lhs: SpectralData, rhs: SpectralData) -> dict[str, float]:
     """Componentwise relative residuals between two spectral data."""
-    out: dict[str, float] = {}
-    for i in range(3):
-        x, y = lhs.h[i], rhs.h[i]
-        out[f"h{i + 1}"] = abs(x - y) / max(1.0, abs(x), abs(y))
+    out = {f"h{i + 1}": relative_difference(lhs.h[i], rhs.h[i])
+           for i in range(3)}
     for (name, x), (_, y) in zip(lhs.coeffs.items(), rhs.coeffs.items()):
-        out[name] = abs(x - y) / max(1.0, abs(x), abs(y))
-    out["L"] = abs(lhs.divisor.L - rhs.divisor.L) / max(
-        1.0, abs(lhs.divisor.L), abs(rhs.divisor.L))
-    out["M"] = abs(lhs.divisor.M - rhs.divisor.M) / max(
-        1.0, abs(lhs.divisor.M), abs(rhs.divisor.M))
+        out[name] = relative_difference(x, y)
+    out["L"] = relative_difference(lhs.divisor.L, rhs.divisor.L)
+    out["M"] = relative_difference(lhs.divisor.M, rhs.divisor.M)
     return out
 
 
@@ -297,11 +315,12 @@ def general_position_report(pair: MatrixPair,
                             tol: ToleranceConfig = DEFAULT_TOL) -> GeneralPositionReport:
     """Run every general-position check with margins; never raises.
 
-    Checks that depend on earlier stages are reported as failed with a note
-    when those stages cannot be completed.
+    Each check appears exactly once.  Checks that depend on earlier stages
+    are reported as failed with a note when those stages cannot be
+    completed.  The determinant checks only report: a singular A or B does
+    not stop the later checks.
     """
     from .cubic import ProjectivePoint, projective_distance
-    from .linalg import CubicPoly, solve_cubic
 
     checks: list[PositionCheck] = []
 
@@ -314,26 +333,30 @@ def general_position_report(pair: MatrixPair,
         margin = abs(det3(m)) / f ** 3 if f > 0 else 0.0
         add(name, margin, tol.margin_determinant)
 
+    # the forward map of normalize_pair, one stage at a time, with A
+    # decomposed once
     np = None
     try:
-        values, _ = eig3(pair.a, tol)
-        scale = max(abs(h) for h in values)
-        sep = min(abs(values[0] - values[1]), abs(values[0] - values[2]),
-                  abs(values[1] - values[2]))
-        add("eigenvalue_separation", sep / scale, tol.margin_eigenvalue_separation)
+        values, vectors = eig3(pair.a, tol)
     except GeneralPositionError as exc:
         add("eigenvalue_separation", None, tol.margin_eigenvalue_separation, exc.code)
-
-    try:
-        # gauge margin measured on the un-rescaled eigenbasis matrix
-        values, vectors = eig3(pair.a, tol)
-        v = columns_matrix(*vectors)
-        u0 = inv3(v, tol) @ pair.b @ v
-        margin = min(abs(u0[0, 1]), abs(u0[0, 2])) / u0.norm()
-        add("gauge_entries", margin, tol.margin_gauge)
-        np = normalize_pair(pair, None, tol)
-    except GeneralPositionError as exc:
         add("gauge_entries", None, tol.margin_gauge, exc.code)
+    else:
+        sep, scale = separation(values)
+        add("eigenvalue_separation", sep / scale, tol.margin_eigenvalue_separation)
+        try:
+            # gauge margin measured on the un-rescaled eigenbasis matrix
+            u0 = _in_eigenbasis(pair.b, vectors, tol)
+        except GeneralPositionError as exc:
+            add("gauge_entries", None, tol.margin_gauge, exc.code)
+        else:
+            margin = min(abs(u0[0, 1]), abs(u0[0, 2])) / u0.norm()
+            note = ""
+            try:
+                np = _gauge_fix(values, u0, tol)
+            except GaugeDegenerate as exc:
+                note = exc.code
+            add("gauge_entries", margin, tol.margin_gauge, note)
 
     if np is None:
         add("divisor_denominator", None, tol.margin_divisor_denominator, "unavailable")

@@ -25,6 +25,7 @@ from .reconstruct import canonical_form, reconstruct
 from .spectral import (
     MatrixPair,
     normalize_pair,
+    relative_difference,
     spectral_data,
     spectral_residuals,
 )
@@ -65,13 +66,11 @@ class PropertyResult:
 
 
 def _pair_residuals(lhs, rhs) -> dict[str, float]:
-    out = {}
-    for i in range(3):
-        x, y = lhs.h[i], rhs.h[i]
-        out[f"h{i + 1}"] = abs(x - y) / max(1.0, abs(x), abs(y))
+    out = {f"h{i + 1}": relative_difference(lhs.h[i], rhs.h[i])
+           for i in range(3)}
     for k in range(9):
-        x, y = lhs.u.entries[k], rhs.u.entries[k]
-        out[f"u{k // 3 + 1}{k % 3 + 1}"] = abs(x - y) / max(1.0, abs(x), abs(y))
+        out[f"u{k // 3 + 1}{k % 3 + 1}"] = relative_difference(
+            lhs.u.entries[k], rhs.u.entries[k])
     return out
 
 
@@ -123,25 +122,20 @@ PROPERTIES = {
 }
 
 
-def run_property(name: str, seeds: int, tolerance: float = DEFAULT_TOLERANCE,
-                 base_seed: int = 0,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> PropertyResult:
-    prop = PROPERTIES[name]
-    result = PropertyResult(
-        operation=name,
-        tolerance=tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
-    for i in range(seeds):
-        seed = base_seed + i
-        pair = random_pair(seed, tol)
-        try:
-            result.record(seed, prop(pair, seed, tol))
-        except GeneralPositionError as exc:
-            result.skip(seed, exc.code)
-    return result
-
-
 def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
               base_seed: int = 0,
               tol: ToleranceConfig = DEFAULT_TOL) -> list[PropertyResult]:
-    return [run_property(name, seeds, tolerance, base_seed, tol)
-            for name in PROPERTIES]
+    """Every property over the same seeds, one result per property in
+    ``PROPERTIES`` order; each seed's pair is drawn once and shared."""
+    results = [PropertyResult(
+        operation=name,
+        tolerance=tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
+        for name in PROPERTIES]
+    for seed in range(base_seed, base_seed + seeds):
+        pair = random_pair(seed, tol)
+        for result, prop in zip(results, PROPERTIES.values()):
+            try:
+                result.record(seed, prop(pair, seed, tol))
+            except GeneralPositionError as exc:
+                result.skip(seed, exc.code)
+    return results

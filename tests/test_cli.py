@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import spectral_pair
 from spectral_pair import jsonio, spectral_residuals
 from spectral_pair.cli import main
 
@@ -228,8 +230,12 @@ def test_console_script_entry_point():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it
+    src = str(Path(spectral_pair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_pair.cli", "random-pair", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     jsonio.doc_to_pair(jsonio.loads(proc.stdout))

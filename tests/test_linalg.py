@@ -46,7 +46,7 @@ def test_cubic_random_roots_in_disk():
         assert match_roots(roots, expected) < 1e-9
 
 
-def test_cubic_residual_bound():
+def test_cubic_root_residual_bound():
     rng = random.Random(5)
     for _ in range(200):
         p = CubicPoly(1.0, rng_complex(rng, 2), rng_complex(rng, 2),

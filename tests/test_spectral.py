@@ -186,3 +186,41 @@ def test_report_repeated_eigenvalues():
     report = general_position_report(MatrixPair(Mat3.diagonal(1, 1, 2), b))
     assert not report.passed
     assert "eigenvalue_separation" in report.failing()
+
+
+CHECK_NAMES = ["determinant_a", "determinant_b", "eigenvalue_separation",
+               "gauge_entries", "divisor_denominator", "divisor_on_curve",
+               "axis_point_separation"]
+
+
+@pytest.mark.parametrize("b_rows, failing", [
+    # u12 = 0 in the eigenbasis of diag(1, 2, 3): the gauge fix raises and
+    # the stages after it cannot run
+    ([[2, 0, 1], [5, 3, -2], [7, 1, 4]],
+     ["gauge_entries", "divisor_denominator", "divisor_on_curve",
+      "axis_point_separation"]),
+    # singular B: its determinant check fails, the later stages still run
+    # (det B = 0 makes two axis points meet at (0 : 0 : 1))
+    ([[1, 1, 1], [1, 1, 1], [2, 3, 4]],
+     ["determinant_b", "axis_point_separation"]),
+])
+def test_report_lists_each_check_once(b_rows, failing):
+    report = general_position_report(
+        MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.from_rows(b_rows)))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert report.failing() == failing
+
+
+def test_report_decomposes_a_once(monkeypatch, fixture_pair):
+    import spectral_pair.spectral as spectral_module
+
+    calls = []
+    original = spectral_module.eig3
+
+    def counting_eig3(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_module, "eig3", counting_eig3)
+    assert general_position_report(fixture_pair).passed
+    assert len(calls) == 1
