@@ -21,7 +21,6 @@ import sys
 
 from . import jsonio
 from ._kernels_py import BACKEND
-from .config import DEFAULT_TOL
 from .errors import (
     DeterminantNotUnit,
     GeneralPositionError,

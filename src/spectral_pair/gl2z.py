@@ -23,7 +23,7 @@ from .errors import (
     SingularA,
     SwappedPairDegenerate,
 )
-from .linalg import CubicPoly, Mat3, Vec3, inv3, separation, solve_cubic
+from .linalg import CubicPoly, Vec3, inv3, separation, solve_cubic
 from .reconstruct import canonical_form
 from .spectral import (
     CurveCoefficients,
@@ -80,7 +80,7 @@ class GL2ZMatrix:
     d: int
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+        det = self.det()
         if det not in (1, -1):
             raise DeterminantNotUnit(
                 f"determinant must be +1 or -1, got {det}", det=det)
@@ -130,10 +130,6 @@ def act_word_on_pair(word: Word, pair: MatrixPair,
     return pair
 
 
-def _sorted_triple(values: Vec3) -> Vec3:
-    return tuple(sorted(values, key=lambda z: (z.real, z.imag)))
-
-
 def swap_spectral(sd: SpectralData,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
     """Spectral side of exchanging the two matrices.
@@ -151,7 +147,6 @@ def swap_spectral(sd: SpectralData,
         r_plus=c.r_minus, r_minus=c.r_plus,
         t=c.t)
     xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2), tol)
-    xi = _sorted_triple(xi)
     sep, scale = separation(xi)
     if scale == 0.0 or sep <= tol.eigenvalue_separation * scale:
         raise SwappedPairDegenerate(
@@ -365,14 +360,20 @@ class CommutationReport:
     max_residual: float
 
 
+def commutation_residuals(g: Generator, pair: MatrixPair, sd: SpectralData,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
+    """Residuals between the two routes around the square for a pair whose
+    spectral data ``sd`` is already known: generator-then-map versus
+    map-then-generator-formula, both canonicalized."""
+    lhs = canonical_form(act_spectral(g, sd, tol), tol)
+    rhs = canonical_form(spectral_data(act_on_pair(g, pair, tol), tol), tol)
+    return spectral_residuals(lhs, rhs)
+
+
 def verify_commutation(g: Generator, pair: MatrixPair,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CommutationReport:
-    """Compare the two routes around the square: generator-then-map versus
-    map-then-generator-formula, both canonicalized."""
-    sd = spectral_data(pair, None, tol)
-    lhs = canonical_form(act_spectral(g, sd, tol), tol)
-    rhs = canonical_form(spectral_data(act_on_pair(g, pair, tol), None, tol), tol)
-    residuals = spectral_residuals(lhs, rhs)
+    """Compare the two routes around the square for one generator."""
+    residuals = commutation_residuals(g, pair, spectral_data(pair, tol), tol)
     return CommutationReport(
         operation=f"commute_{g.name.lower()}",
         per_component=residuals,

@@ -25,10 +25,6 @@ from .errors import (
 Vec3 = tuple[complex, complex, complex]
 
 
-def _is_finite(z: complex) -> bool:
-    return cmath.isfinite(z)
-
-
 @dataclass(frozen=True)
 class Mat3:
     """3x3 complex matrix, flat row-major entries."""
@@ -39,7 +35,7 @@ class Mat3:
         if len(self.entries) != 9:
             raise ValueError("Mat3 needs exactly 9 entries")
         entries = tuple(complex(z) for z in self.entries)
-        if not all(_is_finite(z) for z in entries):
+        if not all(cmath.isfinite(z) for z in entries):
             raise ValueError("Mat3 entries must be finite")
         object.__setattr__(self, "entries", entries)
 

@@ -21,7 +21,9 @@ from .spectral import (
     CurveCoefficients,
     NormalizedPair,
     SpectralData,
-    spectral_data,
+    _check_nondegenerate,
+    _gauge_fix,
+    spectral_data_of_normalized,
 )
 
 
@@ -126,10 +128,18 @@ def reconstruct(sd: SpectralData,
 
 def canonical_form(sd: SpectralData,
                    tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
-    """Spectral data recomputed with the canonical eigenvalue ordering.
+    """Spectral data relisted in the canonical eigenvalue ordering.
 
     This is the common ground for comparing data that carry different
-    orderings: reconstruct the pair, renormalize from scratch, remap.
+    orderings.  The reconstructed pair already has A = diag(h), so the
+    eigenbasis is only relisted: h is sorted by (re, im), U is conjugated by
+    the same permutation and gauge-fixed again, then the closed forms are
+    applied.  No eigenproblem is solved.
     """
-    pair = reconstruct(sd, tol).as_pair()
-    return spectral_data(pair, None, tol)
+    np = reconstruct(sd, tol)
+    order = sorted(range(3), key=lambda i: (np.h[i].real, np.h[i].imag))
+    h = tuple(np.h[i] for i in order)
+    u = Mat3(tuple(np.u[i, j] for i in order for j in order))
+    _check_nondegenerate(Mat3.diagonal(*h), "A", tol)
+    _check_nondegenerate(u, "B", tol)
+    return spectral_data_of_normalized(_gauge_fix(h, u, tol), tol)

@@ -122,27 +122,11 @@ def _check_nondegenerate(m: Mat3, name: str, tol: ToleranceConfig) -> None:
                              which=name, det=d, norm=f)
 
 
-def _reorder_to_match(values: Vec3, vectors, target: Vec3):
-    """Permutation of (values, vectors) minimizing total distance to target."""
-    import itertools
-
-    best = None
-    best_cost = None
-    for perm in itertools.permutations(range(3)):
-        cost = sum(abs(values[perm[i]] - target[i]) for i in range(3))
-        if best_cost is None or cost < best_cost:
-            best, best_cost = perm, cost
-    return (tuple(values[i] for i in best),
-            tuple(vectors[i] for i in best))
-
-
 def normalize_pair(pair: MatrixPair,
-                   ordering: Vec3 | None = None,
                    tol: ToleranceConfig = DEFAULT_TOL) -> NormalizedPair:
     """Diagonalize the first matrix and gauge-fix the second.
 
-    Eigenvalues are sorted by (re, im) unless ``ordering`` supplies three
-    target values to match instead.  The residual diagonal-conjugation
+    Eigenvalues are sorted by (re, im).  The residual diagonal-conjugation
     freedom is killed by rescaling so the (1,2) and (1,3) entries of the
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.
@@ -151,8 +135,6 @@ def normalize_pair(pair: MatrixPair,
     _check_nondegenerate(pair.b, "B", tol)
 
     values, vectors = eig3(pair.a, tol)
-    if ordering is not None:
-        values, vectors = _reorder_to_match(values, vectors, ordering)
     return _gauge_fix(values, _in_eigenbasis(pair.b, vectors, tol), tol)
 
 
@@ -236,10 +218,9 @@ def spectral_data_of_normalized(np: NormalizedPair,
 
 
 def spectral_data(pair: MatrixPair,
-                  ordering: Vec3 | None = None,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
     """Full forward map; invariant under simultaneous conjugation."""
-    return spectral_data_of_normalized(normalize_pair(pair, ordering, tol), tol)
+    return spectral_data_of_normalized(normalize_pair(pair, tol), tol)
 
 
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,

@@ -17,9 +17,9 @@ from .gl2z import (
     Generator,
     act_word_on_pair,
     act_word_spectral,
-    verify_commutation,
+    commutation_residuals,
 )
-from .linalg import Mat3, inv3
+from .linalg import inv3
 from .randgen import random_pair, well_conditioned_matrix
 from .reconstruct import canonical_form, reconstruct
 from .spectral import (
@@ -27,6 +27,7 @@ from .spectral import (
     normalize_pair,
     relative_difference,
     spectral_data,
+    spectral_data_of_normalized,
     spectral_residuals,
 )
 
@@ -74,40 +75,36 @@ def _pair_residuals(lhs, rhs) -> dict[str, float]:
     return out
 
 
-def _prop_round_trip_forward(pair, seed, tol):
-    np = normalize_pair(pair, None, tol)
-    back = reconstruct(spectral_data(pair, None, tol), tol)
-    return _pair_residuals(np, back)
+def _prop_round_trip_forward(pair, np, sd, seed, tol):
+    return _pair_residuals(np, reconstruct(sd, tol))
 
 
-def _prop_round_trip_backward(pair, seed, tol):
-    sd = spectral_data(pair, None, tol)
-    again = spectral_data(reconstruct(sd, tol).as_pair(), None, tol)
+def _prop_round_trip_backward(pair, np, sd, seed, tol):
+    again = spectral_data(reconstruct(sd, tol).as_pair(), tol)
     return spectral_residuals(sd, again)
 
 
 def _make_commute(generator: Generator):
-    def prop(pair, seed, tol):
-        return verify_commutation(generator, pair, tol).per_component
+    def prop(pair, np, sd, seed, tol):
+        return commutation_residuals(generator, pair, sd, tol)
     return prop
 
 
-def _prop_conjugation_invariance(pair, seed, tol):
+def _prop_conjugation_invariance(pair, np, sd, seed, tol):
     rng = random.Random((seed << 16) ^ 0x5BD1)
     g = well_conditioned_matrix(rng, tol=tol)
-    conjugated = MatrixPair(g @ pair.a @ inv3(g, tol),
-                            g @ pair.b @ inv3(g, tol))
-    return spectral_residuals(spectral_data(pair, None, tol),
-                              spectral_data(conjugated, None, tol))
+    g_inv = inv3(g, tol)
+    conjugated = MatrixPair(g @ pair.a @ g_inv, g @ pair.b @ g_inv)
+    return spectral_residuals(sd, spectral_data(conjugated, tol))
 
 
-def _prop_word_consistency(pair, seed, tol):
+def _prop_word_consistency(pair, np, sd, seed, tol):
     rng = random.Random((seed << 16) ^ 0xC0FF)
     word = tuple(rng.choice(list(Generator))
                  for _ in range(rng.randint(1, 6)))
-    lhs = act_word_spectral(word, spectral_data(pair, None, tol), tol)
+    lhs = act_word_spectral(word, sd, tol)
     rhs = canonical_form(
-        spectral_data(act_word_on_pair(word, pair, tol), None, tol), tol)
+        spectral_data(act_word_on_pair(word, pair, tol), tol), tol)
     return spectral_residuals(lhs, rhs)
 
 
@@ -126,16 +123,25 @@ def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
               base_seed: int = 0,
               tol: ToleranceConfig = DEFAULT_TOL) -> list[PropertyResult]:
     """Every property over the same seeds, one result per property in
-    ``PROPERTIES`` order; each seed's pair is drawn once and shared."""
+    ``PROPERTIES`` order.  Each seed's pair is drawn and mapped forward once;
+    every property receives the pair, its normalized form and its spectral
+    data.  A seed whose forward map raises is skipped by every property."""
     results = [PropertyResult(
         operation=name,
         tolerance=tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
         for name in PROPERTIES]
     for seed in range(base_seed, base_seed + seeds):
         pair = random_pair(seed, tol)
+        try:
+            np = normalize_pair(pair, tol)
+            sd = spectral_data_of_normalized(np, tol)
+        except GeneralPositionError as exc:
+            for result in results:
+                result.skip(seed, exc.code)
+            continue
         for result, prop in zip(results, PROPERTIES.values()):
             try:
-                result.record(seed, prop(pair, seed, tol))
+                result.record(seed, prop(pair, np, sd, seed, tol))
             except GeneralPositionError as exc:
                 result.skip(seed, exc.code)
     return results

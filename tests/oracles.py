@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from spectral_pair import Mat3
+from spectral_pair import Mat3, reconstruct, spectral_data
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
 
@@ -169,6 +169,16 @@ def evaluate_word_at(word, a: Mat3, b: Mat3, inv) -> Mat3:
     for letter in word:
         out = out @ mats[letter]
     return out
+
+
+# --- canonical form by the full forward map ---
+
+
+def canonical_form_by_forward_map(sd):
+    """Canonical ordering by reconstructing the pair and running the whole
+    forward map again, eigensolve included; the permutation route in
+    ``canonical_form`` must agree with it."""
+    return spectral_data(reconstruct(sd).as_pair())
 
 
 # --- root matching ---

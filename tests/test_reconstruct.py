@@ -3,23 +3,29 @@ import random
 import numpy as np
 import pytest
 
+import spectral_pair.spectral
 from spectral_pair import (
     CurveCoefficients,
     DivisorPoint,
+    Generator,
+    Mat3,
+    NormalizedPair,
     RepeatedEigenvalues,
     SpectralData,
+    act_spectral,
     canonical_form,
     diagonal_entries,
     eigenvalues_from_coefficients,
     normalize_pair,
     reconstruct,
     spectral_data,
+    spectral_data_of_normalized,
     spectral_residuals,
 )
 from spectral_pair.reconstruct import _closed_form_lower_left
 
 from conftest import FIXTURE_B, FIXTURE_H
-from oracles import match_roots
+from oracles import canonical_form_by_forward_map, match_roots
 
 
 def coeffs_for(**kw) -> CurveCoefficients:
@@ -135,12 +141,47 @@ def test_canonical_form_idempotent(seeded_pairs):
 def test_canonical_form_ordering_independent(seeded_pairs):
     for pair in seeded_pairs[:20]:
         sd = spectral_data(pair)
-        swapped_order = (sd.h[0], sd.h[2], sd.h[1])
-        sd_swapped = spectral_data(pair, ordering=swapped_order)
+        # list the eigenbasis as (1, 3, 2); the gauge row stays first, so
+        # the permuted U is still gauge-fixed
+        npair = reconstruct(sd)
+        order = (0, 2, 1)
+        swapped = NormalizedPair(
+            tuple(npair.h[i] for i in order),
+            Mat3(tuple(npair.u[i, j] for i in order for j in order)))
+        sd_swapped = spectral_data_of_normalized(swapped)
         assert abs(sd_swapped.h[1] - sd.h[2]) < 1e-9
         lhs = canonical_form(sd_swapped)
         rhs = canonical_form(sd)
         assert max(spectral_residuals(lhs, rhs).values()) < 1e-7
+
+
+def test_canonical_form_matches_forward_map(seeded_pairs):
+    non_canonical = 0
+    for pair in seeded_pairs[:20]:
+        sd = spectral_data(pair)
+        for g in Generator:
+            acted = act_spectral(g, sd)
+            non_canonical += list(acted.h) != sorted(
+                acted.h, key=lambda z: (z.real, z.imag))
+            got = canonical_form(acted)
+            want = canonical_form_by_forward_map(acted)
+            assert max(spectral_residuals(got, want).values()) < 1e-12
+    assert non_canonical > 0   # the permutation is exercised
+
+
+def test_canonical_form_solves_no_eigenproblem(seeded_pairs, monkeypatch):
+    calls = []
+    original = spectral_pair.spectral.eig3
+
+    def counting_eig3(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_pair.spectral, "eig3", counting_eig3)
+    sd = act_spectral(Generator.INVERT, spectral_data(seeded_pairs[0]))
+    calls.clear()
+    canonical_form(sd)
+    assert calls == []
 
 
 def test_reconstruction_jacobian_rank(seeded_pairs):

@@ -58,13 +58,6 @@ def test_normalize_gauge_degenerate():
         normalize_pair(MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.identity()))
 
 
-def test_normalize_explicit_ordering():
-    a = Mat3.diagonal(1, 2, 3)
-    b = Mat3.from_rows([[2, 1, 1], [5, 3, -2], [7, 1, 4]])
-    np = normalize_pair(MatrixPair(a, b), ordering=(3, 1, 2))
-    assert max(abs(x - y) for x, y in zip(np.h, (3, 1, 2))) < 1e-12
-
-
 def test_coefficients_identity_u():
     # with U = I the nu-coefficients collapse to symmetric functions;
     # expanding prod(lam + mu*h_i + nu) gives these exact values

@@ -1,4 +1,6 @@
+import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
+from spectral_pair import GaugeDegenerate
 
 
 def test_run_suite_draws_each_pair_once(monkeypatch):
@@ -14,3 +16,36 @@ def test_run_suite_draws_each_pair_once(monkeypatch):
     assert drawn == [10, 11, 12]
     assert [r.operation for r in results] == list(verify.PROPERTIES)
     assert all(r.seeds_run + len(r.skipped) == 3 for r in results)
+
+
+def test_run_suite_maps_the_drawn_pair_forward_once(monkeypatch):
+    drawn = []
+    normalized = []
+    original_draw = verify.random_pair
+    original_normalize = spectral.normalize_pair
+
+    def recording_random_pair(*args, **kwargs):
+        drawn.append(original_draw(*args, **kwargs))
+        return drawn[-1]
+
+    def counting_normalize_pair(pair, *args, **kwargs):
+        normalized.append(pair)
+        return original_normalize(pair, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_pair", recording_random_pair)
+    for module in (spectral, verify):
+        monkeypatch.setattr(module, "normalize_pair", counting_normalize_pair)
+    verify.run_suite(1)
+    assert len(drawn) == 1
+    assert sum(pair is drawn[0] for pair in normalized) == 1
+
+
+def test_forward_map_failure_skips_every_property(monkeypatch):
+    def degenerate(pair, *args, **kwargs):
+        raise GaugeDegenerate("forced")
+
+    monkeypatch.setattr(verify, "normalize_pair", degenerate)
+    for result in verify.run_suite(2, base_seed=5):
+        assert result.seeds_run == 0
+        assert result.skipped == [{"seed": 5, "code": "gauge_degenerate"},
+                                  {"seed": 6, "code": "gauge_degenerate"}]
