@@ -9,7 +9,6 @@ machinery to machine-check that the diagrams commute.
 """
 
 from ._kernels_py import BACKEND
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     ClosedFormMismatch,
     CoincidentPoints,
@@ -22,7 +21,6 @@ from .errors import (
     IntermediateDegeneracy,
     InvariantViolation,
     LineOnCurve,
-    LinearSystemSingular,
     RankNotTwo,
     RepeatedEigenvalues,
     SchemaError,

@@ -7,7 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import (
+    COINCIDENT_POINTS,
+    DEFLATION,
+    INCIDENCE,
+    THIRD_POINT_ON_CURVE,
+)
 from .errors import CoincidentPoints, InputsNotIncident, LineOnCurve
 from .linalg import vec_norm
 from .spectral import CurveCoefficients
@@ -79,20 +84,19 @@ def evaluate_curve(coeffs: CurveCoefficients, p: ProjectivePoint) -> complex:
     return kernels.eval_curve9(coeffs.as_tuple(), n.lam, n.mu, n.nu)
 
 
-def line_through(p: ProjectivePoint, q: ProjectivePoint,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> ProjectiveLine:
+def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
     """Line through two distinct points, via the coordinate cross product."""
     pn, qn = p.normalized(), q.normalized()
     cross = _cross(pn.coords(), qn.coords())
-    if vec_norm(cross) <= tol.coincident_points * 4.0:
+    if vec_norm(cross) <= COINCIDENT_POINTS * 4.0:
         raise CoincidentPoints("points are projectively equal",
                                distance=vec_norm(cross))
     return ProjectiveLine(*cross)
 
 
 def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
-                       p1: ProjectivePoint, p2: ProjectivePoint,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> ProjectivePoint:
+                       p1: ProjectivePoint,
+                       p2: ProjectivePoint) -> ProjectivePoint:
     """Third point where the line meets the cubic, given two incident points.
 
     The cubic restricted to s*p1 + t*p2 is c30 s^3 + c21 s^2 t + c12 s t^2
@@ -102,15 +106,15 @@ def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
     p1n, p2n = p1.normalized(), p2.normalized()
     cscale = coeffs.max_magnitude()
     for name, pt in (("p1", p1n), ("p2", p2n)):
-        if abs(evaluate_curve(coeffs, pt)) > tol.incidence * cscale:
+        if abs(evaluate_curve(coeffs, pt)) > INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve",
                                     which=name,
                                     residual=abs(evaluate_curve(coeffs, pt)))
         lres = abs(line(pt)) / max(line.max_abs(), 1e-300)
-        if lres > tol.incidence:
+        if lres > INCIDENCE:
             raise InputsNotIncident(f"{name} is not on the line",
                                     which=name, residual=lres)
-    if projective_distance(p1n, p2n) <= tol.incidence:
+    if projective_distance(p1n, p2n) <= INCIDENCE:
         raise InputsNotIncident("the two base points coincide")
 
     c9 = coeffs.as_tuple()
@@ -129,10 +133,10 @@ def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
     c21 = 0.5 * (f11 - f1m) - c03
     c12 = 0.5 * (f11 + f1m) - c30
 
-    if max(abs(c30), abs(c03)) > tol.deflation * cscale:
+    if max(abs(c30), abs(c03)) > DEFLATION * cscale:
         raise InputsNotIncident("restricted cubic keeps nonzero known-root coefficients",
                                 c30=abs(c30), c03=abs(c03))
-    if max(abs(c21), abs(c12)) <= tol.deflation * cscale:
+    if max(abs(c21), abs(c12)) <= DEFLATION * cscale:
         raise LineOnCurve("restricted cubic vanishes identically; "
                           "the line is a component of the curve")
 
@@ -142,15 +146,15 @@ def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
         s * p1n.mu + t * p2n.mu,
         s * p1n.nu + t * p2n.nu).normalized()
     residual = abs(evaluate_curve(coeffs, point)) / cscale
-    if residual > tol.third_point_on_curve:
+    if residual > THIRD_POINT_ON_CURVE:
         raise InputsNotIncident("deflated third point misses the curve",
                                 residual=residual)
     return point
 
 
 def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
-                       x_first: ProjectivePoint, q: ProjectivePoint,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> ProjectivePoint:
+                       x_first: ProjectivePoint,
+                       q: ProjectivePoint) -> ProjectivePoint:
     """Transport the divisor point across the exchange of the two matrices.
 
     Draw the chord through x_first and the divisor point q, take its third
@@ -159,7 +163,6 @@ def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
     the original one with the fixed points moved from the nu = 0 line to the
     mu = 0 line.
     """
-    t_point = third_intersection(coeffs, line_through(x_first, q, tol),
-                                 x_first, q, tol)
-    return third_intersection(coeffs, line_through(p_first, t_point, tol),
-                              p_first, t_point, tol)
+    t_point = third_intersection(coeffs, line_through(x_first, q), x_first, q)
+    return third_intersection(coeffs, line_through(p_first, t_point),
+                              p_first, t_point)

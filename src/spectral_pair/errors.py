@@ -49,10 +49,6 @@ class DegenerateDivisor(GeneralPositionError):
     code = "degenerate_divisor"
 
 
-class LinearSystemSingular(GeneralPositionError):
-    code = "linear_system_singular"
-
-
 class CoincidentPoints(GeneralPositionError):
     code = "coincident_points"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DIVISOR_DENOMINATOR, EIGENVALUE_SEPARATION, SINGULAR
 from .cubic import ProjectivePoint, chord_swap_divisor
 from .errors import (
     DeterminantNotUnit,
@@ -113,25 +113,22 @@ def matrix_of_word(word: Word) -> GL2ZMatrix:
     return out
 
 
-def act_on_pair(g: Generator, pair: MatrixPair,
-                tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPair:
+def act_on_pair(g: Generator, pair: MatrixPair) -> MatrixPair:
     """Generator action on raw pairs: (B, A), (A^-1, B) or (A, A B)."""
     if g is Generator.SWAP:
         return MatrixPair(pair.b, pair.a)
     if g is Generator.INVERT:
-        return MatrixPair(inv3(pair.a, tol), pair.b)
+        return MatrixPair(inv3(pair.a), pair.b)
     return MatrixPair(pair.a, pair.a @ pair.b)
 
 
-def act_word_on_pair(word: Word, pair: MatrixPair,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPair:
+def act_word_on_pair(word: Word, pair: MatrixPair) -> MatrixPair:
     for g in word:
-        pair = act_on_pair(g, pair, tol)
+        pair = act_on_pair(g, pair)
     return pair
 
 
-def swap_spectral(sd: SpectralData,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def swap_spectral(sd: SpectralData) -> SpectralData:
     """Spectral side of exchanging the two matrices.
 
     The cubic's mu and nu swap roles, so the coefficients permute; the new
@@ -146,26 +143,26 @@ def swap_spectral(sd: SpectralData,
         q_plus=c.p_plus, q_minus=c.p_minus,
         r_plus=c.r_minus, r_minus=c.r_plus,
         t=c.t)
-    xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2), tol)
+    xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
     sep, scale = separation(xi)
-    if scale == 0.0 or sep <= tol.eigenvalue_separation * scale:
+    if scale == 0.0 or sep <= EIGENVALUE_SEPARATION * scale:
         raise SwappedPairDegenerate(
             "second matrix has nearly repeated eigenvalues", separation=sep)
 
     p_first = ProjectivePoint(sd.h[0], -1.0, 0.0)
     x_first = ProjectivePoint(xi[0], 0.0, -1.0)
     q_point = ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0)
-    y = chord_swap_divisor(c, p_first, x_first, q_point, tol)
+    y = chord_swap_divisor(c, p_first, x_first, q_point)
 
     y_swapped = ProjectivePoint(y.lam, y.nu, y.mu)
-    if abs(y_swapped.nu) <= tol.divisor_denominator * y_swapped.max_abs():
+    if abs(y_swapped.nu) <= DIVISOR_DENOMINATOR * y_swapped.max_abs():
         raise SwappedPairDegenerate(
             "transported divisor point lies on the line at infinity",
             nu=abs(y_swapped.nu))
     out = SpectralData(
         xi, swapped,
         DivisorPoint(y_swapped.lam / y_swapped.nu, y_swapped.mu / y_swapped.nu))
-    validate_spectral_data(out, tol)
+    validate_spectral_data(out)
     return out
 
 
@@ -189,8 +186,7 @@ def tilde_r_minus(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> 
     return (l_term + m_term + qm * h1 * (h2 + h3) - h1 * rm - ab) / d1
 
 
-def invert_spectral(sd: SpectralData,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def invert_spectral(sd: SpectralData) -> SpectralData:
     """Spectral side of inverting the first matrix.
 
     Eigenvalues invert in place (ordering inherited, not re-sorted here);
@@ -200,8 +196,8 @@ def invert_spectral(sd: SpectralData,
     h1, h2, h3 = sd.h
     c = sd.coeffs
     scale = max(abs(h1), abs(h2), abs(h3))
-    if min(abs(h1), abs(h2), abs(h3)) <= tol.singular * max(1.0, scale) \
-            or abs(c.d1) <= tol.singular * max(1.0, scale) ** 3:
+    if min(abs(h1), abs(h2), abs(h3)) <= SINGULAR * max(1.0, scale) \
+            or abs(c.d1) <= SINGULAR * max(1.0, scale) ** 3:
         raise SingularA("first matrix is numerically singular", d1=abs(c.d1))
     d1 = c.d1
     L, M = sd.divisor.L, sd.divisor.M
@@ -218,12 +214,11 @@ def invert_spectral(sd: SpectralData,
             r_minus=tilde_r_minus(c, sd.h, sd.divisor),
             t=(c.q_plus * c.p_minus - c.r_plus) / d1),
         DivisorPoint(L + M * (h2 + h3), -h2 * h3 * M))
-    validate_spectral_data(out, tol)
+    validate_spectral_data(out)
     return out
 
 
-def shear_spectral(sd: SpectralData,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def shear_spectral(sd: SpectralData) -> SpectralData:
     """Spectral side of (A, B) -> (A, A B).
 
     The first matrix's data (eigenvalues, d1, p_plus, p_minus) are fixed;
@@ -247,7 +242,7 @@ def shear_spectral(sd: SpectralData,
             r_minus=c.d1 * c.q_minus,
             t=c.p_minus * c.q_plus - c.r_plus),
         DivisorPoint(-h2 * h3 * M, L + M * (h2 + h3)))
-    validate_spectral_data(out, tol)
+    validate_spectral_data(out)
     return out
 
 
@@ -258,20 +253,18 @@ _SPECTRAL_ACTIONS = {
 }
 
 
-def act_spectral(g: Generator, sd: SpectralData,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
-    return _SPECTRAL_ACTIONS[g](sd, tol)
+def act_spectral(g: Generator, sd: SpectralData) -> SpectralData:
+    return _SPECTRAL_ACTIONS[g](sd)
 
 
-def act_word_spectral(word: Word, sd: SpectralData,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     """Left-to-right fold of the generator actions, recanonicalizing the
     eigenvalue ordering between steps; reports the failing prefix when an
     intermediate leaves general position."""
-    current = canonical_form(sd, tol)
+    current = canonical_form(sd)
     for i, g in enumerate(word):
         try:
-            current = canonical_form(act_spectral(g, current, tol), tol)
+            current = canonical_form(act_spectral(g, current))
         except GeneralPositionError as exc:
             raise IntermediateDegeneracy(
                 f"word left general position after {word_to_str(word[:i + 1])}",
@@ -360,20 +353,19 @@ class CommutationReport:
     max_residual: float
 
 
-def commutation_residuals(g: Generator, pair: MatrixPair, sd: SpectralData,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
+def commutation_residuals(g: Generator, pair: MatrixPair,
+                          sd: SpectralData) -> dict[str, float]:
     """Residuals between the two routes around the square for a pair whose
     spectral data ``sd`` is already known: generator-then-map versus
     map-then-generator-formula, both canonicalized."""
-    lhs = canonical_form(act_spectral(g, sd, tol), tol)
-    rhs = canonical_form(spectral_data(act_on_pair(g, pair, tol), tol), tol)
+    lhs = canonical_form(act_spectral(g, sd))
+    rhs = canonical_form(spectral_data(act_on_pair(g, pair)))
     return spectral_residuals(lhs, rhs)
 
 
-def verify_commutation(g: Generator, pair: MatrixPair,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> CommutationReport:
+def verify_commutation(g: Generator, pair: MatrixPair) -> CommutationReport:
     """Compare the two routes around the square for one generator."""
-    residuals = commutation_residuals(g, pair, spectral_data(pair, tol), tol)
+    residuals = commutation_residuals(g, pair, spectral_data(pair))
     return CommutationReport(
         operation=f"commute_{g.name.lower()}",
         per_component=residuals,

@@ -13,7 +13,6 @@ import json
 import math
 from typing import Any
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import SchemaError
 from .linalg import Mat3
 from .spectral import (
@@ -87,7 +86,7 @@ def spectral_to_doc(sd: SpectralData) -> dict:
     }
 
 
-def doc_to_spectral(doc: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def doc_to_spectral(doc: Any) -> SpectralData:
     """Parse and validate a spectral document; invalid invariants (divisor
     off the curve, eigenvalues inconsistent with the coefficients) fail the
     load."""
@@ -103,7 +102,7 @@ def doc_to_spectral(doc: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDat
     divisor = DivisorPoint(json_to_complex(doc["divisor"]["L"], "divisor.L"),
                            json_to_complex(doc["divisor"]["M"], "divisor.M"))
     sd = SpectralData(h, coeffs, divisor)
-    validate_spectral_data(sd, tol)
+    validate_spectral_data(sd)
     return sd
 
 

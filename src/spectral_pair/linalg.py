@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import (
+    EIGENVALUE_SEPARATION,
+    KERNEL_RESIDUAL,
+    LEADING_COEFFICIENT,
+    RANK,
+    SINGULAR,
+)
 from .errors import (
     DegenerateLeadingCoefficient,
     RankNotTwo,
@@ -102,10 +108,10 @@ class CubicPoly:
         return max(abs(self.c3), abs(self.c2), abs(self.c1), abs(self.c0))
 
 
-def solve_cubic(p: CubicPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
+def solve_cubic(p: CubicPoly) -> Vec3:
     """Three roots with multiplicity, sorted lexicographically by (re, im)."""
     scale = p.max_coefficient()
-    if abs(p.c3) <= tol.leading_coefficient * scale:
+    if abs(p.c3) <= LEADING_COEFFICIENT * scale:
         raise DegenerateLeadingCoefficient(
             "leading coefficient is negligible",
             c3=abs(p.c3), scale=scale)
@@ -116,27 +122,27 @@ def det3(m: Mat3) -> complex:
     return kernels.det3(m.entries)
 
 
-def inv3(m: Mat3, tol: ToleranceConfig = DEFAULT_TOL) -> Mat3:
+def inv3(m: Mat3) -> Mat3:
     f = m.norm()
     d = det3(m)
-    if f == 0.0 or abs(d) <= tol.singular * f * f * f:
+    if f == 0.0 or abs(d) <= SINGULAR * f * f * f:
         raise SingularMatrix("matrix is numerically singular",
                              det=abs(d), norm=f)
     adj = kernels.adj3(m.entries)
     return Mat3(tuple(z / d for z in adj))
 
 
-def kernel_vector(m: Mat3, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
+def kernel_vector(m: Mat3) -> Vec3:
     """Unit kernel vector of a numerically rank-2 matrix.
 
     Uses the adjugate: when rank(M) = 2 any nonzero adjugate column spans
     ker(M); the largest-norm column is chosen for determinism.
     """
     v, residual, det_measure, minor_measure = kernels.kernel_vector3(m.entries)
-    if det_measure > tol.rank or minor_measure <= tol.rank:
+    if det_measure > RANK or minor_measure <= RANK:
         raise RankNotTwo("matrix does not have numerical rank 2",
                          det_measure=det_measure, minor_measure=minor_measure)
-    if residual > tol.kernel_residual:
+    if residual > KERNEL_RESIDUAL:
         raise RankNotTwo("adjugate kernel candidate has a large residual",
                          residual=residual)
     return v
@@ -151,23 +157,23 @@ def separation(values: Vec3) -> tuple[float, float]:
     return sep, max(abs(z) for z in values)
 
 
-def eig3(a: Mat3, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
+def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
     """Eigenvalues (sorted by (re, im)) and matching unit eigenvectors.
 
     Requires pairwise separated eigenvalues; defective and near-defective
     matrices are rejected.
     """
     c2, c1, c0 = kernels.char_poly3(a.entries)
-    values = solve_cubic(CubicPoly(1.0, c2, c1, c0), tol)
+    values = solve_cubic(CubicPoly(1.0, c2, c1, c0))
     sep, scale = separation(values)
-    if sep <= tol.eigenvalue_separation * max(scale, 1e-300):
+    if sep <= EIGENVALUE_SEPARATION * max(scale, 1e-300):
         raise RepeatedEigenvalues("eigenvalues are not pairwise separated",
                                   separation=sep, scale=scale)
     ident = Mat3.identity()
     vectors = []
     for h in values:
         shifted = a - ident.scaled(h)
-        vectors.append(kernel_vector(shifted, tol))
+        vectors.append(kernel_vector(shifted))
     return values, tuple(vectors)
 
 

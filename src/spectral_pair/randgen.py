@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import random
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .linalg import Mat3, det3, inv3
 from .spectral import MatrixPair, general_position_report
 
 _MAX_ATTEMPTS = 1000
+_DISK_RADIUS = 1.0       # entries are drawn from this disk
+_MAX_CONDITION = 30.0    # bound on |g| |g^-1| for well_conditioned_matrix
 
 
-def _complex_in_disk(rng: random.Random, radius: float = 1.0) -> complex:
+def _complex_in_disk(rng: random.Random) -> complex:
     while True:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius:
+        z = complex(rng.uniform(-_DISK_RADIUS, _DISK_RADIUS),
+                    rng.uniform(-_DISK_RADIUS, _DISK_RADIUS))
+        if abs(z) <= _DISK_RADIUS:
             return z
 
 
@@ -44,42 +46,39 @@ def _random_matrix(rng: random.Random) -> Mat3:
     return Mat3(tuple(_complex_in_disk(rng) for _ in range(9)))
 
 
-def well_conditioned_matrix(rng: random.Random,
-                            max_condition: float = 30.0,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> Mat3:
+def well_conditioned_matrix(rng: random.Random) -> Mat3:
     """Random unit-disk matrix with a bounded condition estimate."""
     for _ in range(_MAX_ATTEMPTS):
         g = _random_matrix(rng)
         f = g.norm()
         if f == 0.0 or abs(det3(g)) <= 1e-3 * f ** 3:
             continue
-        g_inv = inv3(g, tol)
-        if f * g_inv.norm() <= max_condition:
+        g_inv = inv3(g)
+        if f * g_inv.norm() <= _MAX_CONDITION:
             return g
     raise RuntimeError("could not draw a well-conditioned matrix")
 
 
-def _random_pair_with_attempts(seed: int,
-                               tol: ToleranceConfig) -> tuple[MatrixPair, int]:
+def _random_pair_with_attempts(seed: int) -> tuple[MatrixPair, int]:
     rng = random.Random(seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         h = _eigenvalue_triple(rng)
-        v = well_conditioned_matrix(rng, tol=tol)
-        a = v @ Mat3.diagonal(*h) @ inv3(v, tol)
+        v = well_conditioned_matrix(rng)
+        a = v @ Mat3.diagonal(*h) @ inv3(v)
         b = _random_matrix(rng)
         pair = MatrixPair(a, b)
-        if general_position_report(pair, tol).passed:
+        if general_position_report(pair).passed:
             return pair, attempt
     raise RuntimeError(f"no general-position pair found for seed {seed} "
                        f"within {_MAX_ATTEMPTS} attempts")
 
 
-def random_pair(seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPair:
+def random_pair(seed: int) -> MatrixPair:
     """General-position pair for this seed; identical across runs."""
-    return _random_pair_with_attempts(seed, tol)[0]
+    return _random_pair_with_attempts(seed)[0]
 
 
-def generation_attempts(seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def generation_attempts(seed: int) -> int:
     """How many candidates the seed burned before one passed every check;
     informational, for tracking the empirical rejection rate."""
-    return _random_pair_with_attempts(seed, tol)[1]
+    return _random_pair_with_attempts(seed)[1]

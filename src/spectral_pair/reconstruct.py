@@ -10,12 +10,8 @@ can only mean a transcription bug in the closed forms.
 
 from __future__ import annotations
 
-from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import (
-    ClosedFormMismatch,
-    LinearSystemSingular,
-    RepeatedEigenvalues,
-)
+from .config import CLOSED_FORM_AGREEMENT, EIGENVALUE_SEPARATION
+from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import CubicPoly, Mat3, Vec3, separation, solve_cubic
 from .spectral import (
     CurveCoefficients,
@@ -27,27 +23,25 @@ from .spectral import (
 )
 
 
-def _check_separation(h: Vec3, tol: ToleranceConfig) -> None:
+def _check_separation(h: Vec3) -> None:
     sep, scale = separation(h)
-    if scale == 0.0 or sep <= tol.eigenvalue_separation * scale:
+    if scale == 0.0 or sep <= EIGENVALUE_SEPARATION * scale:
         raise RepeatedEigenvalues("eigenvalue triple is not pairwise separated",
                                   separation=sep, scale=scale)
 
 
-def eigenvalues_from_coefficients(coeffs: CurveCoefficients,
-                                  tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
+def eigenvalues_from_coefficients(coeffs: CurveCoefficients) -> Vec3:
     """Unordered eigenvalue triple from (p_plus, p_minus, d1), returned in
     the canonical (re, im) order."""
     roots = solve_cubic(
-        CubicPoly(1.0, -coeffs.p_plus, coeffs.p_minus, -coeffs.d1), tol)
-    _check_separation(roots, tol)
+        CubicPoly(1.0, -coeffs.p_plus, coeffs.p_minus, -coeffs.d1))
+    _check_separation(roots)
     return roots
 
 
-def diagonal_entries(coeffs: CurveCoefficients, h: Vec3,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
+def diagonal_entries(coeffs: CurveCoefficients, h: Vec3) -> Vec3:
     """Diagonal of U from (q_plus, t, r_plus) and the ordered eigenvalues."""
-    _check_separation(h, tol)
+    _check_separation(h)
     h1, h2, h3 = h
     qp, rp, t = coeffs.q_plus, coeffs.r_plus, coeffs.t
     u11 = (qp * h1 * h1 - t * h1 + rp) / ((h1 - h2) * (h1 - h3))
@@ -79,8 +73,7 @@ def _closed_form_lower_left(coeffs: CurveCoefficients, h: Vec3,
     return corner(h2, h3), corner(h3, h2)
 
 
-def reconstruct(sd: SpectralData,
-                tol: ToleranceConfig = DEFAULT_TOL) -> NormalizedPair:
+def reconstruct(sd: SpectralData) -> NormalizedPair:
     """Normalized pair from spectral data, using the ordering carried by it.
 
     The divisor point is used as given; nothing is projected back onto the
@@ -92,7 +85,8 @@ def reconstruct(sd: SpectralData,
     c = sd.coeffs
     L, M = sd.divisor.L, sd.divisor.M
 
-    u11, u22, u33 = diagonal_entries(c, h, tol)   # checks the separation
+    # checks the separation, so the denominator h3 - h2 below is nonzero
+    u11, u22, u33 = diagonal_entries(c, h)
     u23 = L + h2 * M + u22
     u32 = L + h3 * M + u33
 
@@ -101,10 +95,6 @@ def reconstruct(sd: SpectralData,
     #   h3 u21 + h2 u31          = h3 u11 u22 + h2 u11 u33
     #                              + h1 (u22 u33 - u23 u32) - r_minus
     den = h3 - h2
-    scale = max(abs(h1), abs(h2), abs(h3))
-    if abs(den) <= tol.linear_system * scale:
-        raise LinearSystemSingular("linear system for (u21, u31) is singular",
-                                   denominator=abs(den))
     rhs1 = u11 * u22 + u11 * u33 + u22 * u33 - u23 * u32 - c.q_minus
     rhs2 = (h3 * u11 * u22 + h2 * u11 * u33
             + h1 * (u22 * u33 - u23 * u32) - c.r_minus)
@@ -114,7 +104,7 @@ def reconstruct(sd: SpectralData,
     u21_cf, u31_cf = _closed_form_lower_left(c, h, L, M)
     ref = max(1.0, abs(u21), abs(u31))
     mismatch = max(abs(u21 - u21_cf), abs(u31 - u31_cf)) / ref
-    if mismatch > tol.closed_form_agreement:
+    if mismatch > CLOSED_FORM_AGREEMENT:
         raise ClosedFormMismatch(
             "closed forms for (u21, u31) disagree with the linear solve",
             mismatch=mismatch,
@@ -126,8 +116,7 @@ def reconstruct(sd: SpectralData,
     return NormalizedPair(h, u)
 
 
-def canonical_form(sd: SpectralData,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
     This is the common ground for comparing data that carry different
@@ -136,10 +125,10 @@ def canonical_form(sd: SpectralData,
     the same permutation and gauge-fixed again, then the closed forms are
     applied.  No eigenproblem is solved.
     """
-    np = reconstruct(sd, tol)
+    np = reconstruct(sd)
     order = sorted(range(3), key=lambda i: (np.h[i].real, np.h[i].imag))
     h = tuple(np.h[i] for i in order)
     u = Mat3(tuple(np.u[i, j] for i in order for j in order))
-    _check_nondegenerate(Mat3.diagonal(*h), "A", tol)
-    _check_nondegenerate(u, "B", tol)
-    return spectral_data_of_normalized(_gauge_fix(h, u, tol), tol)
+    _check_nondegenerate(Mat3.diagonal(*h), "A")
+    _check_nondegenerate(u, "B")
+    return spectral_data_of_normalized(_gauge_fix(h, u))

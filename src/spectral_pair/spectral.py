@@ -13,7 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernels_py as kernels
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import (
+    DIVISOR_DENOMINATOR,
+    GAUGE,
+    MARGIN_AXIS_POINT_SEPARATION,
+    MARGIN_DETERMINANT,
+    MARGIN_DIVISOR_DENOMINATOR,
+    MARGIN_EIGENVALUE_SEPARATION,
+    MARGIN_GAUGE,
+    ON_CURVE,
+    PAIR_DETERMINANT,
+    SYMMETRIC_FUNCTIONS,
+)
 from .errors import (
     DegenerateDivisor,
     GaugeDegenerate,
@@ -114,16 +125,15 @@ def principal_minors(u: Mat3) -> tuple[complex, complex, complex]:
     return m12, m13, m23
 
 
-def _check_nondegenerate(m: Mat3, name: str, tol: ToleranceConfig) -> None:
+def _check_nondegenerate(m: Mat3, name: str) -> None:
     f = m.norm()
     d = abs(det3(m))
-    if f == 0.0 or d <= tol.pair_determinant * f ** 3:
+    if f == 0.0 or d <= PAIR_DETERMINANT * f ** 3:
         raise SingularMatrix(f"matrix {name} is numerically singular",
                              which=name, det=d, norm=f)
 
 
-def normalize_pair(pair: MatrixPair,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> NormalizedPair:
+def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     """Diagonalize the first matrix and gauge-fix the second.
 
     Eigenvalues are sorted by (re, im).  The residual diagonal-conjugation
@@ -131,24 +141,24 @@ def normalize_pair(pair: MatrixPair,
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.
     """
-    _check_nondegenerate(pair.a, "A", tol)
-    _check_nondegenerate(pair.b, "B", tol)
+    _check_nondegenerate(pair.a, "A")
+    _check_nondegenerate(pair.b, "B")
 
-    values, vectors = eig3(pair.a, tol)
-    return _gauge_fix(values, _in_eigenbasis(pair.b, vectors, tol), tol)
+    values, vectors = eig3(pair.a)
+    return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
 
 
-def _in_eigenbasis(b: Mat3, vectors, tol: ToleranceConfig) -> Mat3:
+def _in_eigenbasis(b: Mat3, vectors) -> Mat3:
     """The matrix U0 = V^-1 B V of the second matrix in the eigenbasis V."""
     v = columns_matrix(*vectors)
-    return inv3(v, tol) @ b @ v
+    return inv3(v) @ b @ v
 
 
-def _gauge_fix(values: Vec3, u0: Mat3, tol: ToleranceConfig) -> NormalizedPair:
+def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
     """Rescale U0 by a diagonal conjugation so that u12 = u13 = 1."""
     scale = u0.norm()
     u12, u13 = u0[0, 1], u0[0, 2]
-    if abs(u12) <= tol.gauge * scale or abs(u13) <= tol.gauge * scale:
+    if abs(u12) <= GAUGE * scale or abs(u13) <= GAUGE * scale:
         raise GaugeDegenerate(
             "second matrix has negligible (1,2) or (1,3) entry in the eigenbasis",
             u12=abs(u12), u13=abs(u13), scale=scale)
@@ -185,8 +195,7 @@ def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
     )
 
 
-def divisor_point(np: NormalizedPair,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> DivisorPoint:
+def divisor_point(np: NormalizedPair) -> DivisorPoint:
     """The third zero (L : M : 1) of the first-coordinate section.
 
     At this point the pencil matrix lam + mu*diag(h) + nu*U has a kernel
@@ -200,7 +209,7 @@ def divisor_point(np: NormalizedPair,
     u12, u13 = u[0, 1], u[0, 2]
     den = u12 * u13 * (h3 - h2)
     scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, u.norm()) ** 2
-    if abs(den) <= tol.divisor_denominator * scale:
+    if abs(den) <= DIVISOR_DENOMINATOR * scale:
         raise DegenerateDivisor("divisor denominator u12*u13*(h3 - h2) is negligible",
                                 denominator=abs(den), scale=scale)
     det_a = u12 * u[1, 2] - u13 * u[1, 1]   # rows (1,2) of the pencil minors
@@ -210,17 +219,15 @@ def divisor_point(np: NormalizedPair,
     return DivisorPoint(l_val, m_val)
 
 
-def spectral_data_of_normalized(np: NormalizedPair,
-                                tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
-    sd = SpectralData(np.h, curve_coefficients(np), divisor_point(np, tol))
-    validate_spectral_data(sd, tol)
+def spectral_data_of_normalized(np: NormalizedPair) -> SpectralData:
+    sd = SpectralData(np.h, curve_coefficients(np), divisor_point(np))
+    validate_spectral_data(sd)
     return sd
 
 
-def spectral_data(pair: MatrixPair,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def spectral_data(pair: MatrixPair) -> SpectralData:
     """Full forward map; invariant under simultaneous conjugation."""
-    return spectral_data_of_normalized(normalize_pair(pair, tol), tol)
+    return spectral_data_of_normalized(normalize_pair(pair))
 
 
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
@@ -231,8 +238,7 @@ def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
     return abs(value) / scale
 
 
-def validate_spectral_data(sd: SpectralData,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> None:
+def validate_spectral_data(sd: SpectralData) -> None:
     """Consistency checks: eigenvalues reproduce (p_plus, p_minus, d1) as
     their elementary symmetric functions, and the divisor point lies on the
     curve."""
@@ -245,12 +251,12 @@ def validate_spectral_data(sd: SpectralData,
     )
     for name, lhs, rhs in pairs:
         scale = max(1.0, abs(lhs), abs(rhs))
-        if abs(lhs - rhs) > tol.symmetric_functions * scale:
+        if abs(lhs - rhs) > SYMMETRIC_FUNCTIONS * scale:
             raise InvariantViolation(
                 f"eigenvalues do not match coefficient {name}",
                 component=name, residual=abs(lhs - rhs) / scale)
     residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
-    if residual > tol.on_curve:
+    if residual > ON_CURVE:
         raise InvariantViolation("divisor point does not lie on the curve",
                                  component="divisor", residual=residual)
 
@@ -292,8 +298,7 @@ class GeneralPositionReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def general_position_report(pair: MatrixPair,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> GeneralPositionReport:
+def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
     """Run every general-position check with margins; never raises.
 
     Each check appears exactly once.  Checks that depend on earlier stages
@@ -312,63 +317,63 @@ def general_position_report(pair: MatrixPair,
     for name, m in (("determinant_a", pair.a), ("determinant_b", pair.b)):
         f = m.norm()
         margin = abs(det3(m)) / f ** 3 if f > 0 else 0.0
-        add(name, margin, tol.margin_determinant)
+        add(name, margin, MARGIN_DETERMINANT)
 
     # the forward map of normalize_pair, one stage at a time, with A
     # decomposed once
     np = None
     try:
-        values, vectors = eig3(pair.a, tol)
+        values, vectors = eig3(pair.a)
     except GeneralPositionError as exc:
-        add("eigenvalue_separation", None, tol.margin_eigenvalue_separation, exc.code)
-        add("gauge_entries", None, tol.margin_gauge, exc.code)
+        add("eigenvalue_separation", None, MARGIN_EIGENVALUE_SEPARATION, exc.code)
+        add("gauge_entries", None, MARGIN_GAUGE, exc.code)
     else:
         sep, scale = separation(values)
-        add("eigenvalue_separation", sep / scale, tol.margin_eigenvalue_separation)
+        add("eigenvalue_separation", sep / scale, MARGIN_EIGENVALUE_SEPARATION)
         try:
             # gauge margin measured on the un-rescaled eigenbasis matrix
-            u0 = _in_eigenbasis(pair.b, vectors, tol)
+            u0 = _in_eigenbasis(pair.b, vectors)
         except GeneralPositionError as exc:
-            add("gauge_entries", None, tol.margin_gauge, exc.code)
+            add("gauge_entries", None, MARGIN_GAUGE, exc.code)
         else:
             margin = min(abs(u0[0, 1]), abs(u0[0, 2])) / u0.norm()
             note = ""
             try:
-                np = _gauge_fix(values, u0, tol)
+                np = _gauge_fix(values, u0)
             except GaugeDegenerate as exc:
                 note = exc.code
-            add("gauge_entries", margin, tol.margin_gauge, note)
+            add("gauge_entries", margin, MARGIN_GAUGE, note)
 
     if np is None:
-        add("divisor_denominator", None, tol.margin_divisor_denominator, "unavailable")
-        add("divisor_on_curve", None, tol.on_curve, "unavailable")
-        add("axis_point_separation", None, tol.margin_axis_point_separation, "unavailable")
+        add("divisor_denominator", None, MARGIN_DIVISOR_DENOMINATOR, "unavailable")
+        add("divisor_on_curve", None, ON_CURVE, "unavailable")
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return GeneralPositionReport(tuple(checks))
 
     h1, h2, h3 = np.h
     add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)),
-        tol.margin_divisor_denominator)
+        MARGIN_DIVISOR_DENOMINATOR)
 
     try:
-        sd = spectral_data_of_normalized(np, tol)
+        sd = spectral_data_of_normalized(np)
         add("divisor_on_curve",
-            tol.on_curve - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
+            ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
             0.0)
     except GeneralPositionError as exc:
-        add("divisor_on_curve", None, tol.on_curve, exc.code)
+        add("divisor_on_curve", None, ON_CURVE, exc.code)
         return GeneralPositionReport(tuple(checks))
 
     c = sd.coeffs
     try:
-        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2), tol)
-        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2), tol)
+        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
+        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
         points = ([ProjectivePoint(h, -1.0, 0.0) for h in np.h]
                   + [ProjectivePoint(x, 0.0, -1.0) for x in xi]
                   + [ProjectivePoint(0.0, s, 1.0) for s in lam0])
         min_dist = min(projective_distance(points[i], points[j])
                        for i in range(9) for j in range(i + 1, 9))
-        add("axis_point_separation", min_dist, tol.margin_axis_point_separation)
+        add("axis_point_separation", min_dist, MARGIN_AXIS_POINT_SEPARATION)
     except GeneralPositionError as exc:
-        add("axis_point_separation", None, tol.margin_axis_point_separation, exc.code)
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
 
     return GeneralPositionReport(tuple(checks))

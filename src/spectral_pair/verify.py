@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import GeneralPositionError
 from .gl2z import (
     Generator,
@@ -75,36 +74,35 @@ def _pair_residuals(lhs, rhs) -> dict[str, float]:
     return out
 
 
-def _prop_round_trip_forward(pair, np, sd, seed, tol):
-    return _pair_residuals(np, reconstruct(sd, tol))
+def _prop_round_trip_forward(pair, np, sd, seed):
+    return _pair_residuals(np, reconstruct(sd))
 
 
-def _prop_round_trip_backward(pair, np, sd, seed, tol):
-    again = spectral_data(reconstruct(sd, tol).as_pair(), tol)
+def _prop_round_trip_backward(pair, np, sd, seed):
+    again = spectral_data(reconstruct(sd).as_pair())
     return spectral_residuals(sd, again)
 
 
 def _make_commute(generator: Generator):
-    def prop(pair, np, sd, seed, tol):
-        return commutation_residuals(generator, pair, sd, tol)
+    def prop(pair, np, sd, seed):
+        return commutation_residuals(generator, pair, sd)
     return prop
 
 
-def _prop_conjugation_invariance(pair, np, sd, seed, tol):
+def _prop_conjugation_invariance(pair, np, sd, seed):
     rng = random.Random((seed << 16) ^ 0x5BD1)
-    g = well_conditioned_matrix(rng, tol=tol)
-    g_inv = inv3(g, tol)
+    g = well_conditioned_matrix(rng)
+    g_inv = inv3(g)
     conjugated = MatrixPair(g @ pair.a @ g_inv, g @ pair.b @ g_inv)
-    return spectral_residuals(sd, spectral_data(conjugated, tol))
+    return spectral_residuals(sd, spectral_data(conjugated))
 
 
-def _prop_word_consistency(pair, np, sd, seed, tol):
+def _prop_word_consistency(pair, np, sd, seed):
     rng = random.Random((seed << 16) ^ 0xC0FF)
     word = tuple(rng.choice(list(Generator))
                  for _ in range(rng.randint(1, 6)))
-    lhs = act_word_spectral(word, sd, tol)
-    rhs = canonical_form(
-        spectral_data(act_word_on_pair(word, pair, tol), tol), tol)
+    lhs = act_word_spectral(word, sd)
+    rhs = canonical_form(spectral_data(act_word_on_pair(word, pair)))
     return spectral_residuals(lhs, rhs)
 
 
@@ -120,8 +118,7 @@ PROPERTIES = {
 
 
 def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
-              base_seed: int = 0,
-              tol: ToleranceConfig = DEFAULT_TOL) -> list[PropertyResult]:
+              base_seed: int = 0) -> list[PropertyResult]:
     """Every property over the same seeds, one result per property in
     ``PROPERTIES`` order.  Each seed's pair is drawn and mapped forward once;
     every property receives the pair, its normalized form and its spectral
@@ -131,17 +128,17 @@ def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
         tolerance=tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
         for name in PROPERTIES]
     for seed in range(base_seed, base_seed + seeds):
-        pair = random_pair(seed, tol)
+        pair = random_pair(seed)
         try:
-            np = normalize_pair(pair, tol)
-            sd = spectral_data_of_normalized(np, tol)
+            np = normalize_pair(pair)
+            sd = spectral_data_of_normalized(np)
         except GeneralPositionError as exc:
             for result in results:
                 result.skip(seed, exc.code)
             continue
         for result, prop in zip(results, PROPERTIES.values()):
             try:
-                result.record(seed, prop(pair, np, sd, seed, tol))
+                result.record(seed, prop(pair, np, sd, seed))
             except GeneralPositionError as exc:
                 result.skip(seed, exc.code)
     return results

@@ -11,13 +11,19 @@ from spectral_pair import (
     IntermediateDegeneracy,
     Mat3,
     MatrixPair,
+    NormalizedPair,
+    SingularA,
+    SpectralData,
+    SwappedPairDegenerate,
     act_on_pair,
     act_spectral,
     act_word_on_pair,
     act_word_spectral,
     canonical_form,
+    curve_coefficients,
     decompose_gl2z,
     det3,
+    divisor_point,
     inv3,
     invert_spectral,
     matrix_of_word,
@@ -31,6 +37,7 @@ from spectral_pair import (
     word_to_str,
 )
 
+from conftest import FIXTURE_B
 from oracles import evaluate_word_at, exponent_sums, word_images
 
 S, I, T = Generator.SWAP, Generator.INVERT, Generator.SHEAR
@@ -251,6 +258,23 @@ def test_intermediate_degeneracy_reports_prefix():
     with pytest.raises(IntermediateDegeneracy) as info:
         act_word_spectral((S,), sd)
     assert info.value.prefix == (S,)
+
+
+def test_invert_spectral_rejects_zero_eigenvalue():
+    npair = NormalizedPair((0, 1, 2), FIXTURE_B)
+    sd = SpectralData(npair.h, curve_coefficients(npair), divisor_point(npair))
+    with pytest.raises(SingularA) as info:
+        invert_spectral(sd)
+    assert info.value.code == "singular_a"
+
+
+def test_swap_spectral_rejects_repeated_second_spectrum():
+    v = Mat3.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    b = v @ Mat3.diagonal(1, 1, 2) @ inv3(v)
+    sd = spectral_data(MatrixPair(Mat3.diagonal(1, 2, 3), b))
+    with pytest.raises(SwappedPairDegenerate) as info:
+        swap_spectral(sd)
+    assert info.value.code == "swapped_pair_degenerate"
 
 
 def test_gl2z_determinant_validation():

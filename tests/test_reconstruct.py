@@ -5,6 +5,7 @@ import pytest
 
 import spectral_pair.spectral
 from spectral_pair import (
+    CubicPoly,
     CurveCoefficients,
     DivisorPoint,
     Generator,
@@ -14,13 +15,16 @@ from spectral_pair import (
     SpectralData,
     act_spectral,
     canonical_form,
+    curve_coefficients,
     diagonal_entries,
     eigenvalues_from_coefficients,
     normalize_pair,
     reconstruct,
+    solve_cubic,
     spectral_data,
     spectral_data_of_normalized,
     spectral_residuals,
+    validate_spectral_data,
 )
 from spectral_pair.reconstruct import _closed_form_lower_left
 
@@ -120,6 +124,21 @@ def test_closed_forms_agree_with_linear_solve(seeded_pairs):
         ref = max(1.0, abs(npair.u[1, 0]), abs(npair.u[2, 0]))
         assert abs(npair.u[1, 0] - u21_cf) / ref < 1e-7
         assert abs(npair.u[2, 0] - u31_cf) / ref < 1e-7
+
+
+def test_reconstruct_rejects_nearly_equal_h2_h3():
+    # |h3 - h2| = 1e-10 max|h|: the separation check in diagonal_entries
+    # (1e-6 relative) rejects it before the (u21, u31) solve divides by
+    # h3 - h2
+    h = (1, 2, 2 + 2e-10)
+    c = curve_coefficients(NormalizedPair(h, FIXTURE_B))
+    # an on-curve point off the divisor formula, whose denominator
+    # u12 u13 (h3 - h2) is degenerate here: (L : 0 : 1) with det(L + U) = 0
+    root = solve_cubic(CubicPoly(1.0, c.q_plus, c.q_minus, c.d2))[0]
+    sd = SpectralData(h, c, DivisorPoint(root, 0))
+    validate_spectral_data(sd)
+    with pytest.raises(RepeatedEigenvalues):
+        reconstruct(sd)
 
 
 def test_off_curve_divisor_not_projected(fixture_pair):

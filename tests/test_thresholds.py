@@ -1,0 +1,84 @@
+"""The numerical thresholds are fixed module constants, each one in use.
+
+``config.py`` holds one float constant per threshold and nothing else; no
+function takes a tolerance parameter, and every constant is imported and
+read by some other module of the package, so no dead threshold survives.
+"""
+
+import ast
+from pathlib import Path
+
+import spectral_pair
+
+PACKAGE = Path(spectral_pair.__file__).parent
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def tol_parameters(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg == "tol":
+                    found.append(f"{getattr(node, 'name', 'lambda')} "
+                                 f"(line {node.lineno})")
+    return found
+
+
+def config_constants(tree: ast.Module) -> dict[str, object]:
+    """Name -> value of every module-level assignment; any other statement
+    besides the docstring is reported under its line number."""
+    out = {}
+    for i, node in enumerate(tree.body):
+        if i == 0 and isinstance(node, ast.Expr) \
+                and isinstance(node.value, ast.Constant):
+            continue
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) \
+                and isinstance(node.value, ast.Constant):
+            out[node.targets[0].id] = node.value.value
+        else:
+            out[f"<statement at line {node.lineno}>"] = None
+    return out
+
+
+def config_names_read(tree: ast.Module) -> set[str]:
+    """Names imported from ``.config`` that the module also reads."""
+    imported = {alias.asname or alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "config"
+                and node.level == 1
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported & read
+
+
+def test_tol_parameter_is_detected():
+    source = "def f(x, tol=None):\n    pass\ndef g(*, tol):\n    pass\n"
+    assert tol_parameters(ast.parse(source)) == ["f (line 1)", "g (line 3)"]
+
+
+def test_no_function_takes_a_tol_parameter():
+    found = {path.name: tol_parameters(parse(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def test_config_defines_only_float_constants():
+    constants = config_constants(parse(PACKAGE / "config.py"))
+    assert constants
+    assert {name: value for name, value in constants.items()
+            if not isinstance(value, float)} == {}
+
+
+def test_every_threshold_is_read_by_another_module():
+    constants = config_constants(parse(PACKAGE / "config.py"))
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "config.py":
+            read |= config_names_read(parse(path))
+    assert sorted(set(constants) - read) == []
