@@ -5,6 +5,13 @@ Everything is exact small-case math (cofactor and adjugate formulas) with
 explicit conditioning checks; scalars are built-in ``complex``.  All
 functions are pure and all values immutable, so they are safe to share
 between threads.
+
+Every ``Mat3`` is checked once, when it is built: its entries are coerced
+to ``complex`` and must all be finite (``finite_entries``).  Code that
+chains products on flat entries builds one ``Mat3`` from the final product
+and relies on that check, because sums and products never turn a
+non-finite value finite again.  A reciprocal that such a chain multiplies
+in is checked explicitly where it is taken.
 """
 
 from __future__ import annotations
@@ -31,6 +38,16 @@ from .errors import (
 Vec3 = tuple[complex, complex, complex]
 
 
+def finite_entries(values) -> tuple[complex, ...]:
+    """``values`` coerced to ``complex``; ValueError unless all are finite.
+
+    This is the check every ``Mat3`` gets when it is built."""
+    entries = tuple(map(complex, values))
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("Mat3 entries must be finite")
+    return entries
+
+
 @dataclass(frozen=True)
 class Mat3:
     """3x3 complex matrix, flat row-major entries."""
@@ -40,14 +57,11 @@ class Mat3:
     def __post_init__(self):
         if len(self.entries) != 9:
             raise ValueError("Mat3 needs exactly 9 entries")
-        entries = tuple(complex(z) for z in self.entries)
-        if not all(cmath.isfinite(z) for z in entries):
-            raise ValueError("Mat3 entries must be finite")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", finite_entries(self.entries))
 
     @classmethod
     def from_rows(cls, rows) -> "Mat3":
-        return cls(tuple(complex(z) for row in rows for z in row))
+        return cls(tuple(z for row in rows for z in row))
 
     @classmethod
     def identity(cls) -> "Mat3":
@@ -169,10 +183,15 @@ def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
     if sep <= EIGENVALUE_SEPARATION * max(scale, 1e-300):
         raise RepeatedEigenvalues("eigenvalues are not pairwise separated",
                                   separation=sep, scale=scale)
-    ident = Mat3.identity()
+    e = a.entries
     vectors = []
     for h in values:
-        shifted = a - ident.scaled(h)
+        # the entries of I.scaled(h), so that a - h*I keeps every bit,
+        # signed zeros included
+        on, off = h * (1 + 0j), h * 0j
+        shifted = Mat3((e[0] - on, e[1] - off, e[2] - off,
+                        e[3] - off, e[4] - on, e[5] - off,
+                        e[6] - off, e[7] - off, e[8] - on))
         vectors.append(kernel_vector(shifted))
     return values, tuple(vectors)
 

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from .config import CLOSED_FORM_AGREEMENT, EIGENVALUE_SEPARATION
 from .errors import ClosedFormMismatch, RepeatedEigenvalues
-from .linalg import CubicPoly, Mat3, Vec3, separation, solve_cubic
+from .linalg import (
+    CubicPoly,
+    Mat3,
+    Vec3,
+    finite_entries,
+    separation,
+    solve_cubic,
+)
 from .spectral import (
     CurveCoefficients,
     NormalizedPair,
@@ -129,6 +136,7 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     order = sorted(range(3), key=lambda i: (np.h[i].real, np.h[i].imag))
     h = tuple(np.h[i] for i in order)
     u = Mat3(tuple(np.u[i, j] for i in order for j in order))
-    _check_nondegenerate(Mat3.diagonal(*h), "A")
-    _check_nondegenerate(u, "B")
+    diag_h = finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2]))
+    _check_nondegenerate(diag_h, "A")
+    _check_nondegenerate(u.entries, "B")
     return spectral_data_of_normalized(_gauge_fix(h, u))

@@ -39,6 +39,7 @@ from .linalg import (
     columns_matrix,
     det3,
     eig3,
+    finite_entries,
     inv3,
     separation,
     solve_cubic,
@@ -117,17 +118,11 @@ class SpectralData:
     divisor: DivisorPoint
 
 
-def principal_minors(u: Mat3) -> tuple[complex, complex, complex]:
-    """The 2x2 principal minors on rows/columns (1,2), (1,3), (2,3)."""
-    m12 = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    m13 = u[0, 0] * u[2, 2] - u[0, 2] * u[2, 0]
-    m23 = u[1, 1] * u[2, 2] - u[1, 2] * u[2, 1]
-    return m12, m13, m23
-
-
-def _check_nondegenerate(m: Mat3, name: str) -> None:
-    f = m.norm()
-    d = abs(det3(m))
+def _check_nondegenerate(entries: tuple[complex, ...], name: str) -> None:
+    """SingularMatrix unless the flat, already checked entries of a 3x3
+    matrix have a determinant above the relative threshold."""
+    f = kernels.frob3(entries)
+    d = abs(kernels.det3(entries))
     if f == 0.0 or d <= PAIR_DETERMINANT * f ** 3:
         raise SingularMatrix(f"matrix {name} is numerically singular",
                              which=name, det=d, norm=f)
@@ -141,8 +136,8 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.
     """
-    _check_nondegenerate(pair.a, "A")
-    _check_nondegenerate(pair.b, "B")
+    _check_nondegenerate(pair.a.entries, "A")
+    _check_nondegenerate(pair.b.entries, "B")
 
     values, vectors = eig3(pair.a)
     return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
@@ -151,7 +146,8 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
 def _in_eigenbasis(b: Mat3, vectors) -> Mat3:
     """The matrix U0 = V^-1 B V of the second matrix in the eigenbasis V."""
     v = columns_matrix(*vectors)
-    return inv3(v) @ b @ v
+    vb = kernels.matmul3(inv3(v).entries, b.entries)
+    return Mat3(kernels.matmul3(vb, v.entries))
 
 
 def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
@@ -163,14 +159,16 @@ def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
             "second matrix has negligible (1,2) or (1,3) entry in the eigenbasis",
             u12=abs(u12), u13=abs(u13), scale=scale)
 
-    d = Mat3.diagonal(1.0, u12, u13)
-    d_inv = Mat3.diagonal(1.0, 1.0 / u12, 1.0 / u13)
-    u = d @ u0 @ d_inv
-    # pin the gauge entries exactly
-    e = list(u.entries)
-    e[1] = 1.0 + 0.0j
-    e[2] = 1.0 + 0.0j
-    return NormalizedPair(values, Mat3(tuple(e)))
+    # U = D U0 D^-1 with D = diag(1, u12, u13), entry by entry as
+    # d_i u0_ij / d_j, the gauge entries pinned to 1.  The reciprocals are
+    # checked where they are taken, as building D^-1 did.  The unit factors
+    # set the sign of a zero imaginary part as the matrix product did.
+    r12, r13 = finite_entries((1.0 / u12, 1.0 / u13))
+    e = u0.entries
+    u = Mat3((1.0 * e[0] * 1.0, 1.0, 1.0,
+              u12 * e[3] * 1.0, u12 * e[4] * r12, u12 * e[5] * r13,
+              u13 * e[6] * 1.0, u13 * e[7] * r12, u13 * e[8] * r13))
+    return NormalizedPair(values, u)
 
 
 def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
@@ -180,18 +178,21 @@ def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
     determinant): det(lam + mu*diag(h) + nu*U) expands with all plus signs.
     """
     h1, h2, h3 = np.h
-    u = np.u
-    m12, m13, m23 = principal_minors(u)
+    u11, u12, u13, u21, u22, u23, u31, u32, u33 = np.u.entries
+    # the 2x2 principal minors on rows/columns (1,2), (1,3), (2,3)
+    m12 = u11 * u22 - u12 * u21
+    m13 = u11 * u33 - u13 * u31
+    m23 = u22 * u33 - u23 * u32
     return CurveCoefficients(
         d1=h1 * h2 * h3,
-        d2=det3(u),
+        d2=det3(np.u),
         p_plus=h1 + h2 + h3,
         p_minus=h1 * h2 + h1 * h3 + h2 * h3,
-        q_plus=u[0, 0] + u[1, 1] + u[2, 2],
+        q_plus=u11 + u22 + u33,
         q_minus=m12 + m13 + m23,
-        r_plus=h1 * h2 * u[2, 2] + h1 * h3 * u[1, 1] + h2 * h3 * u[0, 0],
+        r_plus=h1 * h2 * u33 + h1 * h3 * u22 + h2 * h3 * u11,
         r_minus=h3 * m12 + h2 * m13 + h1 * m23,
-        t=(h1 + h2) * u[2, 2] + (h1 + h3) * u[1, 1] + (h2 + h3) * u[0, 0],
+        t=(h1 + h2) * u33 + (h1 + h3) * u22 + (h2 + h3) * u11,
     )
 
 
@@ -205,15 +206,14 @@ def divisor_point(np: NormalizedPair) -> DivisorPoint:
     and kernel checks.
     """
     h1, h2, h3 = np.h
-    u = np.u
-    u12, u13 = u[0, 1], u[0, 2]
+    _, u12, u13, _, u22, u23, _, u32, u33 = np.u.entries
     den = u12 * u13 * (h3 - h2)
-    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, u.norm()) ** 2
+    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, np.u.norm()) ** 2
     if abs(den) <= DIVISOR_DENOMINATOR * scale:
         raise DegenerateDivisor("divisor denominator u12*u13*(h3 - h2) is negligible",
                                 denominator=abs(den), scale=scale)
-    det_a = u12 * u[1, 2] - u13 * u[1, 1]   # rows (1,2) of the pencil minors
-    det_b = u12 * u[2, 2] - u13 * u[2, 1]   # rows (1,3)
+    det_a = u12 * u23 - u13 * u22   # rows (1,2) of the pencil minors
+    det_b = u12 * u33 - u13 * u32   # rows (1,3)
     l_val = (u12 * h3 * det_a + u13 * h2 * det_b) / den
     m_val = -(u12 * det_a + u13 * det_b) / den
     return DivisorPoint(l_val, m_val)

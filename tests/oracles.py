@@ -10,7 +10,18 @@ from __future__ import annotations
 
 import itertools
 
-from spectral_pair import Mat3, reconstruct, spectral_data
+from spectral_pair import (
+    GaugeDegenerate,
+    Mat3,
+    NormalizedPair,
+    eig3,
+    inv3,
+    kernel_vector,
+    reconstruct,
+    spectral_data,
+)
+from spectral_pair.config import GAUGE
+from spectral_pair.linalg import columns_matrix
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
 
@@ -179,6 +190,36 @@ def canonical_form_by_forward_map(sd):
     forward map again, eigensolve included; the permutation route in
     ``canonical_form`` must agree with it."""
     return spectral_data(reconstruct(sd).as_pair())
+
+
+# --- forward-map stages as whole-matrix products ---
+
+
+def eig3_by_identity_shift(a: Mat3):
+    """``eig3`` with each shifted matrix built as a - I.scaled(h)."""
+    values, _ = eig3(a)
+    ident = Mat3.identity()
+    return values, tuple(kernel_vector(a - ident.scaled(h)) for h in values)
+
+
+def in_eigenbasis_by_matmul(b: Mat3, vectors) -> Mat3:
+    """U0 = V^-1 B V as two ``Mat3`` products."""
+    v = columns_matrix(*vectors)
+    return inv3(v) @ b @ v
+
+
+def gauge_fix_by_matmul(values, u0: Mat3) -> NormalizedPair:
+    """D U0 D^-1 with D = diag(1, u12, u13) as two ``Mat3`` products, the
+    gauge entries pinned afterwards."""
+    scale = u0.norm()
+    u12, u13 = u0[0, 1], u0[0, 2]
+    if abs(u12) <= GAUGE * scale or abs(u13) <= GAUGE * scale:
+        raise GaugeDegenerate("negligible gauge entry")
+    d = Mat3.diagonal(1.0, u12, u13)
+    d_inv = Mat3.diagonal(1.0, 1.0 / u12, 1.0 / u13)
+    e = list((d @ u0 @ d_inv).entries)
+    e[1] = e[2] = 1.0
+    return NormalizedPair(values, Mat3(tuple(e)))
 
 
 # --- root matching ---

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from spectral_pair import (
     kernel_vector,
     solve_cubic,
 )
+import spectral_pair.linalg as linalg
 from spectral_pair.errors import DegenerateLeadingCoefficient
 from spectral_pair.linalg import columns_matrix, vec_norm
 
@@ -25,6 +27,27 @@ from oracles import match_roots
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0, math.nan), complex(1, -math.inf)])
+def test_mat3_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^Mat3 entries must be finite$"):
+        Mat3((1, 0, 0, 0, bad, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="^Mat3 entries must be finite$"):
+        Mat3.from_rows([[1, 0, 0], [0, bad, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("n", [0, 8, 10])
+def test_mat3_rejects_wrong_length(n):
+    with pytest.raises(ValueError, match="^Mat3 needs exactly 9 entries$"):
+        Mat3((1,) * n)
+
+
+def test_mat3_coerces_entries_to_complex():
+    m = Mat3.from_rows([[1, 2.5, 3j], [4, 5, 6], [7, 8, 9]])
+    assert all(type(z) is complex for z in m.entries)
+    assert m.entries[:3] == (1 + 0j, 2.5 + 0j, 3j)
 
 
 def test_cubic_roots_of_unity():
@@ -221,3 +244,16 @@ def test_eig_rebuild():
         rebuilt = v @ Mat3.diagonal(*values) @ inv3(v)
         residual = max(abs(x - y) for x, y in zip(rebuilt.entries, a.entries))
         assert residual <= 1e-8 * max(1.0, a.norm())
+
+
+def test_eig_finds_each_vector_from_its_kernel(monkeypatch):
+    calls = []
+    original = linalg.kernel_vector
+
+    def counting_kernel_vector(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kernel_vector", counting_kernel_vector)
+    eig3(Mat3.diagonal(1, 2, 3))
+    assert len(calls) == 3

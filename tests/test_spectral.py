@@ -1,13 +1,18 @@
+import importlib
 import random
 
 import pytest
 
+import spectral_pair.spectral as spectral_module
 from spectral_pair import (
     GaugeDegenerate,
+    Generator,
     Mat3,
     MatrixPair,
     NormalizedPair,
     DegenerateDivisor,
+    act_spectral,
+    canonical_form,
     curve_coefficients,
     curve_residual,
     divisor_point,
@@ -26,7 +31,16 @@ from conftest import (
     FIXTURE_H,
     rng_complex,
 )
-from oracles import divisor_by_minor_equations, expanded_coefficients
+from oracles import (
+    divisor_by_minor_equations,
+    eig3_by_identity_shift,
+    expanded_coefficients,
+    gauge_fix_by_matmul,
+    in_eigenbasis_by_matmul,
+)
+
+# the package binds the name ``reconstruct`` to the function
+reconstruct_module = importlib.import_module("spectral_pair.reconstruct")
 
 
 def conjugated(pair: MatrixPair, g: Mat3) -> MatrixPair:
@@ -205,8 +219,6 @@ def test_report_lists_each_check_once(b_rows, failing):
 
 
 def test_report_decomposes_a_once(monkeypatch, fixture_pair):
-    import spectral_pair.spectral as spectral_module
-
     calls = []
     original = spectral_module.eig3
 
@@ -216,4 +228,48 @@ def test_report_decomposes_a_once(monkeypatch, fixture_pair):
 
     monkeypatch.setattr(spectral_module, "eig3", counting_eig3)
     assert general_position_report(fixture_pair).passed
+    assert len(calls) == 1
+
+
+def test_gauge_fix_rejects_overflowed_reciprocal():
+    # every entry is subnormal, so the gauge check passes but 1/u12 and
+    # 1/u13 overflow
+    t = 1e-310
+    u0 = Mat3((t, t, t, t, 2 * t, t, t, t, 3 * t))
+    with pytest.raises(ValueError, match="^Mat3 entries must be finite$"):
+        spectral_module._gauge_fix((1, 2, 3), u0)
+
+
+def test_forward_map_matches_matrix_product_routes(seeded_pairs, monkeypatch):
+    """The entry-level shifts, change of basis and gauge fix give the same
+    bits as the whole-matrix products they replace."""
+    inputs = []
+    for pair in seeded_pairs:
+        acted = act_spectral(Generator.INVERT, spectral_data(pair))
+        inputs.append((pair, acted))
+
+    def results():
+        return [repr((normalize_pair(pair), canonical_form(acted),
+                      general_position_report(pair)))
+                for pair, acted in inputs]
+
+    got = results()
+    monkeypatch.setattr(spectral_module, "eig3", eig3_by_identity_shift)
+    monkeypatch.setattr(spectral_module, "_in_eigenbasis",
+                        in_eigenbasis_by_matmul)
+    for module in (spectral_module, reconstruct_module):
+        monkeypatch.setattr(module, "_gauge_fix", gauge_fix_by_matmul)
+    assert got == results()
+
+
+def test_normalize_pair_inverts_the_eigenbasis_once(monkeypatch, fixture_pair):
+    calls = []
+    original = spectral_module.inv3
+
+    def counting_inv3(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_module, "inv3", counting_inv3)
+    normalize_pair(fixture_pair)
     assert len(calls) == 1

@@ -1,6 +1,6 @@
 import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
-from spectral_pair import GaugeDegenerate
+from spectral_pair import GaugeDegenerate, Mat3
 
 
 def test_run_suite_draws_each_pair_once(monkeypatch):
@@ -49,3 +49,16 @@ def test_forward_map_failure_skips_every_property(monkeypatch):
         assert result.seeds_run == 0
         assert result.skipped == [{"seed": 5, "code": "gauge_degenerate"},
                                   {"seed": 6, "code": "gauge_degenerate"}]
+
+
+def test_run_suite_builds_each_matrix_once(monkeypatch):
+    built = []
+    original = Mat3.__post_init__
+
+    def counting_post_init(m):
+        built.append(1)
+        original(m)
+
+    monkeypatch.setattr(Mat3, "__post_init__", counting_post_init)
+    verify.run_suite(1)
+    assert len(built) <= 120   # 253 with whole-matrix products
