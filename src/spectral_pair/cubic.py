@@ -65,11 +65,19 @@ def _cross(p, q):
 def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """Scale-free distance: norm of the cross product of unit representatives
     (the sine of the Fubini-Study angle)."""
-    pc, qc = p.coords(), q.coords()
-    np_, nq = vec_norm(pc), vec_norm(qc)
-    if np_ == 0.0 or nq == 0.0:
+    return min_projective_distance((p, q))
+
+
+def min_projective_distance(points) -> float:
+    """Smallest ``projective_distance`` over all pairs of the points, each
+    point's norm taken once."""
+    coords = [p.coords() for p in points]
+    norms = [vec_norm(c) for c in coords]
+    if 0.0 in norms:
         raise ValueError("zero projective point")
-    return vec_norm(_cross(pc, qc)) / (np_ * nq)
+    n = len(coords)
+    return min(vec_norm(_cross(coords[i], coords[j])) / (norms[i] * norms[j])
+               for i in range(n) for j in range(i + 1, n))
 
 
 def evaluate_curve_raw(coeffs: CurveCoefficients, lam: complex, mu: complex,
@@ -86,11 +94,16 @@ def evaluate_curve(coeffs: CurveCoefficients, p: ProjectivePoint) -> complex:
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
     """Line through two distinct points, via the coordinate cross product."""
-    pn, qn = p.normalized(), q.normalized()
+    return _line_through(p.normalized(), q.normalized())
+
+
+def _line_through(pn: ProjectivePoint, qn: ProjectivePoint) -> ProjectiveLine:
+    """``line_through`` on normalized representatives."""
     cross = _cross(pn.coords(), qn.coords())
-    if vec_norm(cross) <= COINCIDENT_POINTS * 4.0:
+    distance = vec_norm(cross)
+    if distance <= COINCIDENT_POINTS * 4.0:
         raise CoincidentPoints("points are projectively equal",
-                               distance=vec_norm(cross))
+                               distance=distance)
     return ProjectiveLine(*cross)
 
 
@@ -103,21 +116,27 @@ def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
     + c03 t^3 with c30 = c03 = 0 forced by incidence, so the remaining root
     is (s : t) = (-c12 : c21).  Exact deflation avoids any root matching.
     """
-    p1n, p2n = p1.normalized(), p2.normalized()
+    return _third_intersection(coeffs, line, p1.normalized(), p2.normalized())
+
+
+def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
+                        p1n: ProjectivePoint,
+                        p2n: ProjectivePoint) -> ProjectivePoint:
+    """``third_intersection`` on normalized representatives; the point it
+    returns is normalized too."""
+    c9 = coeffs.as_tuple()
     cscale = coeffs.max_magnitude()
     for name, pt in (("p1", p1n), ("p2", p2n)):
-        if abs(evaluate_curve(coeffs, pt)) > INCIDENCE * cscale:
+        residual = abs(kernels.eval_curve9(c9, pt.lam, pt.mu, pt.nu))
+        if residual > INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve",
-                                    which=name,
-                                    residual=abs(evaluate_curve(coeffs, pt)))
+                                    which=name, residual=residual)
         lres = abs(line(pt)) / max(line.max_abs(), 1e-300)
         if lres > INCIDENCE:
             raise InputsNotIncident(f"{name} is not on the line",
                                     which=name, residual=lres)
     if projective_distance(p1n, p2n) <= INCIDENCE:
         raise InputsNotIncident("the two base points coincide")
-
-    c9 = coeffs.as_tuple()
 
     def at(s: complex, t: complex) -> complex:
         return kernels.eval_curve9(
@@ -145,7 +164,7 @@ def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
         s * p1n.lam + t * p2n.lam,
         s * p1n.mu + t * p2n.mu,
         s * p1n.nu + t * p2n.nu).normalized()
-    residual = abs(evaluate_curve(coeffs, point)) / cscale
+    residual = abs(kernels.eval_curve9(c9, point.lam, point.mu, point.nu)) / cscale
     if residual > THIRD_POINT_ON_CURVE:
         raise InputsNotIncident("deflated third point misses the curve",
                                 residual=residual)
@@ -161,8 +180,9 @@ def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
     intersection T with the cubic, then the chord through p_first and T; the
     third intersection Y of that line completes the divisor equivalent to
     the original one with the fixed points moved from the nu = 0 line to the
-    mu = 0 line.
+    mu = 0 line.  Each of the five points is normalized once.
     """
-    t_point = third_intersection(coeffs, line_through(x_first, q), x_first, q)
-    return third_intersection(coeffs, line_through(p_first, t_point),
-                              p_first, t_point)
+    xn, qn = x_first.normalized(), q.normalized()
+    t_point = _third_intersection(coeffs, _line_through(xn, qn), xn, qn)
+    pn = p_first.normalized()
+    return _third_intersection(coeffs, _line_through(pn, t_point), pn, t_point)

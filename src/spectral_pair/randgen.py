@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .linalg import Mat3, det3, inv3
-from .spectral import MatrixPair, general_position_report
+from .spectral import Forward, MatrixPair, forward
 
 _MAX_ATTEMPTS = 1000
 _DISK_RADIUS = 1.0       # entries are drawn from this disk
@@ -48,6 +48,12 @@ def _random_matrix(rng: random.Random) -> Mat3:
 
 def well_conditioned_matrix(rng: random.Random) -> Mat3:
     """Random unit-disk matrix with a bounded condition estimate."""
+    return _well_conditioned_with_inverse(rng)[0]
+
+
+def _well_conditioned_with_inverse(rng: random.Random) -> tuple[Mat3, Mat3]:
+    """``well_conditioned_matrix`` and the inverse its condition estimate
+    took."""
     for _ in range(_MAX_ATTEMPTS):
         g = _random_matrix(rng)
         f = g.norm()
@@ -55,27 +61,33 @@ def well_conditioned_matrix(rng: random.Random) -> Mat3:
             continue
         g_inv = inv3(g)
         if f * g_inv.norm() <= _MAX_CONDITION:
-            return g
+            return g, g_inv
     raise RuntimeError("could not draw a well-conditioned matrix")
 
 
-def _random_pair_with_attempts(seed: int) -> tuple[MatrixPair, int]:
+def _random_pair_with_attempts(seed: int) -> tuple[Forward, int]:
     rng = random.Random(seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         h = _eigenvalue_triple(rng)
-        v = well_conditioned_matrix(rng)
-        a = v @ Mat3.diagonal(*h) @ inv3(v)
+        v, v_inv = _well_conditioned_with_inverse(rng)
+        a = v @ Mat3.diagonal(*h) @ v_inv
         b = _random_matrix(rng)
-        pair = MatrixPair(a, b)
-        if general_position_report(pair).passed:
-            return pair, attempt
+        drawn = forward(MatrixPair(a, b))
+        if drawn.report.passed:
+            return drawn, attempt
     raise RuntimeError(f"no general-position pair found for seed {seed} "
                        f"within {_MAX_ATTEMPTS} attempts")
 
 
+def random_forward(seed: int) -> Forward:
+    """``random_pair(seed)`` with the forward pass that accepted it, so the
+    pair need not be mapped forward again."""
+    return _random_pair_with_attempts(seed)[0]
+
+
 def random_pair(seed: int) -> MatrixPair:
     """General-position pair for this seed; identical across runs."""
-    return _random_pair_with_attempts(seed)[0]
+    return random_forward(seed).pair
 
 
 def generation_attempts(seed: int) -> int:

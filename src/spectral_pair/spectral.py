@@ -10,6 +10,7 @@ explicit closed forms in (h, U).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import _kernels_py as kernels
@@ -298,33 +299,75 @@ class GeneralPositionReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
-    """Run every general-position check with margins; never raises.
+@dataclass(frozen=True)
+class Forward:
+    """One pass of the forward map over a pair.
 
-    Each check appears exactly once.  Checks that depend on earlier stages
-    are reported as failed with a note when those stages cannot be
-    completed.  The determinant checks only report: a singular A or B does
-    not stop the later checks.
+    ``report`` holds the margin of every general-position check.  ``error``
+    is the error ``spectral_data(pair)`` raises, the first in its order of
+    stages, or None; ``np`` and ``sd`` are the normalized pair and the
+    spectral data when ``error`` is None, and None otherwise.
     """
-    from .cubic import ProjectivePoint, projective_distance
+
+    pair: MatrixPair
+    report: GeneralPositionReport
+    np: NormalizedPair | None
+    sd: SpectralData | None
+    error: GeneralPositionError | None
+
+
+def _determinant_margin(entries: tuple[complex, ...]) -> float:
+    """|det M| / |M|^3 for the flat entries of a 3x3 matrix, 0 for the zero
+    matrix.
+
+    M is first scaled by the power of two that brings |M| into [0.5, 1).
+    That scaling is exact in binary floating point, and after it neither
+    the determinant nor the cube can underflow or overflow."""
+    f = kernels.frob3(entries)
+    if f == 0.0:
+        return 0.0
+    mantissa, exponent = math.frexp(f)
+    s = math.ldexp(1.0, -exponent)
+    return abs(kernels.det3(tuple(s * z for z in entries))) / mantissa ** 3
+
+
+def forward(pair: MatrixPair) -> Forward:
+    """Map the pair forward once, stage by stage, with the margin of every
+    general-position check; never raises a GeneralPositionError.
+
+    The stages and their hard checks are ``spectral_data``'s.  A failed
+    determinant check does not stop the later stages; a stage that raises
+    leaves the checks that depend on it failed with the error code, or with
+    "unavailable", as their note.
+    """
+    from .cubic import ProjectivePoint, min_projective_distance
 
     checks: list[PositionCheck] = []
+    errors: list[GeneralPositionError] = []
 
     def add(name, margin, threshold, note=""):
         checks.append(PositionCheck(name, margin is not None and margin > threshold,
                                     margin, threshold, note))
 
-    for name, m in (("determinant_a", pair.a), ("determinant_b", pair.b)):
-        f = m.norm()
-        margin = abs(det3(m)) / f ** 3 if f > 0 else 0.0
-        add(name, margin, MARGIN_DETERMINANT)
+    def done(np=None, sd=None) -> Forward:
+        report = GeneralPositionReport(tuple(checks))
+        if errors:
+            return Forward(pair, report, None, None, errors[0])
+        return Forward(pair, report, np, sd, None)
 
-    # the forward map of normalize_pair, one stage at a time, with A
-    # decomposed once
+    for name, m in (("A", pair.a), ("B", pair.b)):
+        try:
+            _check_nondegenerate(m.entries, name)
+        except SingularMatrix as exc:
+            errors.append(exc)
+        add("determinant_" + name.lower(), _determinant_margin(m.entries),
+            MARGIN_DETERMINANT)
+
     np = None
     try:
         values, vectors = eig3(pair.a)
     except GeneralPositionError as exc:
+        errors.append(exc)
         add("eigenvalue_separation", None, MARGIN_EIGENVALUE_SEPARATION, exc.code)
         add("gauge_entries", None, MARGIN_GAUGE, exc.code)
     else:
@@ -334,13 +377,17 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
             # gauge margin measured on the un-rescaled eigenbasis matrix
             u0 = _in_eigenbasis(pair.b, vectors)
         except GeneralPositionError as exc:
+            errors.append(exc)
             add("gauge_entries", None, MARGIN_GAUGE, exc.code)
         else:
-            margin = min(abs(u0[0, 1]), abs(u0[0, 2])) / u0.norm()
+            norm = u0.norm()
+            margin = (min(abs(u0[0, 1]), abs(u0[0, 2])) / norm
+                      if norm > 0.0 else 0.0)
             note = ""
             try:
                 np = _gauge_fix(values, u0)
             except GaugeDegenerate as exc:
+                errors.append(exc)
                 note = exc.code
             add("gauge_entries", margin, MARGIN_GAUGE, note)
 
@@ -348,7 +395,7 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
         add("divisor_denominator", None, MARGIN_DIVISOR_DENOMINATOR, "unavailable")
         add("divisor_on_curve", None, ON_CURVE, "unavailable")
         add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
-        return GeneralPositionReport(tuple(checks))
+        return done()
 
     h1, h2, h3 = np.h
     add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)),
@@ -356,24 +403,37 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
 
     try:
         sd = spectral_data_of_normalized(np)
-        add("divisor_on_curve",
-            ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
-            0.0)
     except GeneralPositionError as exc:
+        errors.append(exc)
         add("divisor_on_curve", None, ON_CURVE, exc.code)
-        return GeneralPositionReport(tuple(checks))
+        return done()
+    add("divisor_on_curve",
+        ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
+        0.0)
 
     c = sd.coeffs
     try:
         xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
         lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
+    except GeneralPositionError as exc:
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
+    else:
         points = ([ProjectivePoint(h, -1.0, 0.0) for h in np.h]
                   + [ProjectivePoint(x, 0.0, -1.0) for x in xi]
                   + [ProjectivePoint(0.0, s, 1.0) for s in lam0])
-        min_dist = min(projective_distance(points[i], points[j])
-                       for i in range(9) for j in range(i + 1, 9))
-        add("axis_point_separation", min_dist, MARGIN_AXIS_POINT_SEPARATION)
-    except GeneralPositionError as exc:
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
+        add("axis_point_separation", min_projective_distance(points),
+            MARGIN_AXIS_POINT_SEPARATION)
+    return done(np, sd)
 
-    return GeneralPositionReport(tuple(checks))
+
+def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
+    """Every general-position check with its margin; never raises a
+    GeneralPositionError.
+
+    Each check appears at most once, in ``forward``'s order of stages.
+    Checks that depend on a stage that raised are reported as failed with a
+    note; when the divisor stage raises, the report ends at
+    ``divisor_on_curve``.  The determinant checks only report: a singular A
+    or B does not stop the later checks.
+    """
+    return forward(pair).report

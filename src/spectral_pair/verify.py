@@ -18,15 +18,12 @@ from .gl2z import (
     act_word_spectral,
     commutation_residuals,
 )
-from .linalg import inv3
-from .randgen import random_pair, well_conditioned_matrix
+from .randgen import _well_conditioned_with_inverse, random_forward
 from .reconstruct import canonical_form, reconstruct
 from .spectral import (
     MatrixPair,
-    normalize_pair,
     relative_difference,
     spectral_data,
-    spectral_data_of_normalized,
     spectral_residuals,
 )
 
@@ -91,8 +88,7 @@ def _make_commute(generator: Generator):
 
 def _prop_conjugation_invariance(pair, np, sd, seed):
     rng = random.Random((seed << 16) ^ 0x5BD1)
-    g = well_conditioned_matrix(rng)
-    g_inv = inv3(g)
+    g, g_inv = _well_conditioned_with_inverse(rng)
     conjugated = MatrixPair(g @ pair.a @ g_inv, g @ pair.b @ g_inv)
     return spectral_residuals(sd, spectral_data(conjugated))
 
@@ -120,25 +116,23 @@ PROPERTIES = {
 def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
               base_seed: int = 0) -> list[PropertyResult]:
     """Every property over the same seeds, one result per property in
-    ``PROPERTIES`` order.  Each seed's pair is drawn and mapped forward once;
-    every property receives the pair, its normalized form and its spectral
-    data.  A seed whose forward map raises is skipped by every property."""
+    ``PROPERTIES`` order.  Each seed's pair is drawn once, and the forward
+    pass that accepted it supplies its normalized form and its spectral
+    data to every property.  A seed whose forward map raised is skipped by
+    every property."""
     results = [PropertyResult(
         operation=name,
         tolerance=tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
         for name in PROPERTIES]
     for seed in range(base_seed, base_seed + seeds):
-        pair = random_pair(seed)
-        try:
-            np = normalize_pair(pair)
-            sd = spectral_data_of_normalized(np)
-        except GeneralPositionError as exc:
+        drawn = random_forward(seed)
+        if drawn.error is not None:
             for result in results:
-                result.skip(seed, exc.code)
+                result.skip(seed, drawn.error.code)
             continue
         for result, prop in zip(results, PROPERTIES.values()):
             try:
-                result.record(seed, prop(pair, np, sd, seed))
+                result.record(seed, prop(drawn.pair, drawn.np, drawn.sd, seed))
             except GeneralPositionError as exc:
                 result.skip(seed, exc.code)
     return results

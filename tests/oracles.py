@@ -11,17 +11,47 @@ from __future__ import annotations
 import itertools
 
 from spectral_pair import (
+    CoincidentPoints,
+    CubicPoly,
+    DegenerateLeadingCoefficient,
     GaugeDegenerate,
+    GeneralPositionError,
+    GeneralPositionReport,
+    InputsNotIncident,
+    LineOnCurve,
     Mat3,
     NormalizedPair,
+    ProjectiveLine,
+    ProjectivePoint,
+    curve_residual,
+    det3,
     eig3,
+    evaluate_curve,
+    evaluate_curve_raw,
     inv3,
     kernel_vector,
+    projective_distance,
     reconstruct,
+    solve_cubic,
     spectral_data,
+    spectral_data_of_normalized,
 )
-from spectral_pair.config import GAUGE
-from spectral_pair.linalg import columns_matrix
+from spectral_pair.config import (
+    COINCIDENT_POINTS,
+    DEFLATION,
+    GAUGE,
+    INCIDENCE,
+    MARGIN_AXIS_POINT_SEPARATION,
+    MARGIN_DETERMINANT,
+    MARGIN_DIVISOR_DENOMINATOR,
+    MARGIN_EIGENVALUE_SEPARATION,
+    MARGIN_GAUGE,
+    ON_CURVE,
+    THIRD_POINT_ON_CURVE,
+)
+from spectral_pair.cubic import _cross
+from spectral_pair.linalg import columns_matrix, separation, vec_norm
+from spectral_pair.spectral import PositionCheck, _gauge_fix, _in_eigenbasis
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
 
@@ -222,6 +252,143 @@ def gauge_fix_by_matmul(values, u0: Mat3) -> NormalizedPair:
     return NormalizedPair(values, Mat3(tuple(e)))
 
 
+# --- the general-position report, one stage at a time ---
+
+
+def report_by_stages(pair) -> GeneralPositionReport:
+    """The general-position report as its own try/except ladder over the
+    forward-map stages, each margin computed where its stage completes and
+    each pair of axis points measured with ``projective_distance``; the
+    single forward pass behind ``general_position_report`` must give the
+    same checks."""
+    checks = []
+
+    def add(name, margin, threshold, note=""):
+        checks.append(PositionCheck(name, margin is not None and margin > threshold,
+                                    margin, threshold, note))
+
+    for name, m in (("determinant_a", pair.a), ("determinant_b", pair.b)):
+        f = m.norm()
+        margin = abs(det3(m)) / f ** 3 if f > 0 else 0.0
+        add(name, margin, MARGIN_DETERMINANT)
+
+    np = None
+    try:
+        values, vectors = eig3(pair.a)
+    except GeneralPositionError as exc:
+        add("eigenvalue_separation", None, MARGIN_EIGENVALUE_SEPARATION, exc.code)
+        add("gauge_entries", None, MARGIN_GAUGE, exc.code)
+    else:
+        sep, scale = separation(values)
+        add("eigenvalue_separation", sep / scale, MARGIN_EIGENVALUE_SEPARATION)
+        try:
+            u0 = _in_eigenbasis(pair.b, vectors)
+        except GeneralPositionError as exc:
+            add("gauge_entries", None, MARGIN_GAUGE, exc.code)
+        else:
+            margin = min(abs(u0[0, 1]), abs(u0[0, 2])) / u0.norm()
+            note = ""
+            try:
+                np = _gauge_fix(values, u0)
+            except GaugeDegenerate as exc:
+                note = exc.code
+            add("gauge_entries", margin, MARGIN_GAUGE, note)
+
+    if np is None:
+        add("divisor_denominator", None, MARGIN_DIVISOR_DENOMINATOR, "unavailable")
+        add("divisor_on_curve", None, ON_CURVE, "unavailable")
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
+        return GeneralPositionReport(tuple(checks))
+
+    h1, h2, h3 = np.h
+    add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)),
+        MARGIN_DIVISOR_DENOMINATOR)
+
+    try:
+        sd = spectral_data_of_normalized(np)
+        add("divisor_on_curve",
+            ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
+            0.0)
+    except GeneralPositionError as exc:
+        add("divisor_on_curve", None, ON_CURVE, exc.code)
+        return GeneralPositionReport(tuple(checks))
+
+    c = sd.coeffs
+    try:
+        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
+        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
+        points = ([ProjectivePoint(h, -1.0, 0.0) for h in np.h]
+                  + [ProjectivePoint(x, 0.0, -1.0) for x in xi]
+                  + [ProjectivePoint(0.0, s, 1.0) for s in lam0])
+        min_dist = min(projective_distance(points[i], points[j])
+                       for i in range(9) for j in range(i + 1, 9))
+        add("axis_point_separation", min_dist, MARGIN_AXIS_POINT_SEPARATION)
+    except GeneralPositionError as exc:
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
+
+    return GeneralPositionReport(tuple(checks))
+
+
+# --- the chord construction, normalizing at every use ---
+
+
+def _line_through_renormalizing(p, q) -> ProjectiveLine:
+    pn, qn = p.normalized(), q.normalized()
+    cross = _cross(pn.coords(), qn.coords())
+    if vec_norm(cross) <= COINCIDENT_POINTS * 4.0:
+        raise CoincidentPoints("points are projectively equal")
+    return ProjectiveLine(*cross)
+
+
+def _third_intersection_renormalizing(coeffs, line, p1, p2) -> ProjectivePoint:
+    p1n, p2n = p1.normalized(), p2.normalized()
+    cscale = coeffs.max_magnitude()
+    for name, pt in (("p1", p1n), ("p2", p2n)):
+        if abs(evaluate_curve(coeffs, pt)) > INCIDENCE * cscale:
+            raise InputsNotIncident(f"{name} is not on the curve")
+        if abs(line(pt)) / max(line.max_abs(), 1e-300) > INCIDENCE:
+            raise InputsNotIncident(f"{name} is not on the line")
+    if projective_distance(p1n, p2n) <= INCIDENCE:
+        raise InputsNotIncident("the two base points coincide")
+
+    def at(s, t):
+        return evaluate_curve_raw(
+            coeffs,
+            s * p1n.lam + t * p2n.lam,
+            s * p1n.mu + t * p2n.mu,
+            s * p1n.nu + t * p2n.nu)
+
+    c30 = at(1.0, 0.0)
+    c03 = at(0.0, 1.0)
+    f11 = at(1.0, 1.0)
+    f1m = at(1.0, -1.0)
+    c21 = 0.5 * (f11 - f1m) - c03
+    c12 = 0.5 * (f11 + f1m) - c30
+    if max(abs(c30), abs(c03)) > DEFLATION * cscale:
+        raise InputsNotIncident("nonzero known-root coefficients")
+    if max(abs(c21), abs(c12)) <= DEFLATION * cscale:
+        raise LineOnCurve("the line is a component of the curve")
+    s, t = -c12, c21
+    point = ProjectivePoint(
+        s * p1n.lam + t * p2n.lam,
+        s * p1n.mu + t * p2n.mu,
+        s * p1n.nu + t * p2n.nu).normalized()
+    if abs(evaluate_curve(coeffs, point)) / cscale > THIRD_POINT_ON_CURVE:
+        raise InputsNotIncident("deflated third point misses the curve")
+    return point
+
+
+def chord_swap_divisor_renormalizing(coeffs, p_first, x_first, q) -> ProjectivePoint:
+    """The chord construction with every line and every third intersection
+    normalizing its points afresh, and each incidence evaluated at a
+    re-normalized point; ``chord_swap_divisor`` normalizes each point once
+    and must agree with it to round-off."""
+    line = _line_through_renormalizing(x_first, q)
+    t_point = _third_intersection_renormalizing(coeffs, line, x_first, q)
+    line = _line_through_renormalizing(p_first, t_point)
+    return _third_intersection_renormalizing(coeffs, line, p_first, t_point)
+
+
 # --- root matching ---
 
 
@@ -241,8 +408,6 @@ def match_roots(got, expected) -> float:
 def _univariate_restriction(coeffs, coords, solve_index):
     """Coefficients (c3, c2, c1, c0) of the cubic in the chosen coordinate
     with the other two held fixed, by four-point interpolation."""
-    from spectral_pair import CubicPoly, evaluate_curve_raw
-
     def value(x):
         c = list(coords)
         c[solve_index] = x
@@ -264,13 +429,6 @@ def curve_point_near(coeffs, point, eps: float):
     re-solves the curve equation for the remaining coordinate, keeping the
     root nearest the original value.
     """
-    from spectral_pair import (
-        DegenerateLeadingCoefficient,
-        ProjectivePoint,
-        projective_distance,
-        solve_cubic,
-    )
-
     base = point.normalized()
     coords = list(base.coords())
     pin = max(range(3), key=lambda i: abs(coords[i]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -193,6 +194,19 @@ def test_check_subcommand(capsys):
     assert {c["name"] for c in doc["checks"]} >= {
         "determinant_a", "determinant_b", "eigenvalue_separation",
         "gauge_entries", "divisor_denominator", "axis_point_separation"}
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_check_tiny_matrix_prints_report(which, tmp_path, capsys):
+    # scaled by 1e-110, the matrix's |M|^3 underflows to 0
+    pair = jsonio.doc_to_pair(jsonio.loads(Path(PAIR_FIXTURE).read_text()))
+    pair = dataclasses.replace(
+        pair, **{which: getattr(pair, which).scaled(1e-110)})
+    path = tmp_path / "pair.json"
+    path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code in (0, 3)
+    assert len(json.loads(out)["checks"]) == 7
 
 
 def test_decompose_subcommand(capsys):

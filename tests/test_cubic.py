@@ -6,6 +6,7 @@ from spectral_pair import (
     CoincidentPoints,
     CubicPoly,
     CurveCoefficients,
+    GeneralPositionError,
     InputsNotIncident,
     LineOnCurve,
     ProjectivePoint,
@@ -17,10 +18,11 @@ from spectral_pair import (
     projective_distance,
     solve_cubic,
     spectral_data,
+    swap_spectral,
     third_intersection,
 )
 
-from oracles import curve_point_near, match_roots
+from oracles import chord_swap_divisor_renormalizing, curve_point_near, match_roots
 
 
 def eigen_points(sd):
@@ -184,3 +186,60 @@ def test_curve_point_near_helper(seeded_pairs):
     near = curve_point_near(sd.coeffs, q, 1e-4)
     assert 1e-6 < projective_distance(near, q) < 1e-2
     assert abs(evaluate_curve(sd.coeffs, near)) < 1e-10 * sd.coeffs.max_magnitude()
+
+
+def chord_inputs(sd):
+    """The three points ``swap_spectral`` hands the chord construction."""
+    return (eigen_points(sd)[0], second_matrix_points(sd)[0],
+            ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0))
+
+
+def chord_outcome(chord, coeffs, *points):
+    try:
+        return chord(coeffs, *points).coords()
+    except GeneralPositionError as exc:
+        return exc.code
+
+
+def test_chord_swap_matches_renormalizing_oracle(seeded_pairs):
+    cases = []
+    for pair in seeded_pairs:
+        sd = spectral_data(pair)
+        cases.append((sd.coeffs, *chord_inputs(sd)))
+    sd = spectral_data(seeded_pairs[0])
+    p1, x1, q = chord_inputs(sd)
+    t_point = third_intersection(sd.coeffs, line_through(x1, q), x1, q)
+    reducible = CurveCoefficients(d1=1, d2=0, p_plus=1, p_minus=1, q_plus=0,
+                                  q_minus=1, r_plus=0, r_minus=1, t=0)
+    degenerate = [
+        ("coincident_points", (sd.coeffs, p1, x1, x1)),
+        ("inputs_not_incident",
+         (sd.coeffs, p1, x1, ProjectivePoint(0.1, 0.2, 1.0))),
+        # p_first equal to the first chord's third intersection
+        ("coincident_points", (sd.coeffs, t_point, x1, q)),
+        ("line_on_curve", (reducible, ProjectivePoint(0, 1, 1),
+                           ProjectivePoint(1, -1, 0), ProjectivePoint(0, 0, 1))),
+    ]
+    for code, case in degenerate:
+        assert chord_outcome(chord_swap_divisor, *case) == code
+    for case in cases + [case for _, case in degenerate]:
+        got = chord_outcome(chord_swap_divisor, *case)
+        expected = chord_outcome(chord_swap_divisor_renormalizing, *case)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-13
+
+
+def test_swap_normalizes_each_chord_point_once(seeded_pairs, monkeypatch):
+    calls = []
+    original = ProjectivePoint.normalized
+
+    def counting_normalized(p):
+        calls.append(p)
+        return original(p)
+
+    sd = spectral_data(seeded_pairs[0])
+    monkeypatch.setattr(ProjectivePoint, "normalized", counting_normalized)
+    swap_spectral(sd)
+    assert len(calls) <= 5   # 16 when every line and evaluation renormalized

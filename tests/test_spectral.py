@@ -6,6 +6,7 @@ import pytest
 import spectral_pair.spectral as spectral_module
 from spectral_pair import (
     GaugeDegenerate,
+    GeneralPositionError,
     Generator,
     Mat3,
     MatrixPair,
@@ -26,6 +27,8 @@ from spectral_pair import (
 )
 
 from conftest import (
+    FIXTURE_A,
+    FIXTURE_B,
     FIXTURE_COEFFS,
     FIXTURE_DIVISOR,
     FIXTURE_H,
@@ -37,6 +40,7 @@ from oracles import (
     expanded_coefficients,
     gauge_fix_by_matmul,
     in_eigenbasis_by_matmul,
+    report_by_stages,
 )
 
 # the package binds the name ``reconstruct`` to the function
@@ -216,6 +220,70 @@ def test_report_lists_each_check_once(b_rows, failing):
         MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.from_rows(b_rows)))
     assert [c.name for c in report.checks] == CHECK_NAMES
     assert report.failing() == failing
+
+
+# pairs off the general-position stratum, each stopping the report at a
+# different stage; "divisor" passes eig3 but not divisor_point, so its report
+# ends at divisor_on_curve
+DEGENERATE_PAIRS = {
+    "gauge": MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.identity()),
+    "repeated": MatrixPair(Mat3.diagonal(1, 1, 2), Mat3.from_rows(
+        [[2, 1, 1], [1, 3, 1], [1, 1, 4]])),
+    "u12_zero": MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.from_rows(
+        [[2, 0, 1], [5, 3, -2], [7, 1, 4]])),
+    "singular_b": MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.from_rows(
+        [[1, 1, 1], [1, 1, 1], [2, 3, 4]])),
+    "divisor": MatrixPair(Mat3.diagonal(1, 2, 2 + 5e-6), FIXTURE_B.scaled(100)),
+}
+
+
+def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
+    pairs = [*seeded_pairs, fixture_pair, *DEGENERATE_PAIRS.values()]
+    for pair in pairs:
+        got = general_position_report(pair).checks
+        expected = report_by_stages(pair).checks
+        assert ([(c.name, c.passed, c.threshold, c.note) for c in got]
+                == [(c.name, c.passed, c.threshold, c.note) for c in expected])
+        for g, e in zip(got, expected):
+            if e.margin is None:
+                assert g.margin is None, g.name
+            else:
+                assert abs(g.margin - e.margin) <= 1e-12, g.name
+    assert [c.name for c in report_by_stages(DEGENERATE_PAIRS["divisor"]).checks] \
+        == CHECK_NAMES[:6]
+
+
+def test_forward_raises_what_spectral_data_raises(seeded_pairs):
+    tiny_b = MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-110))
+    for pair in [*seeded_pairs[:10], *DEGENERATE_PAIRS.values(), tiny_b]:
+        drawn = spectral_module.forward(pair)
+        try:
+            expected = spectral_data(pair)
+        except GeneralPositionError as exc:
+            assert (drawn.error.code, drawn.np, drawn.sd) == (exc.code, None, None)
+        else:
+            assert drawn.error is None
+            assert (drawn.np, drawn.sd) == (normalize_pair(pair), expected)
+
+
+@pytest.mark.parametrize("pair", [
+    MatrixPair(FIXTURE_A.scaled(1e-110), FIXTURE_B),
+    MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-110)),
+    MatrixPair(FIXTURE_A, Mat3((0,) * 9)),
+], ids=["a_tiny", "b_tiny", "b_zero"])
+def test_report_survives_underflow(pair):
+    # |M|^3 underflows to 0 at these scales (and |U0| is 0 for B = 0); each
+    # margin is still a number
+    report = general_position_report(pair)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert all(c.margin is None or c.margin >= 0.0 for c in report.checks)
+
+
+def test_determinant_margin_is_scale_free():
+    report = general_position_report(MatrixPair(FIXTURE_A, FIXTURE_B))
+    scaled = general_position_report(MatrixPair(FIXTURE_A.scaled(2.0 ** -360),
+                                                FIXTURE_B.scaled(2.0 ** 300)))
+    assert scaled.checks[:2] == report.checks[:2]
 
 
 def test_report_decomposes_a_once(monkeypatch, fixture_pair):

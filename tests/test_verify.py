@@ -1,17 +1,19 @@
+import dataclasses
+
 import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
-from spectral_pair import GaugeDegenerate, Mat3
+from spectral_pair import GaugeDegenerate, Mat3, spectral_data
 
 
 def test_run_suite_draws_each_pair_once(monkeypatch):
     drawn = []
-    original = verify.random_pair
+    original = verify.random_forward
 
-    def counting_random_pair(seed, *args, **kwargs):
+    def counting_random_forward(seed):
         drawn.append(seed)
-        return original(seed, *args, **kwargs)
+        return original(seed)
 
-    monkeypatch.setattr(verify, "random_pair", counting_random_pair)
+    monkeypatch.setattr(verify, "random_forward", counting_random_forward)
     results = verify.run_suite(3, base_seed=10)
     assert drawn == [10, 11, 12]
     assert [r.operation for r in results] == list(verify.PROPERTIES)
@@ -19,36 +21,61 @@ def test_run_suite_draws_each_pair_once(monkeypatch):
 
 
 def test_run_suite_maps_the_drawn_pair_forward_once(monkeypatch):
-    drawn = []
-    normalized = []
-    original_draw = verify.random_pair
-    original_normalize = spectral.normalize_pair
+    """With the properties replaced by a probe, the only eigendecomposition
+    of each drawn A is the one in the forward pass that accepted the pair,
+    and the probe receives that pass's data."""
+    drawn, decomposed, probed = [], [], []
+    original_draw = verify.random_forward
+    original_eig3 = spectral.eig3
 
-    def recording_random_pair(*args, **kwargs):
-        drawn.append(original_draw(*args, **kwargs))
+    def recording_random_forward(seed):
+        drawn.append(original_draw(seed))
         return drawn[-1]
 
-    def counting_normalize_pair(pair, *args, **kwargs):
-        normalized.append(pair)
-        return original_normalize(pair, *args, **kwargs)
+    def recording_eig3(a):
+        decomposed.append(a)
+        return original_eig3(a)
 
-    monkeypatch.setattr(verify, "random_pair", recording_random_pair)
-    for module in (spectral, verify):
-        monkeypatch.setattr(module, "normalize_pair", counting_normalize_pair)
-    verify.run_suite(1)
-    assert len(drawn) == 1
-    assert sum(pair is drawn[0] for pair in normalized) == 1
+    def probe(pair, np, sd, seed):
+        probed.append((pair, np, sd))
+        return {"probe": 0.0}
+
+    monkeypatch.setattr(verify, "random_forward", recording_random_forward)
+    monkeypatch.setattr(spectral, "eig3", recording_eig3)
+    monkeypatch.setattr(verify, "PROPERTIES", {"probe": probe})
+    verify.run_suite(3, base_seed=10)
+    assert len(drawn) == 3
+    assert [sum(a is d.pair.a for a in decomposed) for d in drawn] == [1, 1, 1]
+    assert all(p is d.pair and n is d.np and s is d.sd
+               for (p, n, s), d in zip(probed, drawn, strict=True))
+    assert [s for _, _, s in probed] == [spectral_data(d.pair) for d in drawn]
 
 
 def test_forward_map_failure_skips_every_property(monkeypatch):
-    def degenerate(pair, *args, **kwargs):
-        raise GaugeDegenerate("forced")
+    original = verify.random_forward
 
-    monkeypatch.setattr(verify, "normalize_pair", degenerate)
+    def degenerate(seed):
+        return dataclasses.replace(original(seed), np=None, sd=None,
+                                   error=GaugeDegenerate("forced"))
+
+    monkeypatch.setattr(verify, "random_forward", degenerate)
     for result in verify.run_suite(2, base_seed=5):
         assert result.seeds_run == 0
         assert result.skipped == [{"seed": 5, "code": "gauge_degenerate"},
                                   {"seed": 6, "code": "gauge_degenerate"}]
+
+
+def test_run_suite_decomposes_at_most_seven_matrices(monkeypatch):
+    calls = []
+    original = spectral.eig3
+
+    def counting_eig3(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(spectral, "eig3", counting_eig3)
+    verify.run_suite(1)
+    assert len(calls) <= 7   # 8 when run_suite mapped the drawn pair again
 
 
 def test_run_suite_builds_each_matrix_once(monkeypatch):
