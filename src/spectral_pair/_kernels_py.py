@@ -7,6 +7,7 @@ conditioning measures and leave policy to the wrappers.
 
 import cmath
 import math
+from operator import attrgetter
 
 BACKEND = "python"
 
@@ -79,6 +80,10 @@ def _cbrt(z):
     return cmath.exp(cmath.log(z) / 3.0)
 
 
+#: sort key of the canonical eigenvalue order: lexicographic by (re, im)
+canonical_key = attrgetter("real", "imag")
+
+
 def solve_cubic_raw(c3, c2, c1, c0):
     """Three roots of c3 x^3 + c2 x^2 + c1 x + c0, sorted by (re, im).
 
@@ -121,7 +126,7 @@ def solve_cubic_raw(c3, c2, c1, c0):
             else:
                 break
         roots.append(x)
-    roots.sort(key=lambda z: (z.real, z.imag))
+    roots.sort(key=canonical_key)
     return tuple(roots)
 
 

@@ -23,7 +23,6 @@ from . import jsonio
 from ._kernels_py import BACKEND
 from .errors import (
     DeterminantNotUnit,
-    GeneralPositionError,
     SchemaError,
     SpectralPairError,
 )
@@ -264,8 +263,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_SCHEMA, exc.code, str(exc), **exc.detail)
     except DeterminantNotUnit as exc:
         return _fail(EXIT_DETERMINANT, exc.code, str(exc), **exc.detail)
-    except GeneralPositionError as exc:
-        return _fail(EXIT_GENERAL_POSITION, exc.code, str(exc), **exc.detail)
     except SpectralPairError as exc:
         return _fail(EXIT_GENERAL_POSITION, exc.code, str(exc), **exc.detail)
 

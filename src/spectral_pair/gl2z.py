@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import DIVISOR_DENOMINATOR, EIGENVALUE_SEPARATION, SINGULAR
+from .config import DIVISOR_DENOMINATOR, SINGULAR
 from .cubic import ProjectivePoint, chord_swap_divisor
 from .errors import (
     DeterminantNotUnit,
@@ -23,7 +23,7 @@ from .errors import (
     SingularA,
     SwappedPairDegenerate,
 )
-from .linalg import CubicPoly, Vec3, inv3, separation, solve_cubic
+from .linalg import CubicPoly, Vec3, check_separation, inv3, solve_cubic
 from .reconstruct import canonical_form
 from .spectral import (
     CurveCoefficients,
@@ -144,10 +144,8 @@ def swap_spectral(sd: SpectralData) -> SpectralData:
         r_plus=c.r_minus, r_minus=c.r_plus,
         t=c.t)
     xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
-    sep, scale = separation(xi)
-    if scale == 0.0 or sep <= EIGENVALUE_SEPARATION * scale:
-        raise SwappedPairDegenerate(
-            "second matrix has nearly repeated eigenvalues", separation=sep)
+    check_separation(xi, SwappedPairDegenerate,
+                     "second matrix has nearly repeated eigenvalues")
 
     p_first = ProjectivePoint(sd.h[0], -1.0, 0.0)
     x_first = ProjectivePoint(xi[0], 0.0, -1.0)
@@ -159,11 +157,9 @@ def swap_spectral(sd: SpectralData) -> SpectralData:
         raise SwappedPairDegenerate(
             "transported divisor point lies on the line at infinity",
             nu=abs(y_swapped.nu))
-    out = SpectralData(
+    return validate_spectral_data(SpectralData(
         xi, swapped,
-        DivisorPoint(y_swapped.lam / y_swapped.nu, y_swapped.mu / y_swapped.nu))
-    validate_spectral_data(out)
-    return out
+        DivisorPoint(y_swapped.lam / y_swapped.nu, y_swapped.mu / y_swapped.nu)))
 
 
 def tilde_r_minus(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> complex:
@@ -201,7 +197,7 @@ def invert_spectral(sd: SpectralData) -> SpectralData:
         raise SingularA("first matrix is numerically singular", d1=abs(c.d1))
     d1 = c.d1
     L, M = sd.divisor.L, sd.divisor.M
-    out = SpectralData(
+    return validate_spectral_data(SpectralData(
         (1.0 / h1, 1.0 / h2, 1.0 / h3),
         CurveCoefficients(
             d1=1.0 / d1,
@@ -213,9 +209,7 @@ def invert_spectral(sd: SpectralData) -> SpectralData:
             r_plus=(c.q_plus * c.p_plus - c.t) / d1,
             r_minus=tilde_r_minus(c, sd.h, sd.divisor),
             t=(c.q_plus * c.p_minus - c.r_plus) / d1),
-        DivisorPoint(L + M * (h2 + h3), -h2 * h3 * M))
-    validate_spectral_data(out)
-    return out
+        DivisorPoint(L + M * (h2 + h3), -h2 * h3 * M)))
 
 
 def shear_spectral(sd: SpectralData) -> SpectralData:
@@ -229,7 +223,7 @@ def shear_spectral(sd: SpectralData) -> SpectralData:
     h1, h2, h3 = sd.h
     c = sd.coeffs
     L, M = sd.divisor.L, sd.divisor.M
-    out = SpectralData(
+    return validate_spectral_data(SpectralData(
         sd.h,
         CurveCoefficients(
             d1=c.d1,
@@ -241,9 +235,7 @@ def shear_spectral(sd: SpectralData) -> SpectralData:
             r_plus=c.d1 * c.q_plus,
             r_minus=c.d1 * c.q_minus,
             t=c.p_minus * c.q_plus - c.r_plus),
-        DivisorPoint(-h2 * h3 * M, L + M * (h2 + h3)))
-    validate_spectral_data(out)
-    return out
+        DivisorPoint(-h2 * h3 * M, L + M * (h2 + h3))))
 
 
 _SPECTRAL_ACTIONS = {
@@ -260,7 +252,9 @@ def act_spectral(g: Generator, sd: SpectralData) -> SpectralData:
 def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     """Left-to-right fold of the generator actions, recanonicalizing the
     eigenvalue ordering between steps; reports the failing prefix when an
-    intermediate leaves general position."""
+    intermediate leaves general position.  ``canonical_form`` passes each
+    step's coefficients through as the formulas gave them: nothing is
+    re-derived."""
     current = canonical_form(sd)
     for i, g in enumerate(word):
         try:

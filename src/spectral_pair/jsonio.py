@@ -101,9 +101,7 @@ def doc_to_spectral(doc: Any) -> SpectralData:
     _expect_mapping(doc["divisor"], ("L", "M"), "divisor")
     divisor = DivisorPoint(json_to_complex(doc["divisor"]["L"], "divisor.L"),
                            json_to_complex(doc["divisor"]["M"], "divisor.M"))
-    sd = SpectralData(h, coeffs, divisor)
-    validate_spectral_data(sd)
-    return sd
+    return validate_spectral_data(SpectralData(h, coeffs, divisor))
 
 
 def dumps(doc: Any) -> str:

@@ -30,6 +30,7 @@ from .config import (
 )
 from .errors import (
     DegenerateLeadingCoefficient,
+    GeneralPositionError,
     RankNotTwo,
     RepeatedEigenvalues,
     SingularMatrix,
@@ -163,12 +164,19 @@ def kernel_vector(m: Mat3) -> Vec3:
 
 
 def separation(values: Vec3) -> tuple[float, float]:
-    """Smallest pairwise gap and largest magnitude of a triple; callers
-    compare the two against their own threshold."""
+    """Smallest pairwise gap and largest magnitude of a triple."""
     sep = min(abs(values[0] - values[1]),
               abs(values[0] - values[2]),
               abs(values[1] - values[2]))
     return sep, max(abs(z) for z in values)
+
+
+def check_separation(values: Vec3, error: type[GeneralPositionError],
+                     message: str = "eigenvalues are not pairwise separated"):
+    """Raise ``error`` unless every gap exceeds EIGENVALUE_SEPARATION max|h|."""
+    sep, scale = separation(values)
+    if scale == 0.0 or sep <= EIGENVALUE_SEPARATION * scale:
+        raise error(message, separation=sep, scale=scale)
 
 
 def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
@@ -179,10 +187,7 @@ def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
     """
     c2, c1, c0 = kernels.char_poly3(a.entries)
     values = solve_cubic(CubicPoly(1.0, c2, c1, c0))
-    sep, scale = separation(values)
-    if sep <= EIGENVALUE_SEPARATION * max(scale, 1e-300):
-        raise RepeatedEigenvalues("eigenvalues are not pairwise separated",
-                                  separation=sep, scale=scale)
+    check_separation(values, RepeatedEigenvalues)
     e = a.entries
     vectors = []
     for h in values:

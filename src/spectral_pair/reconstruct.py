@@ -10,14 +10,15 @@ can only mean a transcription bug in the closed forms.
 
 from __future__ import annotations
 
-from .config import CLOSED_FORM_AGREEMENT, EIGENVALUE_SEPARATION
+from ._kernels_py import canonical_key
+from .config import CLOSED_FORM_AGREEMENT
 from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
     CubicPoly,
     Mat3,
     Vec3,
+    check_separation,
     finite_entries,
-    separation,
     solve_cubic,
 )
 from .spectral import (
@@ -26,15 +27,9 @@ from .spectral import (
     SpectralData,
     _check_nondegenerate,
     _gauge_fix,
-    spectral_data_of_normalized,
+    divisor_point,
+    validate_spectral_data,
 )
-
-
-def _check_separation(h: Vec3) -> None:
-    sep, scale = separation(h)
-    if scale == 0.0 or sep <= EIGENVALUE_SEPARATION * scale:
-        raise RepeatedEigenvalues("eigenvalue triple is not pairwise separated",
-                                  separation=sep, scale=scale)
 
 
 def eigenvalues_from_coefficients(coeffs: CurveCoefficients) -> Vec3:
@@ -42,13 +37,13 @@ def eigenvalues_from_coefficients(coeffs: CurveCoefficients) -> Vec3:
     the canonical (re, im) order."""
     roots = solve_cubic(
         CubicPoly(1.0, -coeffs.p_plus, coeffs.p_minus, -coeffs.d1))
-    _check_separation(roots)
+    check_separation(roots, RepeatedEigenvalues)
     return roots
 
 
 def diagonal_entries(coeffs: CurveCoefficients, h: Vec3) -> Vec3:
     """Diagonal of U from (q_plus, t, r_plus) and the ordered eigenvalues."""
-    _check_separation(h)
+    check_separation(h, RepeatedEigenvalues)
     h1, h2, h3 = h
     qp, rp, t = coeffs.q_plus, coeffs.r_plus, coeffs.t
     u11 = (qp * h1 * h1 - t * h1 + rp) / ((h1 - h2) * (h1 - h3))
@@ -127,16 +122,16 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
     This is the common ground for comparing data that carry different
-    orderings.  The reconstructed pair already has A = diag(h), so the
-    eigenbasis is only relisted: h is sorted by (re, im), U is conjugated by
-    the same permutation and gauge-fixed again, then the closed forms are
-    applied.  No eigenproblem is solved.
+    orderings.  The coefficients pass through bit for bit.  Only the divisor
+    point depends on the ordering: h is sorted by (re, im), the
+    reconstructed U is conjugated by the same permutation and gauge-fixed,
+    and the divisor is read off that pair.  Nothing else is re-derived.
     """
     np = reconstruct(sd)
-    order = sorted(range(3), key=lambda i: (np.h[i].real, np.h[i].imag))
+    order = sorted(range(3), key=lambda i: canonical_key(np.h[i]))
     h = tuple(np.h[i] for i in order)
     u = Mat3(tuple(np.u[i, j] for i in order for j in order))
-    diag_h = finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2]))
-    _check_nondegenerate(diag_h, "A")
+    _check_nondegenerate(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
     _check_nondegenerate(u.entries, "B")
-    return spectral_data_of_normalized(_gauge_fix(h, u))
+    return validate_spectral_data(
+        SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u))))

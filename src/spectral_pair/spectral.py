@@ -221,9 +221,8 @@ def divisor_point(np: NormalizedPair) -> DivisorPoint:
 
 
 def spectral_data_of_normalized(np: NormalizedPair) -> SpectralData:
-    sd = SpectralData(np.h, curve_coefficients(np), divisor_point(np))
-    validate_spectral_data(sd)
-    return sd
+    return validate_spectral_data(
+        SpectralData(np.h, curve_coefficients(np), divisor_point(np)))
 
 
 def spectral_data(pair: MatrixPair) -> SpectralData:
@@ -239,10 +238,10 @@ def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
     return abs(value) / scale
 
 
-def validate_spectral_data(sd: SpectralData) -> None:
-    """Consistency checks: eigenvalues reproduce (p_plus, p_minus, d1) as
-    their elementary symmetric functions, and the divisor point lies on the
-    curve."""
+def validate_spectral_data(sd: SpectralData) -> SpectralData:
+    """``sd`` once it passes the consistency checks: the eigenvalues
+    reproduce (p_plus, p_minus, d1) as their elementary symmetric functions,
+    and the divisor point lies on the curve."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
     pairs = (
@@ -260,6 +259,7 @@ def validate_spectral_data(sd: SpectralData) -> None:
     if residual > ON_CURVE:
         raise InvariantViolation("divisor point does not lie on the curve",
                                  component="divisor", residual=residual)
+    return sd
 
 
 def relative_difference(x: complex, y: complex) -> float:
@@ -331,6 +331,17 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     return abs(kernels.det3(tuple(s * z for z in entries))) / mantissa ** 3
 
 
+#: every check of the report, in order, with its threshold; a measured
+#: ``divisor_on_curve`` margin is ON_CURVE minus the residual, against 0
+_THRESHOLDS = {
+    "determinant_a": MARGIN_DETERMINANT, "determinant_b": MARGIN_DETERMINANT,
+    "eigenvalue_separation": MARGIN_EIGENVALUE_SEPARATION,
+    "gauge_entries": MARGIN_GAUGE,
+    "divisor_denominator": MARGIN_DIVISOR_DENOMINATOR,
+    "divisor_on_curve": ON_CURVE,
+    "axis_point_separation": MARGIN_AXIS_POINT_SEPARATION}
+
+
 def forward(pair: MatrixPair) -> Forward:
     """Map the pair forward once, stage by stage, with the margin of every
     general-position check; never raises a GeneralPositionError.
@@ -345,11 +356,14 @@ def forward(pair: MatrixPair) -> Forward:
     checks: list[PositionCheck] = []
     errors: list[GeneralPositionError] = []
 
-    def add(name, margin, threshold, note=""):
+    def add(name, margin, note="", threshold=None):
+        threshold = _THRESHOLDS[name] if threshold is None else threshold
         checks.append(PositionCheck(name, margin is not None and margin > threshold,
                                     margin, threshold, note))
 
     def done(np=None, sd=None) -> Forward:
+        for name in list(_THRESHOLDS)[len(checks):]:
+            add(name, None, "unavailable")
         report = GeneralPositionReport(tuple(checks))
         if errors:
             return Forward(pair, report, None, None, errors[0])
@@ -360,25 +374,24 @@ def forward(pair: MatrixPair) -> Forward:
             _check_nondegenerate(m.entries, name)
         except SingularMatrix as exc:
             errors.append(exc)
-        add("determinant_" + name.lower(), _determinant_margin(m.entries),
-            MARGIN_DETERMINANT)
+        add("determinant_" + name.lower(), _determinant_margin(m.entries))
 
     np = None
     try:
         values, vectors = eig3(pair.a)
     except GeneralPositionError as exc:
         errors.append(exc)
-        add("eigenvalue_separation", None, MARGIN_EIGENVALUE_SEPARATION, exc.code)
-        add("gauge_entries", None, MARGIN_GAUGE, exc.code)
+        add("eigenvalue_separation", None, exc.code)
+        add("gauge_entries", None, exc.code)
     else:
         sep, scale = separation(values)
-        add("eigenvalue_separation", sep / scale, MARGIN_EIGENVALUE_SEPARATION)
+        add("eigenvalue_separation", sep / scale)
         try:
             # gauge margin measured on the un-rescaled eigenbasis matrix
             u0 = _in_eigenbasis(pair.b, vectors)
         except GeneralPositionError as exc:
             errors.append(exc)
-            add("gauge_entries", None, MARGIN_GAUGE, exc.code)
+            add("gauge_entries", None, exc.code)
         else:
             norm = u0.norm()
             margin = (min(abs(u0[0, 1]), abs(u0[0, 2])) / norm
@@ -389,40 +402,34 @@ def forward(pair: MatrixPair) -> Forward:
             except GaugeDegenerate as exc:
                 errors.append(exc)
                 note = exc.code
-            add("gauge_entries", margin, MARGIN_GAUGE, note)
+            add("gauge_entries", margin, note)
 
     if np is None:
-        add("divisor_denominator", None, MARGIN_DIVISOR_DENOMINATOR, "unavailable")
-        add("divisor_on_curve", None, ON_CURVE, "unavailable")
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return done()
 
     h1, h2, h3 = np.h
-    add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)),
-        MARGIN_DIVISOR_DENOMINATOR)
+    add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)))
 
     try:
         sd = spectral_data_of_normalized(np)
     except GeneralPositionError as exc:
         errors.append(exc)
-        add("divisor_on_curve", None, ON_CURVE, exc.code)
+        add("divisor_on_curve", None, exc.code)
         return done()
-    add("divisor_on_curve",
-        ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
-        0.0)
+    residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
+    add("divisor_on_curve", ON_CURVE - residual, threshold=0.0)
 
     c = sd.coeffs
     try:
         xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
         lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
     except GeneralPositionError as exc:
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
+        add("axis_point_separation", None, exc.code)
     else:
         points = ([ProjectivePoint(h, -1.0, 0.0) for h in np.h]
                   + [ProjectivePoint(x, 0.0, -1.0) for x in xi]
                   + [ProjectivePoint(0.0, s, 1.0) for s in lam0])
-        add("axis_point_separation", min_projective_distance(points),
-            MARGIN_AXIS_POINT_SEPARATION)
+        add("axis_point_separation", min_projective_distance(points))
     return done(np, sd)
 
 
@@ -430,10 +437,9 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
     """Every general-position check with its margin; never raises a
     GeneralPositionError.
 
-    Each check appears at most once, in ``forward``'s order of stages.
-    Checks that depend on a stage that raised are reported as failed with a
-    note; when the divisor stage raises, the report ends at
-    ``divisor_on_curve``.  The determinant checks only report: a singular A
-    or B does not stop the later checks.
+    Each of the seven checks appears once, in ``forward``'s order of
+    stages.  Checks that depend on a stage that raised fail with no margin
+    and the error code, or "unavailable", as their note.  The determinant
+    checks only report: a singular A or B does not stop the later checks.
     """
     return forward(pair).report

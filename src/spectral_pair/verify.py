@@ -29,8 +29,8 @@ from .spectral import (
 
 DEFAULT_TOLERANCE = 1e-6
 
-#: per-property slack multipliers on the base tolerance; long words
-#: accumulate roundoff over up to six chained reconstructions.
+#: per-property slack multipliers on the base tolerance; a word chains up
+#: to six generator formulas, with nothing re-derived between steps.
 TOLERANCE_MULTIPLIERS = {"word_consistency": 10.0}
 
 

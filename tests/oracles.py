@@ -311,6 +311,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
             0.0)
     except GeneralPositionError as exc:
         add("divisor_on_curve", None, ON_CURVE, exc.code)
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return GeneralPositionReport(tuple(checks))
 
     c = sd.coeffs

@@ -32,6 +32,7 @@ from spectral_pair import (
     spectral_data,
     spectral_residuals,
     swap_spectral,
+    validate_spectral_data,
     verify_commutation,
     well_conditioned_matrix,
     word_to_str,
@@ -266,6 +267,28 @@ def test_invert_spectral_rejects_zero_eigenvalue():
     with pytest.raises(SingularA) as info:
         invert_spectral(sd)
     assert info.value.code == "singular_a"
+
+
+# hand-built spectral data off the general-position stratum, each consistent
+# with its own coefficients, and the code act_word_spectral raises for it on
+# every word: canonical_form rejects the input before the first letter acts
+OFF_STRATUM_SPECTRAL = {
+    "repeated_h": (NormalizedPair((1, 1, 2), FIXTURE_B), "repeated_eigenvalues"),
+    "singular_u": (NormalizedPair((1, 2, 3), Mat3.from_rows(
+        [[2, 1, 1], [2, 1, 1], [7, 1, 4]])), "singular_matrix"),
+    "zero_h1": (NormalizedPair((0, 1, 2), FIXTURE_B), "singular_matrix"),
+}
+
+
+@pytest.mark.parametrize("word", ["", "S", "T", "I", "S,T"])
+@pytest.mark.parametrize("name", list(OFF_STRATUM_SPECTRAL))
+def test_act_word_spectral_rejects_off_stratum_data(name, word):
+    npair, code = OFF_STRATUM_SPECTRAL[name]
+    sd = SpectralData(npair.h, curve_coefficients(npair), divisor_point(npair))
+    validate_spectral_data(sd)
+    with pytest.raises(GeneralPositionError) as info:
+        act_word_spectral(parse_word(word), sd)
+    assert info.value.code == code
 
 
 def test_swap_spectral_rejects_repeated_second_spectrum():

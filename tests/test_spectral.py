@@ -223,8 +223,7 @@ def test_report_lists_each_check_once(b_rows, failing):
 
 
 # pairs off the general-position stratum, each stopping the report at a
-# different stage; "divisor" passes eig3 but not divisor_point, so its report
-# ends at divisor_on_curve
+# different stage; "divisor" passes eig3 but not divisor_point
 DEGENERATE_PAIRS = {
     "gauge": MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.identity()),
     "repeated": MatrixPair(Mat3.diagonal(1, 1, 2), Mat3.from_rows(
@@ -249,8 +248,9 @@ def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
                 assert g.margin is None, g.name
             else:
                 assert abs(g.margin - e.margin) <= 1e-12, g.name
-    assert [c.name for c in report_by_stages(DEGENERATE_PAIRS["divisor"]).checks] \
-        == CHECK_NAMES[:6]
+    checks = report_by_stages(DEGENERATE_PAIRS["divisor"]).checks
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert [c.note for c in checks[-2:]] == ["degenerate_divisor", "unavailable"]
 
 
 def test_forward_raises_what_spectral_data_raises(seeded_pairs):

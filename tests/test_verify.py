@@ -89,3 +89,11 @@ def test_run_suite_builds_each_matrix_once(monkeypatch):
     monkeypatch.setattr(Mat3, "__post_init__", counting_post_init)
     verify.run_suite(1)
     assert len(built) <= 120   # 253 with whole-matrix products
+
+
+def test_word_consistency_holds_at_seed_653207699():
+    """The seed draws the word I,I,I,S,S,S; re-deriving the coefficients
+    after every step put its residual at 6.3e-5."""
+    results = {r.operation: r for r in verify.run_suite(1, base_seed=653207699)}
+    word = results["word_consistency"]
+    assert word.seeds_run == 1 and word.passed, word.max_residual
