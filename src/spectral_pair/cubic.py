@@ -4,7 +4,7 @@ point when the two matrices are exchanged."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels_py as kernels
 from .config import (
@@ -18,8 +18,7 @@ from .linalg import vec_norm
 from .spectral import CurveCoefficients
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Homogeneous coordinates (lam : mu : nu)."""
 
     lam: complex
@@ -41,8 +40,7 @@ class ProjectivePoint:
         return ProjectivePoint(*(z / pivot for z in c))
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
+class ProjectiveLine(NamedTuple):
     """The linear form a*lam + b*mu + c*nu."""
 
     a: complex
@@ -83,13 +81,13 @@ def min_projective_distance(points) -> float:
 def evaluate_curve_raw(coeffs: CurveCoefficients, lam: complex, mu: complex,
                        nu: complex) -> complex:
     """Value of the cubic at the given (unnormalized) coordinates."""
-    return kernels.eval_curve9(coeffs.as_tuple(), lam, mu, nu)
+    return kernels.eval_curve9(coeffs, lam, mu, nu)
 
 
 def evaluate_curve(coeffs: CurveCoefficients, p: ProjectivePoint) -> complex:
     """Value of the cubic at the normalized representative of p."""
     n = p.normalized()
-    return kernels.eval_curve9(coeffs.as_tuple(), n.lam, n.mu, n.nu)
+    return kernels.eval_curve9(coeffs, n.lam, n.mu, n.nu)
 
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
@@ -124,10 +122,9 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
                         p2n: ProjectivePoint) -> ProjectivePoint:
     """``third_intersection`` on normalized representatives; the point it
     returns is normalized too."""
-    c9 = coeffs.as_tuple()
     cscale = coeffs.max_magnitude()
     for name, pt in (("p1", p1n), ("p2", p2n)):
-        residual = abs(kernels.eval_curve9(c9, pt.lam, pt.mu, pt.nu))
+        residual = abs(kernels.eval_curve9(coeffs, pt.lam, pt.mu, pt.nu))
         if residual > INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve",
                                     which=name, residual=residual)
@@ -140,7 +137,7 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
 
     def at(s: complex, t: complex) -> complex:
         return kernels.eval_curve9(
-            c9,
+            coeffs,
             s * p1n.lam + t * p2n.lam,
             s * p1n.mu + t * p2n.mu,
             s * p1n.nu + t * p2n.nu)
@@ -164,7 +161,7 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
         s * p1n.lam + t * p2n.lam,
         s * p1n.mu + t * p2n.mu,
         s * p1n.nu + t * p2n.nu).normalized()
-    residual = abs(kernels.eval_curve9(c9, point.lam, point.mu, point.nu)) / cscale
+    residual = abs(kernels.eval_curve9(coeffs, point.lam, point.mu, point.nu)) / cscale
     if residual > THIRD_POINT_ON_CURVE:
         raise InputsNotIncident("deflated third point misses the curve",
                                 residual=residual)

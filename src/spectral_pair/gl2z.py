@@ -11,8 +11,8 @@ test pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .config import DIVISOR_DENOMINATOR, SINGULAR
 from .cubic import ProjectivePoint, chord_swap_divisor
@@ -70,20 +70,42 @@ def word_to_str(word: Word) -> str:
     return ",".join(g.value for g in word)
 
 
-@dataclass(frozen=True)
 class GL2ZMatrix:
-    """Integer 2x2 matrix with determinant +-1."""
+    """Integer 2x2 matrix with determinant +-1; an immutable value."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        det = self.det()
+    def __init__(self, a: int, b: int, c: int, d: int):
+        det = a * d - b * c
         if det not in (1, -1):
             raise DeterminantNotUnit(
                 f"determinant must be +1 or -1, got {det}", det=det)
+        for name, value in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _entries(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._entries() == other._entries()
+
+    def __hash__(self):
+        return hash(self._entries())
+
+    def __repr__(self):
+        return "GL2ZMatrix(a={!r}, b={!r}, c={!r}, d={!r})".format(
+            *self._entries())
+
+    def __reduce__(self):
+        return (GL2ZMatrix, self._entries())
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -337,8 +359,7 @@ def decompose_gl2z(m: GL2ZMatrix) -> Word:
     return result
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     """Residuals between the spectral-side and matrix-side routes for one
     generator applied to one pair."""
 

@@ -4,7 +4,11 @@ eigendecomposition, and a closed-form cubic solver.
 Everything is exact small-case math (cofactor and adjugate formulas) with
 explicit conditioning checks; scalars are built-in ``complex``.  All
 functions are pure and all values immutable, so they are safe to share
-between threads.
+between threads.  ``Mat3`` is a slotted value class rather than a tuple, so
+that ``2 * m`` and ``m + m`` never mean tuple repetition or concatenation;
+``CubicPoly`` is a ``NamedTuple``.  The package uses no ``dataclasses``:
+importing it, with the ``inspect`` it loads, and generating each class's
+methods took about 30% of a cold ``import spectral_pair.cli``.
 
 Every ``Mat3`` is checked once, when it is built: its entries are coerced
 to ``complex`` and must all be finite (``finite_entries``).  Code that
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels_py as kernels
 from .config import (
@@ -49,16 +53,41 @@ def finite_entries(values) -> tuple[complex, ...]:
     return entries
 
 
-@dataclass(frozen=True)
 class Mat3:
-    """3x3 complex matrix, flat row-major entries."""
+    """3x3 complex matrix, flat row-major entries; an immutable value."""
 
-    entries: tuple[complex, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[complex, ...]):
+        _set_entries(self, entries)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The one construction check.  ``__init__`` calls it through the
+        class, so a wrapper installed there sees every construction."""
         if len(self.entries) != 9:
             raise ValueError("Mat3 needs exactly 9 entries")
-        object.__setattr__(self, "entries", finite_entries(self.entries))
+        _set_entries(self, finite_entries(self.entries))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"Mat3(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return (Mat3, (self.entries,))
 
     @classmethod
     def from_rows(cls, rows) -> "Mat3":
@@ -100,8 +129,11 @@ class Mat3:
         return kernels.frob3(self.entries)
 
 
-@dataclass(frozen=True)
-class CubicPoly:
+#: the slot's own setter; ``Mat3.__setattr__`` refuses every assignment
+_set_entries = Mat3.entries.__set__
+
+
+class CubicPoly(NamedTuple):
     """c3 x^3 + c2 x^2 + c1 x + c0 over the complex numbers."""
 
     c3: complex

@@ -10,8 +10,9 @@ explicit closed forms in (h, U).
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _kernels_py as kernels
 from .config import (
@@ -40,15 +41,13 @@ from .linalg import (
     columns_matrix,
     det3,
     eig3,
-    finite_entries,
     inv3,
     separation,
     solve_cubic,
 )
 
 
-@dataclass(frozen=True)
-class MatrixPair:
+class MatrixPair(NamedTuple):
     """Raw input: two nondegenerate 3x3 matrices, considered up to
     simultaneous conjugation."""
 
@@ -56,8 +55,7 @@ class MatrixPair:
     b: Mat3
 
 
-@dataclass(frozen=True)
-class NormalizedPair:
+class NormalizedPair(NamedTuple):
     """Ordered eigenvalues of the first matrix plus the gauge-fixed matrix of
     the second one in that eigenbasis (entries (1,2) and (1,3) exactly 1)."""
 
@@ -68,8 +66,7 @@ class NormalizedPair:
         return MatrixPair(Mat3.diagonal(*self.h), self.u)
 
 
-@dataclass(frozen=True)
-class CurveCoefficients:
+class CurveCoefficients(NamedTuple):
     """The nine non-normalized coefficients of the spectral cubic
 
         lam^3 + d1 mu^3 + d2 nu^3 + p_plus lam^2 mu + p_minus lam mu^2
@@ -91,26 +88,25 @@ class CurveCoefficients:
               "r_plus", "r_minus", "t")
 
     def as_tuple(self) -> tuple[complex, ...]:
-        return (self.d1, self.d2, self.p_plus, self.p_minus, self.q_plus,
-                self.q_minus, self.r_plus, self.r_minus, self.t)
+        """The nine coefficients as a plain tuple; the record itself is
+        already one, in ``FIELDS`` order."""
+        return tuple(self)
 
     def items(self):
-        return zip(self.FIELDS, self.as_tuple())
+        return zip(self.FIELDS, self)
 
     def max_magnitude(self) -> float:
-        return max(1.0, *(abs(c) for c in self.as_tuple()))
+        return max(1.0, *map(abs, self))
 
 
-@dataclass(frozen=True)
-class DivisorPoint:
+class DivisorPoint(NamedTuple):
     """Affine coordinates of the distinguished curve point (L : M : 1)."""
 
     L: complex
     M: complex
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Full invariant of a pair: ordered eigenvalues, curve coefficients and
     the divisor point.  The eigenvalue ordering is part of the data."""
 
@@ -162,9 +158,14 @@ def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
 
     # U = D U0 D^-1 with D = diag(1, u12, u13), entry by entry as
     # d_i u0_ij / d_j, the gauge entries pinned to 1.  The reciprocals are
-    # checked where they are taken, as building D^-1 did.  The unit factors
-    # set the sign of a zero imaginary part as the matrix product did.
-    r12, r13 = finite_entries((1.0 / u12, 1.0 / u13))
+    # checked where they are taken: when |U0| underflows to 0 the relative
+    # test above passes, and 1/u12 of a subnormal u12 overflows.  The unit
+    # factors set the sign of a zero imaginary part as the matrix product did.
+    r12, r13 = 1.0 / u12, 1.0 / u13
+    if not (cmath.isfinite(r12) and cmath.isfinite(r13)):
+        raise GaugeDegenerate(
+            "reciprocal of the (1,2) or (1,3) entry overflows",
+            u12=abs(u12), u13=abs(u13), scale=scale)
     e = u0.entries
     u = Mat3((1.0 * e[0] * 1.0, 1.0, 1.0,
               u12 * e[3] * 1.0, u12 * e[4] * r12, u12 * e[5] * r13,
@@ -233,7 +234,7 @@ def spectral_data(pair: MatrixPair) -> SpectralData:
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
                    nu: complex) -> float:
     """Scaled residual |C(lam, mu, nu)| at the (unnormalized) point."""
-    value = kernels.eval_curve9(coeffs.as_tuple(), lam, mu, nu)
+    value = kernels.eval_curve9(coeffs, lam, mu, nu)
     scale = coeffs.max_magnitude() * max(1.0, abs(lam), abs(mu), abs(nu)) ** 3
     return abs(value) / scale
 
@@ -278,8 +279,7 @@ def spectral_residuals(lhs: SpectralData, rhs: SpectralData) -> dict[str, float]
     return out
 
 
-@dataclass(frozen=True)
-class PositionCheck:
+class PositionCheck(NamedTuple):
     name: str
     passed: bool
     margin: float | None
@@ -287,9 +287,8 @@ class PositionCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class GeneralPositionReport:
-    checks: tuple[PositionCheck, ...] = field(default_factory=tuple)
+class GeneralPositionReport(NamedTuple):
+    checks: tuple[PositionCheck, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -299,8 +298,7 @@ class GeneralPositionReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-@dataclass(frozen=True)
-class Forward:
+class Forward(NamedTuple):
     """One pass of the forward map over a pair.
 
     ``report`` holds the margin of every general-position check.  ``error``
@@ -331,14 +329,15 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     return abs(kernels.det3(tuple(s * z for z in entries))) / mantissa ** 3
 
 
-#: every check of the report, in order, with its threshold; a measured
-#: ``divisor_on_curve`` margin is ON_CURVE minus the residual, against 0
+#: every check of the report, in order, with its threshold; the
+#: ``divisor_on_curve`` margin is ON_CURVE minus the residual, so its
+#: threshold is 0
 _THRESHOLDS = {
     "determinant_a": MARGIN_DETERMINANT, "determinant_b": MARGIN_DETERMINANT,
     "eigenvalue_separation": MARGIN_EIGENVALUE_SEPARATION,
     "gauge_entries": MARGIN_GAUGE,
     "divisor_denominator": MARGIN_DIVISOR_DENOMINATOR,
-    "divisor_on_curve": ON_CURVE,
+    "divisor_on_curve": 0.0,
     "axis_point_separation": MARGIN_AXIS_POINT_SEPARATION}
 
 
@@ -356,8 +355,8 @@ def forward(pair: MatrixPair) -> Forward:
     checks: list[PositionCheck] = []
     errors: list[GeneralPositionError] = []
 
-    def add(name, margin, note="", threshold=None):
-        threshold = _THRESHOLDS[name] if threshold is None else threshold
+    def add(name, margin, note=""):
+        threshold = _THRESHOLDS[name]
         checks.append(PositionCheck(name, margin is not None and margin > threshold,
                                     margin, threshold, note))
 
@@ -417,7 +416,7 @@ def forward(pair: MatrixPair) -> Forward:
         add("divisor_on_curve", None, exc.code)
         return done()
     residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
-    add("divisor_on_curve", ON_CURVE - residual, threshold=0.0)
+    add("divisor_on_curve", ON_CURVE - residual)
 
     c = sd.coeffs
     try:

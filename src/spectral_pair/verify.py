@@ -9,7 +9,6 @@ the properties are only claimed on the general-position stratum.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import GeneralPositionError
 from .gl2z import (
@@ -34,15 +33,21 @@ DEFAULT_TOLERANCE = 1e-6
 TOLERANCE_MULTIPLIERS = {"word_consistency": 10.0}
 
 
-@dataclass
 class PropertyResult:
-    operation: str
-    max_residual: float = 0.0
-    per_component: dict[str, float] = field(default_factory=dict)
-    seeds_run: int = 0
-    skipped: list[dict] = field(default_factory=list)
-    worst_seed: int | None = None
-    tolerance: float = DEFAULT_TOLERANCE
+    """One property's running maximum residual and skip list over a run."""
+
+    def __init__(self, operation: str, max_residual: float = 0.0,
+                 per_component: dict[str, float] | None = None,
+                 seeds_run: int = 0, skipped: list[dict] | None = None,
+                 worst_seed: int | None = None,
+                 tolerance: float = DEFAULT_TOLERANCE):
+        self.operation = operation
+        self.max_residual = max_residual
+        self.per_component = {} if per_component is None else per_component
+        self.seeds_run = seeds_run
+        self.skipped = [] if skipped is None else skipped
+        self.worst_seed = worst_seed
+        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:

@@ -296,7 +296,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
 
     if np is None:
         add("divisor_denominator", None, MARGIN_DIVISOR_DENOMINATOR, "unavailable")
-        add("divisor_on_curve", None, ON_CURVE, "unavailable")
+        add("divisor_on_curve", None, 0.0, "unavailable")
         add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return GeneralPositionReport(tuple(checks))
 
@@ -310,7 +310,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
             ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
             0.0)
     except GeneralPositionError as exc:
-        add("divisor_on_curve", None, ON_CURVE, exc.code)
+        add("divisor_on_curve", None, 0.0, exc.code)
         add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return GeneralPositionReport(tuple(checks))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import shutil
@@ -196,12 +195,16 @@ def test_check_subcommand(capsys):
         "gauge_entries", "divisor_denominator", "axis_point_separation"}
 
 
-@pytest.mark.parametrize("which", ["a", "b"])
-def test_check_tiny_matrix_prints_report(which, tmp_path, capsys):
-    # scaled by 1e-110, the matrix's |M|^3 underflows to 0
+@pytest.mark.parametrize("which, scale", [
+    pytest.param("a", 1e-110, id="a"),
+    pytest.param("b", 1e-110, id="b"),
+    # |U0| underflows to 0, so only the overflowing 1/u12 rejects the gauge
+    pytest.param("b", 1e-310, id="b-1e-310"),
+])
+def test_check_tiny_matrix_prints_report(which, scale, tmp_path, capsys):
+    # scaled by 1e-110 or less, the matrix's |M|^3 underflows to 0
     pair = jsonio.doc_to_pair(jsonio.loads(Path(PAIR_FIXTURE).read_text()))
-    pair = dataclasses.replace(
-        pair, **{which: getattr(pair, which).scaled(1e-110)})
+    pair = pair._replace(**{which: getattr(pair, which).scaled(scale)})
     path = tmp_path / "pair.json"
     path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
     code, out, _ = run(capsys, "check", str(path))

@@ -7,6 +7,9 @@ the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spectral_pair
@@ -39,3 +42,16 @@ def test_package_has_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A cold CLI start pays for every module it imports; ``dataclasses``,
+    with the ``inspect`` it loads, was about 30% of the package's import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, spectral_pair.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
 from spectral_pair import GaugeDegenerate, Mat3, spectral_data
@@ -55,8 +53,8 @@ def test_forward_map_failure_skips_every_property(monkeypatch):
     original = verify.random_forward
 
     def degenerate(seed):
-        return dataclasses.replace(original(seed), np=None, sd=None,
-                                   error=GaugeDegenerate("forced"))
+        return original(seed)._replace(np=None, sd=None,
+                                       error=GaugeDegenerate("forced"))
 
     monkeypatch.setattr(verify, "random_forward", degenerate)
     for result in verify.run_suite(2, base_seed=5):
