@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,8 +52,11 @@ EXIT_VERIFY = 5
 def _fail(code: int, error_code: str, message: str, **detail) -> int:
     payload = {"error": {"code": error_code, "message": message}}
     if detail:
+        # JSON has no NaN or Infinity: a non-finite float goes out as its
+        # repr, "nan", "inf" or "-inf"
         payload["error"]["detail"] = {
-            k: v for k, v in detail.items()
+            k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in detail.items()
             if isinstance(v, (str, int, float, bool, list, dict))}
     print(json.dumps(payload), file=sys.stderr)
     return code

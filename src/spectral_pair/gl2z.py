@@ -272,15 +272,21 @@ def act_spectral(g: Generator, sd: SpectralData) -> SpectralData:
 
 
 def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
-    """Left-to-right fold of the generator actions, recanonicalizing the
-    eigenvalue ordering between steps; reports the failing prefix when an
-    intermediate leaves general position.  ``canonical_form`` passes each
-    step's coefficients through as the formulas gave them: nothing is
-    re-derived."""
+    """Left-to-right fold of the generator actions between one
+    ``canonical_form`` of the input and one of the result.
+
+    The formulas take the data in whatever eigenvalue ordering it carries,
+    so nothing is relisted between letters.  Relisting the input rejects
+    off-stratum data before the first letter acts; relisting the result
+    puts it in the forward map's ordering.  An error from a letter, or
+    from the final relisting, is raised as ``IntermediateDegeneracy`` with
+    the failing prefix."""
     current = canonical_form(sd)
     for i, g in enumerate(word):
         try:
-            current = canonical_form(act_spectral(g, current))
+            current = act_spectral(g, current)
+            if i == len(word) - 1:
+                current = canonical_form(current)
         except GeneralPositionError as exc:
             raise IntermediateDegeneracy(
                 f"word left general position after {word_to_str(word[:i + 1])}",
@@ -372,9 +378,11 @@ def commutation_residuals(g: Generator, pair: MatrixPair,
                           sd: SpectralData) -> dict[str, float]:
     """Residuals between the two routes around the square for a pair whose
     spectral data ``sd`` is already known: generator-then-map versus
-    map-then-generator-formula, both canonicalized."""
+    map-then-generator-formula.  The forward map already lists the
+    eigenvalues in the canonical order, so only the formula's side is
+    relisted."""
     lhs = canonical_form(act_spectral(g, sd))
-    rhs = canonical_form(spectral_data(act_on_pair(g, pair)))
+    rhs = spectral_data(act_on_pair(g, pair))
     return spectral_residuals(lhs, rhs)
 
 

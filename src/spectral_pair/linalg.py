@@ -172,7 +172,8 @@ def det3(m: Mat3) -> complex:
 def inv3(m: Mat3) -> Mat3:
     f = m.norm()
     d = det3(m)
-    if f == 0.0 or abs(d) <= SINGULAR * f * f * f:
+    # NaN or inf, from an overflowed determinant or cube, fails the test
+    if not abs(d) > SINGULAR * f * f * f:
         raise SingularMatrix("matrix is numerically singular",
                              det=abs(d), norm=f)
     adj = kernels.adj3(m.entries)

@@ -121,11 +121,14 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
 def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
-    This is the common ground for comparing data that carry different
-    orderings.  The coefficients pass through bit for bit.  Only the divisor
-    point depends on the ordering: h is sorted by (re, im), the
-    reconstructed U is conjugated by the same permutation and gauge-fixed,
-    and the divisor is read off that pair.  Nothing else is re-derived.
+    The forward map already lists the eigenvalues in this order, because
+    ``eig3`` sorts them by ``canonical_key``, so a comparison relists only
+    the side whose ordering can differ: the output of the transformation
+    formulas, or data read from outside.  The coefficients pass through bit
+    for bit.  Only the divisor point depends on the ordering: h is sorted
+    by (re, im), the reconstructed U is conjugated by the same permutation
+    and gauge-fixed, and the divisor is read off that pair.  Nothing else
+    is re-derived.
     """
     np = reconstruct(sd)
     order = sorted(range(3), key=lambda i: canonical_key(np.h[i]))

@@ -117,10 +117,14 @@ class SpectralData(NamedTuple):
 
 def _check_nondegenerate(entries: tuple[complex, ...], name: str) -> None:
     """SingularMatrix unless the flat, already checked entries of a 3x3
-    matrix have a determinant above the relative threshold."""
+    matrix have a determinant above the relative threshold.
+
+    Written so that a NaN or infinite determinant or cube fails it: for
+    |M| above about 5.6e102 the cube overflows and the determinant may be
+    inf - inf."""
     f = kernels.frob3(entries)
     d = abs(kernels.det3(entries))
-    if f == 0.0 or d <= PAIR_DETERMINANT * f ** 3:
+    if not d > PAIR_DETERMINANT * f * f * f:
         raise SingularMatrix(f"matrix {name} is numerically singular",
                              which=name, det=d, norm=f)
 
@@ -318,15 +322,20 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     """|det M| / |M|^3 for the flat entries of a 3x3 matrix, 0 for the zero
     matrix.
 
-    M is first scaled by the power of two that brings |M| into [0.5, 1).
-    That scaling is exact in binary floating point, and after it neither
-    the determinant nor the cube can underflow or overflow."""
-    f = kernels.frob3(entries)
-    if f == 0.0:
+    M is first scaled by the power of two that brings its largest |entry|
+    into [0.5, 1).  That scaling is exact in binary floating point, and
+    after it neither |M|, nor the determinant, nor the cube can underflow
+    or overflow.  |M| itself would not do as the scale: its squares
+    underflow below about 1e-154 and overflow above about 1e154."""
+    largest = max(map(abs, entries))
+    if largest == 0.0:
         return 0.0
-    mantissa, exponent = math.frexp(f)
-    s = math.ldexp(1.0, -exponent)
-    return abs(kernels.det3(tuple(s * z for z in entries))) / mantissa ** 3
+    # ldexp on each part, because 2**-exponent itself overflows for a
+    # subnormal largest entry
+    shift = -math.frexp(largest)[1]
+    scaled = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+                   for z in entries)
+    return abs(kernels.det3(scaled)) / kernels.frob3(scaled) ** 3
 
 
 #: every check of the report, in order, with its threshold; the

@@ -1,8 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from spectral_pair import Mat3, MatrixPair, random_pair
+from spectral_pair import Mat3, MatrixPair, jsonio, random_pair
 
 # exact integer fixture: the whole forward map lands on integers, so every
 # stage can be checked by hand.
@@ -14,6 +16,10 @@ FIXTURE_COEFFS = {
     "q_minus": 16, "r_plus": 29, "r_minus": 19, "t": 34,
 }
 FIXTURE_DIVISOR = (-9 + 0j, 2 + 0j)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PAIR_FIXTURE = str(FIXTURES / "pair_fixture.json")
+SPECTRAL_FIXTURE = str(FIXTURES / "spectral_fixture.json")
 
 
 @pytest.fixture
@@ -37,3 +43,22 @@ def rng_complex(rng: random.Random, radius: float = 1.0) -> complex:
 
 def rng_matrix(rng: random.Random, radius: float = 1.0) -> Mat3:
     return Mat3(tuple(rng_complex(rng, radius) for _ in range(9)))
+
+
+def scaled_pair_file(tmp_path, which: str, scale: float) -> str:
+    """Path of a copy of the pair fixture with matrix ``which`` ("a" or "b")
+    scaled by ``scale``."""
+    pair = jsonio.doc_to_pair(jsonio.loads(Path(PAIR_FIXTURE).read_text()))
+    pair = pair._replace(**{which: getattr(pair, which).scaled(scale)})
+    path = tmp_path / f"pair_{which}_{scale:g}.json"
+    path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
+    return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text: str):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)

@@ -23,6 +23,8 @@ from spectral_pair import (
     NormalizedPair,
     ProjectiveLine,
     ProjectivePoint,
+    act_spectral,
+    canonical_form,
     curve_residual,
     det3,
     eig3,
@@ -220,6 +222,19 @@ def canonical_form_by_forward_map(sd):
     forward map again, eigensolve included; the permutation route in
     ``canonical_form`` must agree with it."""
     return spectral_data(reconstruct(sd).as_pair())
+
+
+# --- a word relisted after every letter ---
+
+
+def act_word_spectral_relisting_each_step(word, sd):
+    """``act_word_spectral`` with a ``canonical_form`` after every letter,
+    not only after the last; the formulas take any ordering the data
+    carries, so the two must agree to round-off."""
+    current = canonical_form(sd)
+    for g in word:
+        current = canonical_form(act_spectral(g, current))
+    return current
 
 
 # --- forward-map stages as whole-matrix products ---

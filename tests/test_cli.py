@@ -11,9 +11,12 @@ import spectral_pair
 from spectral_pair import jsonio, spectral_residuals
 from spectral_pair.cli import main
 
-FIXTURES = Path(__file__).parent / "fixtures"
-PAIR_FIXTURE = str(FIXTURES / "pair_fixture.json")
-SPECTRAL_FIXTURE = str(FIXTURES / "spectral_fixture.json")
+from conftest import (
+    PAIR_FIXTURE,
+    SPECTRAL_FIXTURE,
+    scaled_pair_file,
+    strict_loads,
+)
 
 
 def run(capsys, *argv):
@@ -200,16 +203,27 @@ def test_check_subcommand(capsys):
     pytest.param("b", 1e-110, id="b"),
     # |U0| underflows to 0, so only the overflowing 1/u12 rejects the gauge
     pytest.param("b", 1e-310, id="b-1e-310"),
+    # |M|^3 overflows, and the determinant is inf or inf - inf
+    pytest.param("a", 1e110, id="a-1e110"),
+    pytest.param("b", 1e110, id="b-1e110"),
 ])
 def test_check_tiny_matrix_prints_report(which, scale, tmp_path, capsys):
-    # scaled by 1e-110 or less, the matrix's |M|^3 underflows to 0
-    pair = jsonio.doc_to_pair(jsonio.loads(Path(PAIR_FIXTURE).read_text()))
-    pair = pair._replace(**{which: getattr(pair, which).scaled(scale)})
-    path = tmp_path / "pair.json"
-    path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
-    code, out, _ = run(capsys, "check", str(path))
+    # scaled by 1e-110 or less, the matrix's |M|^3 underflows to 0; scaled
+    # by 1e110 it overflows
+    code, out, _ = run(capsys, "check", scaled_pair_file(tmp_path, which, scale))
     assert code in (0, 3)
     assert len(json.loads(out)["checks"]) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("spectral",), id="spectral"),
+    pytest.param(("act", "--side", "matrix", "--word", "I"), id="act-matrix"),
+])
+def test_huge_matrix_is_a_coded_singular_matrix(argv, tmp_path, capsys):
+    code, _, err = run(capsys, *argv, scaled_pair_file(tmp_path, "a", 1e110))
+    assert code == 3
+    # the determinant in the detail is not finite; the line stays JSON
+    assert strict_loads(err)["error"]["code"] == "singular_matrix"
 
 
 def test_decompose_subcommand(capsys):

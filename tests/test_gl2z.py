@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import spectral_pair.gl2z as gl2z_module
 from spectral_pair import (
     DeterminantNotUnit,
     GL2ZMatrix,
@@ -13,6 +14,7 @@ from spectral_pair import (
     MatrixPair,
     NormalizedPair,
     SingularA,
+    SingularMatrix,
     SpectralData,
     SwappedPairDegenerate,
     act_on_pair,
@@ -39,7 +41,12 @@ from spectral_pair import (
 )
 
 from conftest import FIXTURE_B
-from oracles import evaluate_word_at, exponent_sums, word_images
+from oracles import (
+    act_word_spectral_relisting_each_step,
+    evaluate_word_at,
+    exponent_sums,
+    word_images,
+)
 
 S, I, T = Generator.SWAP, Generator.INVERT, Generator.SHEAR
 
@@ -249,6 +256,49 @@ def test_act_word_spectral_matches_matrix_side(seeded_pairs):
         lhs = act_word_spectral(word, spectral_data(pair))
         rhs = canonical_form(spectral_data(act_word_on_pair(word, pair)))
         assert max(spectral_residuals(lhs, rhs).values()) < 1e-5, word_to_str(word)
+
+
+def test_act_word_spectral_matches_relisting_each_step(seeded_pairs):
+    rng = random.Random(2024)
+    for pair in seeded_pairs:
+        sd = spectral_data(pair)
+        for _ in range(3):
+            word = random_word(rng, rng.randint(1, 6))
+            got = act_word_spectral(word, sd)
+            want = act_word_spectral_relisting_each_step(word, sd)
+            assert max(spectral_residuals(got, want).values()) < 1e-8, \
+                word_to_str(word)
+
+
+def test_act_word_spectral_relists_input_and_result_only(seeded_pairs,
+                                                         monkeypatch):
+    calls = []
+    original = gl2z_module.canonical_form
+
+    def counting_canonical_form(sd):
+        calls.append(sd)
+        return original(sd)
+
+    monkeypatch.setattr(gl2z_module, "canonical_form", counting_canonical_form)
+    act_word_spectral((S, I, T, T, S, I), spectral_data(seeded_pairs[0]))
+    assert len(calls) == 2
+
+
+def test_final_relisting_error_reports_whole_word(seeded_pairs, monkeypatch):
+    original = gl2z_module.canonical_form
+    calls = []
+
+    def failing_second_call(sd):
+        calls.append(sd)
+        if len(calls) == 2:
+            raise SingularMatrix("forced")
+        return original(sd)
+
+    monkeypatch.setattr(gl2z_module, "canonical_form", failing_second_call)
+    with pytest.raises(IntermediateDegeneracy) as info:
+        act_word_spectral((S, T), spectral_data(seeded_pairs[0]))
+    assert info.value.prefix == (S, T)
+    assert info.value.cause.code == "singular_matrix"
 
 
 def test_intermediate_degeneracy_reports_prefix():

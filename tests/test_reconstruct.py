@@ -20,10 +20,12 @@ from spectral_pair import (
     eigenvalues_from_coefficients,
     normalize_pair,
     reconstruct,
+    shear_spectral,
     solve_cubic,
     spectral_data,
     spectral_data_of_normalized,
     spectral_residuals,
+    swap_spectral,
     validate_spectral_data,
 )
 from spectral_pair._kernels_py import canonical_key
@@ -152,10 +154,17 @@ def test_off_curve_divisor_not_projected(fixture_pair):
 
 
 def test_canonical_form_idempotent(seeded_pairs):
+    """The forward map, the swap formula and the shear formula all list the
+    eigenvalues in the canonical order already, so relisting keeps h and the
+    coefficients and re-reads the divisor point to round-off."""
     for pair in seeded_pairs[:20]:
-        sd = spectral_data(pair)  # already canonical ordering
-        again = canonical_form(sd)
-        assert max(spectral_residuals(sd, again).values()) < 1e-9
+        sd = spectral_data(pair)
+        for listed in (sd, swap_spectral(sd), shear_spectral(sd)):
+            again = canonical_form(listed)
+            assert again.h == listed.h
+            assert again.coeffs == listed.coeffs
+            residuals = spectral_residuals(listed, again)
+            assert max(residuals["L"], residuals["M"]) < 1e-12
 
 
 def test_canonical_form_ordering_independent(seeded_pairs):

@@ -1,0 +1,67 @@
+"""Every document the command line prints conforms to its shipped schema in
+docs/schemas/, parsed as strict JSON (no NaN or Infinity)."""
+
+import json
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from spectral_pair.cli import main
+
+from conftest import (
+    PAIR_FIXTURE,
+    SPECTRAL_FIXTURE,
+    scaled_pair_file,
+    strict_loads,
+)
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+
+
+def validate(doc, name: str) -> None:
+    schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, schema", [
+    pytest.param(("random-pair", "--seed", "7"), "pair", id="random-pair"),
+    pytest.param(("spectral", PAIR_FIXTURE), "spectral", id="spectral"),
+    pytest.param(("act", "--word", "S,I,T", SPECTRAL_FIXTURE), "spectral",
+                 id="act"),
+    pytest.param(("act", "--word", "T", "--side", "matrix", PAIR_FIXTURE),
+                 "pair", id="act-matrix"),
+])
+def test_document_matches_schema(argv, schema, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    validate(strict_loads(out), schema)
+
+
+def test_verify_lines_match_report_schema(capsys):
+    code, out, _ = run(capsys, "verify", "--seeds", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 8   # seven properties and the summary
+    for line in lines:
+        validate(strict_loads(line), "report")
+
+
+def test_error_lines_match_error_schema(tmp_path, capsys):
+    code, _, err = run(capsys, "act", "--matrix", "2,0,0,1", SPECTRAL_FIXTURE)
+    assert code == 4
+    validate(strict_loads(err), "error")
+
+    # the determinant of B overflows to NaN, which the detail carries
+    code, _, err = run(capsys, "spectral", scaled_pair_file(tmp_path, "b", 1e110))
+    assert code == 3
+    doc = strict_loads(err)
+    validate(doc, "error")
+    assert doc["error"]["code"] == "singular_matrix"
+    assert doc["error"]["detail"]["det"] == "nan"

@@ -281,9 +281,12 @@ def test_report_survives_underflow(pair):
 
 def test_determinant_margin_is_scale_free():
     report = general_position_report(MatrixPair(FIXTURE_A, FIXTURE_B))
-    scaled = general_position_report(MatrixPair(FIXTURE_A.scaled(2.0 ** -360),
-                                                FIXTURE_B.scaled(2.0 ** 300)))
-    assert scaled.checks[:2] == report.checks[:2]
+    # at 2^-700 every squared entry underflows, so |M| itself reads 0
+    for scale_a, scale_b in ((2.0 ** -360, 2.0 ** 300),
+                             (2.0 ** -700, 2.0 ** -700)):
+        scaled = general_position_report(MatrixPair(FIXTURE_A.scaled(scale_a),
+                                                    FIXTURE_B.scaled(scale_b)))
+        assert scaled.checks[:2] == report.checks[:2], (scale_a, scale_b)
 
 
 def test_report_decomposes_a_once(monkeypatch, fixture_pair):

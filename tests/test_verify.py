@@ -1,3 +1,5 @@
+import sys
+
 import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
 from spectral_pair import GaugeDegenerate, Mat3, spectral_data
@@ -87,6 +89,29 @@ def test_run_suite_builds_each_matrix_once(monkeypatch):
     monkeypatch.setattr(Mat3, "__post_init__", counting_post_init)
     verify.run_suite(1)
     assert len(built) <= 120   # 253 with whole-matrix products
+
+
+def test_run_suite_relists_five_times_and_reconstructs_seven(monkeypatch):
+    """One ``canonical_form`` per diagram and two per word: the forward
+    map's side of each comparison is already canonical.  Each relisting
+    reconstructs once, as do the two round trips."""
+    calls = {"canonical_form": 0, "reconstruct": 0}
+    for name in calls:
+        original = getattr(sys.modules["spectral_pair.reconstruct"], name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("spectral_pair.")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    verify.run_suite(1)
+    # 13 and 15 on this seed when both sides of every comparison, and every
+    # step of the word, were relisted
+    assert calls["canonical_form"] <= 5
+    assert calls["reconstruct"] <= 7
 
 
 def test_word_consistency_holds_at_seed_653207699():
