@@ -7,22 +7,21 @@ constants they compare it with.
 
 # core 3x3 numerics
 LEADING_COEFFICIENT = 1e-12   # |c3| vs max coefficient
-SINGULAR = 1e-12              # |det| vs norm^3 for inversion
+SINGULAR = 1e-12              # |det| vs norm^3 for A, B, U and every inversion
 RANK = 1e-7                   # rank-2 detection window
 KERNEL_RESIDUAL = 1e-8        # |M v| vs |M| for kernel vectors
 EIGENVALUE_SEPARATION = 1e-6  # min |h_i - h_j| vs max |h_i|
 
 # pair normalization and spectral data
-PAIR_DETERMINANT = 1e-12      # nondegeneracy of the raw pair
-GAUGE = 1e-9                  # |u12|, |u13| vs |U|
-DIVISOR_DENOMINATOR = 1e-9
+GAUGE = 1e-9                  # min(|u12|, |u13|) vs |U0|
+DIVISOR_DENOMINATOR = 1e-9    # |u12 u13 (h3 - h2)| vs max(1, |h|) max(1, |U|)^2
 ON_CURVE = 1e-8               # divisor point curve residual
 SYMMETRIC_FUNCTIONS = 1e-9    # e_k(h) vs (p_plus, p_minus, d1)
 
 # projective geometry
 COINCIDENT_POINTS = 1e-12     # cross-product norm for distinct points
 INCIDENCE = 1e-6              # points claimed on curve/line
-DEFLATION = 1e-6              # residual of the two known roots
+DEFLATION = 1e-6              # restricted cubic vanishing on a line
 THIRD_POINT_ON_CURVE = 1e-8
 
 # reconstruction

@@ -123,13 +123,16 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
     """``third_intersection`` on normalized representatives; the point it
     returns is normalized too."""
     cscale = coeffs.max_magnitude()
-    for name, pt in (("p1", p1n), ("p2", p2n)):
-        residual = abs(kernels.eval_curve9(coeffs, pt.lam, pt.mu, pt.nu))
-        if residual > INCIDENCE * cscale:
+    # the curve's values at the two points are the restricted cubic's c30
+    # and c03, so the incidence test below bounds them
+    c30, c03 = (kernels.eval_curve9(coeffs, *pt) for pt in (p1n, p2n))
+    for name, pt, value in (("p1", p1n, c30), ("p2", p2n, c03)):
+        residual = abs(value)
+        if not residual <= INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve",
                                     which=name, residual=residual)
         lres = abs(line(pt)) / max(line.max_abs(), 1e-300)
-        if lres > INCIDENCE:
+        if not lres <= INCIDENCE:
             raise InputsNotIncident(f"{name} is not on the line",
                                     which=name, residual=lres)
     if projective_distance(p1n, p2n) <= INCIDENCE:
@@ -142,16 +145,11 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
             s * p1n.mu + t * p2n.mu,
             s * p1n.nu + t * p2n.nu)
 
-    c30 = at(1.0, 0.0)
-    c03 = at(0.0, 1.0)
     f11 = at(1.0, 1.0)
     f1m = at(1.0, -1.0)
     c21 = 0.5 * (f11 - f1m) - c03
     c12 = 0.5 * (f11 + f1m) - c30
 
-    if max(abs(c30), abs(c03)) > DEFLATION * cscale:
-        raise InputsNotIncident("restricted cubic keeps nonzero known-root coefficients",
-                                c30=abs(c30), c03=abs(c03))
     if max(abs(c21), abs(c12)) <= DEFLATION * cscale:
         raise LineOnCurve("restricted cubic vanishes identically; "
                           "the line is a component of the curve")
@@ -162,7 +160,7 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
         s * p1n.mu + t * p2n.mu,
         s * p1n.nu + t * p2n.nu).normalized()
     residual = abs(kernels.eval_curve9(coeffs, point.lam, point.mu, point.nu)) / cscale
-    if residual > THIRD_POINT_ON_CURVE:
+    if not residual <= THIRD_POINT_ON_CURVE:
         raise InputsNotIncident("deflated third point misses the curve",
                                 residual=residual)
     return point

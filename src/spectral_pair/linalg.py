@@ -15,7 +15,7 @@ to ``complex`` and must all be finite (``finite_entries``).  Code that
 chains products on flat entries builds one ``Mat3`` from the final product
 and relies on that check, because sums and products never turn a
 non-finite value finite again.  A reciprocal that such a chain multiplies
-in is checked explicitly where it is taken.
+in is bounded by the test before it.
 """
 
 from __future__ import annotations
@@ -169,15 +169,23 @@ def det3(m: Mat3) -> complex:
     return kernels.det3(m.entries)
 
 
-def inv3(m: Mat3) -> Mat3:
-    f = m.norm()
-    d = det3(m)
-    # NaN or inf, from an overflowed determinant or cube, fails the test
+def nonsingular_det(entries: tuple[complex, ...],
+                    which: str | None = None) -> complex:
+    """Determinant of the flat, checked entries of a 3x3 matrix; unless
+    |det| > SINGULAR |M|^3, SingularMatrix naming the matrix ``which``.
+    A NaN or infinite determinant or cube fails: for |M| above about
+    5.6e102 the cube overflows and the determinant may be inf - inf."""
+    f = kernels.frob3(entries)
+    d = kernels.det3(entries)
     if not abs(d) > SINGULAR * f * f * f:
         raise SingularMatrix("matrix is numerically singular",
-                             det=abs(d), norm=f)
-    adj = kernels.adj3(m.entries)
-    return Mat3(tuple(z / d for z in adj))
+                             which=which, det=abs(d), norm=f)
+    return d
+
+
+def inv3(m: Mat3) -> Mat3:
+    d = nonsingular_det(m.entries)
+    return Mat3(tuple(z / d for z in kernels.adj3(m.entries)))
 
 
 def kernel_vector(m: Mat3) -> Vec3:

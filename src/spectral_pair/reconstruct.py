@@ -19,13 +19,13 @@ from .linalg import (
     Vec3,
     check_separation,
     finite_entries,
+    nonsingular_det,
     solve_cubic,
 )
 from .spectral import (
     CurveCoefficients,
     NormalizedPair,
     SpectralData,
-    _check_nondegenerate,
     _gauge_fix,
     divisor_point,
     validate_spectral_data,
@@ -106,7 +106,7 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     u21_cf, u31_cf = _closed_form_lower_left(c, h, L, M)
     ref = max(1.0, abs(u21), abs(u31))
     mismatch = max(abs(u21 - u21_cf), abs(u31 - u31_cf)) / ref
-    if mismatch > CLOSED_FORM_AGREEMENT:
+    if not mismatch <= CLOSED_FORM_AGREEMENT:
         raise ClosedFormMismatch(
             "closed forms for (u21, u31) disagree with the linear solve",
             mismatch=mismatch,
@@ -134,7 +134,7 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     order = sorted(range(3), key=lambda i: canonical_key(np.h[i]))
     h = tuple(np.h[i] for i in order)
     u = Mat3(tuple(np.u[i, j] for i in order for j in order))
-    _check_nondegenerate(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
-    _check_nondegenerate(u.entries, "B")
+    nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
+    nonsingular_det(u.entries, "B")
     return validate_spectral_data(
         SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u))))

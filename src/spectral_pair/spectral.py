@@ -10,7 +10,6 @@ explicit closed forms in (h, U).
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -24,7 +23,6 @@ from .config import (
     MARGIN_EIGENVALUE_SEPARATION,
     MARGIN_GAUGE,
     ON_CURVE,
-    PAIR_DETERMINANT,
     SYMMETRIC_FUNCTIONS,
 )
 from .errors import (
@@ -42,6 +40,7 @@ from .linalg import (
     det3,
     eig3,
     inv3,
+    nonsingular_det,
     separation,
     solve_cubic,
 )
@@ -115,20 +114,6 @@ class SpectralData(NamedTuple):
     divisor: DivisorPoint
 
 
-def _check_nondegenerate(entries: tuple[complex, ...], name: str) -> None:
-    """SingularMatrix unless the flat, already checked entries of a 3x3
-    matrix have a determinant above the relative threshold.
-
-    Written so that a NaN or infinite determinant or cube fails it: for
-    |M| above about 5.6e102 the cube overflows and the determinant may be
-    inf - inf."""
-    f = kernels.frob3(entries)
-    d = abs(kernels.det3(entries))
-    if not d > PAIR_DETERMINANT * f * f * f:
-        raise SingularMatrix(f"matrix {name} is numerically singular",
-                             which=name, det=d, norm=f)
-
-
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     """Diagonalize the first matrix and gauge-fix the second.
 
@@ -137,8 +122,8 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.
     """
-    _check_nondegenerate(pair.a.entries, "A")
-    _check_nondegenerate(pair.b.entries, "B")
+    nonsingular_det(pair.a.entries, "A")
+    nonsingular_det(pair.b.entries, "B")
 
     values, vectors = eig3(pair.a)
     return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
@@ -151,25 +136,29 @@ def _in_eigenbasis(b: Mat3, vectors) -> Mat3:
     return Mat3(kernels.matmul3(vb, v.entries))
 
 
+def _gauge_ratio(u0: Mat3) -> float:
+    """min(|u12|, |u13|) / |U0|, the size of the gauge entries of the
+    eigenbasis matrix before the gauge fix; 0 when |U0| is 0, as it is for
+    U0 = 0 and when every squared entry underflows."""
+    norm = u0.norm()
+    return min(abs(u0[0, 1]), abs(u0[0, 2])) / norm if norm > 0.0 else 0.0
+
+
 def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
     """Rescale U0 by a diagonal conjugation so that u12 = u13 = 1."""
-    scale = u0.norm()
     u12, u13 = u0[0, 1], u0[0, 2]
-    if abs(u12) <= GAUGE * scale or abs(u13) <= GAUGE * scale:
+    ratio = _gauge_ratio(u0)
+    if ratio <= GAUGE:
         raise GaugeDegenerate(
             "second matrix has negligible (1,2) or (1,3) entry in the eigenbasis",
-            u12=abs(u12), u13=abs(u13), scale=scale)
+            ratio=ratio, u12=abs(u12), u13=abs(u13))
 
     # U = D U0 D^-1 with D = diag(1, u12, u13), entry by entry as
-    # d_i u0_ij / d_j, the gauge entries pinned to 1.  The reciprocals are
-    # checked where they are taken: when |U0| underflows to 0 the relative
-    # test above passes, and 1/u12 of a subnormal u12 overflows.  The unit
-    # factors set the sign of a zero imaginary part as the matrix product did.
+    # d_i u0_ij / d_j, the gauge entries pinned to 1.  The reciprocals stay
+    # finite: a positive |U0| is at least 2.2e-162 (the root of the smallest
+    # subnormal), so both entries exceed GAUGE times that.  The unit factors
+    # set the sign of a zero imaginary part as the matrix product did.
     r12, r13 = 1.0 / u12, 1.0 / u13
-    if not (cmath.isfinite(r12) and cmath.isfinite(r13)):
-        raise GaugeDegenerate(
-            "reciprocal of the (1,2) or (1,3) entry overflows",
-            u12=abs(u12), u13=abs(u13), scale=scale)
     e = u0.entries
     u = Mat3((1.0 * e[0] * 1.0, 1.0, 1.0,
               u12 * e[3] * 1.0, u12 * e[4] * r12, u12 * e[5] * r13,
@@ -202,6 +191,15 @@ def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
     )
 
 
+def _divisor_denominator(np: NormalizedPair) -> tuple[complex, float]:
+    """The denominator u12 u13 (h3 - h2) of the divisor point, and its
+    ratio to max(1, max|h_i|) max(1, |U|)^2."""
+    h1, h2, h3 = np.h
+    den = np.u[0, 1] * np.u[0, 2] * (h3 - h2)
+    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, np.u.norm()) ** 2
+    return den, abs(den) / scale
+
+
 def divisor_point(np: NormalizedPair) -> DivisorPoint:
     """The third zero (L : M : 1) of the first-coordinate section.
 
@@ -211,13 +209,12 @@ def divisor_point(np: NormalizedPair) -> DivisorPoint:
     mu-coordinate carries denominator (h2 - h3), fixed here by the on-curve
     and kernel checks.
     """
-    h1, h2, h3 = np.h
+    _, h2, h3 = np.h
     _, u12, u13, _, u22, u23, _, u32, u33 = np.u.entries
-    den = u12 * u13 * (h3 - h2)
-    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, np.u.norm()) ** 2
-    if abs(den) <= DIVISOR_DENOMINATOR * scale:
+    den, ratio = _divisor_denominator(np)
+    if ratio <= DIVISOR_DENOMINATOR:
         raise DegenerateDivisor("divisor denominator u12*u13*(h3 - h2) is negligible",
-                                denominator=abs(den), scale=scale)
+                                denominator=abs(den), ratio=ratio)
     det_a = u12 * u23 - u13 * u22   # rows (1,2) of the pencil minors
     det_b = u12 * u33 - u13 * u32   # rows (1,3)
     l_val = (u12 * h3 * det_a + u13 * h2 * det_b) / den
@@ -256,12 +253,12 @@ def validate_spectral_data(sd: SpectralData) -> SpectralData:
     )
     for name, lhs, rhs in pairs:
         scale = max(1.0, abs(lhs), abs(rhs))
-        if abs(lhs - rhs) > SYMMETRIC_FUNCTIONS * scale:
+        if not abs(lhs - rhs) <= SYMMETRIC_FUNCTIONS * scale:
             raise InvariantViolation(
                 f"eigenvalues do not match coefficient {name}",
                 component=name, residual=abs(lhs - rhs) / scale)
     residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
-    if residual > ON_CURVE:
+    if not residual <= ON_CURVE:
         raise InvariantViolation("divisor point does not lie on the curve",
                                  component="divisor", residual=residual)
     return sd
@@ -379,7 +376,7 @@ def forward(pair: MatrixPair) -> Forward:
 
     for name, m in (("A", pair.a), ("B", pair.b)):
         try:
-            _check_nondegenerate(m.entries, name)
+            nonsingular_det(m.entries, name)
         except SingularMatrix as exc:
             errors.append(exc)
         add("determinant_" + name.lower(), _determinant_margin(m.entries))
@@ -401,22 +398,18 @@ def forward(pair: MatrixPair) -> Forward:
             errors.append(exc)
             add("gauge_entries", None, exc.code)
         else:
-            norm = u0.norm()
-            margin = (min(abs(u0[0, 1]), abs(u0[0, 2])) / norm
-                      if norm > 0.0 else 0.0)
             note = ""
             try:
                 np = _gauge_fix(values, u0)
             except GaugeDegenerate as exc:
                 errors.append(exc)
                 note = exc.code
-            add("gauge_entries", margin, note)
+            add("gauge_entries", _gauge_ratio(u0), note)
 
     if np is None:
         return done()
 
-    h1, h2, h3 = np.h
-    add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)))
+    add("divisor_denominator", _divisor_denominator(np)[1])
 
     try:
         sd = spectral_data_of_normalized(np)

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from spectral_pair import Mat3, MatrixPair, jsonio, random_pair
+from spectral_pair import (
+    CurveCoefficients,
+    DivisorPoint,
+    Mat3,
+    MatrixPair,
+    SpectralData,
+    jsonio,
+    random_pair,
+)
 
 # exact integer fixture: the whole forward map lands on integers, so every
 # stage can be checked by hand.
@@ -53,6 +61,20 @@ def scaled_pair_file(tmp_path, which: str, scale: float) -> str:
     path = tmp_path / f"pair_{which}_{scale:g}.json"
     path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
     return str(path)
+
+
+def overflowing_spectral_doc() -> dict:
+    """A spectral document whose divisor point is off the curve, although
+    its scaled curve residual overflows to NaN: h = (1e100, 2e100, 3e100)
+    with matching p_plus, p_minus and d1, the other six coefficients 1,
+    and L = M = 1e3."""
+    h1, h2, h3 = h = (1e100, 2e100, 3e100)
+    coeffs = CurveCoefficients(
+        d1=h1 * h2 * h3, d2=1, p_plus=h1 + h2 + h3,
+        p_minus=h1 * h2 + h1 * h3 + h2 * h3,
+        q_plus=1, q_minus=1, r_plus=1, r_minus=1, t=1)
+    return jsonio.spectral_to_doc(
+        SpectralData(h, coeffs, DivisorPoint(1e3, 1e3)))
 
 
 def _reject_constant(name):

@@ -315,9 +315,12 @@ def report_by_stages(pair) -> GeneralPositionReport:
         add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return GeneralPositionReport(tuple(checks))
 
-    h1, h2, h3 = np.h
-    add("divisor_denominator", abs(h3 - h2) / max(abs(h1), abs(h2), abs(h3)),
-        MARGIN_DIVISOR_DENOMINATOR)
+    # |u12 u13 (h3 - h2)| against max(1, max|h_i|) max(1, |U|)^2, the
+    # ratio divisor_point tests
+    u = np.u
+    denominator = abs(u[0, 1] * u[0, 2] * (np.h[2] - np.h[1]))
+    scale = max(1.0, *(abs(h) for h in np.h)) * max(1.0, u.norm()) ** 2
+    add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR)
 
     try:
         sd = spectral_data_of_normalized(np)

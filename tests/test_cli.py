@@ -14,6 +14,7 @@ from spectral_pair.cli import main
 from conftest import (
     PAIR_FIXTURE,
     SPECTRAL_FIXTURE,
+    overflowing_spectral_doc,
     scaled_pair_file,
     strict_loads,
 )
@@ -87,6 +88,16 @@ def test_reconstruct_off_curve_rejected(tmp_path, capsys):
     payload = json.loads(err)["error"]
     assert payload["code"] == "invariant_violation"
     assert payload["detail"]["component"] == "divisor"
+
+
+def test_reconstruct_nan_curve_residual_rejected(tmp_path, capsys):
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(overflowing_spectral_doc()))
+    code, out, err = run(capsys, "reconstruct", str(path))
+    assert (code, out) == (3, "")
+    payload = strict_loads(err)["error"]
+    assert payload["code"] == "invariant_violation"
+    assert payload["detail"]["residual"] == "nan"
 
 
 def test_act_word_swap_matches_swapped_pair(tmp_path, capsys):
@@ -201,7 +212,7 @@ def test_check_subcommand(capsys):
 @pytest.mark.parametrize("which, scale", [
     pytest.param("a", 1e-110, id="a"),
     pytest.param("b", 1e-110, id="b"),
-    # |U0| underflows to 0, so only the overflowing 1/u12 rejects the gauge
+    # |U0| underflows to 0, so the gauge ratio reads 0 (1/u12 would overflow)
     pytest.param("b", 1e-310, id="b-1e-310"),
     # |M|^3 overflows, and the determinant is inf or inf - inf
     pytest.param("a", 1e110, id="a-1e110"),

@@ -14,7 +14,7 @@ from spectral_pair import (
     spectral_residuals,
 )
 
-from conftest import rng_matrix
+from conftest import overflowing_spectral_doc, rng_matrix
 
 
 def test_pair_round_trip_bit_exact(seeded_pairs):
@@ -66,6 +66,14 @@ def test_off_curve_divisor_fails_load(seeded_pairs):
     with pytest.raises(InvariantViolation) as info:
         jsonio.doc_to_spectral(doc)
     assert info.value.detail.get("component") == "divisor"
+
+
+def test_nan_curve_residual_fails_load():
+    doc = json.loads(json.dumps(overflowing_spectral_doc()))
+    with pytest.raises(InvariantViolation) as info:
+        jsonio.doc_to_spectral(doc)
+    assert info.value.detail.get("component") == "divisor"
+    assert math.isnan(info.value.detail["residual"])
 
 
 def test_inconsistent_eigenvalues_fail_load(seeded_pairs):

@@ -1,0 +1,196 @@
+"""Every coded rule can fire.
+
+Each ``raise`` of a package error in the numeric modules must run on at
+least one of the inputs below, which run under ``sys.settrace``.  A rule
+that no input reaches is either dead code or a rule without a test, and a
+new rule fails this test until an input that fires it is added here.
+"""
+
+import ast
+import builtins
+import importlib
+import sys
+
+import pytest
+
+from spectral_pair import (
+    CubicPoly,
+    CurveCoefficients,
+    DivisorPoint,
+    GL2ZMatrix,
+    Generator,
+    Mat3,
+    MatrixPair,
+    ProjectiveLine,
+    ProjectivePoint,
+    SpectralPairError,
+    act_word_spectral,
+    eig3,
+    inv3,
+    invert_spectral,
+    kernel_vector,
+    line_through,
+    normalize_pair,
+    random_pair,
+    reconstruct,
+    solve_cubic,
+    spectral_data,
+    swap_spectral,
+    third_intersection,
+    validate_spectral_data,
+)
+
+from conftest import FIXTURE_A, FIXTURE_B
+
+MODULES = ("linalg", "spectral", "reconstruct", "gl2z", "cubic")
+
+reconstruct_module = importlib.import_module("spectral_pair.reconstruct")
+
+
+def raise_sites() -> dict[str, list[tuple[int, int]]]:
+    """File -> (first, last) line of every raise of a called class that is
+    not a builtin: the package's errors, and the error class that
+    ``check_separation`` is handed."""
+    sites = {}
+    for name in MODULES:
+        path = importlib.import_module(f"spectral_pair.{name}").__file__
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        sites[path] = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                       if isinstance(node, ast.Raise)
+                       and isinstance(node.exc, ast.Call)
+                       and isinstance(node.exc.func, ast.Name)
+                       and not hasattr(builtins, node.exc.func.id)]
+    return sites
+
+
+def executed_lines(paths, triggers) -> set[tuple[str, int]]:
+    """(file, line) of every line of ``paths`` that runs while each trigger
+    raises its coded error."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in paths else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for trigger in triggers:
+            with pytest.raises(SpectralPairError):
+                trigger()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def fixture_sd():
+    return spectral_data(MatrixPair(FIXTURE_A, FIXTURE_B))
+
+
+def reducible_curve_chord():
+    # (lam + mu)(lam^2 + mu^2 + nu^2) contains the line through its points
+    # (1 : -1 : 0) and (0 : 0 : 1)
+    coeffs = CurveCoefficients(d1=1, d2=0, p_plus=1, p_minus=1, q_plus=0,
+                               q_minus=1, r_plus=0, r_minus=1, t=0)
+    p1, p2 = ProjectivePoint(1, -1, 0), ProjectivePoint(0, 0, 1)
+    third_intersection(coeffs, line_through(p1, p2), p1, p2)
+
+
+def chord_through_moved_divisor():
+    # L moved by 1e-7 still passes the 1e-6 incidence test; the third point
+    # then misses the curve (1 + 1e-8 does not)
+    sd = spectral_data(random_pair(1))
+    p1 = ProjectivePoint(sd.h[0], -1.0, 0.0)
+    q = ProjectivePoint(sd.divisor.L * (1 + 1e-7), sd.divisor.M, 1.0)
+    third_intersection(sd.coeffs, line_through(p1, q), p1, q)
+
+
+def third_intersection_off_the_line():
+    sd = fixture_sd()
+    p1, p2 = ProjectivePoint(1, -1, 0), ProjectivePoint(2, -1, 0)
+    third_intersection(sd.coeffs, ProjectiveLine(1, 0, 0), p1, p2)
+
+
+def third_intersection_off_the_curve():
+    sd = fixture_sd()
+    p1, off = ProjectivePoint(1, -1, 0), ProjectivePoint(0.1, 0.2, 1.0)
+    third_intersection(sd.coeffs, line_through(p1, off), p1, off)
+
+
+def third_intersection_of_one_point():
+    sd = fixture_sd()
+    p1 = ProjectivePoint(1, -1, 0)
+    line = line_through(p1, ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0))
+    third_intersection(sd.coeffs, line, p1, p1)
+
+
+def swap_to_gauge_degenerate_pair():
+    # A's (1,2) entry is 0 in B's eigenbasis, so the exchanged pair (B, A)
+    # has no gauge and its divisor point lies at infinity
+    a = Mat3.from_rows([[2, 0, 1], [5, 3, -2], [7, 1, 4]])
+    swap_spectral(spectral_data(MatrixPair(a, Mat3.diagonal(1, 2, 3))))
+
+
+def swap_with_repeated_second_spectrum():
+    v = Mat3.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    b = v @ Mat3.diagonal(1, 1, 2) @ inv3(v)
+    sd = spectral_data(MatrixPair(FIXTURE_A, b))
+    act_word_spectral((Generator.SWAP,), sd)
+
+
+def biased_closed_form(monkeypatch):
+    original = reconstruct_module._closed_form_lower_left
+
+    def biased(*args):
+        u21, u31 = original(*args)
+        return u21 * (1 + 1e-6), u31
+
+    def trigger():
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct_module, "_closed_form_lower_left", biased)
+            reconstruct(fixture_sd())
+    return trigger
+
+
+def test_every_coded_raise_runs(monkeypatch):
+    sd = fixture_sd()
+    triggers = [
+        # linalg
+        lambda: solve_cubic(CubicPoly(0.0, 1.0, 2.0, 3.0)),
+        lambda: inv3(Mat3.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])),
+        lambda: kernel_vector(Mat3.identity()),
+        lambda: kernel_vector(Mat3.diagonal(1, 1, 3e-8)),
+        lambda: eig3(Mat3.diagonal(1, 1, 2)),
+        # spectral
+        lambda: normalize_pair(MatrixPair(FIXTURE_A, Mat3.identity())),
+        lambda: spectral_data(MatrixPair(Mat3.diagonal(1, 2, 2 + 5e-6),
+                                         FIXTURE_B.scaled(100))),
+        lambda: validate_spectral_data(sd._replace(h=(1, 2, 4))),
+        lambda: validate_spectral_data(sd._replace(divisor=DivisorPoint(-8, 2))),
+        # reconstruct
+        biased_closed_form(monkeypatch),
+        # gl2z
+        lambda: GL2ZMatrix(2, 0, 0, 1),
+        swap_to_gauge_degenerate_pair,
+        swap_with_repeated_second_spectrum,
+        lambda: invert_spectral(sd._replace(h=(0, 2, 3))),
+        # cubic
+        lambda: line_through(ProjectivePoint(1, 2, 3), ProjectivePoint(2, 4, 6)),
+        third_intersection_off_the_curve,
+        third_intersection_off_the_line,
+        third_intersection_of_one_point,
+        reducible_curve_chord,
+        chord_through_moved_divisor,
+    ]
+    sites = raise_sites()
+    seen = executed_lines(set(sites), triggers)
+    missing = [(path, first) for path, spans in sites.items()
+               for first, last in spans
+               if not any((path, line) in seen for line in range(first, last + 1))]
+    assert sum(map(len, sites.values())) >= 20
+    assert missing == []

@@ -3,6 +3,8 @@
 ``config.py`` holds one float constant per threshold and nothing else; no
 function takes a tolerance parameter, and every constant is imported and
 read by some other module of the package, so no dead threshold survives.
+The singular-matrix test is written once: one function constructs
+``SingularMatrix``.
 """
 
 import ast
@@ -57,6 +59,23 @@ def config_names_read(tree: ast.Module) -> set[str]:
     return imported & read
 
 
+def functions_calling(tree: ast.Module, callee: str) -> set[str]:
+    """Names of the innermost functions that call ``callee`` by name."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == callee:
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
 def test_tol_parameter_is_detected():
     source = "def f(x, tol=None):\n    pass\ndef g(*, tol):\n    pass\n"
     assert tol_parameters(ast.parse(source)) == ["f (line 1)", "g (line 3)"]
@@ -82,3 +101,16 @@ def test_every_threshold_is_read_by_another_module():
         if path.name != "config.py":
             read |= config_names_read(parse(path))
     assert sorted(set(constants) - read) == []
+
+
+def test_calls_are_found_in_the_innermost_function():
+    source = ("def f():\n    def g():\n        E()\n    return g\n"
+              "def h():\n    E(E())\n")
+    assert functions_calling(ast.parse(source), "E") == {"g", "h"}
+
+
+def test_one_function_holds_the_singular_matrix_test():
+    found = {(path.name, function)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function in functions_calling(parse(path), "SingularMatrix")}
+    assert found == {("linalg.py", "nonsingular_det")}
