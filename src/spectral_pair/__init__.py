@@ -33,8 +33,6 @@ from .cubic import (
     ProjectiveLine,
     ProjectivePoint,
     chord_swap_divisor,
-    evaluate_curve,
-    evaluate_curve_raw,
     line_through,
     projective_distance,
     third_intersection,

@@ -1,6 +1,7 @@
-"""Projective-plane utilities for the spectral cubic: evaluation, lines,
-third intersections, and the chord construction that transports the divisor
-point when the two matrices are exchanged."""
+"""Projective-plane utilities for the spectral cubic: lines, third
+intersections, and the chord construction that transports the divisor point
+when the two matrices are exchanged.  Points and lines are plain coordinate
+3-tuples inside; the public functions convert at the boundary."""
 
 from __future__ import annotations
 
@@ -18,6 +19,22 @@ from .linalg import vec_norm
 from .spectral import CurveCoefficients
 
 
+def _normalized(p) -> tuple[complex, complex, complex]:
+    """p's coordinates as ``complex``, the largest one scaled to 1."""
+    a, b, c = complex(p[0]), complex(p[1]), complex(p[2])
+    # the first of the largest, as max(key=abs) picks it, without its calls
+    pivot = b if abs(b) > abs(a) else a
+    if abs(c) > abs(pivot):
+        pivot = c
+    if pivot == 0:
+        raise ValueError("zero projective point")
+    return (a / pivot, b / pivot, c / pivot)
+
+
+def _line_value(line, p) -> complex:
+    return line[0] * p[0] + line[1] * p[1] + line[2] * p[2]
+
+
 class ProjectivePoint(NamedTuple):
     """Homogeneous coordinates (lam : mu : nu)."""
 
@@ -33,11 +50,7 @@ class ProjectivePoint(NamedTuple):
 
     def normalized(self) -> "ProjectivePoint":
         """Representative with the largest-magnitude coordinate scaled to 1."""
-        c = self.coords()
-        pivot = max(c, key=abs)
-        if pivot == 0:
-            raise ValueError("zero projective point")
-        return ProjectivePoint(*(z / pivot for z in c))
+        return ProjectivePoint(*_normalized(self))
 
 
 class ProjectiveLine(NamedTuple):
@@ -47,8 +60,7 @@ class ProjectiveLine(NamedTuple):
     b: complex
     c: complex
 
-    def __call__(self, p: ProjectivePoint) -> complex:
-        return self.a * p.lam + self.b * p.mu + self.c * p.nu
+    __call__ = _line_value
 
     def max_abs(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c))
@@ -63,46 +75,30 @@ def _cross(p, q):
 def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """Scale-free distance: norm of the cross product of unit representatives
     (the sine of the Fubini-Study angle)."""
-    return min_projective_distance((p, q))
+    return _distance(p.coords(), q.coords())
 
 
-def min_projective_distance(points) -> float:
-    """Smallest ``projective_distance`` over all pairs of the points, each
-    point's norm taken once."""
-    coords = [p.coords() for p in points]
-    norms = [vec_norm(c) for c in coords]
-    if 0.0 in norms:
+def _distance(p, q) -> float:
+    """``projective_distance`` on coordinate tuples."""
+    norm_p, norm_q = vec_norm(p), vec_norm(q)
+    if norm_p == 0.0 or norm_q == 0.0:
         raise ValueError("zero projective point")
-    n = len(coords)
-    return min(vec_norm(_cross(coords[i], coords[j])) / (norms[i] * norms[j])
-               for i in range(n) for j in range(i + 1, n))
-
-
-def evaluate_curve_raw(coeffs: CurveCoefficients, lam: complex, mu: complex,
-                       nu: complex) -> complex:
-    """Value of the cubic at the given (unnormalized) coordinates."""
-    return kernels.eval_curve9(coeffs, lam, mu, nu)
-
-
-def evaluate_curve(coeffs: CurveCoefficients, p: ProjectivePoint) -> complex:
-    """Value of the cubic at the normalized representative of p."""
-    n = p.normalized()
-    return kernels.eval_curve9(coeffs, n.lam, n.mu, n.nu)
+    return vec_norm(_cross(p, q)) / (norm_p * norm_q)
 
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
     """Line through two distinct points, via the coordinate cross product."""
-    return _line_through(p.normalized(), q.normalized())
+    return ProjectiveLine(*_line_through(_normalized(p), _normalized(q)))
 
 
-def _line_through(pn: ProjectivePoint, qn: ProjectivePoint) -> ProjectiveLine:
-    """``line_through`` on normalized representatives."""
-    cross = _cross(pn.coords(), qn.coords())
+def _line_through(pn, qn) -> tuple[complex, complex, complex]:
+    """``line_through`` on normalized coordinate tuples."""
+    cross = _cross(pn, qn)
     distance = vec_norm(cross)
     if distance <= COINCIDENT_POINTS * 4.0:
         raise CoincidentPoints("points are projectively equal",
                                distance=distance)
-    return ProjectiveLine(*cross)
+    return cross
 
 
 def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
@@ -114,39 +110,38 @@ def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
     + c03 t^3 with c30 = c03 = 0 forced by incidence, so the remaining root
     is (s : t) = (-c12 : c21).  Exact deflation avoids any root matching.
     """
-    return _third_intersection(coeffs, line, p1.normalized(), p2.normalized())
+    p1n, p2n = _normalized(p1), _normalized(p2)
+    point, _ = _third_intersection(coeffs, coeffs.max_magnitude(), line, p1n,
+                                   p2n, kernels.eval_curve9(coeffs, *p2n))
+    return ProjectivePoint(*point)
 
 
-def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
-                        p1n: ProjectivePoint,
-                        p2n: ProjectivePoint) -> ProjectivePoint:
-    """``third_intersection`` on normalized representatives; the point it
-    returns is normalized too."""
-    cscale = coeffs.max_magnitude()
+def _third_intersection(coeffs: CurveCoefficients, cscale: float, line,
+                        p1n, p2n, c03: complex):
+    """``third_intersection`` on normalized tuples, given the coefficients'
+    ``max_magnitude`` as ``cscale`` and the curve's value c03 at p2n.
+    Returns the third point, normalized, and the curve's value there, so
+    that a chord from that point does not evaluate it again."""
     # the curve's values at the two points are the restricted cubic's c30
     # and c03, so the incidence test below bounds them
-    c30, c03 = (kernels.eval_curve9(coeffs, *pt) for pt in (p1n, p2n))
+    c30 = kernels.eval_curve9(coeffs, *p1n)
+    lscale = max(abs(line[0]), abs(line[1]), abs(line[2]), 1e-300)
     for name, pt, value in (("p1", p1n, c30), ("p2", p2n, c03)):
         residual = abs(value)
         if not residual <= INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve",
                                     which=name, residual=residual)
-        lres = abs(line(pt)) / max(line.max_abs(), 1e-300)
+        lres = abs(_line_value(line, pt)) / lscale
         if not lres <= INCIDENCE:
             raise InputsNotIncident(f"{name} is not on the line",
                                     which=name, residual=lres)
-    if projective_distance(p1n, p2n) <= INCIDENCE:
+    if _distance(p1n, p2n) <= INCIDENCE:
         raise InputsNotIncident("the two base points coincide")
 
-    def at(s: complex, t: complex) -> complex:
-        return kernels.eval_curve9(
-            coeffs,
-            s * p1n.lam + t * p2n.lam,
-            s * p1n.mu + t * p2n.mu,
-            s * p1n.nu + t * p2n.nu)
-
-    f11 = at(1.0, 1.0)
-    f1m = at(1.0, -1.0)
+    # the restricted cubic at (s, t) = (1, 1) and (1, -1)
+    (l1, m1, n1), (l2, m2, n2) = p1n, p2n
+    f11 = kernels.eval_curve9(coeffs, l1 + l2, m1 + m2, n1 + n2)
+    f1m = kernels.eval_curve9(coeffs, l1 - l2, m1 - m2, n1 - n2)
     c21 = 0.5 * (f11 - f1m) - c03
     c12 = 0.5 * (f11 + f1m) - c30
 
@@ -155,15 +150,13 @@ def _third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
                           "the line is a component of the curve")
 
     s, t = -c12, c21
-    point = ProjectivePoint(
-        s * p1n.lam + t * p2n.lam,
-        s * p1n.mu + t * p2n.mu,
-        s * p1n.nu + t * p2n.nu).normalized()
-    residual = abs(kernels.eval_curve9(coeffs, point.lam, point.mu, point.nu)) / cscale
+    point = _normalized((s * l1 + t * l2, s * m1 + t * m2, s * n1 + t * n2))
+    value = kernels.eval_curve9(coeffs, *point)
+    residual = abs(value) / cscale
     if not residual <= THIRD_POINT_ON_CURVE:
         raise InputsNotIncident("deflated third point misses the curve",
                                 residual=residual)
-    return point
+    return point, value
 
 
 def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
@@ -175,9 +168,15 @@ def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
     intersection T with the cubic, then the chord through p_first and T; the
     third intersection Y of that line completes the divisor equivalent to
     the original one with the fixed points moved from the nu = 0 line to the
-    mu = 0 line.  Each of the five points is normalized once.
+    mu = 0 line.  Each of the five points is normalized once, and the cubic
+    is evaluated once at each.
     """
-    xn, qn = x_first.normalized(), q.normalized()
-    t_point = _third_intersection(coeffs, _line_through(xn, qn), xn, qn)
-    pn = p_first.normalized()
-    return _third_intersection(coeffs, _line_through(pn, t_point), pn, t_point)
+    cscale = coeffs.max_magnitude()
+    xn, qn = _normalized(x_first), _normalized(q)
+    t_point, t_value = _third_intersection(
+        coeffs, cscale, _line_through(xn, qn), xn, qn,
+        kernels.eval_curve9(coeffs, *qn))
+    pn = _normalized(p_first)
+    y, _ = _third_intersection(coeffs, cscale, _line_through(pn, t_point),
+                               pn, t_point, t_value)
+    return ProjectivePoint(*y)

@@ -169,19 +169,16 @@ def swap_spectral(sd: SpectralData) -> SpectralData:
     check_separation(xi, SwappedPairDegenerate,
                      "second matrix has nearly repeated eigenvalues")
 
-    p_first = ProjectivePoint(sd.h[0], -1.0, 0.0)
-    x_first = ProjectivePoint(xi[0], 0.0, -1.0)
-    q_point = ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0)
-    y = chord_swap_divisor(c, p_first, x_first, q_point)
-
-    y_swapped = ProjectivePoint(y.lam, y.nu, y.mu)
-    if abs(y_swapped.nu) <= DIVISOR_DENOMINATOR * y_swapped.max_abs():
+    y = chord_swap_divisor(c, ProjectivePoint(sd.h[0], -1.0, 0.0),
+                           ProjectivePoint(xi[0], 0.0, -1.0),
+                           ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0))
+    # after the exchange, y's mu coordinate is the nu coordinate
+    if abs(y.mu) <= DIVISOR_DENOMINATOR * y.max_abs():
         raise SwappedPairDegenerate(
             "transported divisor point lies on the line at infinity",
-            nu=abs(y_swapped.nu))
+            nu=abs(y.mu))
     return validate_spectral_data(SpectralData(
-        xi, swapped,
-        DivisorPoint(y_swapped.lam / y_swapped.nu, y_swapped.mu / y_swapped.nu)))
+        xi, swapped, DivisorPoint(y.lam / y.mu, y.nu / y.mu)))
 
 
 def tilde_r_minus(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> complex:

@@ -37,7 +37,10 @@ def json_to_complex(value: Any, where: str) -> complex:
                        for x in value)):
         raise SchemaError(f"{where}: expected a [re, im] pair of numbers",
                           where=where)
-    re, im = float(value[0]), float(value[1])
+    try:
+        re, im = float(value[0]), float(value[1])
+    except OverflowError:   # an integer literal beyond the float range
+        re = im = math.inf
     if not (math.isfinite(re) and math.isfinite(im)):
         raise SchemaError(f"{where}: components must be finite", where=where)
     return complex(re, im)

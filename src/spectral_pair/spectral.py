@@ -335,6 +335,31 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     return abs(kernels.det3(scaled)) / kernels.frob3(scaled) ** 3
 
 
+def _axis_point_separation(h: Vec3, xi: Vec3, s: Vec3) -> float:
+    """Smallest |P x Q| / (|P| |Q|) over the points P = (h : -1 : 0),
+    X = (xi : 0 : -1) and Z = (0 : s : 1) where the curve meets the axes:
+    |P|^2 = |h|^2 + 1, |P_i x P_j| = |h_j - h_i| (likewise for X and Z),
+    |P x X|^2 = 1 + |h|^2 + |xi|^2, |P x Z|^2 = 1 + |h|^2 + |hs|^2 and
+    |X x Z|^2 = |s|^2 + |xi|^2 + |xi s|^2.  Squares are summed in
+    ``vec_norm``'s order and ``min`` takes the pairs of the list P, X, Z in
+    order, so the bits, a NaN included, are the generic cross product's."""
+    sqrt = math.sqrt
+    hh, xx, ss = ([abs(z) ** 2 for z in r] for r in (h, xi, s))
+    nh, nx, ns = ([sqrt(a + 1.0) for a in sq] for sq in (hh, xx, ss))
+    d = []
+    for i, (p, a, n) in enumerate(zip(h, hh, nh)):
+        d += [sqrt(abs(h[j] - p) ** 2) / (n * nh[j]) for j in range(i + 1, 3)]
+        d += [sqrt(1.0 + a + b) / (n * m) for b, m in zip(xx, nx)]
+        d += [sqrt(1.0 + a + abs(p * t) ** 2) / (n * m) for t, m in zip(s, ns)]
+    for i, (x, a, n) in enumerate(zip(xi, xx, nx)):
+        d += [sqrt(abs(xi[j] - x) ** 2) / (n * nx[j]) for j in range(i + 1, 3)]
+        d += [sqrt(b + a + abs(x * t) ** 2) / (n * m)
+              for t, b, m in zip(s, ss, ns)]
+    d += [sqrt(abs(s[j] - s[i]) ** 2) / (ns[i] * ns[j])
+          for i in range(3) for j in range(i + 1, 3)]
+    return min(d)
+
+
 #: every check of the report, in order, with its threshold; the
 #: ``divisor_on_curve`` margin is ON_CURVE minus the residual, so its
 #: threshold is 0
@@ -356,8 +381,6 @@ def forward(pair: MatrixPair) -> Forward:
     leaves the checks that depend on it failed with the error code, or with
     "unavailable", as their note.
     """
-    from .cubic import ProjectivePoint, min_projective_distance
-
     checks: list[PositionCheck] = []
     errors: list[GeneralPositionError] = []
 
@@ -427,10 +450,7 @@ def forward(pair: MatrixPair) -> Forward:
     except GeneralPositionError as exc:
         add("axis_point_separation", None, exc.code)
     else:
-        points = ([ProjectivePoint(h, -1.0, 0.0) for h in np.h]
-                  + [ProjectivePoint(x, 0.0, -1.0) for x in xi]
-                  + [ProjectivePoint(0.0, s, 1.0) for s in lam0])
-        add("axis_point_separation", min_projective_distance(points))
+        add("axis_point_separation", _axis_point_separation(np.h, xi, lam0))
     return done(np, sd)
 
 

@@ -63,6 +63,16 @@ def scaled_pair_file(tmp_path, which: str, scale: float) -> str:
     return str(path)
 
 
+def oversized_integer_pair_file(tmp_path) -> str:
+    """Path of a copy of the pair fixture whose entry A[0][0] has a
+    400-digit integer real part, beyond the float range."""
+    doc = json.loads(Path(PAIR_FIXTURE).read_text())
+    doc["A"][0][0][0] = 10 ** 400
+    path = tmp_path / "pair_oversized_integer.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def overflowing_spectral_doc() -> dict:
     """A spectral document whose divisor point is off the curve, although
     its scaled curve residual overflows to NaN: h = (1e100, 2e100, 3e100)

@@ -28,8 +28,6 @@ from spectral_pair import (
     curve_residual,
     det3,
     eig3,
-    evaluate_curve,
-    evaluate_curve_raw,
     inv3,
     kernel_vector,
     projective_distance,
@@ -38,6 +36,7 @@ from spectral_pair import (
     spectral_data,
     spectral_data_of_normalized,
 )
+from spectral_pair import _kernels_py as kernels
 from spectral_pair.config import (
     COINCIDENT_POINTS,
     DEFLATION,
@@ -336,9 +335,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
     try:
         xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
         lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
-        points = ([ProjectivePoint(h, -1.0, 0.0) for h in np.h]
-                  + [ProjectivePoint(x, 0.0, -1.0) for x in xi]
-                  + [ProjectivePoint(0.0, s, 1.0) for s in lam0])
+        points = axis_points(np.h, xi, lam0)
         min_dist = min(projective_distance(points[i], points[j])
                        for i in range(9) for j in range(i + 1, 9))
         add("axis_point_separation", min_dist, MARGIN_AXIS_POINT_SEPARATION)
@@ -346,6 +343,43 @@ def report_by_stages(pair) -> GeneralPositionReport:
         add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
 
     return GeneralPositionReport(tuple(checks))
+
+
+# --- the cubic at a point, and the generic projective distance ---
+
+
+def evaluate_curve_raw(coeffs, lam, mu, nu) -> complex:
+    """Value of the cubic at the given (unnormalized) coordinates."""
+    return kernels.eval_curve9(coeffs, lam, mu, nu)
+
+
+def evaluate_curve(coeffs, p) -> complex:
+    """Value of the cubic at the normalized representative of p."""
+    n = p.normalized()
+    return kernels.eval_curve9(coeffs, n.lam, n.mu, n.nu)
+
+
+def min_projective_distance(points) -> float:
+    """Smallest projective distance over all pairs of the points, in the
+    order of the list's pairs: the generic cross product of each pair's
+    coordinate vectors over the product of their norms.  The report's
+    ``axis_point_separation`` writes this out for its nine points and must
+    give the same bits."""
+    coords = [p.coords() for p in points]
+    norms = [vec_norm(c) for c in coords]
+    if 0.0 in norms:
+        raise ValueError("zero projective point")
+    n = len(coords)
+    return min(vec_norm(_cross(coords[i], coords[j])) / (norms[i] * norms[j])
+               for i in range(n) for j in range(i + 1, n))
+
+
+def axis_points(h, xi, s) -> list:
+    """The nine points where the curve meets the coordinate lines, in the
+    report's order: (h : -1 : 0), (xi : 0 : -1), (0 : s : 1)."""
+    return ([ProjectivePoint(z, -1.0, 0.0) for z in h]
+            + [ProjectivePoint(z, 0.0, -1.0) for z in xi]
+            + [ProjectivePoint(0.0, z, 1.0) for z in s])
 
 
 # --- the chord construction, normalizing at every use ---

@@ -24,7 +24,6 @@ from spectral_pair import (
     curve_coefficients,
     decompose_gl2z,
     divisor_point,
-    evaluate_curve_raw,
     inv3,
     kernel_vector,
     line_through,
@@ -41,7 +40,7 @@ from spectral_pair import (
 )
 from spectral_pair.reconstruct import _closed_form_lower_left
 
-from oracles import curve_point_near, expanded_coefficients
+from oracles import curve_point_near, evaluate_curve_raw, expanded_coefficients
 
 
 def report(number: int, label: str, worst: float, bound: float) -> None:

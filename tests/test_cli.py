@@ -15,6 +15,7 @@ from conftest import (
     PAIR_FIXTURE,
     SPECTRAL_FIXTURE,
     overflowing_spectral_doc,
+    oversized_integer_pair_file,
     scaled_pair_file,
     strict_loads,
 )
@@ -58,6 +59,14 @@ def test_spectral_malformed_json(tmp_path, capsys):
     code, _, err = run(capsys, "spectral", str(path))
     assert code == 2
     assert json.loads(err)["error"]["code"] == "schema"
+
+
+def test_spectral_oversized_integer_is_a_schema_error(tmp_path, capsys):
+    code, out, err = run(capsys, "spectral", oversized_integer_pair_file(tmp_path))
+    assert (code, out) == (2, "")
+    payload = strict_loads(err)["error"]
+    assert payload["code"] == "schema"
+    assert payload["message"] == "A[0][0]: components must be finite"
 
 
 def test_spectral_missing_file(capsys):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from spectral_pair import _kernels_py as kernels
+from spectral_pair import cubic as cubic_module
 from spectral_pair import (
     CoincidentPoints,
     CubicPoly,
@@ -11,8 +13,6 @@ from spectral_pair import (
     LineOnCurve,
     ProjectivePoint,
     chord_swap_divisor,
-    evaluate_curve,
-    evaluate_curve_raw,
     line_through,
     normalize_pair,
     projective_distance,
@@ -22,7 +22,13 @@ from spectral_pair import (
     third_intersection,
 )
 
-from oracles import chord_swap_divisor_renormalizing, curve_point_near, match_roots
+from oracles import (
+    chord_swap_divisor_renormalizing,
+    curve_point_near,
+    evaluate_curve,
+    evaluate_curve_raw,
+    match_roots,
+)
 
 
 def eigen_points(sd):
@@ -111,8 +117,18 @@ def test_third_intersection_requires_distinct_points(seeded_pairs):
     sd = spectral_data(seeded_pairs[0])
     p1 = eigen_points(sd)[0]
     line = line_through(p1, ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0))
-    with pytest.raises(InputsNotIncident):
-        third_intersection(sd.coeffs, line, p1, p1)
+    # 1e-9 away, p1's neighbour passes both incidence tests
+    near = ProjectivePoint(sd.h[0] * (1 + 1e-9), -1.0, 0.0)
+    for p2 in (p1, near):
+        with pytest.raises(InputsNotIncident, match="coincide"):
+            third_intersection(sd.coeffs, line, p1, p2)
+
+
+def test_normalized_scales_the_first_largest_coordinate():
+    assert ProjectivePoint(1, -1, 0).normalized() == (1, -1, 0)
+    assert ProjectivePoint(0, 2j, -2).normalized() == (0, 1, 1j)
+    with pytest.raises(ValueError):
+        ProjectivePoint(0, 0, 0).normalized()
 
 
 def test_third_intersection_requires_incidence(seeded_pairs):
@@ -233,13 +249,31 @@ def test_chord_swap_matches_renormalizing_oracle(seeded_pairs):
 
 def test_swap_normalizes_each_chord_point_once(seeded_pairs, monkeypatch):
     calls = []
-    original = ProjectivePoint.normalized
+    original = cubic_module._normalized
 
     def counting_normalized(p):
         calls.append(p)
         return original(p)
 
     sd = spectral_data(seeded_pairs[0])
-    monkeypatch.setattr(ProjectivePoint, "normalized", counting_normalized)
+    monkeypatch.setattr(cubic_module, "_normalized", counting_normalized)
     swap_spectral(sd)
-    assert len(calls) <= 5   # 16 when every line and evaluation renormalized
+    assert len(calls) == 5   # 16 when every line and evaluation renormalized
+
+
+def test_swap_evaluates_the_cubic_at_most_ten_times(seeded_pairs, monkeypatch):
+    # once at each of the chord's five points, twice per chord for the
+    # restricted cubic at p1 + p2 and p1 - p2, and once for the divisor check
+    calls = []
+    original = kernels.eval_curve9
+
+    def counting_eval(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "eval_curve9", counting_eval)
+    for pair in seeded_pairs[:20]:
+        sd = spectral_data(pair)
+        calls.clear()
+        swap_spectral(sd)
+        assert 0 < len(calls) <= 10

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,11 @@ from spectral_pair import (
     spectral_residuals,
 )
 
-from conftest import overflowing_spectral_doc, rng_matrix
+from conftest import (
+    overflowing_spectral_doc,
+    oversized_integer_pair_file,
+    rng_matrix,
+)
 
 
 def test_pair_round_trip_bit_exact(seeded_pairs):
@@ -57,6 +62,17 @@ def test_bad_complex_shapes_rejected():
     for bad in ([1.0], [1.0, 2.0, 3.0], ["x", 0.0], [math.inf, 0.0], [True, 0.0]):
         with pytest.raises(SchemaError):
             jsonio.json_to_complex(bad, "z")
+
+
+def test_oversized_integer_is_a_schema_error(tmp_path):
+    # float() of an integer beyond the float range raises OverflowError
+    for bad in ([10 ** 400, 0.0], [0, -10 ** 400]):
+        with pytest.raises(SchemaError, match="components must be finite"):
+            jsonio.json_to_complex(bad, "z")
+    doc = jsonio.loads(Path(oversized_integer_pair_file(tmp_path)).read_text())
+    with pytest.raises(SchemaError) as info:
+        jsonio.doc_to_pair(doc)
+    assert info.value.detail == {"where": "A[0][0]"}
 
 
 def test_off_curve_divisor_fails_load(seeded_pairs):

@@ -12,6 +12,7 @@ from spectral_pair.cli import main
 from conftest import (
     PAIR_FIXTURE,
     SPECTRAL_FIXTURE,
+    oversized_integer_pair_file,
     scaled_pair_file,
     strict_loads,
 )
@@ -65,3 +66,10 @@ def test_error_lines_match_error_schema(tmp_path, capsys):
     validate(doc, "error")
     assert doc["error"]["code"] == "singular_matrix"
     assert doc["error"]["detail"]["det"] == "nan"
+
+    # a 400-digit integer entry is a schema error, not a traceback
+    code, _, err = run(capsys, "spectral", oversized_integer_pair_file(tmp_path))
+    assert code == 2
+    doc = strict_loads(err)
+    validate(doc, "error")
+    assert doc["error"]["code"] == "schema"

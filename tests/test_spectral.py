@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 
 import pytest
@@ -21,10 +22,12 @@ from spectral_pair import (
     inv3,
     kernel_vector,
     normalize_pair,
+    random_pair,
     spectral_data,
     spectral_residuals,
     well_conditioned_matrix,
 )
+from spectral_pair.cubic import ProjectivePoint
 
 from conftest import (
     FIXTURE_A,
@@ -35,11 +38,13 @@ from conftest import (
     rng_complex,
 )
 from oracles import (
+    axis_points,
     divisor_by_minor_equations,
     eig3_by_identity_shift,
     expanded_coefficients,
     gauge_fix_by_matmul,
     in_eigenbasis_by_matmul,
+    min_projective_distance,
     report_by_stages,
 )
 
@@ -251,6 +256,127 @@ def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
     checks = report_by_stages(DEGENERATE_PAIRS["divisor"]).checks
     assert [c.name for c in checks] == CHECK_NAMES
     assert [c.note for c in checks[-2:]] == ["degenerate_divisor", "unavailable"]
+
+
+def test_axis_point_separation_matches_nine_point_oracle(seeded_pairs,
+                                                        fixture_pair,
+                                                        monkeypatch):
+    """The report's closed form gives the bits of the generic cross
+    product over the nine axis points, on the roots the report hands it."""
+    seen = []
+    original = spectral_module._axis_point_separation
+
+    def recording(h, xi, s):
+        margin = original(h, xi, s)
+        seen.append(((h, xi, s), margin))
+        return margin
+
+    monkeypatch.setattr(spectral_module, "_axis_point_separation", recording)
+    rng = random.Random(17)
+    real = [MatrixPair(Mat3(tuple(rng.uniform(-1, 1) for _ in range(9))),
+                       Mat3(tuple(rng.uniform(-1, 1) for _ in range(9))))
+            for _ in range(200)]
+    scaled = [MatrixPair(FIXTURE_A.scaled(sa), FIXTURE_B.scaled(sb))
+              for k in range(-300, 301, 20)
+              for sa, sb in ((2.0 ** k, 1), (1, 2.0 ** k), (2.0 ** k, 2.0 ** k))]
+    pairs = [*seeded_pairs, *map(random_pair, range(100, 300)), fixture_pair,
+             *scaled, *real]
+    compared = 0
+    for pair in pairs:
+        seen.clear()
+        margin = general_position_report(pair).checks[-1].margin
+        if margin is None:
+            assert seen == []
+            continue
+        [(roots, value)] = seen
+        expected = min_projective_distance(axis_points(*roots))
+        assert repr(margin) == repr(value) == repr(expected), roots
+        compared += 1
+    assert compared >= 500
+
+
+NAN = float("nan")
+
+
+def outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+# the leading-coefficient test bounds the report's roots by about 1e12;
+# beyond about 1.3e154 a squared magnitude overflows, and both routes raise
+# the OverflowError of ``float ** 2``
+@pytest.mark.parametrize("h, xi, s", [
+    ((NAN, 2, 3), (0.5, -1.5, 2.5 + 1j), (1j, -2, 0.25)),
+    ((1, 2, 3), (0.5, complex(NAN, 0.0), 2.5 + 1j), (1j, -2, 0.25)),
+    ((1, 2, 3), (0.5, -1.5, 2.5 + 1j), (1j, -2, complex(0.25, NAN))),
+    ((1e150, 1.001e150, 3), (0.5, -1.5, 2.5 + 1j), (1j, -2, 0.25)),
+    ((1, 2, 3), (0.5, -1.5, 2.5 + 1j), (1j, 1e150j, 1.001e150j)),
+    ((1, 2, 3), (0.5, 1e200, 2.5 + 1j), (1j, -2, 0.25)),
+], ids=["nan-h1", "nan-xi2", "nan-s3", "1e150-h1", "1e150-s3", "1e200-xi2"])
+def test_axis_point_separation_matches_oracle_on_edge_roots(h, xi, s):
+    roots = tuple(tuple(map(complex, r)) for r in (h, xi, s))
+    assert (outcome(spectral_module._axis_point_separation, *roots)
+            == outcome(min_projective_distance, axis_points(*roots)))
+
+
+# roots that make each kind of pair the closest, so that each closed form,
+# not only the within-line one, decides the margin: h1 ~ xi1 ~ 1e3 brings
+# P1 and X1 together near (1 : 0 : 0), h1 ~ 1e-3 with s1 ~ 1e3 brings P1
+# and Z1 together near (0 : 1 : 0), and xi1 ~ s1 ~ 1e-3 brings X1 and Z1
+# together near (0 : 0 : 1); two roots of size 1e-160 have a gap whose
+# square is subnormal
+@pytest.mark.parametrize("closest", ["PP", "XX", "ZZ", "PP-tiny", "XX-tiny",
+                                     "ZZ-tiny", "PX", "PZ", "XZ"])
+def test_axis_point_separation_matches_oracle_for_each_closest_pair(closest):
+    rng = random.Random(closest)
+    for _ in range(50):
+        roots = {line: [rng_complex(rng, 2.0) for _ in range(3)]
+                 for line in "PXZ"}
+        h, xi, s = roots["P"], roots["X"], roots["Z"]
+        big, small = rng_complex(rng, 1e3), rng_complex(rng, 1e-3)
+        if closest.endswith("-tiny"):
+            r = roots[closest[0]]
+            r[0], r[1] = 1e-160 * r[0], 1e-160 * r[1]
+        elif closest[0] == closest[1]:
+            r = roots[closest[0]]
+            r[1] = r[0] + rng_complex(rng, 1e-4)
+        elif closest == "PX":
+            h[0], xi[0] = big, big * (1 + rng_complex(rng, 0.1))
+        elif closest == "PZ":
+            h[0], s[0] = small, big
+        else:
+            xi[0], s[0] = small, small * (1 + rng_complex(rng, 0.1))
+        args = (tuple(h), tuple(xi), tuple(s))
+        assert (repr(spectral_module._axis_point_separation(*args))
+                == repr(min_projective_distance(axis_points(*args))))
+
+
+def test_nan_axis_point_separation_fails_its_check(fixture_pair, monkeypatch):
+    original = spectral_module._axis_point_separation
+    monkeypatch.setattr(spectral_module, "_axis_point_separation",
+                        lambda h, xi, s: original((NAN, *h[1:]), xi, s))
+    check = general_position_report(fixture_pair).checks[-1]
+    assert check.name == "axis_point_separation"
+    assert math.isnan(check.margin) and not check.passed
+
+
+def test_report_builds_no_projective_point(seeded_pairs, monkeypatch):
+    calls = []
+    original = ProjectivePoint.__new__
+
+    def counting_new(cls, *args):
+        calls.append(1)
+        return original(cls, *args)
+
+    monkeypatch.setattr(ProjectivePoint, "__new__", counting_new)
+    ProjectivePoint(1.0, 0.0, 0.0)
+    assert len(calls) == 1   # the counter sees a construction
+    for pair in seeded_pairs[:10]:
+        assert general_position_report(pair).passed
+    assert len(calls) == 1
 
 
 def test_forward_raises_what_spectral_data_raises(seeded_pairs):
