@@ -29,14 +29,7 @@ from .errors import (
     SpectralPairError,
     SwappedPairDegenerate,
 )
-from .cubic import (
-    ProjectiveLine,
-    ProjectivePoint,
-    chord_swap_divisor,
-    line_through,
-    projective_distance,
-    third_intersection,
-)
+from .cubic import chord_swap_divisor
 from .gl2z import (
     GL2ZMatrix,
     Generator,
@@ -68,7 +61,6 @@ from .randgen import generation_attempts, random_pair, well_conditioned_matrix
 from .reconstruct import (
     canonical_form,
     diagonal_entries,
-    eigenvalues_from_coefficients,
     reconstruct,
 )
 from .spectral import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import jsonio
@@ -47,6 +46,11 @@ EXIT_SCHEMA = 2
 EXIT_GENERAL_POSITION = 3
 EXIT_DETERMINANT = 4
 EXIT_VERIFY = 5
+
+#: largest |entry| that ``--matrix`` accepts.  The decomposition emits one
+#: letter per unit of each Euclid quotient, so ``1,N,0,1`` is a word of N
+#: letters: the bound caps the word, and the time to build and act with it.
+MAX_MATRIX_ENTRY = 10 ** 5
 
 
 def _fail(code: int, error_code: str, message: str, **detail) -> int:
@@ -98,6 +102,9 @@ def _parse_gl2z(text: str) -> GL2ZMatrix:
         a, b, c, d = (int(p) for p in parts)
     except ValueError as exc:
         raise SchemaError(f"--matrix entries must be integers: {exc}") from exc
+    if max(abs(a), abs(b), abs(c), abs(d)) > MAX_MATRIX_ENTRY:
+        raise SchemaError(f"--matrix entries must not exceed {MAX_MATRIX_ENTRY}"
+                          " in absolute value", bound=MAX_MATRIX_ENTRY)
     return GL2ZMatrix(a, b, c, d)
 
 
@@ -142,11 +149,7 @@ def _cmd_act(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seeds < 1:
         raise SchemaError("--seeds must be at least 1")
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = float(os.environ.get("SPECTRAL_PAIR_TOLERANCE",
-                                         DEFAULT_TOLERANCE))
-    results = run_suite(args.seeds, tolerance, args.base_seed)
+    results = run_suite(args.seeds, args.tolerance, args.base_seed)
     all_passed = True
     overall = 0.0
     for r in results:
@@ -233,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suite on seeded pairs")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="base tolerance (default: SPECTRAL_PAIR_TOLERANCE or 1e-6)")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                   help="base tolerance (default: %(default)g)")
     p.add_argument("--base-seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,11 +1,10 @@
-"""Projective-plane utilities for the spectral cubic: lines, third
-intersections, and the chord construction that transports the divisor point
-when the two matrices are exchanged.  Points and lines are plain coordinate
-3-tuples inside; the public functions convert at the boundary."""
+"""The chord construction that transports the divisor point when the two
+matrices are exchanged, with the line and third-intersection steps it is
+built from.  Points and lines are plain coordinate 3-tuples: a point
+(lam : mu : nu), and a line as the coefficients (a, b, c) of the linear form
+a*lam + b*mu + c*nu."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from . import _kernels_py as kernels
 from .config import (
@@ -35,64 +34,23 @@ def _line_value(line, p) -> complex:
     return line[0] * p[0] + line[1] * p[1] + line[2] * p[2]
 
 
-class ProjectivePoint(NamedTuple):
-    """Homogeneous coordinates (lam : mu : nu)."""
-
-    lam: complex
-    mu: complex
-    nu: complex
-
-    def coords(self) -> tuple[complex, complex, complex]:
-        return (complex(self.lam), complex(self.mu), complex(self.nu))
-
-    def max_abs(self) -> float:
-        return max(abs(self.lam), abs(self.mu), abs(self.nu))
-
-    def normalized(self) -> "ProjectivePoint":
-        """Representative with the largest-magnitude coordinate scaled to 1."""
-        return ProjectivePoint(*_normalized(self))
-
-
-class ProjectiveLine(NamedTuple):
-    """The linear form a*lam + b*mu + c*nu."""
-
-    a: complex
-    b: complex
-    c: complex
-
-    __call__ = _line_value
-
-    def max_abs(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c))
-
-
 def _cross(p, q):
     return (p[1] * q[2] - p[2] * q[1],
             p[2] * q[0] - p[0] * q[2],
             p[0] * q[1] - p[1] * q[0])
 
 
-def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
+def _distance(p, q) -> float:
     """Scale-free distance: norm of the cross product of unit representatives
     (the sine of the Fubini-Study angle)."""
-    return _distance(p.coords(), q.coords())
-
-
-def _distance(p, q) -> float:
-    """``projective_distance`` on coordinate tuples."""
     norm_p, norm_q = vec_norm(p), vec_norm(q)
     if norm_p == 0.0 or norm_q == 0.0:
         raise ValueError("zero projective point")
     return vec_norm(_cross(p, q)) / (norm_p * norm_q)
 
 
-def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
-    """Line through two distinct points, via the coordinate cross product."""
-    return ProjectiveLine(*_line_through(_normalized(p), _normalized(q)))
-
-
 def _line_through(pn, qn) -> tuple[complex, complex, complex]:
-    """``line_through`` on normalized coordinate tuples."""
+    """Line through two distinct normalized points, via their cross product."""
     cross = _cross(pn, qn)
     distance = vec_norm(cross)
     if distance <= COINCIDENT_POINTS * 4.0:
@@ -101,25 +59,15 @@ def _line_through(pn, qn) -> tuple[complex, complex, complex]:
     return cross
 
 
-def third_intersection(coeffs: CurveCoefficients, line: ProjectiveLine,
-                       p1: ProjectivePoint,
-                       p2: ProjectivePoint) -> ProjectivePoint:
-    """Third point where the line meets the cubic, given two incident points.
+def _third_intersection(coeffs: CurveCoefficients, cscale: float, line,
+                        p1n, p2n, c03: complex):
+    """Third point where the line meets the cubic, given two incident
+    normalized points p1n and p2n, the coefficients' ``max_magnitude`` as
+    ``cscale`` and the curve's value c03 at p2n.
 
     The cubic restricted to s*p1 + t*p2 is c30 s^3 + c21 s^2 t + c12 s t^2
     + c03 t^3 with c30 = c03 = 0 forced by incidence, so the remaining root
     is (s : t) = (-c12 : c21).  Exact deflation avoids any root matching.
-    """
-    p1n, p2n = _normalized(p1), _normalized(p2)
-    point, _ = _third_intersection(coeffs, coeffs.max_magnitude(), line, p1n,
-                                   p2n, kernels.eval_curve9(coeffs, *p2n))
-    return ProjectivePoint(*point)
-
-
-def _third_intersection(coeffs: CurveCoefficients, cscale: float, line,
-                        p1n, p2n, c03: complex):
-    """``third_intersection`` on normalized tuples, given the coefficients'
-    ``max_magnitude`` as ``cscale`` and the curve's value c03 at p2n.
     Returns the third point, normalized, and the curve's value there, so
     that a chord from that point does not evaluate it again."""
     # the curve's values at the two points are the restricted cubic's c30
@@ -159,17 +107,17 @@ def _third_intersection(coeffs: CurveCoefficients, cscale: float, line,
     return point, value
 
 
-def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
-                       x_first: ProjectivePoint,
-                       q: ProjectivePoint) -> ProjectivePoint:
+def chord_swap_divisor(coeffs: CurveCoefficients, p_first, x_first,
+                       q) -> tuple[complex, complex, complex]:
     """Transport the divisor point across the exchange of the two matrices.
 
     Draw the chord through x_first and the divisor point q, take its third
     intersection T with the cubic, then the chord through p_first and T; the
     third intersection Y of that line completes the divisor equivalent to
     the original one with the fixed points moved from the nu = 0 line to the
-    mu = 0 line.  Each of the five points is normalized once, and the cubic
-    is evaluated once at each.
+    mu = 0 line.  The three inputs are coordinate triples, and Y comes back
+    as one, normalized.  Each of the five points is normalized once, and the
+    cubic is evaluated once at each.
     """
     cscale = coeffs.max_magnitude()
     xn, qn = _normalized(x_first), _normalized(q)
@@ -179,4 +127,4 @@ def chord_swap_divisor(coeffs: CurveCoefficients, p_first: ProjectivePoint,
     pn = _normalized(p_first)
     y, _ = _third_intersection(coeffs, cscale, _line_through(pn, t_point),
                                pn, t_point, t_value)
-    return ProjectivePoint(*y)
+    return y

@@ -94,7 +94,6 @@ class IntermediateDegeneracy(GeneralPositionError):
 
     code = "intermediate_degeneracy"
 
-    def __init__(self, message: str, prefix=None, cause=None, **detail):
+    def __init__(self, message: str, prefix=None, **detail):
         super().__init__(message, **detail)
         self.prefix = prefix
-        self.cause = cause

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .config import DIVISOR_DENOMINATOR, SINGULAR
-from .cubic import ProjectivePoint, chord_swap_divisor
+from .cubic import chord_swap_divisor
 from .errors import (
     DeterminantNotUnit,
     GeneralPositionError,
@@ -169,16 +169,16 @@ def swap_spectral(sd: SpectralData) -> SpectralData:
     check_separation(xi, SwappedPairDegenerate,
                      "second matrix has nearly repeated eigenvalues")
 
-    y = chord_swap_divisor(c, ProjectivePoint(sd.h[0], -1.0, 0.0),
-                           ProjectivePoint(xi[0], 0.0, -1.0),
-                           ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0))
-    # after the exchange, y's mu coordinate is the nu coordinate
-    if abs(y.mu) <= DIVISOR_DENOMINATOR * y.max_abs():
+    lam, mu, nu = chord_swap_divisor(c, (sd.h[0], -1.0, 0.0),
+                                     (xi[0], 0.0, -1.0),
+                                     (sd.divisor.L, sd.divisor.M, 1.0))
+    # after the exchange, the mu coordinate is the nu coordinate
+    if abs(mu) <= DIVISOR_DENOMINATOR * max(abs(lam), abs(mu), abs(nu)):
         raise SwappedPairDegenerate(
             "transported divisor point lies on the line at infinity",
-            nu=abs(y.mu))
+            nu=abs(mu))
     return validate_spectral_data(SpectralData(
-        xi, swapped, DivisorPoint(y.lam / y.mu, y.nu / y.mu)))
+        xi, swapped, DivisorPoint(lam / mu, nu / mu)))
 
 
 def tilde_r_minus(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> complex:
@@ -287,7 +287,7 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
         except GeneralPositionError as exc:
             raise IntermediateDegeneracy(
                 f"word left general position after {word_to_str(word[:i + 1])}",
-                prefix=word[:i + 1], cause=exc) from exc
+                prefix=word[:i + 1]) from exc
     return current
 
 

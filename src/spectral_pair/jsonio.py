@@ -24,8 +24,6 @@ from .spectral import (
     validate_spectral_data,
 )
 
-COEFFICIENT_KEYS = CurveCoefficients.FIELDS
-
 
 def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
@@ -97,10 +95,11 @@ def doc_to_spectral(doc: Any) -> SpectralData:
     if not isinstance(doc["h"], list) or len(doc["h"]) != 3:
         raise SchemaError("h: expected exactly three complex values", where="h")
     h = tuple(json_to_complex(doc["h"][i], f"h[{i}]") for i in range(3))
-    _expect_mapping(doc["coefficients"], COEFFICIENT_KEYS, "coefficients")
+    _expect_mapping(doc["coefficients"], CurveCoefficients._fields,
+                    "coefficients")
     coeffs = CurveCoefficients(**{
         k: json_to_complex(doc["coefficients"][k], f"coefficients.{k}")
-        for k in COEFFICIENT_KEYS})
+        for k in CurveCoefficients._fields})
     _expect_mapping(doc["divisor"], ("L", "M"), "divisor")
     divisor = DivisorPoint(json_to_complex(doc["divisor"]["L"], "divisor.L"),
                            json_to_complex(doc["divisor"]["M"], "divisor.M"))

@@ -117,9 +117,6 @@ class Mat3:
     def scaled(self, c: complex) -> "Mat3":
         return Mat3(tuple(c * z for z in self.entries))
 
-    def apply(self, v: Vec3) -> Vec3:
-        return kernels.matvec3(self.entries, v)
-
     def rows(self):
         e = self.entries
         return (e[0:3], e[3:6], e[6:9])

@@ -14,13 +14,11 @@ from ._kernels_py import canonical_key
 from .config import CLOSED_FORM_AGREEMENT
 from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
-    CubicPoly,
     Mat3,
     Vec3,
     check_separation,
     finite_entries,
     nonsingular_det,
-    solve_cubic,
 )
 from .spectral import (
     CurveCoefficients,
@@ -30,15 +28,6 @@ from .spectral import (
     divisor_point,
     validate_spectral_data,
 )
-
-
-def eigenvalues_from_coefficients(coeffs: CurveCoefficients) -> Vec3:
-    """Unordered eigenvalue triple from (p_plus, p_minus, d1), returned in
-    the canonical (re, im) order."""
-    roots = solve_cubic(
-        CubicPoly(1.0, -coeffs.p_plus, coeffs.p_minus, -coeffs.d1))
-    check_separation(roots, RepeatedEigenvalues)
-    return roots
 
 
 def diagonal_entries(coeffs: CurveCoefficients, h: Vec3) -> Vec3:

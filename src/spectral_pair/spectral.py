@@ -83,16 +83,8 @@ class CurveCoefficients(NamedTuple):
     r_minus: complex
     t: complex
 
-    FIELDS = ("d1", "d2", "p_plus", "p_minus", "q_plus", "q_minus",
-              "r_plus", "r_minus", "t")
-
-    def as_tuple(self) -> tuple[complex, ...]:
-        """The nine coefficients as a plain tuple; the record itself is
-        already one, in ``FIELDS`` order."""
-        return tuple(self)
-
     def items(self):
-        return zip(self.FIELDS, self)
+        return zip(self._fields, self)
 
     def max_magnitude(self) -> float:
         return max(1.0, *map(abs, self))

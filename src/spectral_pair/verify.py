@@ -36,17 +36,13 @@ TOLERANCE_MULTIPLIERS = {"word_consistency": 10.0}
 class PropertyResult:
     """One property's running maximum residual and skip list over a run."""
 
-    def __init__(self, operation: str, max_residual: float = 0.0,
-                 per_component: dict[str, float] | None = None,
-                 seeds_run: int = 0, skipped: list[dict] | None = None,
-                 worst_seed: int | None = None,
-                 tolerance: float = DEFAULT_TOLERANCE):
+    def __init__(self, operation: str, tolerance: float):
         self.operation = operation
-        self.max_residual = max_residual
-        self.per_component = {} if per_component is None else per_component
-        self.seeds_run = seeds_run
-        self.skipped = [] if skipped is None else skipped
-        self.worst_seed = worst_seed
+        self.max_residual = 0.0
+        self.per_component: dict[str, float] = {}
+        self.seeds_run = 0
+        self.skipped: list[dict] = []
+        self.worst_seed: int | None = None
         self.tolerance = tolerance
 
     @property
@@ -126,8 +122,7 @@ def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
     data to every property.  A seed whose forward map raised is skipped by
     every property."""
     results = [PropertyResult(
-        operation=name,
-        tolerance=tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
+        name, tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
         for name in PROPERTIES]
     for seed in range(base_seed, base_seed + seeds):
         drawn = random_forward(seed)

@@ -21,8 +21,6 @@ from spectral_pair import (
     LineOnCurve,
     Mat3,
     NormalizedPair,
-    ProjectiveLine,
-    ProjectivePoint,
     act_spectral,
     canonical_form,
     curve_residual,
@@ -30,7 +28,6 @@ from spectral_pair import (
     eig3,
     inv3,
     kernel_vector,
-    projective_distance,
     reconstruct,
     solve_cubic,
     spectral_data,
@@ -345,7 +342,36 @@ def report_by_stages(pair) -> GeneralPositionReport:
     return GeneralPositionReport(tuple(checks))
 
 
-# --- the cubic at a point, and the generic projective distance ---
+# --- points as coordinate triples: the cubic at a point, and the generic
+# projective distance ---
+
+
+def point(lam, mu, nu) -> tuple[complex, complex, complex]:
+    """The coordinate triple (lam : mu : nu), each coordinate a ``complex``."""
+    return (complex(lam), complex(mu), complex(nu))
+
+
+def normalized(p) -> tuple[complex, complex, complex]:
+    """Representative of p with its first largest coordinate scaled to 1."""
+    p = point(*p)
+    pivot = max(p, key=abs)
+    if pivot == 0:
+        raise ValueError("zero projective point")
+    return (p[0] / pivot, p[1] / pivot, p[2] / pivot)
+
+
+def line_value(line, p) -> complex:
+    """The linear form a*lam + b*mu + c*nu of line = (a, b, c) at p."""
+    return line[0] * p[0] + line[1] * p[1] + line[2] * p[2]
+
+
+def projective_distance(p, q) -> float:
+    """The generic cross product of the two coordinate vectors over the
+    product of their norms (the sine of the Fubini-Study angle)."""
+    norm_p, norm_q = vec_norm(p), vec_norm(q)
+    if norm_p == 0.0 or norm_q == 0.0:
+        raise ValueError("zero projective point")
+    return vec_norm(_cross(p, q)) / (norm_p * norm_q)
 
 
 def evaluate_curve_raw(coeffs, lam, mu, nu) -> complex:
@@ -355,61 +381,51 @@ def evaluate_curve_raw(coeffs, lam, mu, nu) -> complex:
 
 def evaluate_curve(coeffs, p) -> complex:
     """Value of the cubic at the normalized representative of p."""
-    n = p.normalized()
-    return kernels.eval_curve9(coeffs, n.lam, n.mu, n.nu)
+    return kernels.eval_curve9(coeffs, *normalized(p))
 
 
 def min_projective_distance(points) -> float:
     """Smallest projective distance over all pairs of the points, in the
-    order of the list's pairs: the generic cross product of each pair's
-    coordinate vectors over the product of their norms.  The report's
-    ``axis_point_separation`` writes this out for its nine points and must
-    give the same bits."""
-    coords = [p.coords() for p in points]
-    norms = [vec_norm(c) for c in coords]
-    if 0.0 in norms:
-        raise ValueError("zero projective point")
-    n = len(coords)
-    return min(vec_norm(_cross(coords[i], coords[j])) / (norms[i] * norms[j])
+    order of the list's pairs.  The report's ``axis_point_separation``
+    writes this out for its nine points and must give the same bits."""
+    n = len(points)
+    return min(projective_distance(points[i], points[j])
                for i in range(n) for j in range(i + 1, n))
 
 
 def axis_points(h, xi, s) -> list:
     """The nine points where the curve meets the coordinate lines, in the
     report's order: (h : -1 : 0), (xi : 0 : -1), (0 : s : 1)."""
-    return ([ProjectivePoint(z, -1.0, 0.0) for z in h]
-            + [ProjectivePoint(z, 0.0, -1.0) for z in xi]
-            + [ProjectivePoint(0.0, z, 1.0) for z in s])
+    return ([point(z, -1.0, 0.0) for z in h]
+            + [point(z, 0.0, -1.0) for z in xi]
+            + [point(0.0, z, 1.0) for z in s])
 
 
 # --- the chord construction, normalizing at every use ---
 
 
-def _line_through_renormalizing(p, q) -> ProjectiveLine:
-    pn, qn = p.normalized(), q.normalized()
-    cross = _cross(pn.coords(), qn.coords())
+def _line_through_renormalizing(p, q):
+    cross = _cross(normalized(p), normalized(q))
     if vec_norm(cross) <= COINCIDENT_POINTS * 4.0:
         raise CoincidentPoints("points are projectively equal")
-    return ProjectiveLine(*cross)
+    return cross
 
 
-def _third_intersection_renormalizing(coeffs, line, p1, p2) -> ProjectivePoint:
-    p1n, p2n = p1.normalized(), p2.normalized()
+def _third_intersection_renormalizing(coeffs, line, p1, p2):
+    p1n, p2n = normalized(p1), normalized(p2)
     cscale = coeffs.max_magnitude()
+    lscale = max(abs(line[0]), abs(line[1]), abs(line[2]), 1e-300)
     for name, pt in (("p1", p1n), ("p2", p2n)):
         if abs(evaluate_curve(coeffs, pt)) > INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve")
-        if abs(line(pt)) / max(line.max_abs(), 1e-300) > INCIDENCE:
+        if abs(line_value(line, pt)) / lscale > INCIDENCE:
             raise InputsNotIncident(f"{name} is not on the line")
     if projective_distance(p1n, p2n) <= INCIDENCE:
         raise InputsNotIncident("the two base points coincide")
 
     def at(s, t):
-        return evaluate_curve_raw(
-            coeffs,
-            s * p1n.lam + t * p2n.lam,
-            s * p1n.mu + t * p2n.mu,
-            s * p1n.nu + t * p2n.nu)
+        return evaluate_curve_raw(coeffs, *(s * a + t * b
+                                            for a, b in zip(p1n, p2n)))
 
     c30 = at(1.0, 0.0)
     c03 = at(0.0, 1.0)
@@ -422,16 +438,13 @@ def _third_intersection_renormalizing(coeffs, line, p1, p2) -> ProjectivePoint:
     if max(abs(c21), abs(c12)) <= DEFLATION * cscale:
         raise LineOnCurve("the line is a component of the curve")
     s, t = -c12, c21
-    point = ProjectivePoint(
-        s * p1n.lam + t * p2n.lam,
-        s * p1n.mu + t * p2n.mu,
-        s * p1n.nu + t * p2n.nu).normalized()
-    if abs(evaluate_curve(coeffs, point)) / cscale > THIRD_POINT_ON_CURVE:
+    third = normalized([s * a + t * b for a, b in zip(p1n, p2n)])
+    if abs(evaluate_curve(coeffs, third)) / cscale > THIRD_POINT_ON_CURVE:
         raise InputsNotIncident("deflated third point misses the curve")
-    return point
+    return third
 
 
-def chord_swap_divisor_renormalizing(coeffs, p_first, x_first, q) -> ProjectivePoint:
+def chord_swap_divisor_renormalizing(coeffs, p_first, x_first, q):
     """The chord construction with every line and every third intersection
     normalizing its points afresh, and each incidence evaluated at a
     re-normalized point; ``chord_swap_divisor`` normalizes each point once
@@ -475,15 +488,16 @@ def _univariate_restriction(coeffs, coords, solve_index):
     return CubicPoly(c3, c2, c1, c0)
 
 
-def curve_point_near(coeffs, point, eps: float):
-    """A curve point at parameter distance about eps from ``point``.
+def curve_point_near(coeffs, target, eps: float):
+    """A curve point at parameter distance about eps from ``target``, as a
+    coordinate triple.
 
     Pins the largest coordinate, nudges one of the others by eps, and
     re-solves the curve equation for the remaining coordinate, keeping the
     root nearest the original value.
     """
-    base = point.normalized()
-    coords = list(base.coords())
+    base = normalized(target)
+    coords = list(base)
     pin = max(range(3), key=lambda i: abs(coords[i]))
     others = [i for i in range(3) if i != pin]
     for vary, solve in (others, reversed(others)):
@@ -496,7 +510,7 @@ def curve_point_near(coeffs, point, eps: float):
             continue
         best = min(roots, key=lambda r: abs(r - coords[solve]))
         nudged[solve] = best
-        candidate = ProjectivePoint(*nudged)
+        candidate = tuple(nudged)
         if eps * 1e-2 < projective_distance(candidate, base) < eps * 1e2:
             return candidate
     raise AssertionError("could not sample a nearby curve point")

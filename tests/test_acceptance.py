@@ -16,7 +16,6 @@ from spectral_pair import (
     Mat3,
     MatrixPair,
     NormalizedPair,
-    ProjectivePoint,
     act_word_on_pair,
     act_word_spectral,
     canonical_form,
@@ -26,7 +25,6 @@ from spectral_pair import (
     divisor_point,
     inv3,
     kernel_vector,
-    line_through,
     matrix_of_word,
     normalize_pair,
     reconstruct,
@@ -34,13 +32,18 @@ from spectral_pair import (
     spectral_data,
     spectral_residuals,
     swap_spectral,
-    third_intersection,
     verify_commutation,
     well_conditioned_matrix,
 )
 from spectral_pair.reconstruct import _closed_form_lower_left
 
-from oracles import curve_point_near, evaluate_curve_raw, expanded_coefficients
+from conftest import line_through, third_intersection
+from oracles import (
+    curve_point_near,
+    expanded_coefficients,
+    line_value,
+    normalized,
+)
 
 
 def report(number: int, label: str, worst: float, bound: float) -> None:
@@ -134,17 +137,17 @@ def test_criterion_6_zero_pole_probe(seeded_pairs):
         c = sd.coeffs
         xi = sorted(solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2)),
                     key=lambda z: (z.real, z.imag))
-        p1, p2, p3 = (ProjectivePoint(h, -1.0, 0.0) for h in sd.h)
-        x1, x2, x3 = (ProjectivePoint(x, 0.0, -1.0) for x in xi)
-        q = ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0)
-        t_point = third_intersection(c, line_through(x1, q), x1, q)
+        p1, p2, p3 = ((h, -1.0, 0.0) for h in sd.h)
+        x1, x2, x3 = ((x, 0.0, -1.0) for x in xi)
+        q = (sd.divisor.L, sd.divisor.M, 1.0)
+        t_point = third_intersection(c, x1, q)
         y = chord_swap_divisor(c, p1, x1, q)
         l1 = line_through(x1, q)
         l2 = line_through(p1, t_point)
 
         def f(point):
-            pn = point.normalized()
-            return (pn.mu / pn.nu) * (l2(pn) / l1(pn))
+            pn = normalized(point)
+            return (pn[1] / pn[2]) * (line_value(l2, pn) / line_value(l1, pn))
 
         for target, kind in ((x2, "zero"), (x3, "zero"), (y, "zero"),
                              (p2, "pole"), (p3, "pole"), (q, "pole")):
@@ -218,7 +221,7 @@ def test_criterion_9_jacobian_rank(seeded_pairs):
         np_ = NormalizedPair(h, Mat3(tuple(entries)))
         c = curve_coefficients(np_)
         d = divisor_point(np_)
-        return np.array(list(c.as_tuple()) + [d.L, d.M])
+        return np.array([*c, d.L, d.M])
 
     worst = 0.0
     for pair in seeded_pairs[:10]:

@@ -9,6 +9,7 @@ import pytest
 
 import spectral_pair
 from spectral_pair import jsonio, spectral_residuals
+from spectral_pair import cli as cli_module
 from spectral_pair.cli import main
 
 from conftest import (
@@ -179,12 +180,6 @@ def test_verify_unattainable_tolerance(capsys):
     assert all("failing_seed" in line for line in failing)
 
 
-def test_verify_env_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_PAIR_TOLERANCE", "1e-15")
-    code, out, _ = run(capsys, "verify", "--seeds", "1")
-    assert code == 5
-
-
 def test_verify_rejects_bad_seed_count(capsys):
     code, _, err = run(capsys, "verify", "--seeds", "0")
     assert code == 2
@@ -251,6 +246,25 @@ def test_decompose_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["recomposed"] == doc["matrix"] == [3, 5, 1, 2]
+
+
+@pytest.mark.parametrize("command", [
+    ("decompose",),
+    ("act", SPECTRAL_FIXTURE),
+])
+def test_matrix_entry_bound_is_checked_before_decomposing(command, capsys,
+                                                          monkeypatch):
+    # 1,N,0,1 decomposes into a word of N shears
+    def no_decomposition(m):
+        raise AssertionError("decompose_gl2z was called")
+
+    monkeypatch.setattr(cli_module, "decompose_gl2z", no_decomposition)
+    code, out, err = run(capsys, command[0], "--matrix", "1,1000000000000,0,1",
+                         *command[1:])
+    assert (code, out) == (2, "")
+    payload = strict_loads(err)["error"]
+    assert payload["code"] == "schema"
+    assert payload["detail"] == {"bound": cli_module.MAX_MATRIX_ENTRY}
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -298,7 +298,7 @@ def test_final_relisting_error_reports_whole_word(seeded_pairs, monkeypatch):
     with pytest.raises(IntermediateDegeneracy) as info:
         act_word_spectral((S, T), spectral_data(seeded_pairs[0]))
     assert info.value.prefix == (S, T)
-    assert info.value.cause.code == "singular_matrix"
+    assert info.value.__cause__.code == "singular_matrix"
 
 
 def test_intermediate_degeneracy_reports_prefix():

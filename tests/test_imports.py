@@ -1,9 +1,17 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every definition
+is called.
 
-No linter ships with the project, so this scan stands in for one: a name
-bound by a top-level ``import`` or ``from ... import`` must be read
-somewhere in its module.  ``__init__.py`` is exempt because its imports are
-the package's re-exports.
+No linter ships with the project, so these scans stand in for one:
+
+- a name bound by a top-level ``import`` or ``from ... import`` must be read
+  somewhere in its module;
+- a top-level function or class, or a non-dunder method of a top-level
+  class, must be read somewhere in the package, as a name, an attribute or
+  a string constant.  Only the few names in ``OUTSIDE_CALLERS`` are called
+  from outside the package alone.
+
+``__init__.py`` is exempt from both because its imports are the package's
+re-exports, and a re-export is not a read.
 """
 
 import ast
@@ -42,6 +50,72 @@ def test_package_has_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+#: definitions that only callers outside the package read: the benchmark's
+#: workloads, the README's Library example, and conveniences the tests use
+OUTSIDE_CALLERS = {
+    "verify_commutation", "well_conditioned_matrix", "generation_attempts",
+    "Mat3.from_rows",
+    "CubicPoly.from_roots", "GeneralPositionReport.failing",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name) of each top-level function and class,
+    and of each non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def reads(tree: ast.Module) -> set[str]:
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(reads, trees.values()))
+    return [f"{name}: {qualified}" for name, tree in trees.items()
+            if name != "__init__.py"
+            for qualified, bare in definitions(tree) if bare not in read]
+
+
+def test_uncalled_definition_is_detected():
+    sources = {
+        # a re-export is not a read
+        "__init__.py": "from .a import orphan\n",
+        "a.py": ("class C:\n"
+                 "    def __init__(self): pass\n"
+                 "    def method(self): pass\n"
+                 "    def named(self): pass\n"
+                 "def helper(): return C().method()\n"
+                 "def entry(): return helper(), getattr(C(), 'named')\n"
+                 "def orphan(): pass\n"),
+        "b.py": "from .a import entry\nentry()\n",
+    }
+    assert uncalled_definitions(sources) == ["a.py: orphan"]
+    sources["a.py"] = sources["a.py"].replace("'named'", "'other'")
+    assert uncalled_definitions(sources) == ["a.py: C.named", "a.py: orphan"]
+
+
+def test_package_has_no_uncalled_definitions():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = {entry.split(": ")[1]: entry
+             for entry in uncalled_definitions(sources)}
+    # an allowlisted name that the package reads, or drops, leaves the list
+    assert set(found) == OUTSIDE_CALLERS, sorted(found.values())
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

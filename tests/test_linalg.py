@@ -19,6 +19,7 @@ from spectral_pair import (
     solve_cubic,
 )
 import spectral_pair.linalg as linalg
+from spectral_pair import _kernels_py as kernels
 from spectral_pair.errors import DegenerateLeadingCoefficient
 from spectral_pair.linalg import columns_matrix, vec_norm
 
@@ -182,7 +183,7 @@ def test_kernel_constructed():
         third = [rows[0][i] + rows[1][i] for i in range(3)]
         m = Mat3.from_rows([rows[0], rows[1], third])
         v = kernel_vector(m)
-        assert vec_norm(m.apply(v)) < 1e-9 * m.norm()
+        assert vec_norm(kernels.matvec3(m.entries, v)) < 1e-9 * m.norm()
         # v is proportional to w
         cross = max(abs(v[i] * w[j] - v[j] * w[i])
                     for i in range(3) for j in range(3))
@@ -218,7 +219,8 @@ def test_eig_conjugation():
         values, vectors = eig3(a)
         assert match_roots(values, (1, 2, 3)) < 1e-9
         for h, v in zip(values, vectors):
-            residual = [a.apply(v)[i] - h * v[i] for i in range(3)]
+            av = kernels.matvec3(a.entries, v)
+            residual = [av[i] - h * v[i] for i in range(3)]
             assert vec_norm(tuple(residual)) <= 1e-8 * a.norm()
 
 

@@ -21,26 +21,22 @@ from spectral_pair import (
     Generator,
     Mat3,
     MatrixPair,
-    ProjectiveLine,
-    ProjectivePoint,
     SpectralPairError,
     act_word_spectral,
     eig3,
     inv3,
     invert_spectral,
     kernel_vector,
-    line_through,
     normalize_pair,
     random_pair,
     reconstruct,
     solve_cubic,
     spectral_data,
     swap_spectral,
-    third_intersection,
     validate_spectral_data,
 )
 
-from conftest import FIXTURE_A, FIXTURE_B
+from conftest import FIXTURE_A, FIXTURE_B, line_through, third_intersection
 
 MODULES = ("linalg", "spectral", "reconstruct", "gl2z", "cubic")
 
@@ -97,36 +93,32 @@ def reducible_curve_chord():
     # (1 : -1 : 0) and (0 : 0 : 1)
     coeffs = CurveCoefficients(d1=1, d2=0, p_plus=1, p_minus=1, q_plus=0,
                                q_minus=1, r_plus=0, r_minus=1, t=0)
-    p1, p2 = ProjectivePoint(1, -1, 0), ProjectivePoint(0, 0, 1)
-    third_intersection(coeffs, line_through(p1, p2), p1, p2)
+    third_intersection(coeffs, (1, -1, 0), (0, 0, 1))
 
 
 def chord_through_moved_divisor():
     # L moved by 1e-7 still passes the 1e-6 incidence test; the third point
     # then misses the curve (1 + 1e-8 does not)
     sd = spectral_data(random_pair(1))
-    p1 = ProjectivePoint(sd.h[0], -1.0, 0.0)
-    q = ProjectivePoint(sd.divisor.L * (1 + 1e-7), sd.divisor.M, 1.0)
-    third_intersection(sd.coeffs, line_through(p1, q), p1, q)
+    third_intersection(sd.coeffs, (sd.h[0], -1.0, 0.0),
+                       (sd.divisor.L * (1 + 1e-7), sd.divisor.M, 1.0))
 
 
 def third_intersection_off_the_line():
     sd = fixture_sd()
-    p1, p2 = ProjectivePoint(1, -1, 0), ProjectivePoint(2, -1, 0)
-    third_intersection(sd.coeffs, ProjectiveLine(1, 0, 0), p1, p2)
+    third_intersection(sd.coeffs, (1, -1, 0), (2, -1, 0), (1, 0, 0))
 
 
 def third_intersection_off_the_curve():
     sd = fixture_sd()
-    p1, off = ProjectivePoint(1, -1, 0), ProjectivePoint(0.1, 0.2, 1.0)
-    third_intersection(sd.coeffs, line_through(p1, off), p1, off)
+    third_intersection(sd.coeffs, (1, -1, 0), (0.1, 0.2, 1.0))
 
 
 def third_intersection_of_one_point():
     sd = fixture_sd()
-    p1 = ProjectivePoint(1, -1, 0)
-    line = line_through(p1, ProjectivePoint(sd.divisor.L, sd.divisor.M, 1.0))
-    third_intersection(sd.coeffs, line, p1, p1)
+    p1 = (1, -1, 0)
+    line = line_through(p1, (sd.divisor.L, sd.divisor.M, 1.0))
+    third_intersection(sd.coeffs, p1, p1, line)
 
 
 def swap_to_gauge_degenerate_pair():
@@ -180,7 +172,7 @@ def test_every_coded_raise_runs(monkeypatch):
         swap_with_repeated_second_spectrum,
         lambda: invert_spectral(sd._replace(h=(0, 2, 3))),
         # cubic
-        lambda: line_through(ProjectivePoint(1, 2, 3), ProjectivePoint(2, 4, 6)),
+        lambda: line_through((1, 2, 3), (2, 4, 6)),
         third_intersection_off_the_curve,
         third_intersection_off_the_line,
         third_intersection_of_one_point,

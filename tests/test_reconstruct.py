@@ -17,7 +17,6 @@ from spectral_pair import (
     canonical_form,
     curve_coefficients,
     diagonal_entries,
-    eigenvalues_from_coefficients,
     normalize_pair,
     reconstruct,
     shear_spectral,
@@ -42,8 +41,15 @@ def coeffs_for(**kw) -> CurveCoefficients:
     return CurveCoefficients(**base)
 
 
+def first_spectrum(coeffs: CurveCoefficients):
+    """A's eigenvalues read off the curve: the roots of
+    x^3 - p_plus x^2 + p_minus x - d1."""
+    return solve_cubic(
+        CubicPoly(1.0, -coeffs.p_plus, coeffs.p_minus, -coeffs.d1))
+
+
 def test_eigenvalues_from_symmetric_functions():
-    got = eigenvalues_from_coefficients(coeffs_for(d1=6, p_plus=6, p_minus=11))
+    got = first_spectrum(coeffs_for(d1=6, p_plus=6, p_minus=11))
     assert match_roots(got, (1, 2, 3)) < 1e-12
 
 
@@ -56,12 +62,14 @@ def test_eigenvalues_random_round_trip():
         c = coeffs_for(d1=h[0] * h[1] * h[2],
                        p_plus=h[0] + h[1] + h[2],
                        p_minus=h[0] * h[1] + h[0] * h[2] + h[1] * h[2])
-        assert match_roots(eigenvalues_from_coefficients(c), h) < 1e-9
+        assert match_roots(first_spectrum(c), h) < 1e-9
 
 
 def test_eigenvalues_triple_root_rejected():
+    # reconstruction's first step refuses the spectrum of (x - 1)^3
+    c = coeffs_for(d1=1, p_plus=3, p_minus=3)
     with pytest.raises(RepeatedEigenvalues):
-        eigenvalues_from_coefficients(coeffs_for(d1=1, p_plus=3, p_minus=3))
+        diagonal_entries(c, first_spectrum(c))
 
 
 def test_diagonal_from_fixture(seeded_pairs):

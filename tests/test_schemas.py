@@ -73,3 +73,10 @@ def test_error_lines_match_error_schema(tmp_path, capsys):
     doc = strict_loads(err)
     validate(doc, "error")
     assert doc["error"]["code"] == "schema"
+
+    # a --matrix entry past the bound is a schema error, before decomposing
+    code, _, err = run(capsys, "decompose", "--matrix", "1,1000000000000,0,1")
+    assert code == 2
+    doc = strict_loads(err)
+    validate(doc, "error")
+    assert doc["error"]["code"] == "schema"

@@ -27,7 +27,6 @@ from spectral_pair import (
     spectral_residuals,
     well_conditioned_matrix,
 )
-from spectral_pair.cubic import ProjectivePoint
 
 from conftest import (
     FIXTURE_A,
@@ -361,22 +360,6 @@ def test_nan_axis_point_separation_fails_its_check(fixture_pair, monkeypatch):
     check = general_position_report(fixture_pair).checks[-1]
     assert check.name == "axis_point_separation"
     assert math.isnan(check.margin) and not check.passed
-
-
-def test_report_builds_no_projective_point(seeded_pairs, monkeypatch):
-    calls = []
-    original = ProjectivePoint.__new__
-
-    def counting_new(cls, *args):
-        calls.append(1)
-        return original(cls, *args)
-
-    monkeypatch.setattr(ProjectivePoint, "__new__", counting_new)
-    ProjectivePoint(1.0, 0.0, 0.0)
-    assert len(calls) == 1   # the counter sees a construction
-    for pair in seeded_pairs[:10]:
-        assert general_position_report(pair).passed
-    assert len(calls) == 1
 
 
 def test_forward_raises_what_spectral_data_raises(seeded_pairs):
