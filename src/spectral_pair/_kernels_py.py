@@ -59,10 +59,17 @@ def matvec3(m, v):
 
 
 def frob3(m):
-    s = 0.0
-    for z in m:
-        s += z.real * z.real + z.imag * z.imag
-    return math.sqrt(s)
+    """Frobenius norm, the squared moduli summed in entry order."""
+    a, b, c, d, e, f, g, h, i = m
+    return math.sqrt((a.real * a.real + a.imag * a.imag)
+                     + (b.real * b.real + b.imag * b.imag)
+                     + (c.real * c.real + c.imag * c.imag)
+                     + (d.real * d.real + d.imag * d.imag)
+                     + (e.real * e.real + e.imag * e.imag)
+                     + (f.real * f.real + f.imag * f.imag)
+                     + (g.real * g.real + g.imag * g.imag)
+                     + (h.real * h.real + h.imag * h.imag)
+                     + (i.real * i.real + i.imag * i.imag))
 
 
 def char_poly3(m):
@@ -142,7 +149,9 @@ def kernel_vector3(m):
     if f == 0.0:
         return (0j, 0j, 0j), 0.0, 0.0, 0.0
     adj = adj3(m)
-    dm = abs(det3(m)) / (f * f * f)
+    # the first row against the adjugate's first column: |det M| to the
+    # bit (only the sign of a zero can differ from det3)
+    dm = abs(m[0] * adj[0] + m[1] * adj[3] + m[2] * adj[6]) / (f * f * f)
     max_minor = 0.0
     for z in adj:
         az = abs(z)

@@ -11,11 +11,16 @@ importing it, with the ``inspect`` it loads, and generating each class's
 methods took about 30% of a cold ``import spectral_pair.cli``.
 
 Every ``Mat3`` is checked once, when it is built: its entries are coerced
-to ``complex`` and must all be finite (``finite_entries``).  Code that
-chains products on flat entries builds one ``Mat3`` from the final product
-and relies on that check, because sums and products never turn a
-non-finite value finite again.  A reciprocal that such a chain multiplies
-in is bounded by the test before it.
+to ``complex`` and must all be finite (``finite_entries``).  The internal
+stages of the forward map and of the relisting pass flat row-major 9-tuples
+instead, and each matrix a function returns is built as one ``Mat3``.
+Sums and products never turn a non-finite value finite again, so a chain
+of products is checked where it ends.  Two flat intermediates get the
+``Mat3`` test explicitly (``check_finite``), because the stage after each
+would raise a different error, or none: the shifted matrices A - hI in
+``eig3``, since a NaN eigenvalue passes the separation test, and
+U0 = V^-1 B V in ``spectral``.  A reciprocal that a chain multiplies in is
+bounded by the test before it.
 """
 
 from __future__ import annotations
@@ -43,13 +48,18 @@ from .errors import (
 Vec3 = tuple[complex, complex, complex]
 
 
+def check_finite(entries: tuple[complex, ...]) -> None:
+    """ValueError unless every ``complex`` entry is finite."""
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("Mat3 entries must be finite")
+
+
 def finite_entries(values) -> tuple[complex, ...]:
     """``values`` coerced to ``complex``; ValueError unless all are finite.
 
     This is the check every ``Mat3`` gets when it is built."""
     entries = tuple(map(complex, values))
-    if not all(map(cmath.isfinite, entries)):
-        raise ValueError("Mat3 entries must be finite")
+    check_finite(entries)
     return entries
 
 
@@ -185,13 +195,14 @@ def inv3(m: Mat3) -> Mat3:
     return Mat3(tuple(z / d for z in kernels.adj3(m.entries)))
 
 
-def kernel_vector(m: Mat3) -> Vec3:
-    """Unit kernel vector of a numerically rank-2 matrix.
+def kernel_vector(entries: tuple[complex, ...]) -> Vec3:
+    """Unit kernel vector of the numerically rank-2 matrix with the flat,
+    checked ``entries``.
 
     Uses the adjugate: when rank(M) = 2 any nonzero adjugate column spans
     ker(M); the largest-norm column is chosen for determinism.
     """
-    v, residual, det_measure, minor_measure = kernels.kernel_vector3(m.entries)
+    v, residual, det_measure, minor_measure = kernels.kernel_vector3(entries)
     if det_measure > RANK or minor_measure <= RANK:
         raise RankNotTwo("matrix does not have numerical rank 2",
                          det_measure=det_measure, minor_measure=minor_measure)
@@ -232,17 +243,13 @@ def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
         # the entries of I.scaled(h), so that a - h*I keeps every bit,
         # signed zeros included
         on, off = h * (1 + 0j), h * 0j
-        shifted = Mat3((e[0] - on, e[1] - off, e[2] - off,
-                        e[3] - off, e[4] - on, e[5] - off,
-                        e[6] - off, e[7] - off, e[8] - on))
+        shifted = (e[0] - on, e[1] - off, e[2] - off,
+                   e[3] - off, e[4] - on, e[5] - off,
+                   e[6] - off, e[7] - off, e[8] - on)
+        # a NaN eigenvalue passes the separation test
+        check_finite(shifted)
         vectors.append(kernel_vector(shifted))
     return values, tuple(vectors)
-
-
-def columns_matrix(v1: Vec3, v2: Vec3, v3: Vec3) -> Mat3:
-    return Mat3((v1[0], v2[0], v3[0],
-                 v1[1], v2[1], v3[1],
-                 v1[2], v2[2], v3[2]))
 
 
 def vec_norm(v: Vec3) -> float:

@@ -122,8 +122,10 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     np = reconstruct(sd)
     order = sorted(range(3), key=lambda i: canonical_key(np.h[i]))
     h = tuple(np.h[i] for i in order)
-    u = Mat3(tuple(np.u[i, j] for i in order for j in order))
+    # entries of a checked Mat3, so the permuted U needs no second check
+    e = np.u.entries
+    u = tuple(e[3 * i + j] for i in order for j in order)
     nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
-    nonsingular_det(u.entries, "B")
+    nonsingular_det(u, "B")
     return validate_spectral_data(
         SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u))))

@@ -36,10 +36,9 @@ from .linalg import (
     CubicPoly,
     Mat3,
     Vec3,
-    columns_matrix,
+    check_finite,
     det3,
     eig3,
-    inv3,
     nonsingular_det,
     separation,
     solve_cubic,
@@ -121,24 +120,31 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
 
 
-def _in_eigenbasis(b: Mat3, vectors) -> Mat3:
-    """The matrix U0 = V^-1 B V of the second matrix in the eigenbasis V."""
-    v = columns_matrix(*vectors)
-    vb = kernels.matmul3(inv3(v).entries, b.entries)
-    return Mat3(kernels.matmul3(vb, v.entries))
+def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
+    """The flat entries of U0 = V^-1 B V, the second matrix in the
+    eigenbasis V whose columns are ``vectors``, checked to be finite.
+    V^-1 is adj(V) / det V, as ``inv3`` computes it."""
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = vectors
+    v = (x0, y0, z0, x1, y1, z1, x2, y2, z2)
+    d = nonsingular_det(v)
+    v_inv = tuple(c / d for c in kernels.adj3(v))
+    u0 = kernels.matmul3(kernels.matmul3(v_inv, b.entries), v)
+    check_finite(u0)
+    return u0
 
 
-def _gauge_ratio(u0: Mat3) -> float:
-    """min(|u12|, |u13|) / |U0|, the size of the gauge entries of the
-    eigenbasis matrix before the gauge fix; 0 when |U0| is 0, as it is for
-    U0 = 0 and when every squared entry underflows."""
-    norm = u0.norm()
-    return min(abs(u0[0, 1]), abs(u0[0, 2])) / norm if norm > 0.0 else 0.0
+def _gauge_ratio(u0: tuple[complex, ...]) -> float:
+    """min(|u12|, |u13|) / |U0| for the flat entries of the eigenbasis
+    matrix before the gauge fix; 0 when |U0| is 0, as it is for U0 = 0 and
+    when every squared entry underflows."""
+    norm = kernels.frob3(u0)
+    return min(abs(u0[1]), abs(u0[2])) / norm if norm > 0.0 else 0.0
 
 
-def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
-    """Rescale U0 by a diagonal conjugation so that u12 = u13 = 1."""
-    u12, u13 = u0[0, 1], u0[0, 2]
+def _gauge_fix(values: Vec3, u0: tuple[complex, ...]) -> NormalizedPair:
+    """Rescale the flat, checked U0 by a diagonal conjugation so that
+    u12 = u13 = 1; the result's U is the one ``Mat3`` built."""
+    u12, u13 = u0[1], u0[2]
     ratio = _gauge_ratio(u0)
     if ratio <= GAUGE:
         raise GaugeDegenerate(
@@ -151,10 +157,9 @@ def _gauge_fix(values: Vec3, u0: Mat3) -> NormalizedPair:
     # subnormal), so both entries exceed GAUGE times that.  The unit factors
     # set the sign of a zero imaginary part as the matrix product did.
     r12, r13 = 1.0 / u12, 1.0 / u13
-    e = u0.entries
-    u = Mat3((1.0 * e[0] * 1.0, 1.0, 1.0,
-              u12 * e[3] * 1.0, u12 * e[4] * r12, u12 * e[5] * r13,
-              u13 * e[6] * 1.0, u13 * e[7] * r12, u13 * e[8] * r13))
+    u = Mat3((1.0 * u0[0] * 1.0, 1.0, 1.0,
+              u12 * u0[3] * 1.0, u12 * u0[4] * r12, u12 * u0[5] * r13,
+              u13 * u0[6] * 1.0, u13 * u0[7] * r12, u13 * u0[8] * r13))
     return NormalizedPair(values, u)
 
 
@@ -226,10 +231,24 @@ def spectral_data(pair: MatrixPair) -> SpectralData:
 
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
                    nu: complex) -> float:
-    """Scaled residual |C(lam, mu, nu)| at the (unnormalized) point."""
-    value = kernels.eval_curve9(coeffs, lam, mu, nu)
-    scale = coeffs.max_magnitude() * max(1.0, abs(lam), abs(mu), abs(nu)) ** 3
-    return abs(value) / scale
+    """Scaled residual |C(lam, mu, nu)| at the (unnormalized) point.
+
+    A scale that overflows certifies nothing: a finite |C| over it reads
+    inf, not 0, so that an on-curve check fails instead of passing, and an
+    infinite or NaN |C| over it reads NaN.  A modulus that overflows, of
+    C or of a coefficient, counts as inf rather than raise."""
+    try:
+        value = abs(kernels.eval_curve9(coeffs, lam, mu, nu))
+    except OverflowError:
+        value = math.inf
+    try:
+        scale = (coeffs.max_magnitude()
+                 * max(1.0, abs(lam), abs(mu), abs(nu)) ** 3)
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf and math.isfinite(value):
+        return math.inf
+    return value / scale
 
 
 def validate_spectral_data(sd: SpectralData) -> SpectralData:

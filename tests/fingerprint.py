@@ -1,23 +1,37 @@
 """Bit-level fingerprint of the package's numeric outputs.
 
-Prints the ``repr`` of every field of ``run_suite(200)`` and, for seeds
-0-299, of ``generation_attempts``, the general-position report,
-``spectral_data``, the S, I and T images of the spectral data, the
+The first section prints the ``repr`` of every field of ``run_suite(200)``
+and, for seeds 0-299, of ``generation_attempts``, the general-position
+report, ``spectral_data``, the S, I and T images of the spectral data, the
 ``verify_commutation`` residuals of S, I and T, and ``act_word_spectral``
-of the word I,T,S.  A call that raises prints its error class, code,
-message and detail instead.  Two checkouts whose numeric outputs agree to
-the last bit print the same text, so a refactor that must not move a bit
-is checked with
+of the word I,T,S.
+
+The edge section prints, for pairs off ``random_pair``'s generator, the
+general-position report, ``spectral_data``, and the S, I and T images with
+the ``canonical_form`` of each.  The pairs are the pairs of seeds 0-39 with
+A, B or both scaled by 2^k (every 11th k from -1074, and 498, 511, 1022
+and 1023, where the entries stay finite) or by 1e-310, 1e-110, 1e110 and
+1e150; seeded real pairs; seeded pairs whose relative eigenvalue gap is
+1e-6 to 3e-4; and the tests' ``DEGENERATE_PAIRS``.
+
+A call that raises prints its error class, code, message and detail; in
+the edge section any exception does, so that uncoded errors are compared
+too.  Two checkouts whose numeric outputs agree to the last bit print the
+same text, so a refactor that must not move a bit is checked with
 
     python tests/fingerprint.py > before.txt    # in the parent checkout
     python tests/fingerprint.py > after.txt     # in the changed checkout
     cmp before.txt after.txt
 
 The package is imported from the ``src`` directory of the checkout that
-holds this file.  The name does not match ``test_*.py``, so pytest does not
-collect it.
+holds this file, so to fingerprint a checkout older than this script, copy
+the script into that checkout's ``tests`` directory first.  The name does
+not match ``test_*.py``, so pytest does not collect it.
 """
 
+import cmath
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -26,27 +40,97 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from spectral_pair import (  # noqa: E402  (needs the path above)
     Generator,
     GeneralPositionError,
+    Mat3,
+    MatrixPair,
     act_spectral,
     act_word_spectral,
+    canonical_form,
     general_position_report,
     generation_attempts,
+    inv3,
     random_pair,
     spectral_data,
     verify_commutation,
+    well_conditioned_matrix,
 )
 from spectral_pair.verify import run_suite  # noqa: E402
+from test_spectral import DEGENERATE_PAIRS  # noqa: E402
 
 SEEDS = range(300)
 SUITE_SEEDS = 200
 WORD = (Generator.INVERT, Generator.SHEAR, Generator.SWAP)
 
+EDGE_SEEDS = range(40)
+SCALES = ([2.0 ** k for k in (*range(-1074, 1024, 11), 498, 511, 1022, 1023)]
+          + [1e-310, 1e-110, 1e110, 1e150])
+EDGE_DRAWS = 200
 
-def outcome(fn, *args) -> str:
+
+def outcome(fn, *args, catch=GeneralPositionError) -> str:
     """``repr`` of the value, or of the error, of ``fn(*args)``."""
     try:
         return repr(fn(*args))
-    except GeneralPositionError as exc:
-        return repr((type(exc).__name__, exc.code, str(exc), exc.detail))
+    except catch as exc:
+        return repr((type(exc).__name__, getattr(exc, "code", None),
+                     str(exc), getattr(exc, "detail", None)))
+
+
+def scaled(m, s):
+    """``m.scaled(s)``, or None when an entry overflows."""
+    try:
+        return m.scaled(s)
+    except ValueError:
+        return None
+
+
+def edge_pairs():
+    """(label, pair) for every pair of the edge section."""
+    for seed in EDGE_SEEDS:
+        a, b = random_pair(seed)
+        for s in SCALES:
+            sa, sb = scaled(a, s), scaled(b, s)
+            for which, pair in (("a", (sa, b)), ("b", (a, sb)),
+                                ("ab", (sa, sb))):
+                if None not in pair:
+                    yield f"{seed} {which}*{s!r}", MatrixPair(*pair)
+    rng = random.Random("fingerprint:real")
+    for k in range(EDGE_DRAWS):
+        yield (f"real {k}", MatrixPair(
+            Mat3(tuple(rng.uniform(-1, 1) for _ in range(9))),
+            Mat3(tuple(rng.uniform(-1, 1) for _ in range(9)))))
+    rng = random.Random("fingerprint:near-gap")
+    lo, hi = math.log10(1e-6), math.log10(3e-4)
+    for k in range(EDGE_DRAWS):
+        h1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        h3 = h1 + cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        gap = 10 ** rng.uniform(lo, hi) * max(abs(h1), abs(h3))
+        h2 = h1 + gap * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        v = well_conditioned_matrix(rng)
+        b = Mat3(tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       for _ in range(9)))
+        yield (f"near-gap {k}",
+               MatrixPair(v @ Mat3.diagonal(h1, h2, h3) @ inv3(v), b))
+    for name, pair in DEGENERATE_PAIRS.items():
+        yield f"degenerate {name}", pair
+
+
+def print_edges() -> None:
+    for label, pair in edge_pairs():
+        print(label, "report",
+              outcome(general_position_report, pair, catch=Exception))
+        print(label, "spectral", outcome(spectral_data, pair, catch=Exception))
+        try:
+            sd = spectral_data(pair)
+        except Exception:
+            continue
+        for g in Generator:
+            print(label, g.name, outcome(act_spectral, g, sd, catch=Exception))
+            try:
+                image = act_spectral(g, sd)
+            except Exception:
+                continue
+            print(label, "canonical", g.name,
+                  outcome(canonical_form, image, catch=Exception))
 
 
 def main() -> None:
@@ -65,6 +149,7 @@ def main() -> None:
             print(seed, g.name, outcome(act_spectral, g, sd))
             print(seed, "commute", g.name, outcome(verify_commutation, g, pair))
         print(seed, "word ITS", outcome(act_word_spectral, WORD, sd))
+    print_edges()
 
 
 if __name__ == "__main__":

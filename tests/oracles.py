@@ -9,6 +9,7 @@ word engine for the generator actions, and brute-force root matching.
 from __future__ import annotations
 
 import itertools
+import math
 
 from spectral_pair import (
     CoincidentPoints,
@@ -48,7 +49,7 @@ from spectral_pair.config import (
     THIRD_POINT_ON_CURVE,
 )
 from spectral_pair.cubic import _cross
-from spectral_pair.linalg import columns_matrix, separation, vec_norm
+from spectral_pair.linalg import separation, vec_norm
 from spectral_pair.spectral import PositionCheck, _gauge_fix, _in_eigenbasis
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
@@ -233,25 +234,47 @@ def act_word_spectral_relisting_each_step(word, sd):
     return current
 
 
+# --- the Frobenius norm as a running sum ---
+
+
+def frob3_by_loop(m) -> float:
+    """|M| with the squared moduli added one entry at a time to 0.0, the
+    order ``_kernels_py.frob3`` must keep."""
+    s = 0.0
+    for z in m:
+        s += z.real * z.real + z.imag * z.imag
+    return math.sqrt(s)
+
+
 # --- forward-map stages as whole-matrix products ---
 
 
+def columns_matrix(v1, v2, v3) -> Mat3:
+    """The ``Mat3`` with columns v1, v2, v3."""
+    return Mat3((v1[0], v2[0], v3[0],
+                 v1[1], v2[1], v3[1],
+                 v1[2], v2[2], v3[2]))
+
+
 def eig3_by_identity_shift(a: Mat3):
-    """``eig3`` with each shifted matrix built as a - I.scaled(h)."""
+    """``eig3`` with each shifted matrix built as the ``Mat3``
+    a - I.scaled(h)."""
     values, _ = eig3(a)
     ident = Mat3.identity()
-    return values, tuple(kernel_vector(a - ident.scaled(h)) for h in values)
+    return values, tuple(kernel_vector((a - ident.scaled(h)).entries)
+                         for h in values)
 
 
-def in_eigenbasis_by_matmul(b: Mat3, vectors) -> Mat3:
-    """U0 = V^-1 B V as two ``Mat3`` products."""
+def in_eigenbasis_by_matmul(b: Mat3, vectors) -> tuple[complex, ...]:
+    """The entries of U0 = V^-1 B V as two ``Mat3`` products."""
     v = columns_matrix(*vectors)
-    return inv3(v) @ b @ v
+    return (inv3(v) @ b @ v).entries
 
 
-def gauge_fix_by_matmul(values, u0: Mat3) -> NormalizedPair:
-    """D U0 D^-1 with D = diag(1, u12, u13) as two ``Mat3`` products, the
-    gauge entries pinned afterwards."""
+def gauge_fix_by_matmul(values, entries) -> NormalizedPair:
+    """D U0 D^-1 with D = diag(1, u12, u13) as two ``Mat3`` products on the
+    flat entries of U0, the gauge entries pinned afterwards."""
+    u0 = Mat3(entries)
     scale = u0.norm()
     u12, u13 = u0[0, 1], u0[0, 2]
     if abs(u12) <= GAUGE * scale or abs(u13) <= GAUGE * scale:
@@ -297,7 +320,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
         except GeneralPositionError as exc:
             add("gauge_entries", None, MARGIN_GAUGE, exc.code)
         else:
-            margin = min(abs(u0[0, 1]), abs(u0[0, 2])) / u0.norm()
+            margin = min(abs(u0[1]), abs(u0[2])) / Mat3(u0).norm()
             note = ""
             try:
                 np = _gauge_fix(values, u0)

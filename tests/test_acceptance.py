@@ -76,7 +76,7 @@ def test_criterion_2_divisor_kernel_property(seeded_pairs):
             pencil = (Mat3.identity().scaled(lam)
                       + Mat3.diagonal(*np_.h).scaled(mu)
                       + np_.u.scaled(nu))
-            worst = max(worst, abs(kernel_vector(pencil)[0]))
+            worst = max(worst, abs(kernel_vector(pencil.entries)[0]))
     report(2, "kernel first coordinate vanishes at the three divisor points",
            worst, 1e-7)
 

@@ -350,6 +350,18 @@ def test_swap_spectral_rejects_repeated_second_spectrum():
     assert info.value.code == "swapped_pair_degenerate"
 
 
+def test_swap_spectral_line_at_infinity_is_scaled_by_the_largest_coordinate(
+        monkeypatch, fixture_pair):
+    # |mu| = 1e-10 is at most 1e-9 of the largest coordinate, 1.0, but not
+    # of |nu| = 1e-3: measured against nu alone the point would pass, and
+    # fail later as an off-curve divisor
+    monkeypatch.setattr(gl2z_module, "chord_swap_divisor",
+                        lambda *args: (1.0, 1e-10, 1e-3))
+    with pytest.raises(SwappedPairDegenerate) as info:
+        swap_spectral(spectral_data(fixture_pair))
+    assert info.value.detail == {"nu": 1e-10}
+
+
 def test_gl2z_determinant_validation():
     with pytest.raises(DeterminantNotUnit):
         GL2ZMatrix(2, 0, 0, 1)

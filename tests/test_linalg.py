@@ -21,10 +21,10 @@ from spectral_pair import (
 import spectral_pair.linalg as linalg
 from spectral_pair import _kernels_py as kernels
 from spectral_pair.errors import DegenerateLeadingCoefficient
-from spectral_pair.linalg import columns_matrix, vec_norm
+from spectral_pair.linalg import vec_norm
 
 from conftest import rng_complex, rng_matrix
-from oracles import match_roots
+from oracles import columns_matrix, frob3_by_loop, match_roots
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -160,7 +160,7 @@ def test_inverse_singular_rejected():
 
 
 def test_kernel_coordinate_case():
-    v = kernel_vector(Mat3.diagonal(0, 1, 2))
+    v = kernel_vector(Mat3.diagonal(0, 1, 2).entries)
     assert abs(abs(v[0]) - 1) < 1e-14
     assert abs(v[1]) < 1e-14 and abs(v[2]) < 1e-14
 
@@ -182,7 +182,7 @@ def test_kernel_constructed():
                 rows.append(r)
         third = [rows[0][i] + rows[1][i] for i in range(3)]
         m = Mat3.from_rows([rows[0], rows[1], third])
-        v = kernel_vector(m)
+        v = kernel_vector(m.entries)
         assert vec_norm(kernels.matvec3(m.entries, v)) < 1e-9 * m.norm()
         # v is proportional to w
         cross = max(abs(v[i] * w[j] - v[j] * w[i])
@@ -192,14 +192,14 @@ def test_kernel_constructed():
 
 def test_kernel_full_rank_rejected():
     with pytest.raises(RankNotTwo):
-        kernel_vector(Mat3.identity())
+        kernel_vector(Mat3.identity().entries)
 
 
 def test_kernel_rank_one_rejected():
     w = (1 + 0j, 2 + 0j, -1 + 0j)
     m = Mat3.from_rows([w, [2 * z for z in w], [3 * z for z in w]])
     with pytest.raises(RankNotTwo):
-        kernel_vector(m)
+        kernel_vector(m.entries)
 
 
 def test_eig_diagonal():
@@ -259,3 +259,52 @@ def test_eig_finds_each_vector_from_its_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_vector", counting_kernel_vector)
     eig3(Mat3.diagonal(1, 2, 3))
     assert len(calls) == 3
+
+
+def test_frob3_sums_in_entry_order():
+    rng = random.Random(89)
+    mats = [rng_matrix(rng, 10.0 ** rng.randint(-5, 5)).entries
+            for _ in range(200)]
+    for size in (1e-160, 1e160):
+        # squares underflow to 0 (subnormal at best), or overflow to inf
+        mats += [tuple(size * rng_complex(rng) for _ in range(9))
+                 for _ in range(50)]
+    nan = complex(math.nan, 0.0)
+    mats += [(nan,) + mats[0][1:], mats[1][:4] + (complex(1, math.nan),)
+             + mats[1][5:], mats[2][:8] + (complex(math.inf, math.nan),)]
+    for m in mats:
+        assert repr(kernels.frob3(m)) == repr(frob3_by_loop(m))
+
+
+def test_kernel_vector3_det_measure_is_abs_det3():
+    # seeded matrices, a few with signed zeros and integer entries, and the
+    # rank-2 shifts A - hI of seeded matrices
+    rng = random.Random(97)
+    mats = [rng_matrix(rng, 10.0 ** rng.randint(-3, 3)).entries
+            for _ in range(200)]
+    mats += [Mat3.diagonal(0, 1, 2).entries, Mat3.diagonal(-0.0, 1, 2).entries,
+             Mat3.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).entries,
+             Mat3.from_rows([[0, -0.0, 1], [-0.0, 0, 2], [1, 2, 0]]).entries]
+    for _ in range(100):
+        e = rng_matrix(rng).entries
+        for h in eig3(Mat3(e))[0]:
+            mats.append(tuple(z - h if k % 4 == 0 else z
+                              for k, z in enumerate(e)))
+    for m in mats:
+        f = frob3_by_loop(m)
+        if f == 0.0:
+            continue
+        expected = abs(kernels.det3(m)) / (f * f * f)
+        assert repr(kernels.kernel_vector3(m)[2]) == repr(expected)
+
+
+def test_eig_checks_each_shifted_matrix_is_finite(monkeypatch):
+    # a NaN eigenvalue passes the separation test; the shift A - hI is
+    # checked as a Mat3 would be, before its kernel is sought
+    monkeypatch.setattr(linalg, "solve_cubic",
+                        lambda p: (complex(math.nan, 0.0), 2 + 0j, 3 + 0j))
+    kernels_sought = []
+    monkeypatch.setattr(linalg, "kernel_vector", kernels_sought.append)
+    with pytest.raises(ValueError, match="Mat3 entries must be finite"):
+        eig3(Mat3.diagonal(1, 2, 3))
+    assert kernels_sought == []

@@ -155,8 +155,8 @@ def test_every_coded_raise_runs(monkeypatch):
         # linalg
         lambda: solve_cubic(CubicPoly(0.0, 1.0, 2.0, 3.0)),
         lambda: inv3(Mat3.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])),
-        lambda: kernel_vector(Mat3.identity()),
-        lambda: kernel_vector(Mat3.diagonal(1, 1, 3e-8)),
+        lambda: kernel_vector(Mat3.identity().entries),
+        lambda: kernel_vector(Mat3.diagonal(1, 1, 3e-8).entries),
         lambda: eig3(Mat3.diagonal(1, 1, 2)),
         # spectral
         lambda: normalize_pair(MatrixPair(FIXTURE_A, Mat3.identity())),

@@ -80,3 +80,17 @@ def test_error_lines_match_error_schema(tmp_path, capsys):
     doc = strict_loads(err)
     validate(doc, "error")
     assert doc["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("act", "--word", ",".join(["T"] * 300)), id="word"),
+    pytest.param(("act", "--matrix", "1,300,0,1"), id="matrix"),
+])
+def test_long_shear_word_is_a_coded_error(argv, capsys):
+    # the divisor point grows with each shear until the on-curve check's
+    # scale overflows; that fails the check instead of raising OverflowError
+    code, out, err = run(capsys, *argv, SPECTRAL_FIXTURE)
+    assert (code, out) == (3, "")
+    doc = strict_loads(err.splitlines()[-1])
+    validate(doc, "error")
+    assert doc["error"]["code"] == "intermediate_degeneracy"

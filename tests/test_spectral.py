@@ -145,7 +145,7 @@ def test_divisor_kernel_first_coordinate(seeded_pairs):
             pencil = (Mat3.identity().scaled(lam)
                       + Mat3.diagonal(*np.h).scaled(mu)
                       + np.u.scaled(nu))
-            v = kernel_vector(pencil)
+            v = kernel_vector(pencil.entries)
             assert abs(v[0]) < 1e-7
 
 
@@ -464,7 +464,8 @@ def test_gauge_fix_rejects_overflowed_reciprocal():
     # every entry is subnormal, so 1/u12 and 1/u13 would overflow; |U0|
     # underflows to 0, and the gauge ratio reads 0
     t = 1e-310
-    u0 = Mat3((t, t, t, t, 2 * t, t, t, t, 3 * t))
+    u0 = (t + 0j, t + 0j, t + 0j, t + 0j, 2 * t + 0j, t + 0j,
+          t + 0j, t + 0j, 3 * t + 0j)
     with pytest.raises(GaugeDegenerate):
         spectral_module._gauge_fix((1, 2, 3), u0)
 
@@ -472,12 +473,19 @@ def test_gauge_fix_rejects_overflowed_reciprocal():
 def test_gauge_fix_reciprocals_finite_at_smallest_positive_norm():
     # a positive |U0| is at least the root of the smallest subnormal,
     # about 2.2e-162, so gauge entries that pass the ratio test have finite
-    # reciprocals (0 times an infinite one would fail the Mat3 check)
+    # reciprocals (0 times an infinite one would fail the Mat3 check of U)
     t = 2.3e-162
     g = 4e-9 * t
-    u0 = Mat3((t, g, g, 0, 0, 0, 0, 0, 0))
-    assert 0.0 < u0.norm() < t
+    u0 = (t + 0j, g + 0j, g + 0j, 0j, 0j, 0j, 0j, 0j, 0j)
+    assert 0.0 < Mat3(u0).norm() < t
     assert spectral_module._gauge_fix((1, 2, 3), u0).u[0, 0] == t
+
+
+def test_eigenbasis_matrix_is_checked_to_be_finite():
+    # V^-1 B V overflows in its second row: 1e308 + 1e308
+    vectors = ((1 + 0j, 0j, 0j), (1 + 0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
+    with pytest.raises(ValueError, match="Mat3 entries must be finite"):
+        spectral_module._in_eigenbasis(Mat3((1e308,) * 9), vectors)
 
 
 def test_forward_map_matches_matrix_product_routes(seeded_pairs, monkeypatch):
@@ -503,13 +511,58 @@ def test_forward_map_matches_matrix_product_routes(seeded_pairs, monkeypatch):
 
 
 def test_normalize_pair_inverts_the_eigenbasis_once(monkeypatch, fixture_pair):
+    # V^-1 is adj(V) / det V: the one unnamed determinant is V's, after
+    # those of A and B
     calls = []
-    original = spectral_module.inv3
+    original = spectral_module.nonsingular_det
 
-    def counting_inv3(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_nonsingular_det(entries, which=None):
+        calls.append(which)
+        return original(entries, which)
 
-    monkeypatch.setattr(spectral_module, "inv3", counting_inv3)
+    monkeypatch.setattr(spectral_module, "nonsingular_det",
+                        counting_nonsingular_det)
     normalize_pair(fixture_pair)
-    assert len(calls) == 1
+    assert calls == ["A", "B", None]
+
+
+def test_each_returned_matrix_is_the_one_mat3_built(monkeypatch, fixture_pair):
+    """The forward map and the relisting pass flat entries between their
+    stages: ``spectral_data`` and ``normalize_pair`` build only U, and
+    ``canonical_form`` builds ``reconstruct``'s U and the re-gauged U."""
+    built = []
+    post_init = Mat3.__post_init__
+
+    def counting_post_init(m):
+        built.append(1)
+        post_init(m)
+
+    sd = spectral_data(fixture_pair)
+    monkeypatch.setattr(Mat3, "__post_init__", counting_post_init)
+    for call, count in ((lambda: spectral_data(fixture_pair), 1),
+                        (lambda: normalize_pair(fixture_pair), 1),
+                        (lambda: canonical_form(sd), 2)):
+        built.clear()
+        call()
+        assert len(built) == count
+
+
+def test_curve_residual_reads_inf_when_its_scale_overflows():
+    coeffs = curve_coefficients(normalize_pair(MatrixPair(FIXTURE_A, FIXTURE_B)))
+    # a finite scale keeps the plain quotient, bit for bit
+    for point in ((-9, 2, 1), (1e50, 3e49, 1), (0.5j, 2, 1)):
+        value = abs(spectral_module.kernels.eval_curve9(coeffs, *point))
+        scale = coeffs.max_magnitude() * max(1.0, *map(abs, point)) ** 3
+        assert curve_residual(coeffs, *point) == value / scale
+    # a finite value over a scale whose cube overflows, or whose product
+    # with the coefficients' magnitude does
+    zero = coeffs._make([0j] * 9)
+    assert curve_residual(zero, 0, 1e120, 0) == math.inf
+    big = coeffs._replace(d2=1e250)
+    assert curve_residual(big, 1e30, 1, 1) == math.inf
+    # a value whose modulus overflows, over a finite scale
+    heavy = coeffs._make([1.5e307 * (1 + 1j)] * 9)
+    assert curve_residual(heavy, 1, 1, 1) == math.inf
+    # an infinite or NaN value over it reads NaN
+    assert math.isnan(curve_residual(coeffs, 1e120, 0, 1))
+    assert math.isnan(curve_residual(coeffs, complex(math.nan, 0), 1e120, 1))
