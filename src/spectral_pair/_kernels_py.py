@@ -159,21 +159,44 @@ def kernel_vector3(m):
             max_minor = az
     mm = max_minor / (f * f)
 
+    # ``float ** 2`` raises OverflowError where ``x * x`` gives inf; an
+    # overflowing square reads inf, and ``**`` keeps the finite bits
     best, best_n2 = 0, -1.0
     for j in range(3):
         col = (adj[j], adj[3 + j], adj[6 + j])
-        n2 = (col[0].real ** 2 + col[0].imag ** 2
-              + col[1].real ** 2 + col[1].imag ** 2
-              + col[2].real ** 2 + col[2].imag ** 2)
+        try:
+            n2 = (col[0].real ** 2 + col[0].imag ** 2
+                  + col[1].real ** 2 + col[1].imag ** 2
+                  + col[2].real ** 2 + col[2].imag ** 2)
+        except OverflowError:
+            n2 = math.inf
         if n2 > best_n2:
             best, best_n2 = j, n2
     if best_n2 <= 0.0:
         return (0j, 0j, 0j), 1.0, dm, mm
+    if best_n2 == math.inf:
+        # 1/sqrt(inf) would scale the column to zero, whose residual is 0:
+        # no unit candidate, and the infinite residual rejects it
+        return (0j, 0j, 0j), math.inf, dm, mm
     inv_n = 1.0 / math.sqrt(best_n2)
     v = (adj[best] * inv_n, adj[3 + best] * inv_n, adj[6 + best] * inv_n)
-    mv = matvec3(m, v)
-    residual = math.sqrt(abs(mv[0]) ** 2 + abs(mv[1]) ** 2 + abs(mv[2]) ** 2) / f
-    return v, residual, dm, mm
+    return v, vec_norm(matvec3(m, v)) / f, dm, mm
+
+
+def square_modulus(z):
+    """``abs(z) ** 2``, reading inf where the modulus or its square
+    overflows instead of raising ``OverflowError``."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def vec_norm(v):
+    """Euclidean norm, the squares summed in order; a square that overflows
+    reads inf."""
+    return math.sqrt(square_modulus(v[0]) + square_modulus(v[1])
+                     + square_modulus(v[2]))
 
 
 def eval_curve9(c, lam, mu, nu):

@@ -19,8 +19,7 @@ ON_CURVE = 1e-8               # divisor point curve residual
 SYMMETRIC_FUNCTIONS = 1e-9    # e_k(h) vs (p_plus, p_minus, d1)
 
 # projective geometry
-COINCIDENT_POINTS = 1e-12     # cross-product norm for distinct points
-INCIDENCE = 1e-6              # points claimed on curve/line
+INCIDENCE = 1e-6              # points claimed on the curve; coincident points
 DEFLATION = 1e-6              # restricted cubic vanishing on a line
 THIRD_POINT_ON_CURVE = 1e-8
 

@@ -11,6 +11,7 @@ test pins down.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -106,9 +107,6 @@ class GL2ZMatrix:
 
     def __reduce__(self):
         return (GL2ZMatrix, self._entries())
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
 
     def __mul__(self, other: "GL2ZMatrix") -> "GL2ZMatrix":
         return GL2ZMatrix(self.a * other.a + self.b * other.c,
@@ -210,9 +208,14 @@ def invert_spectral(sd: SpectralData) -> SpectralData:
     """
     h1, h2, h3 = sd.h
     c = sd.coeffs
-    scale = max(abs(h1), abs(h2), abs(h3))
-    if min(abs(h1), abs(h2), abs(h3)) <= SINGULAR * max(1.0, scale) \
-            or abs(c.d1) <= SINGULAR * max(1.0, scale) ** 3:
+    scale = max(1.0, max(abs(h1), abs(h2), abs(h3)))
+    # a cube that overflows reads inf; ``**`` keeps the finite bits
+    try:
+        cube = scale ** 3
+    except OverflowError:
+        cube = math.inf
+    if min(abs(h1), abs(h2), abs(h3)) <= SINGULAR * scale \
+            or abs(c.d1) <= SINGULAR * cube:
         raise SingularA("first matrix is numerically singular", d1=abs(c.d1))
     d1 = c.d1
     L, M = sd.divisor.L, sd.divisor.M

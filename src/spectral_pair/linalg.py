@@ -159,7 +159,11 @@ class CubicPoly(NamedTuple):
         return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
 
     def max_coefficient(self) -> float:
-        return max(abs(self.c3), abs(self.c2), abs(self.c1), abs(self.c0))
+        """Largest coefficient modulus; one that overflows reads inf."""
+        try:
+            return max(abs(self.c3), abs(self.c2), abs(self.c1), abs(self.c0))
+        except OverflowError:
+            return math.inf
 
 
 def solve_cubic(p: CubicPoly) -> Vec3:
@@ -181,12 +185,17 @@ def nonsingular_det(entries: tuple[complex, ...],
     """Determinant of the flat, checked entries of a 3x3 matrix; unless
     |det| > SINGULAR |M|^3, SingularMatrix naming the matrix ``which``.
     A NaN or infinite determinant or cube fails: for |M| above about
-    5.6e102 the cube overflows and the determinant may be inf - inf."""
+    5.6e102 the cube overflows and the determinant may be inf - inf.  A
+    determinant whose modulus overflows reads inf."""
     f = kernels.frob3(entries)
     d = kernels.det3(entries)
-    if not abs(d) > SINGULAR * f * f * f:
+    try:
+        modulus = abs(d)
+    except OverflowError:
+        modulus = math.inf
+    if not modulus > SINGULAR * f * f * f:
         raise SingularMatrix("matrix is numerically singular",
-                             which=which, det=abs(d), norm=f)
+                             which=which, det=modulus, norm=f)
     return d
 
 
@@ -203,10 +212,11 @@ def kernel_vector(entries: tuple[complex, ...]) -> Vec3:
     ker(M); the largest-norm column is chosen for determinism.
     """
     v, residual, det_measure, minor_measure = kernels.kernel_vector3(entries)
-    if det_measure > RANK or minor_measure <= RANK:
+    # written so that a NaN measure or residual fails
+    if not (det_measure <= RANK and minor_measure > RANK):
         raise RankNotTwo("matrix does not have numerical rank 2",
                          det_measure=det_measure, minor_measure=minor_measure)
-    if residual > KERNEL_RESIDUAL:
+    if not residual <= KERNEL_RESIDUAL:
         raise RankNotTwo("adjugate kernel candidate has a large residual",
                          residual=residual)
     return v
@@ -251,6 +261,3 @@ def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
         vectors.append(kernel_vector(shifted))
     return values, tuple(vectors)
 
-
-def vec_norm(v: Vec3) -> float:
-    return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)

@@ -330,12 +330,14 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     """|det M| / |M|^3 for the flat entries of a 3x3 matrix, 0 for the zero
     matrix.
 
-    M is first scaled by the power of two that brings its largest |entry|
-    into [0.5, 1).  That scaling is exact in binary floating point, and
-    after it neither |M|, nor the determinant, nor the cube can underflow
-    or overflow.  |M| itself would not do as the scale: its squares
-    underflow below about 1e-154 and overflow above about 1e154."""
-    largest = max(map(abs, entries))
+    M is first scaled by the power of two that brings its largest real or
+    imaginary part into [0.5, 1).  That scaling is exact in binary floating
+    point, and after it neither |M|, nor the determinant, nor the cube can
+    underflow or overflow.  |M| itself would not do as the scale: its
+    squares underflow below about 1e-154 and overflow above about 1e154;
+    nor would the largest |entry|, whose modulus overflows above about
+    1.8e308 although its parts are finite."""
+    largest = max(max(abs(z.real), abs(z.imag)) for z in entries)
     if largest == 0.0:
         return 0.0
     # ldexp on each part, because 2**-exponent itself overflows for a
@@ -352,21 +354,22 @@ def _axis_point_separation(h: Vec3, xi: Vec3, s: Vec3) -> float:
     |P|^2 = |h|^2 + 1, |P_i x P_j| = |h_j - h_i| (likewise for X and Z),
     |P x X|^2 = 1 + |h|^2 + |xi|^2, |P x Z|^2 = 1 + |h|^2 + |hs|^2 and
     |X x Z|^2 = |s|^2 + |xi|^2 + |xi s|^2.  Squares are summed in
-    ``vec_norm``'s order and ``min`` takes the pairs of the list P, X, Z in
-    order, so the bits, a NaN included, are the generic cross product's."""
-    sqrt = math.sqrt
-    hh, xx, ss = ([abs(z) ** 2 for z in r] for r in (h, xi, s))
-    nh, nx, ns = ([sqrt(a + 1.0) for a in sq] for sq in (hh, xx, ss))
+    ``vec_norm``'s order, a square that overflows reading inf, and ``min``
+    takes the pairs of the list P, X, Z in order, so the bits, a NaN
+    included, are the generic cross product's."""
+    sqrt, sq = math.sqrt, kernels.square_modulus
+    hh, xx, ss = ([sq(z) for z in r] for r in (h, xi, s))
+    nh, nx, ns = ([sqrt(a + 1.0) for a in r] for r in (hh, xx, ss))
     d = []
     for i, (p, a, n) in enumerate(zip(h, hh, nh)):
-        d += [sqrt(abs(h[j] - p) ** 2) / (n * nh[j]) for j in range(i + 1, 3)]
+        d += [sqrt(sq(h[j] - p)) / (n * nh[j]) for j in range(i + 1, 3)]
         d += [sqrt(1.0 + a + b) / (n * m) for b, m in zip(xx, nx)]
-        d += [sqrt(1.0 + a + abs(p * t) ** 2) / (n * m) for t, m in zip(s, ns)]
+        d += [sqrt(1.0 + a + sq(p * t)) / (n * m) for t, m in zip(s, ns)]
     for i, (x, a, n) in enumerate(zip(xi, xx, nx)):
-        d += [sqrt(abs(xi[j] - x) ** 2) / (n * nx[j]) for j in range(i + 1, 3)]
-        d += [sqrt(b + a + abs(x * t) ** 2) / (n * m)
+        d += [sqrt(sq(xi[j] - x)) / (n * nx[j]) for j in range(i + 1, 3)]
+        d += [sqrt(b + a + sq(x * t)) / (n * m)
               for t, b, m in zip(s, ss, ns)]
-    d += [sqrt(abs(s[j] - s[i]) ** 2) / (ns[i] * ns[j])
+    d += [sqrt(sq(s[j] - s[i])) / (ns[i] * ns[j])
           for i in range(3) for j in range(i + 1, 3)]
     return min(d)
 

@@ -55,19 +55,12 @@ def rng_matrix(rng: random.Random, radius: float = 1.0) -> Mat3:
     return Mat3(tuple(rng_complex(rng, radius) for _ in range(9)))
 
 
-def line_through(p, q):
-    """Line through the coordinate triples p and q, each normalized first."""
-    return cubic._line_through(cubic._normalized(p), cubic._normalized(q))
-
-
-def third_intersection(coeffs, p1, p2, line=None):
-    """Third point where the line through the coordinate triples p1 and p2,
-    or ``line`` when given, meets the cubic, by the chord construction's
-    own steps: each point normalized once, then the deflation."""
+def third_intersection(coeffs, p1, p2):
+    """Third point where the chord through the coordinate triples p1 and p2
+    meets the cubic, by the chord construction's own steps: each point
+    normalized once, then the deflation."""
     p1n, p2n = cubic._normalized(p1), cubic._normalized(p2)
-    if line is None:
-        line = cubic._line_through(p1n, p2n)
-    third, _ = cubic._third_intersection(coeffs, coeffs.max_magnitude(), line,
+    third, _ = cubic._third_intersection(coeffs, coeffs.max_magnitude(),
                                          p1n, p2n,
                                          kernels.eval_curve9(coeffs, *p2n))
     return third

@@ -35,8 +35,8 @@ from spectral_pair import (
     spectral_data_of_normalized,
 )
 from spectral_pair import _kernels_py as kernels
+from spectral_pair._kernels_py import vec_norm
 from spectral_pair.config import (
-    COINCIDENT_POINTS,
     DEFLATION,
     GAUGE,
     INCIDENCE,
@@ -49,7 +49,7 @@ from spectral_pair.config import (
     THIRD_POINT_ON_CURVE,
 )
 from spectral_pair.cubic import _cross
-from spectral_pair.linalg import separation, vec_norm
+from spectral_pair.linalg import separation
 from spectral_pair.spectral import PositionCheck, _gauge_fix, _in_eigenbasis
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
@@ -383,6 +383,12 @@ def normalized(p) -> tuple[complex, complex, complex]:
     return (p[0] / pivot, p[1] / pivot, p[2] / pivot)
 
 
+def line_through(p, q) -> tuple[complex, complex, complex]:
+    """Coefficients (a, b, c) of the line through p and q: the cross
+    product of their normalized representatives."""
+    return _cross(normalized(p), normalized(q))
+
+
 def line_value(line, p) -> complex:
     """The linear form a*lam + b*mu + c*nu of line = (a, b, c) at p."""
     return line[0] * p[0] + line[1] * p[1] + line[2] * p[2]
@@ -427,24 +433,14 @@ def axis_points(h, xi, s) -> list:
 # --- the chord construction, normalizing at every use ---
 
 
-def _line_through_renormalizing(p, q):
-    cross = _cross(normalized(p), normalized(q))
-    if vec_norm(cross) <= COINCIDENT_POINTS * 4.0:
-        raise CoincidentPoints("points are projectively equal")
-    return cross
-
-
-def _third_intersection_renormalizing(coeffs, line, p1, p2):
+def _third_intersection_renormalizing(coeffs, p1, p2):
     p1n, p2n = normalized(p1), normalized(p2)
+    if projective_distance(p1n, p2n) <= INCIDENCE:
+        raise CoincidentPoints("points are projectively equal")
     cscale = coeffs.max_magnitude()
-    lscale = max(abs(line[0]), abs(line[1]), abs(line[2]), 1e-300)
     for name, pt in (("p1", p1n), ("p2", p2n)):
         if abs(evaluate_curve(coeffs, pt)) > INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve")
-        if abs(line_value(line, pt)) / lscale > INCIDENCE:
-            raise InputsNotIncident(f"{name} is not on the line")
-    if projective_distance(p1n, p2n) <= INCIDENCE:
-        raise InputsNotIncident("the two base points coincide")
 
     def at(s, t):
         return evaluate_curve_raw(coeffs, *(s * a + t * b
@@ -468,14 +464,12 @@ def _third_intersection_renormalizing(coeffs, line, p1, p2):
 
 
 def chord_swap_divisor_renormalizing(coeffs, p_first, x_first, q):
-    """The chord construction with every line and every third intersection
-    normalizing its points afresh, and each incidence evaluated at a
-    re-normalized point; ``chord_swap_divisor`` normalizes each point once
-    and must agree with it to round-off."""
-    line = _line_through_renormalizing(x_first, q)
-    t_point = _third_intersection_renormalizing(coeffs, line, x_first, q)
-    line = _line_through_renormalizing(p_first, t_point)
-    return _third_intersection_renormalizing(coeffs, line, p_first, t_point)
+    """The chord construction with every third intersection normalizing its
+    points afresh, and each incidence evaluated at a re-normalized point;
+    ``chord_swap_divisor`` normalizes each point once and must agree with
+    it to round-off."""
+    t_point = _third_intersection_renormalizing(coeffs, x_first, q)
+    return _third_intersection_renormalizing(coeffs, p_first, t_point)
 
 
 # --- root matching ---

@@ -37,10 +37,11 @@ from spectral_pair import (
 )
 from spectral_pair.reconstruct import _closed_form_lower_left
 
-from conftest import line_through, third_intersection
+from conftest import third_intersection
 from oracles import (
     curve_point_near,
     expanded_coefficients,
+    line_through,
     line_value,
     normalized,
 )

@@ -18,13 +18,12 @@ from spectral_pair import (
     swap_spectral,
 )
 
-from conftest import line_through, third_intersection
+from conftest import third_intersection
 from oracles import (
     chord_swap_divisor_renormalizing,
     curve_point_near,
     evaluate_curve,
     evaluate_curve_raw,
-    line_value,
     match_roots,
     normalized,
     projective_distance,
@@ -64,27 +63,6 @@ def test_off_curve_point_nonzero(seeded_pairs):
     assert abs(evaluate_curve(sd.coeffs, (0.123, 4.5, 0.678))) > 1e-6
 
 
-def test_line_through_axes():
-    a, b, c = line_through((1, 0, 0), (0, 1, 0))
-    assert (a, b) == (0, 0) and c != 0
-
-
-def test_line_through_coincident():
-    with pytest.raises(CoincidentPoints):
-        line_through((1, 2, 3), (2, 4, 6))
-
-
-def test_line_through_evaluates_to_zero():
-    rng = random.Random(4)
-    for _ in range(50):
-        p, q = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                 for _ in range(3)] for _ in range(2))
-        line = line_through(p, q)
-        scale = max(map(abs, line))
-        assert abs(line_value(line, normalized(p))) < 1e-12 * max(1.0, scale)
-        assert abs(line_value(line, normalized(q))) < 1e-12 * max(1.0, scale)
-
-
 def test_third_intersection_infinity_line(seeded_pairs):
     # the nu = 0 line meets the curve at the three eigenvalue points
     for pair in seeded_pairs[:20]:
@@ -116,12 +94,11 @@ def test_third_intersection_chord_symmetry(seeded_pairs):
 def test_third_intersection_requires_distinct_points(seeded_pairs):
     sd = spectral_data(seeded_pairs[0])
     p1 = eigen_points(sd)[0]
-    line = line_through(p1, divisor(sd))
-    # 1e-9 away, p1's neighbour passes both incidence tests
+    # 1e-9 away, p1's neighbour is still on the curve
     near = (sd.h[0] * (1 + 1e-9), -1.0, 0.0)
     for p2 in (p1, near):
-        with pytest.raises(InputsNotIncident, match="coincide"):
-            third_intersection(sd.coeffs, p1, p2, line)
+        with pytest.raises(CoincidentPoints):
+            third_intersection(sd.coeffs, p1, p2)
 
 
 def test_normalized_scales_the_first_largest_coordinate():
@@ -133,10 +110,9 @@ def test_normalized_scales_the_first_largest_coordinate():
 
 def test_third_intersection_requires_incidence(seeded_pairs):
     sd = spectral_data(seeded_pairs[0])
-    p1, p2, _ = eigen_points(sd)
-    line = line_through(p1, p2)
+    p1 = eigen_points(sd)[0]
     with pytest.raises(InputsNotIncident):
-        third_intersection(sd.coeffs, p1, (0.1, 0.2, 1.0), line)
+        third_intersection(sd.coeffs, p1, (0.1, 0.2, 1.0))
 
 
 def test_line_component_of_reducible_curve_detected():

@@ -319,6 +319,15 @@ def test_invert_spectral_rejects_zero_eigenvalue():
     assert info.value.code == "singular_a"
 
 
+def test_invert_spectral_rejects_an_overflowing_cube():
+    # max|h|^3 overflows; the bound reads inf, so |d1| = 1.2e285 fails it
+    npair = NormalizedPair((1e91, 2e91, 6e102), FIXTURE_B)
+    sd = validate_spectral_data(SpectralData(
+        npair.h, curve_coefficients(npair), divisor_point(npair)))
+    with pytest.raises(SingularA):
+        invert_spectral(sd)
+
+
 # hand-built spectral data off the general-position stratum, each consistent
 # with its own coefficients, and the code act_word_spectral raises for it on
 # every word: canonical_form rejects the input before the first letter acts

@@ -5,10 +5,11 @@ No linter ships with the project, so these scans stand in for one:
 
 - a name bound by a top-level ``import`` or ``from ... import`` must be read
   somewhere in its module;
-- a top-level function or class, or a non-dunder method of a top-level
-  class, must be read somewhere in the package, as a name, an attribute or
-  a string constant.  Only the few names in ``OUTSIDE_CALLERS`` are called
-  from outside the package alone.
+- a top-level function or class must be read somewhere in the package, as
+  a name, an attribute or a string constant, and a non-dunder method of a
+  top-level class as an attribute or a string constant (a local variable
+  of the same name is not a read).  Only the few names in
+  ``OUTSIDE_CALLERS`` are called from outside the package alone.
 
 ``__init__.py`` is exempt from both because its imports are the package's
 re-exports, and a re-export is not a read.
@@ -56,7 +57,7 @@ def test_package_has_no_unused_imports():
 #: workloads, the README's Library example, and conveniences the tests use
 OUTSIDE_CALLERS = {
     "verify_commutation", "well_conditioned_matrix", "generation_attempts",
-    "Mat3.from_rows",
+    "Mat3.from_rows", "Mat3.scaled",
     "CubicPoly.from_roots", "GeneralPositionReport.failing",
 }
 
@@ -75,20 +76,30 @@ def definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def reads(tree: ast.Module) -> set[str]:
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute)}
-            | {node.value for node in ast.walk(tree)
-               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+def reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names read as a bare name, names read as an attribute or a string
+    constant).  A method is reached only through the second kind: a local
+    variable of the same name does not call it."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    members = ({node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)}
+               | {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)})
+    return names, members
 
 
 def uncalled_definitions(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = set().union(*map(reads, trees.values()))
+    names, members = set(), set()
+    for tree_names, tree_members in map(reads, trees.values()):
+        names |= tree_names
+        members |= tree_members
     return [f"{name}: {qualified}" for name, tree in trees.items()
             if name != "__init__.py"
-            for qualified, bare in definitions(tree) if bare not in read]
+            for qualified, bare in definitions(tree)
+            if bare not in members
+            and ("." in qualified or bare not in names)]
 
 
 def test_uncalled_definition_is_detected():
@@ -99,14 +110,17 @@ def test_uncalled_definition_is_detected():
                  "    def __init__(self): pass\n"
                  "    def method(self): pass\n"
                  "    def named(self): pass\n"
+                 "    def masked(self): pass\n"
                  "def helper(): return C().method()\n"
                  "def entry(): return helper(), getattr(C(), 'named')\n"
                  "def orphan(): pass\n"),
-        "b.py": "from .a import entry\nentry()\n",
+        # a local variable named like a method does not read the method
+        "b.py": "from .a import entry\nmasked = entry()\nprint(masked)\n",
     }
-    assert uncalled_definitions(sources) == ["a.py: orphan"]
+    assert uncalled_definitions(sources) == ["a.py: C.masked", "a.py: orphan"]
     sources["a.py"] = sources["a.py"].replace("'named'", "'other'")
-    assert uncalled_definitions(sources) == ["a.py: C.named", "a.py: orphan"]
+    assert uncalled_definitions(sources) == [
+        "a.py: C.named", "a.py: C.masked", "a.py: orphan"]
 
 
 def test_package_has_no_uncalled_definitions():

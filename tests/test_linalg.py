@@ -21,7 +21,8 @@ from spectral_pair import (
 import spectral_pair.linalg as linalg
 from spectral_pair import _kernels_py as kernels
 from spectral_pair.errors import DegenerateLeadingCoefficient
-from spectral_pair.linalg import vec_norm
+from spectral_pair._kernels_py import vec_norm
+from spectral_pair.linalg import nonsingular_det
 
 from conftest import rng_complex, rng_matrix
 from oracles import columns_matrix, frob3_by_loop, match_roots
@@ -200,6 +201,47 @@ def test_kernel_rank_one_rejected():
     m = Mat3.from_rows([w, [2 * z for z in w], [3 * z for z in w]])
     with pytest.raises(RankNotTwo):
         kernel_vector(m.entries)
+
+
+@pytest.mark.parametrize("big", [1e160, 1e80])
+def test_eig_rejects_an_overflowing_adjugate(big):
+    # 1e160: each A - hI has adjugate entries near 1e320, the minor measure
+    # is NaN, and NaN fails the rank test.  1e80: |A| and both measures are
+    # finite, but a column's squared norm overflows; it would scale to the
+    # zero vector, residual 0, so the candidate reads residual inf instead
+    a = Mat3.from_rows([[1, big, 0], [0, 2, big], [0, 0, 3.5]])
+    with pytest.raises(RankNotTwo):
+        eig3(a)
+    assert kernels.kernel_vector3((a - Mat3.identity()).entries)[1] \
+        == math.inf
+
+
+@pytest.mark.parametrize("measures", [
+    (math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.0, math.nan)],
+    ids=["residual", "det_measure", "minor_measure"])
+def test_kernel_vector_rejects_nan_measures(measures, monkeypatch):
+    monkeypatch.setattr(linalg.kernels, "kernel_vector3",
+                        lambda entries: ((1 + 0j, 0j, 0j), *measures))
+    with pytest.raises(RankNotTwo):
+        kernel_vector(Mat3.diagonal(0, 1, 2).entries)
+
+
+def test_vec_norm_reads_an_overflowing_square_as_inf():
+    assert vec_norm((1e200, 0, 1)) == math.inf
+    assert math.isnan(vec_norm((1e200, math.nan, 0)))
+    assert vec_norm((3, 4j, 0)) == 5.0
+
+
+def test_overflowing_modulus_reads_inf():
+    # finite parts near 1.3e308 whose modulus is beyond the float range
+    big = complex(1.3e308, 1.3e308)
+    assert CubicPoly(1.0, big, 0, 0).max_coefficient() == math.inf
+    with pytest.raises(DegenerateLeadingCoefficient):
+        solve_cubic(CubicPoly(1.0, big, 0, 0))
+    # det = x^3 (1 + i) has parts near 1.3e308; |M|^3 stays finite
+    x = 1.3e308 ** (1 / 3)
+    d = nonsingular_det(Mat3.diagonal(x * (1 + 1j), x, x).entries)
+    assert math.isfinite(d.real) and math.isfinite(d.imag)
 
 
 def test_eig_diagonal():

@@ -7,9 +7,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from spectral_pair import Mat3, MatrixPair, jsonio, random_pair
 from spectral_pair.cli import main
 
 from conftest import (
+    FIXTURE_B,
     PAIR_FIXTURE,
     SPECTRAL_FIXTURE,
     oversized_integer_pair_file,
@@ -34,6 +36,7 @@ def run(capsys, *argv):
 @pytest.mark.parametrize("argv, schema", [
     pytest.param(("random-pair", "--seed", "7"), "pair", id="random-pair"),
     pytest.param(("spectral", PAIR_FIXTURE), "spectral", id="spectral"),
+    pytest.param(("check", PAIR_FIXTURE), "check", id="check"),
     pytest.param(("act", "--word", "S,I,T", SPECTRAL_FIXTURE), "spectral",
                  id="act"),
     pytest.param(("act", "--word", "T", "--side", "matrix", PAIR_FIXTURE),
@@ -94,3 +97,45 @@ def test_long_shear_word_is_a_coded_error(argv, capsys):
     doc = strict_loads(err.splitlines()[-1])
     validate(doc, "error")
     assert doc["error"]["code"] == "intermediate_degeneracy"
+
+
+def pair_file(tmp_path, name: str, pair) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
+    return str(path)
+
+
+# a triangular A keeps its characteristic polynomial small, so its
+# eigenvalues pass the leading-coefficient test, while the adjugate of each
+# A - hI holds entries near 1e320 whose squares overflow
+TRIANGULAR_A = Mat3.from_rows([[1, 1e160, 0], [0, 2, 1e160], [0, 0, 3.5]])
+
+
+def test_overflowing_adjugate_is_a_coded_report(tmp_path, capsys):
+    path = pair_file(tmp_path, "triangular", MatrixPair(TRIANGULAR_A, FIXTURE_B))
+    code, out, _ = run(capsys, "check", path)
+    assert code == 3
+    doc = strict_loads(out)
+    validate(doc, "check")
+    notes = {c["name"]: c["note"] for c in doc["checks"]}
+    assert notes["eigenvalue_separation"] == notes["gauge_entries"] \
+        == "rank_not_two"
+
+
+@pytest.mark.parametrize("command", ["check", "spectral"])
+def test_overflowing_modulus_is_a_coded_error(command, tmp_path, capsys):
+    # entries near 8.7e102: the characteristic polynomial's coefficients
+    # have finite parts whose moduli overflow, and read inf
+    pair = random_pair(31)
+    path = pair_file(tmp_path, "big", pair._replace(a=pair.a.scaled(2.0 ** 341)))
+    code, out, err = run(capsys, command, path)
+    assert code == 3
+    if command == "check":
+        doc = strict_loads(out)
+        validate(doc, "check")
+        notes = [c["note"] for c in doc["checks"]]
+        assert "degenerate_leading_coefficient" in notes
+    else:
+        doc = strict_loads(err)
+        validate(doc, "error")
+        assert doc["error"]["code"] == "degenerate_leading_coefficient"

@@ -305,8 +305,8 @@ def outcome(fn, *args) -> str:
 
 
 # the leading-coefficient test bounds the report's roots by about 1e12;
-# beyond about 1.3e154 a squared magnitude overflows, and both routes raise
-# the OverflowError of ``float ** 2``
+# beyond about 1.3e154 a squared magnitude overflows, and both routes read
+# it as inf
 @pytest.mark.parametrize("h, xi, s", [
     ((NAN, 2, 3), (0.5, -1.5, 2.5 + 1j), (1j, -2, 0.25)),
     ((1, 2, 3), (0.5, complex(NAN, 0.0), 2.5 + 1j), (1j, -2, 0.25)),
@@ -314,7 +314,9 @@ def outcome(fn, *args) -> str:
     ((1e150, 1.001e150, 3), (0.5, -1.5, 2.5 + 1j), (1j, -2, 0.25)),
     ((1, 2, 3), (0.5, -1.5, 2.5 + 1j), (1j, 1e150j, 1.001e150j)),
     ((1, 2, 3), (0.5, 1e200, 2.5 + 1j), (1j, -2, 0.25)),
-], ids=["nan-h1", "nan-xi2", "nan-s3", "1e150-h1", "1e150-s3", "1e200-xi2"])
+    ((NAN, 2, 3), (0.5, 1e200, 2.5 + 1j), (1j, -2, 0.25)),
+], ids=["nan-h1", "nan-xi2", "nan-s3", "1e150-h1", "1e150-s3", "1e200-xi2",
+        "nan-h1-1e200-xi2"])
 def test_axis_point_separation_matches_oracle_on_edge_roots(h, xi, s):
     roots = tuple(tuple(map(complex, r)) for r in (h, xi, s))
     assert (outcome(spectral_module._axis_point_separation, *roots)
@@ -445,6 +447,21 @@ def test_determinant_margin_is_scale_free():
         scaled = general_position_report(MatrixPair(FIXTURE_A.scaled(scale_a),
                                                     FIXTURE_B.scaled(scale_b)))
         assert scaled.checks[:2] == report.checks[:2], (scale_a, scale_b)
+
+
+def test_determinant_margin_keeps_its_bits_past_an_overflowing_modulus():
+    # scaled by 2^341, A's entries near 8.7e102 are scaled by the largest
+    # part, whose modulus would overflow in the characteristic polynomial
+    a = random_pair(31).a
+    for scale in (2.0 ** 341, 2.0 ** 1000):
+        assert (spectral_module._determinant_margin(a.scaled(scale).entries)
+                == spectral_module._determinant_margin(a.entries))
+    # parts of 1.5 * 2^1023, whose moduli overflow
+    big = complex(1.5 * 2.0 ** 1023, 1.5 * 2.0 ** 1023)
+    margin = spectral_module._determinant_margin(
+        Mat3.diagonal(big, big, 1.0).entries)
+    assert margin == spectral_module._determinant_margin(
+        Mat3.diagonal(1.5 + 1.5j, 1.5 + 1.5j, 2.0 ** -1023).entries)
 
 
 def test_report_decomposes_a_once(monkeypatch, fixture_pair):
