@@ -3,6 +3,21 @@
 Matrices are flat row-major 9-tuples of built-in ``complex``; vectors are
 3-tuples.  Kernels never raise domain errors: they return data plus
 conditioning measures and leave policy to the wrappers.
+
+The kernels unpack their operands once and leave the per-entry float work
+to CPython's C ``complex`` operations.  Three rules keep every bit, inf
+and NaN included, of the plain formulas that ``tests/oracles.py`` keeps:
+
+- re^2 + im^2 is the real part of ``z * z.conjugate()``, which CPython
+  computes as re*re - im*(-im): the same bits, by the sign symmetry of
+  IEEE-754 products, on an interpreter built without fused multiply-add
+  contraction (as x86-64 builds are; tier-1 compares against the plain
+  formula, so a build that fuses fails there).
+- ``x ** 2`` stays where it stands.  It differs from ``x * x`` in the last
+  bit for about one square in 1200 on common libms, and it raises
+  OverflowError where ``x * x`` gives inf.
+- Sums are never reassociated: a complex sum adds its real parts in the
+  same left-to-right order as the float sum it replaces.
 """
 
 import cmath
@@ -16,60 +31,52 @@ _W2 = _W.conjugate()
 
 
 def det3(m):
-    return (m[0] * (m[4] * m[8] - m[5] * m[7])
-            - m[1] * (m[3] * m[8] - m[5] * m[6])
-            + m[2] * (m[3] * m[7] - m[4] * m[6]))
+    a, b, c, d, e, f, g, h, i = m
+    return (a * (e * i - f * h)
+            - b * (d * i - f * g)
+            + c * (d * h - e * g))
 
 
 def adj3(m):
     """Adjugate (transposed cofactor matrix): m @ adj3(m) == det3(m) * I."""
-    return (
-        m[4] * m[8] - m[5] * m[7],
-        m[2] * m[7] - m[1] * m[8],
-        m[1] * m[5] - m[2] * m[4],
-        m[5] * m[6] - m[3] * m[8],
-        m[0] * m[8] - m[2] * m[6],
-        m[2] * m[3] - m[0] * m[5],
-        m[3] * m[7] - m[4] * m[6],
-        m[1] * m[6] - m[0] * m[7],
-        m[0] * m[4] - m[1] * m[3],
-    )
+    a, b, c, d, e, f, g, h, i = m
+    return (e * i - f * h, c * h - b * i, b * f - c * e,
+            f * g - d * i, a * i - c * g, c * d - a * f,
+            d * h - e * g, b * g - a * h, a * e - b * d)
 
 
-def matmul3(a, b):
+def matmul3(x, y):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = x
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = y
     return (
-        a[0] * b[0] + a[1] * b[3] + a[2] * b[6],
-        a[0] * b[1] + a[1] * b[4] + a[2] * b[7],
-        a[0] * b[2] + a[1] * b[5] + a[2] * b[8],
-        a[3] * b[0] + a[4] * b[3] + a[5] * b[6],
-        a[3] * b[1] + a[4] * b[4] + a[5] * b[7],
-        a[3] * b[2] + a[4] * b[5] + a[5] * b[8],
-        a[6] * b[0] + a[7] * b[3] + a[8] * b[6],
-        a[6] * b[1] + a[7] * b[4] + a[8] * b[7],
-        a[6] * b[2] + a[7] * b[5] + a[8] * b[8],
+        a0 * b0 + a1 * b3 + a2 * b6,
+        a0 * b1 + a1 * b4 + a2 * b7,
+        a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6,
+        a3 * b1 + a4 * b4 + a5 * b7,
+        a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6,
+        a6 * b1 + a7 * b4 + a8 * b7,
+        a6 * b2 + a7 * b5 + a8 * b8,
     )
 
 
 def matvec3(m, v):
-    return (
-        m[0] * v[0] + m[1] * v[1] + m[2] * v[2],
-        m[3] * v[0] + m[4] * v[1] + m[5] * v[2],
-        m[6] * v[0] + m[7] * v[1] + m[8] * v[2],
-    )
+    a, b, c, d, e, f, g, h, i = m
+    x, y, z = v
+    return (a * x + b * y + c * z,
+            d * x + e * y + f * z,
+            g * x + h * y + i * z)
 
 
 def frob3(m):
     """Frobenius norm, the squared moduli summed in entry order."""
     a, b, c, d, e, f, g, h, i = m
-    return math.sqrt((a.real * a.real + a.imag * a.imag)
-                     + (b.real * b.real + b.imag * b.imag)
-                     + (c.real * c.real + c.imag * c.imag)
-                     + (d.real * d.real + d.imag * d.imag)
-                     + (e.real * e.real + e.imag * e.imag)
-                     + (f.real * f.real + f.imag * f.imag)
-                     + (g.real * g.real + g.imag * g.imag)
-                     + (h.real * h.real + h.imag * h.imag)
-                     + (i.real * i.real + i.imag * i.imag))
+    return math.sqrt((a * a.conjugate() + b * b.conjugate()
+                      + c * c.conjugate() + d * d.conjugate()
+                      + e * e.conjugate() + f * f.conjugate()
+                      + g * g.conjugate() + h * h.conjugate()
+                      + i * i.conjugate()).real)
 
 
 def char_poly3(m):
@@ -120,18 +127,22 @@ def solve_cubic_raw(c3, c2, c1, c0):
 
     roots = []
     for y in ys:
+        # the two steps unrolled, so that |f| of an accepted step is kept
+        # for the next comparison rather than taken again
         x = y - shift
         fx = ((c3 * x + c2) * x + c1) * x + c0
-        for _ in range(2):
-            fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if fp == 0:
-                break
+        fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if fp != 0:
             xn = x - fx / fp
             fn = ((c3 * xn + c2) * xn + c1) * xn + c0
-            if abs(fn) < abs(fx):
+            afn = abs(fn)
+            if afn < abs(fx):
                 x, fx = xn, fn
-            else:
-                break
+                fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
+                if fp != 0:
+                    xn = x - fx / fp
+                    if abs(((c3 * xn + c2) * xn + c1) * xn + c0) < afn:
+                        x = xn
         roots.append(x)
     roots.sort(key=canonical_key)
     return tuple(roots)
@@ -145,33 +156,35 @@ def kernel_vector3(m):
     vanishes), residual is |M v| / |M|, and the two measures are |det|/|M|^3
     and max |2x2 minor| / |M|^2 used for the rank-2 test.
     """
-    f = frob3(m)
-    if f == 0.0:
+    norm = frob3(m)
+    if norm == 0.0:
         return (0j, 0j, 0j), 0.0, 0.0, 0.0
-    adj = adj3(m)
+    a, b, c, d, e, f, g, h, i = m
+    # the adjugate as adj3 computes it: columns x, y, z, indexed by row
+    x0, y0, z0 = e * i - f * h, c * h - b * i, b * f - c * e
+    x1, y1, z1 = f * g - d * i, a * i - c * g, c * d - a * f
+    x2, y2, z2 = d * h - e * g, b * g - a * h, a * e - b * d
     # the first row against the adjugate's first column: |det M| to the
     # bit (only the sign of a zero can differ from det3)
-    dm = abs(m[0] * adj[0] + m[1] * adj[3] + m[2] * adj[6]) / (f * f * f)
-    max_minor = 0.0
-    for z in adj:
-        az = abs(z)
-        if az > max_minor:
-            max_minor = az
-    mm = max_minor / (f * f)
+    dm = abs(a * x0 + b * x1 + c * x2) / (norm * norm * norm)
+    # ``max`` takes a later value only when it is greater, so it skips a
+    # NaN as a running ``>`` does
+    max_minor = max(0.0, *map(abs, (x0, y0, z0, x1, y1, z1, x2, y2, z2)))
+    mm = max_minor / (norm * norm)
 
     # ``float ** 2`` raises OverflowError where ``x * x`` gives inf; an
     # overflowing square reads inf, and ``**`` keeps the finite bits
-    best, best_n2 = 0, -1.0
-    for j in range(3):
-        col = (adj[j], adj[3 + j], adj[6 + j])
+    best, best_n2 = None, -1.0
+    for col in ((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)):
+        p, q, r = col
         try:
-            n2 = (col[0].real ** 2 + col[0].imag ** 2
-                  + col[1].real ** 2 + col[1].imag ** 2
-                  + col[2].real ** 2 + col[2].imag ** 2)
+            n2 = (p.real ** 2 + p.imag ** 2
+                  + q.real ** 2 + q.imag ** 2
+                  + r.real ** 2 + r.imag ** 2)
         except OverflowError:
             n2 = math.inf
         if n2 > best_n2:
-            best, best_n2 = j, n2
+            best, best_n2 = col, n2
     if best_n2 <= 0.0:
         return (0j, 0j, 0j), 1.0, dm, mm
     if best_n2 == math.inf:
@@ -179,8 +192,9 @@ def kernel_vector3(m):
         # no unit candidate, and the infinite residual rejects it
         return (0j, 0j, 0j), math.inf, dm, mm
     inv_n = 1.0 / math.sqrt(best_n2)
-    v = (adj[best] * inv_n, adj[3 + best] * inv_n, adj[6 + best] * inv_n)
-    return v, vec_norm(matvec3(m, v)) / f, dm, mm
+    p, q, r = best
+    v = (p * inv_n, q * inv_n, r * inv_n)
+    return v, vec_norm(matvec3(m, v)) / norm, dm, mm
 
 
 def square_modulus(z):
@@ -195,20 +209,25 @@ def square_modulus(z):
 def vec_norm(v):
     """Euclidean norm, the squares summed in order; a square that overflows
     reads inf."""
-    return math.sqrt(square_modulus(v[0]) + square_modulus(v[1])
-                     + square_modulus(v[2]))
+    x, y, z = v
+    try:
+        return math.sqrt(abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2)
+    except OverflowError:
+        return math.sqrt(square_modulus(x) + square_modulus(y)
+                         + square_modulus(z))
 
 
 def eval_curve9(c, lam, mu, nu):
     """Value of the homogeneous cubic with coefficient tuple
     (d1, d2, p_plus, p_minus, q_plus, q_minus, r_plus, r_minus, t)."""
+    d1, d2, p_plus, p_minus, q_plus, q_minus, r_plus, r_minus, t = c
     return (lam * lam * lam
-            + c[0] * mu * mu * mu
-            + c[1] * nu * nu * nu
-            + c[2] * lam * lam * mu
-            + c[3] * lam * mu * mu
-            + c[4] * lam * lam * nu
-            + c[5] * lam * nu * nu
-            + c[6] * mu * mu * nu
-            + c[7] * mu * nu * nu
-            + c[8] * lam * mu * nu)
+            + d1 * mu * mu * mu
+            + d2 * nu * nu * nu
+            + p_plus * lam * lam * mu
+            + p_minus * lam * mu * mu
+            + q_plus * lam * lam * nu
+            + q_minus * lam * nu * nu
+            + r_plus * mu * mu * nu
+            + r_minus * mu * nu * nu
+            + t * lam * mu * nu)

@@ -10,6 +10,9 @@ can only mean a transcription bug in the closed forms.
 
 from __future__ import annotations
 
+from itertools import permutations
+from operator import itemgetter
+
 from ._kernels_py import canonical_key
 from .config import CLOSED_FORM_AGREEMENT
 from .errors import ClosedFormMismatch, RepeatedEigenvalues
@@ -107,6 +110,12 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     return NormalizedPair(h, u)
 
 
+#: for each listing order of the eigenvalues, the getter of the flat
+#: entries of U conjugated by that permutation
+_CONJUGATED = {order: itemgetter(*(3 * i + j for i in order for j in order))
+               for order in permutations(range(3))}
+
+
 def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
@@ -120,11 +129,11 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     is re-derived.
     """
     np = reconstruct(sd)
-    order = sorted(range(3), key=lambda i: canonical_key(np.h[i]))
-    h = tuple(np.h[i] for i in order)
+    keys = list(map(canonical_key, np.h))
+    order = tuple(sorted(range(3), key=keys.__getitem__))
+    h = tuple(map(np.h.__getitem__, order))
     # entries of a checked Mat3, so the permuted U needs no second check
-    e = np.u.entries
-    u = tuple(e[3 * i + j] for i in order for j in order)
+    u = _CONJUGATED[order](np.u.entries)
     nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
     nonsingular_det(u, "B")
     return validate_spectral_data(

@@ -192,8 +192,9 @@ def _divisor_denominator(np: NormalizedPair) -> tuple[complex, float]:
     """The denominator u12 u13 (h3 - h2) of the divisor point, and its
     ratio to max(1, max|h_i|) max(1, |U|)^2."""
     h1, h2, h3 = np.h
-    den = np.u[0, 1] * np.u[0, 2] * (h3 - h2)
-    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, np.u.norm()) ** 2
+    e = np.u.entries
+    den = e[1] * e[2] * (h3 - h2)
+    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, kernels.frob3(e)) ** 2
     return den, abs(den) / scale
 
 
@@ -264,10 +265,11 @@ def validate_spectral_data(sd: SpectralData) -> SpectralData:
     )
     for name, lhs, rhs in pairs:
         scale = max(1.0, abs(lhs), abs(rhs))
-        if not abs(lhs - rhs) <= SYMMETRIC_FUNCTIONS * scale:
+        diff = abs(lhs - rhs)
+        if not diff <= SYMMETRIC_FUNCTIONS * scale:
             raise InvariantViolation(
                 f"eigenvalues do not match coefficient {name}",
-                component=name, residual=abs(lhs - rhs) / scale)
+                component=name, residual=diff / scale)
     residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
     if not residual <= ON_CURVE:
         raise InvariantViolation("divisor point does not lie on the curve",
@@ -280,15 +282,15 @@ def relative_difference(x: complex, y: complex) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
+#: the components of spectral data, flattened: h, the coefficients, (L, M)
+_SPECTRAL_KEYS = ("h1", "h2", "h3", *CurveCoefficients._fields, "L", "M")
+
+
 def spectral_residuals(lhs: SpectralData, rhs: SpectralData) -> dict[str, float]:
     """Componentwise relative residuals between two spectral data."""
-    out = {f"h{i + 1}": relative_difference(lhs.h[i], rhs.h[i])
-           for i in range(3)}
-    for (name, x), (_, y) in zip(lhs.coeffs.items(), rhs.coeffs.items()):
-        out[name] = relative_difference(x, y)
-    out["L"] = relative_difference(lhs.divisor.L, rhs.divisor.L)
-    out["M"] = relative_difference(lhs.divisor.M, rhs.divisor.M)
-    return out
+    return dict(zip(_SPECTRAL_KEYS, map(
+        relative_difference, (*lhs.h, *lhs.coeffs, *lhs.divisor),
+        (*rhs.h, *rhs.coeffs, *rhs.divisor))))
 
 
 class PositionCheck(NamedTuple):

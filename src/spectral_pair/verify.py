@@ -63,13 +63,15 @@ class PropertyResult:
         self.skipped.append({"seed": seed, "code": code})
 
 
+#: the components of a normalized pair, flattened: h, then U row by row
+_PAIR_KEYS = ("h1", "h2", "h3",
+              *(f"u{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)))
+
+
 def _pair_residuals(lhs, rhs) -> dict[str, float]:
-    out = {f"h{i + 1}": relative_difference(lhs.h[i], rhs.h[i])
-           for i in range(3)}
-    for k in range(9):
-        out[f"u{k // 3 + 1}{k % 3 + 1}"] = relative_difference(
-            lhs.u.entries[k], rhs.u.entries[k])
-    return out
+    return dict(zip(_PAIR_KEYS, map(relative_difference,
+                                    (*lhs.h, *lhs.u.entries),
+                                    (*rhs.h, *rhs.u.entries))))
 
 
 def _prop_round_trip_forward(pair, np, sd, seed):

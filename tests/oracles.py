@@ -8,6 +8,7 @@ word engine for the generator actions, and brute-force root matching.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -244,6 +245,162 @@ def frob3_by_loop(m) -> float:
     for z in m:
         s += z.real * z.real + z.imag * z.imag
     return math.sqrt(s)
+
+
+# --- the other kernels as plain subscripted formulas ---
+#
+# Each is the earlier formulation of its ``_kernels_py`` kernel, on
+# subscripts, float squares and Python loops; the kernel must give the same
+# bits, or raise the same error.
+
+
+def det3_by_subscripts(m):
+    return (m[0] * (m[4] * m[8] - m[5] * m[7])
+            - m[1] * (m[3] * m[8] - m[5] * m[6])
+            + m[2] * (m[3] * m[7] - m[4] * m[6]))
+
+
+def adj3_by_subscripts(m):
+    return (
+        m[4] * m[8] - m[5] * m[7],
+        m[2] * m[7] - m[1] * m[8],
+        m[1] * m[5] - m[2] * m[4],
+        m[5] * m[6] - m[3] * m[8],
+        m[0] * m[8] - m[2] * m[6],
+        m[2] * m[3] - m[0] * m[5],
+        m[3] * m[7] - m[4] * m[6],
+        m[1] * m[6] - m[0] * m[7],
+        m[0] * m[4] - m[1] * m[3],
+    )
+
+
+def matmul3_by_subscripts(a, b):
+    return (
+        a[0] * b[0] + a[1] * b[3] + a[2] * b[6],
+        a[0] * b[1] + a[1] * b[4] + a[2] * b[7],
+        a[0] * b[2] + a[1] * b[5] + a[2] * b[8],
+        a[3] * b[0] + a[4] * b[3] + a[5] * b[6],
+        a[3] * b[1] + a[4] * b[4] + a[5] * b[7],
+        a[3] * b[2] + a[4] * b[5] + a[5] * b[8],
+        a[6] * b[0] + a[7] * b[3] + a[8] * b[6],
+        a[6] * b[1] + a[7] * b[4] + a[8] * b[7],
+        a[6] * b[2] + a[7] * b[5] + a[8] * b[8],
+    )
+
+
+def matvec3_by_subscripts(m, v):
+    return (
+        m[0] * v[0] + m[1] * v[1] + m[2] * v[2],
+        m[3] * v[0] + m[4] * v[1] + m[5] * v[2],
+        m[6] * v[0] + m[7] * v[1] + m[8] * v[2],
+    )
+
+
+def eval_curve9_by_subscripts(c, lam, mu, nu):
+    return (lam * lam * lam
+            + c[0] * mu * mu * mu
+            + c[1] * nu * nu * nu
+            + c[2] * lam * lam * mu
+            + c[3] * lam * mu * mu
+            + c[4] * lam * lam * nu
+            + c[5] * lam * nu * nu
+            + c[6] * mu * mu * nu
+            + c[7] * mu * nu * nu
+            + c[8] * lam * mu * nu)
+
+
+def vec_norm_by_square_modulus(v):
+    """Each square through ``square_modulus``, which reads an overflow as
+    inf."""
+    return math.sqrt(kernels.square_modulus(v[0]) + kernels.square_modulus(v[1])
+                     + kernels.square_modulus(v[2]))
+
+
+def kernel_vector3_by_loops(m):
+    f = frob3_by_loop(m)
+    if f == 0.0:
+        return (0j, 0j, 0j), 0.0, 0.0, 0.0
+    adj = adj3_by_subscripts(m)
+    dm = abs(m[0] * adj[0] + m[1] * adj[3] + m[2] * adj[6]) / (f * f * f)
+    max_minor = 0.0
+    for z in adj:
+        az = abs(z)
+        if az > max_minor:
+            max_minor = az
+    mm = max_minor / (f * f)
+    best, best_n2 = 0, -1.0
+    for j in range(3):
+        col = (adj[j], adj[3 + j], adj[6 + j])
+        try:
+            n2 = (col[0].real ** 2 + col[0].imag ** 2
+                  + col[1].real ** 2 + col[1].imag ** 2
+                  + col[2].real ** 2 + col[2].imag ** 2)
+        except OverflowError:
+            n2 = math.inf
+        if n2 > best_n2:
+            best, best_n2 = j, n2
+    if best_n2 <= 0.0:
+        return (0j, 0j, 0j), 1.0, dm, mm
+    if best_n2 == math.inf:
+        return (0j, 0j, 0j), math.inf, dm, mm
+    inv_n = 1.0 / math.sqrt(best_n2)
+    v = (adj[best] * inv_n, adj[3 + best] * inv_n, adj[6 + best] * inv_n)
+    return (v, vec_norm_by_square_modulus(matvec3_by_subscripts(m, v)) / f,
+            dm, mm)
+
+
+def solve_cubic_by_newton_loop(c3, c2, c1, c0):
+    """Cardano as ``solve_cubic_raw`` takes it, then the two Newton steps
+    as a loop that takes |f| afresh at every comparison."""
+    a = c2 / c3
+    b = c1 / c3
+    c = c0 / c3
+    shift = a / 3.0
+    p = b - a * a / 3.0
+    q = (2.0 * a * a * a - 9.0 * a * b) / 27.0 + c
+    s = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    u3 = -0.5 * q + s
+    alt = -0.5 * q - s
+    if abs(alt) > abs(u3):
+        u3 = alt
+    if u3 == 0:
+        ys = (0j, 0j, 0j)
+    else:
+        u = kernels._cbrt(u3)
+        v = -p / (3.0 * u)
+        w, w2 = kernels._W, kernels._W2
+        ys = (u + v, u * w + v * w2, u * w2 + v * w)
+    roots = []
+    for y in ys:
+        x = y - shift
+        fx = ((c3 * x + c2) * x + c1) * x + c0
+        for _ in range(2):
+            fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
+            if fp == 0:
+                break
+            xn = x - fx / fp
+            fn = ((c3 * xn + c2) * xn + c1) * xn + c0
+            if abs(fn) < abs(fx):
+                x, fx = xn, fn
+            else:
+                break
+        roots.append(x)
+    roots.sort(key=kernels.canonical_key)
+    return tuple(roots)
+
+
+#: every kernel with a plain formulation, by name
+PLAIN_KERNELS = {
+    "frob3": frob3_by_loop,
+    "det3": det3_by_subscripts,
+    "adj3": adj3_by_subscripts,
+    "matmul3": matmul3_by_subscripts,
+    "matvec3": matvec3_by_subscripts,
+    "eval_curve9": eval_curve9_by_subscripts,
+    "vec_norm": vec_norm_by_square_modulus,
+    "kernel_vector3": kernel_vector3_by_loops,
+    "solve_cubic_raw": solve_cubic_by_newton_loop,
+}
 
 
 # --- forward-map stages as whole-matrix products ---

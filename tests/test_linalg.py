@@ -25,7 +25,7 @@ from spectral_pair._kernels_py import vec_norm
 from spectral_pair.linalg import nonsingular_det
 
 from conftest import rng_complex, rng_matrix
-from oracles import columns_matrix, frob3_by_loop, match_roots
+from oracles import PLAIN_KERNELS, columns_matrix, frob3_by_loop, match_roots
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -316,6 +316,68 @@ def test_frob3_sums_in_entry_order():
              + mats[1][5:], mats[2][:8] + (complex(math.inf, math.nan),)]
     for m in mats:
         assert repr(kernels.frob3(m)) == repr(frob3_by_loop(m))
+
+
+#: real and imaginary parts that the edge family swaps in: signed zeros,
+#: subnormals, infinities and NaN
+SPECIAL_PARTS = (0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan)
+
+#: the operand widths of each kernel; 1 is a bare scalar
+KERNEL_OPERANDS = {"frob3": (9,), "det3": (9,), "adj3": (9,),
+                   "kernel_vector3": (9,), "matmul3": (9, 9),
+                   "matvec3": (9, 3), "vec_norm": (3,),
+                   "eval_curve9": (9, 1, 1, 1), "solve_cubic_raw": (1, 1, 1, 1)}
+
+
+def edge_operand(rng, width):
+    """``width`` seeded complex numbers (a bare one for width 1) of one
+    family: scale 10^k with |k| <= 5; scale 1e-160 or 1e160, where squares
+    underflow or overflow; scale 1e100, where products of two entries
+    square past the float range; or parts swapped for SPECIAL_PARTS."""
+    family = rng.randrange(5)
+    scale = (10.0 ** rng.randint(-5, 5), 1e-160, 1e160, 1e100, 1.0)[family]
+    values = [scale * rng_complex(rng) for _ in range(width)]
+    if family == 4:
+        values = [complex(rng.choice(SPECIAL_PARTS) if rng.random() < 0.3
+                          else z.real,
+                          rng.choice(SPECIAL_PARTS) if rng.random() < 0.3
+                          else z.imag)
+                  for z in values]
+    return values[0] if width == 1 else tuple(values)
+
+
+def outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as exc:   # the error must match too
+        return repr((type(exc).__name__, str(exc)))
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_KERNELS))
+def test_kernel_keeps_the_bits_of_its_plain_formula(name):
+    # the unpacked kernels against their subscripted formulations: every
+    # value's repr, or every error, on seeded operands of each edge family
+    rng = random.Random(f"plain:{name}")
+    widths = KERNEL_OPERANDS[name]
+    operands = [[edge_operand(rng, w) for w in widths] for _ in range(600)]
+    if name == "kernel_vector3":
+        operands.append([(0j,) * 9])
+        # the rank-2 shifts A - hI, rescaled, whose adjugate columns are
+        # kernels
+        for _ in range(100):
+            e = rng_matrix(rng).entries
+            scale = 10.0 ** rng.randint(-5, 5)
+            operands += [[tuple(scale * (z - h) if k % 4 == 0 else scale * z
+                                for k, z in enumerate(e))]
+                         for h in eig3(Mat3(e))[0]]
+    if name == "solve_cubic_raw":
+        # cubics with seeded roots, which the Newton steps polish
+        operands += [list(CubicPoly.from_roots(
+            *(rng_complex(rng, 10.0 ** rng.randint(-3, 3)) for _ in range(3))))
+            for _ in range(300)]
+    for args in operands:
+        assert outcome(getattr(kernels, name), *args) == \
+            outcome(PLAIN_KERNELS[name], *args), args
 
 
 def test_kernel_vector3_det_measure_is_abs_det3():
