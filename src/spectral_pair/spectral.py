@@ -436,6 +436,11 @@ def forward(pair: MatrixPair) -> Forward:
         except GeneralPositionError as exc:
             errors.append(exc)
             add("gauge_entries", None, exc.code)
+        except ValueError:
+            # U0 overflows only for a B that failed determinant_b: V^-1 is
+            # bounded by the test of det V, and a B that passes has |B|
+            # below 1e103.  That SingularMatrix is the error recorded.
+            add("gauge_entries", None, SingularMatrix.code)
         else:
             note = ""
             try:

@@ -139,3 +139,16 @@ def test_overflowing_modulus_is_a_coded_error(command, tmp_path, capsys):
         doc = strict_loads(err)
         validate(doc, "error")
         assert doc["error"]["code"] == "degenerate_leading_coefficient"
+
+
+def test_overflowing_eigenbasis_matrix_is_a_coded_report(tmp_path, capsys):
+    # B x 2^1023 is singular to the forward map, and V^-1 B V overflows on
+    # the report's way to the gauge entries
+    pair = random_pair(3)
+    path = pair_file(tmp_path, "huge_b", pair._replace(b=pair.b.scaled(2.0 ** 1023)))
+    code, out, _ = run(capsys, "check", path)
+    assert code == 3
+    doc = strict_loads(out)
+    validate(doc, "check")
+    assert [(c["passed"], c["margin"]) for c in doc["checks"][3:]] \
+        == [(False, None)] * 4

@@ -377,6 +377,27 @@ def test_forward_raises_what_spectral_data_raises(seeded_pairs):
             assert (drawn.np, drawn.sd) == (normalize_pair(pair), expected)
 
 
+@pytest.mark.parametrize("k", [1022, 1023])
+def test_report_lists_every_check_when_the_eigenbasis_matrix_overflows(k):
+    # B x 2^k fails the hard determinant test (its report margin is
+    # prescaled, and passes: ROADMAP item 3), and U0 = V^-1 B V overflows
+    a, b = random_pair(3)
+    pair = MatrixPair(a, b.scaled(2.0 ** k))
+    drawn = spectral_module.forward(pair)
+    with pytest.raises(GeneralPositionError) as raised:
+        spectral_data(pair)
+    exc = raised.value
+    assert (type(drawn.error), drawn.error.code, str(drawn.error),
+            repr(drawn.error.detail)) == (type(exc), "singular_matrix",
+                                          str(exc), repr(exc.detail))
+    assert (drawn.np, drawn.sd) == (None, None)
+    checks = drawn.report.checks
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert None not in [c.margin for c in checks[:3]]
+    assert [(c.passed, c.margin) for c in checks[3:]] == [(False, None)] * 4
+    assert checks[3].note == "singular_matrix"
+
+
 #: the report check of the stage that raises each error code
 STAGE_CHECKS = {
     "degenerate_leading_coefficient": "eigenvalue_separation",
