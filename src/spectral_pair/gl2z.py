@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .config import DIVISOR_DENOMINATOR, SINGULAR
 from .cubic import chord_swap_divisor
 from .errors import (
+    ClosedFormMismatch,
     DeterminantNotUnit,
     GeneralPositionError,
     IntermediateDegeneracy,
@@ -280,7 +281,8 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     off-stratum data before the first letter acts; relisting the result
     puts it in the forward map's ordering.  An error from a letter, or
     from the final relisting, is raised as ``IntermediateDegeneracy`` with
-    the failing prefix."""
+    the failing prefix; a ``ClosedFormMismatch`` keeps its class, and its
+    detail gains the prefix as ``"prefix"``."""
     current = canonical_form(sd)
     for i, g in enumerate(word):
         try:
@@ -291,6 +293,9 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
             raise IntermediateDegeneracy(
                 f"word left general position after {word_to_str(word[:i + 1])}",
                 prefix=word[:i + 1]) from exc
+        except ClosedFormMismatch as exc:
+            raise ClosedFormMismatch(str(exc), **exc.detail,
+                                     prefix=word_to_str(word[:i + 1])) from exc
     return current
 
 

@@ -241,6 +241,22 @@ def test_huge_matrix_is_a_coded_singular_matrix(argv, tmp_path, capsys):
     assert strict_loads(err)["error"]["code"] == "singular_matrix"
 
 
+@pytest.mark.parametrize("seed", [33, 38])
+def test_closed_form_mismatch_in_a_word_names_its_prefix(seed, tmp_path, capsys):
+    # twenty shears carry the spectral data of these seeds to where the
+    # final relisting's two routes for (u21, u31) disagree
+    path = tmp_path / "spectral.json"
+    path.write_text(jsonio.dumps(jsonio.spectral_to_doc(
+        spectral_pair.spectral_data(spectral_pair.random_pair(seed)))))
+    code, out, err = run(capsys, "act", "--matrix", "1,20,0,1", "--side",
+                         "spectral", str(path))
+    assert (code, out) == (3, "")
+    error = strict_loads(err.splitlines()[-1])["error"]
+    assert error["code"] == "closed_form_mismatch"
+    assert error["detail"]["prefix"] == ",".join(["T"] * 20)
+    assert error["detail"]["mismatch"] > 1e-7
+
+
 def test_decompose_subcommand(capsys):
     code, out, _ = run(capsys, "decompose", "--matrix", "3,5,1,2")
     assert code == 0

@@ -123,17 +123,24 @@ def swap_with_repeated_second_spectrum():
     act_word_spectral((Generator.SWAP,), sd)
 
 
-def biased_closed_form(monkeypatch):
+def biased_closed_form(monkeypatch, run=lambda: reconstruct(fixture_sd()),
+                       unbiased_calls=0):
+    """A trigger that runs ``run`` with the closed forms for (u21, u31)
+    biased by 1e-6 from their call ``unbiased_calls + 1`` on."""
     original = reconstruct_module._closed_form_lower_left
+    calls = []
 
     def biased(*args):
         u21, u31 = original(*args)
-        return u21 * (1 + 1e-6), u31
+        calls.append(1)
+        if len(calls) > unbiased_calls:
+            u21 *= 1 + 1e-6
+        return u21, u31
 
     def trigger():
         with monkeypatch.context() as m:
             m.setattr(reconstruct_module, "_closed_form_lower_left", biased)
-            reconstruct(fixture_sd())
+            run()
     return trigger
 
 
@@ -159,6 +166,9 @@ def test_every_coded_raise_runs(monkeypatch):
         swap_to_gauge_degenerate_pair,
         swap_with_repeated_second_spectrum,
         lambda: invert_spectral(sd._replace(h=(0, 2, 3))),
+        # the input's relisting agrees, the result's does not
+        biased_closed_form(monkeypatch, lambda: act_word_spectral(
+            (Generator.SHEAR,), sd), unbiased_calls=1),
         # cubic
         lambda: third_intersection(sd.coeffs, (1, 2, 3), (2, 4, 6)),
         third_intersection_off_the_curve,
@@ -170,5 +180,5 @@ def test_every_coded_raise_runs(monkeypatch):
     missing = [(path, first) for path, spans in sites.items()
                for first, last in spans
                if not any((path, line) in seen for line in range(first, last + 1))]
-    assert sum(map(len, sites.values())) == 18
+    assert sum(map(len, sites.values())) == 19
     assert missing == []
