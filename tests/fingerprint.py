@@ -17,25 +17,35 @@ and 1023, where the entries stay finite) or by 1e-310, 1e-110, 1e110 and
 A call that raises prints its error class, code, message and detail; in
 the edge section any exception does, so that uncoded errors are compared
 too.  Two checkouts whose numeric outputs agree to the last bit print the
-same text, so a refactor that must not move a bit is checked with
+same text.  The package is imported from the ``src`` directory of the
+checkout that holds this file.
 
-    python tests/fingerprint.py > before.txt    # in the parent checkout
-    python tests/fingerprint.py > after.txt     # in the changed checkout
-    cmp before.txt after.txt
+    python tests/fingerprint.py                 # print the fingerprint
+    python tests/fingerprint.py --against REV   # compare with revision REV
 
-The package is imported from the ``src`` directory of the checkout that
-holds this file, so to fingerprint a checkout older than this script, copy
-the script into that checkout's ``tests`` directory first.  The name does
-not match ``test_*.py``, so pytest does not collect it.
+``--against`` clones the repository into a temporary directory, checks out
+REV there, copies this script into the clone, and fingerprints both the
+clone and this checkout, uncommitted changes included.  It prints
+``identical``, or for each of the sections ``suite``, ``seeds`` and
+``edge`` the number of lines that differ and the first few differences,
+and exits 1.  The clone reads the local repository, so it needs no
+network.  The name does not match ``test_*.py``, so pytest does not
+collect it.
 """
 
+import argparse
 import cmath
+import difflib
 import math
 import random
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from spectral_pair import (  # noqa: E402  (needs the path above)
     Generator,
@@ -133,7 +143,7 @@ def print_edges() -> None:
                   outcome(canonical_form, image, catch=Exception))
 
 
-def main() -> None:
+def print_fingerprint() -> None:
     for result in run_suite(SUITE_SEEDS):
         print("suite", repr(vars(result)))
     for seed in SEEDS:
@@ -152,5 +162,84 @@ def main() -> None:
     print_edges()
 
 
+#: second words of the lines that the seeds section prints
+SEED_ITEMS = {"attempts", "report", "spectral", "commute", "word",
+              *(g.name for g in Generator)}
+SHOWN_DIFFERENCES = 3
+SHOWN_WIDTH = 300
+
+
+def section(line: str) -> str:
+    first, second = (line.split(" ", 2) + ["", ""])[:2]
+    if first == "suite":
+        return "suite"
+    return "seeds" if first.isdigit() and second in SEED_ITEMS else "edge"
+
+
+def fingerprint_of(script: Path, into) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, str(script)], stdout=into,
+                            text=True)
+
+
+def compare(before: list[str], after: list[str]) -> int:
+    """Print ``identical``, or the differing lines per section; the count
+    of a section is its changed lines on the longer side of each change."""
+    if before == after:
+        print("identical")
+        return 0
+    for name in ("suite", "seeds", "edge"):
+        old = [line for line in before if section(line) == name]
+        new = [line for line in after if section(line) == name]
+        changes = [op for op in difflib.SequenceMatcher(
+            None, old, new, autojunk=False).get_opcodes() if op[0] != "equal"]
+        count = sum(max(i2 - i1, j2 - j1) for _, i1, i2, j1, j2 in changes)
+        print(f"{name}: {count} differing lines")
+        shown = [(sign, line) for _, i1, i2, j1, j2 in changes
+                 for sign, lines in (("-", old[i1:i2]), ("+", new[j1:j2]))
+                 for line in lines]
+        for sign, line in shown[:2 * SHOWN_DIFFERENCES]:
+            print(f"  {sign} {line[:SHOWN_WIDTH]}")
+    return 1
+
+
+def against(rev: str) -> int:
+    """Fingerprint revision ``rev`` and this checkout, and compare them."""
+    def git(*args, cwd=ROOT) -> str:
+        return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
+                              stdout=subprocess.PIPE).stdout.strip()
+
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    with tempfile.TemporaryDirectory() as tmp:
+        clone = Path(tmp) / "checkout"
+        # --shared borrows the objects of this repository, so any commit it
+        # holds can be checked out, on a branch or not
+        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT),
+            str(clone))
+        git("checkout", "--quiet", "--detach", commit, cwd=clone)
+        script = clone / "tests" / Path(__file__).name
+        shutil.copyfile(__file__, script)
+        with tempfile.TemporaryFile("w+") as out_rev, \
+                tempfile.TemporaryFile("w+") as out_here:
+            runs = [fingerprint_of(script, out_rev),
+                    fingerprint_of(Path(__file__), out_here)]
+            if any(run.wait() for run in runs):
+                sys.exit("a fingerprint run failed")
+            out_rev.seek(0)
+            out_here.seek(0)
+            return compare(out_rev.read().splitlines(),
+                           out_here.read().splitlines())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="compare this checkout with revision REV")
+    args = parser.parse_args()
+    if args.against is None:
+        print_fingerprint()
+        return 0
+    return against(args.against)
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
