@@ -14,7 +14,7 @@ and NaN included, of the plain formulas that ``tests/oracles.py`` keeps:
   contraction (as x86-64 builds are; tier-1 compares against the plain
   formula, so a build that fuses fails there).
 - ``x ** 2`` stays where it stands.  It differs from ``x * x`` in the last
-  bit for about one square in 1200 on common libms, and it raises
+  bit for about one square in 1200 (glibc 2.36, x86-64), and it raises
   OverflowError where ``x * x`` gives inf.
 - Sums are never reassociated: a complex sum adds its real parts in the
   same left-to-right order as the float sum it replaces.

@@ -194,7 +194,8 @@ def _divisor_denominator(np: NormalizedPair) -> tuple[complex, float]:
     h1, h2, h3 = np.h
     e = np.u.entries
     den = e[1] * e[2] * (h3 - h2)
-    scale = max(1.0, abs(h1), abs(h2), abs(h3)) * max(1.0, kernels.frob3(e)) ** 2
+    scale = (max(1.0, abs(h1), abs(h2), abs(h3))
+             * max(1.0, kernels.frob3(e)) ** 2)
     return den, abs(den) / scale
 
 
