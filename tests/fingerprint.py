@@ -170,15 +170,11 @@ SHOWN_WIDTH = 300
 
 
 def section(line: str) -> str:
-    first, second = (line.split(" ", 2) + ["", ""])[:2]
+    first, _, rest = line.partition(" ")
     if first == "suite":
         return "suite"
+    second = rest.partition(" ")[0]
     return "seeds" if first.isdigit() and second in SEED_ITEMS else "edge"
-
-
-def fingerprint_of(script: Path, into) -> subprocess.Popen:
-    return subprocess.Popen([sys.executable, str(script)], stdout=into,
-                            text=True)
 
 
 def compare(before: list[str], after: list[str]) -> int:
@@ -220,9 +216,10 @@ def against(rev: str) -> int:
         shutil.copyfile(__file__, script)
         with tempfile.TemporaryFile("w+") as out_rev, \
                 tempfile.TemporaryFile("w+") as out_here:
-            runs = [fingerprint_of(script, out_rev),
-                    fingerprint_of(Path(__file__), out_here)]
-            if any(run.wait() for run in runs):
+            runs = [subprocess.Popen([sys.executable, str(path)], stdout=out,
+                                     text=True)
+                    for path, out in ((script, out_rev), (__file__, out_here))]
+            if any([run.wait() for run in runs]):
                 sys.exit("a fingerprint run failed")
             out_rev.seek(0)
             out_here.seek(0)
