@@ -24,6 +24,8 @@ import cmath
 import math
 from operator import attrgetter
 
+from .config import EIGENVALUE_TIE
+
 BACKEND = "python"
 
 _W = complex(-0.5, 0.8660254037844386467637231707529362)   # primitive cube root of 1
@@ -94,12 +96,36 @@ def _cbrt(z):
     return cmath.exp(cmath.log(z) / 3.0)
 
 
-#: sort key of the canonical eigenvalue order: lexicographic by (re, im)
-canonical_key = attrgetter("real", "imag")
+_BY_PARTS = attrgetter("real", "imag")
+_BY_IMAG = attrgetter("imag", "real")
+
+
+def canonical_order(values):
+    """The three values as a tuple in the canonical eigenvalue order: by
+    real part, except that real parts at most EIGENVALUE_TIE max|z| apart
+    count as tied and tied values are ordered by imaginary part.
+
+    Ties chain: in the (re, im) order, neighbours whose real parts are that
+    close form one group, and each group is ordered by (im, re).  So the
+    round-off in the real parts of a conjugate pair cannot decide their
+    order.  Only a near-tie leaves the C sort and its one test of the two
+    gaps; a NaN gap or scale never counts as a tie.
+    """
+    a, b, c = sorted(values, key=_BY_PARTS)
+    quantum = EIGENVALUE_TIE * max(map(abs, values))
+    if min((b - a).real, (c - b).real) > quantum:
+        return a, b, c
+    groups = [[a]]
+    for low, high in ((a, b), (b, c)):
+        if (high - low).real <= quantum:
+            groups[-1].append(high)
+        else:
+            groups.append([high])
+    return tuple(z for group in groups for z in sorted(group, key=_BY_IMAG))
 
 
 def solve_cubic_raw(c3, c2, c1, c0):
-    """Three roots of c3 x^3 + c2 x^2 + c1 x + c0, sorted by (re, im).
+    """Three roots of c3 x^3 + c2 x^2 + c1 x + c0 in canonical order.
 
     Cardano on the depressed cubic with the better-conditioned branch of the
     square root, then two safeguarded Newton polish steps per root.  Caller
@@ -144,8 +170,7 @@ def solve_cubic_raw(c3, c2, c1, c0):
                     if abs(((c3 * xn + c2) * xn + c1) * xn + c0) < afn:
                         x = xn
         roots.append(x)
-    roots.sort(key=canonical_key)
-    return tuple(roots)
+    return canonical_order(roots)
 
 
 def kernel_vector3(m):

@@ -11,6 +11,7 @@ SINGULAR = 1e-12              # |det| vs norm^3 for A, B, U and every inversion
 RANK = 1e-7                   # rank-2 detection window
 KERNEL_RESIDUAL = 1e-8        # |M v| vs |M| for kernel vectors
 EIGENVALUE_SEPARATION = 1e-6  # min |h_i - h_j| vs max |h_i|
+EIGENVALUE_TIE = 1e-8         # real parts this close vs max |h_i| are tied
 
 # pair normalization and spectral data
 GAUGE = 1e-9                  # min(|u12|, |u13|) vs |U0|

@@ -167,7 +167,7 @@ class CubicPoly(NamedTuple):
 
 
 def solve_cubic(p: CubicPoly) -> Vec3:
-    """Three roots with multiplicity, sorted lexicographically by (re, im)."""
+    """Three roots with multiplicity, in ``canonical_order``."""
     scale = p.max_coefficient()
     if abs(p.c3) <= LEADING_COEFFICIENT * scale:
         raise DegenerateLeadingCoefficient(
@@ -239,7 +239,7 @@ def check_separation(values: Vec3, error: type[GeneralPositionError],
 
 
 def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
-    """Eigenvalues (sorted by (re, im)) and matching unit eigenvectors.
+    """Eigenvalues (in ``canonical_order``) and matching unit eigenvectors.
 
     Requires pairwise separated eigenvalues; defective and near-defective
     matrices are rejected.

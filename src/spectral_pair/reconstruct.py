@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 from operator import itemgetter
 
-from ._kernels_py import canonical_key
+from ._kernels_py import canonical_order
 from .config import CLOSED_FORM_AGREEMENT
 from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
@@ -120,18 +120,17 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
     The forward map already lists the eigenvalues in this order, because
-    ``eig3`` sorts them by ``canonical_key``, so a comparison relists only
-    the side whose ordering can differ: the output of the transformation
-    formulas, or data read from outside.  The coefficients pass through bit
-    for bit.  Only the divisor point depends on the ordering: h is sorted
-    by (re, im), the reconstructed U is conjugated by the same permutation
-    and gauge-fixed, and the divisor is read off that pair.  Nothing else
-    is re-derived.
+    ``eig3`` orders them by ``canonical_order``, so a comparison relists
+    only the side whose ordering can differ: the output of the
+    transformation formulas, or data read from outside.  The coefficients
+    pass through bit for bit.  Only the divisor point depends on the
+    ordering: h is put in canonical order, the reconstructed U is
+    conjugated by the same permutation and gauge-fixed, and the divisor is
+    read off that pair.  Nothing else is re-derived.
     """
     np = reconstruct(sd)
-    keys = list(map(canonical_key, np.h))
-    order = tuple(sorted(range(3), key=keys.__getitem__))
-    h = tuple(map(np.h.__getitem__, order))
+    h = canonical_order(np.h)
+    order = tuple(map(np.h.index, h))
     # entries of a checked Mat3, so the permuted U needs no second check
     u = _CONJUGATED[order](np.u.entries)
     nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")

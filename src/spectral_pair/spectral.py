@@ -108,7 +108,7 @@ class SpectralData(NamedTuple):
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     """Diagonalize the first matrix and gauge-fix the second.
 
-    Eigenvalues are sorted by (re, im).  The residual diagonal-conjugation
+    Eigenvalues are in canonical order.  The residual diagonal-conjugation
     freedom is killed by rescaling so the (1,2) and (1,3) entries of the
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.

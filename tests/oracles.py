@@ -385,8 +385,7 @@ def solve_cubic_by_newton_loop(c3, c2, c1, c0):
             else:
                 break
         roots.append(x)
-    roots.sort(key=kernels.canonical_key)
-    return tuple(roots)
+    return kernels.canonical_order(roots)
 
 
 #: every kernel with a plain formulation, by name

@@ -216,6 +216,29 @@ def test_commuting_diagram(generator, seeded_pairs):
         assert report.max_residual < 1e-6, report
 
 
+def test_real_pairs_with_conjugate_eigenvalues_commute():
+    """Real pairs, most with a conjugate pair of eigenvalues on some side
+    of each diagram.  The real parts of a conjugate pair differ by
+    round-off, which decided their order when it was a plain (re, im)
+    sort: 13 of these 120 diagrams were then over tolerance by 0.2 to 2."""
+    rng = random.Random("real pairs with conjugate eigenvalues")
+    conjugate = 0
+    for _ in range(40):
+        pair = MatrixPair(Mat3(tuple(rng.uniform(-1, 1) for _ in range(9))),
+                          Mat3(tuple(rng.uniform(-1, 1) for _ in range(9))))
+        try:
+            h = spectral_data(pair).h
+        except GeneralPositionError:
+            continue
+        conjugate += any(abs(z.imag) > 1e-9 for z in h)
+        for g in Generator:
+            try:
+                assert verify_commutation(g, pair).max_residual < 1e-6
+            except GeneralPositionError:
+                pass
+    assert conjugate >= 30
+
+
 def test_commutation_report_conjugation_invariant(seeded_pairs):
     rng = random.Random(5150)
     pair = seeded_pairs[1]

@@ -87,6 +87,28 @@ def test_cubic_sorted_deterministically():
     assert roots == tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
+def test_canonical_order_ties_real_parts_within_the_quantum():
+    # a conjugate pair whose real parts differ by round-off is ordered by
+    # its imaginary parts, whichever real part came out larger
+    for eps in (0.0, 1e-16, -1e-16):
+        lower, upper = complex(0.3 + eps, -1.0), complex(0.3, 1.0)
+        for values in ((upper, 2 + 0j, lower), (lower, upper, 2 + 0j)):
+            assert kernels.canonical_order(values) == (lower, upper, 2 + 0j)
+    # real parts more than 1e-8 max|z| apart keep the (re, im) order
+    lower, upper = complex(0.3 + 3e-8, -1.0), complex(0.3, 1.0)
+    assert kernels.canonical_order((lower, 2 + 0j, upper)) == (
+        upper, lower, 2 + 0j)
+    # ties chain through the middle value: 2e-8 apart end to end, each
+    # neighbour within the quantum of 2e-8
+    chain = (complex(1, 3), complex(1 + 1e-8, 2), complex(1 + 2e-8, 1))
+    assert kernels.canonical_order(chain) == chain[::-1]
+    # a NaN gap, or a NaN scale, is never a tie
+    nan = complex(math.nan, 0.0)
+    for values in ((1j, nan, -1j), (nan, 1j, -1j)):
+        assert kernels.canonical_order(values) == tuple(
+            sorted(values, key=lambda z: (z.real, z.imag)))
+
+
 def test_cubic_repeated_root():
     roots = solve_cubic(CubicPoly.from_roots(1, 1, 2))
     assert match_roots(roots, (1, 1, 2)) < 1e-6
