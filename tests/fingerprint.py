@@ -27,8 +27,11 @@ checkout that holds this file.
 REV there, copies this script into the clone, and fingerprints both the
 clone and this checkout, uncommitted changes included.  It prints
 ``identical``, or for each of the sections ``suite``, ``seeds`` and
-``edge`` the number of lines that differ and the first few differences,
-and exits 1.  The clone reads the local repository, so it needs no
+``edge`` the number of lines that differ, a table of them by item, and the
+first few differences, and exits 1.  The table splits each item's lines
+into "values moved" (the same outcome with other numbers) and "outcome
+changed" (ok against an error, another error code, a check that passes
+on one side only, or a line printed on one side only).  The clone reads the local repository, so it needs no
 network.  The name does not match ``test_*.py``, so pytest does not
 collect it.
 """
@@ -38,7 +41,9 @@ import cmath
 import difflib
 import math
 import random
+import re
 import shutil
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -177,6 +182,52 @@ def section(line: str) -> str:
     return "seeds" if first.isdigit() and second in SEED_ITEMS else "edge"
 
 
+#: the edge section's families of pairs, by the first word of the label
+EDGE_FAMILIES = {"real": "real", "near-gap": "near-gap",
+                 "degenerate": "degenerate"}
+#: a number in a ``repr``: an int, a float or a complex, inf and nan
+#: included, not inside a name such as ``u12``
+_PART = r"(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)"
+NUMBER = re.compile(rf"(?<![\w.])-?{_PART}(?:[-+]{_PART}j|j)?(?![\w.])")
+
+
+def split(line: str) -> tuple[str, str, str]:
+    """(key, item, value) of a line: the key names the line, the item is
+    what the line prints (``report``, ``commute SWAP``, ``canonical
+    INVERT``, a property of the suite, ...), in the edge section prefixed
+    by the family of the pair (``real``, ``near-gap``, ``degenerate`` or
+    ``scaled``), and the value is the ``repr`` printed."""
+    words = line.split(" ")
+    if words[0] == "suite":
+        item = re.search(r"'operation': '(\w+)'", line).group(1)
+        return f"suite {item}", item, line
+    label = 1 if section(line) == "seeds" else 2
+    width = 2 if words[label] in ("commute", "word", "canonical") else 1
+    key = " ".join(words[:label + width])
+    item = " ".join(words[label:label + width])
+    if label == 2:
+        item = f"{EDGE_FAMILIES.get(words[0], 'scaled')} {item}"
+    return key, item, " ".join(words[label + width:])
+
+
+def summarize(old: list[str], new: list[str]) -> dict[str, Counter]:
+    """Item -> counts of its differing lines, "values moved" or "outcome
+    changed", over the lines of one section; lines pair by their key."""
+    before = {key: (item, value) for key, item, value in map(split, old)}
+    after = {key: (item, value) for key, item, value in map(split, new)}
+    table: dict[str, Counter] = {}
+    for key in before.keys() | after.keys():
+        item, old_value = before.get(key, (None, None))
+        item, new_value = after.get(key, (item, None))
+        if old_value == new_value:
+            continue
+        same = (None not in (old_value, new_value)
+                and NUMBER.sub("#", old_value) == NUMBER.sub("#", new_value))
+        table.setdefault(item, Counter())[
+            "values moved" if same else "outcome changed"] += 1
+    return table
+
+
 def compare(before: list[str], after: list[str]) -> int:
     """Print ``identical``, or the differing lines per section; the count
     of a section is its changed lines on the longer side of each change."""
@@ -190,6 +241,9 @@ def compare(before: list[str], after: list[str]) -> int:
             None, old, new, autojunk=False).get_opcodes() if op[0] != "equal"]
         count = sum(max(i2 - i1, j2 - j1) for _, i1, i2, j1, j2 in changes)
         print(f"{name}: {count} differing lines")
+        for item, counts in sorted(summarize(old, new).items()):
+            print(f"  {item}: {counts['values moved']} values moved, "
+                  f"{counts['outcome changed']} outcome changed")
         shown = [(sign, line) for _, i1, i2, j1, j2 in changes
                  for sign, lines in (("-", old[i1:i2]), ("+", new[j1:j2]))
                  for line in lines]
