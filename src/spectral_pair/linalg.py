@@ -180,22 +180,28 @@ def det3(m: Mat3) -> complex:
     return kernels.det3(m.entries)
 
 
-def nonsingular_det(entries: tuple[complex, ...],
-                    which: str | None = None) -> complex:
-    """Determinant of the flat, checked entries of a 3x3 matrix; unless
-    |det| > SINGULAR |M|^3, SingularMatrix naming the matrix ``which``.
-    A NaN or infinite determinant or cube fails: for |M| above about
-    5.6e102 the cube overflows and the determinant may be inf - inf.  A
-    determinant whose modulus overflows reads inf."""
-    f = kernels.frob3(entries)
-    d = kernels.det3(entries)
+def check_nonsingular(det: complex, scale: float,
+                      which: str | None = None) -> None:
+    """SingularMatrix naming the matrix ``which`` unless |det| > SINGULAR
+    scale^3.  A NaN or infinite determinant or cube fails: for a scale
+    above about 5.6e102 the cube overflows.  A determinant whose modulus
+    overflows reads inf."""
     try:
-        modulus = abs(d)
+        modulus = abs(det)
     except OverflowError:
         modulus = math.inf
-    if not modulus > SINGULAR * f * f * f:
+    if not modulus > SINGULAR * scale * scale * scale:
         raise SingularMatrix("matrix is numerically singular",
-                             which=which, det=modulus, norm=f)
+                             which=which, det=modulus, norm=scale)
+
+
+def nonsingular_det(entries: tuple[complex, ...],
+                    which: str | None = None) -> complex:
+    """Determinant of the flat, checked entries of a 3x3 matrix, once it
+    passes ``check_nonsingular`` against the Frobenius norm |M|; for |M|
+    above about 5.6e102 the determinant may also be inf - inf."""
+    d = kernels.det3(entries)
+    check_nonsingular(d, kernels.frob3(entries), which)
     return d
 
 
@@ -227,7 +233,7 @@ def separation(values: Vec3) -> tuple[float, float]:
     sep = min(abs(values[0] - values[1]),
               abs(values[0] - values[2]),
               abs(values[1] - values[2]))
-    return sep, max(abs(z) for z in values)
+    return sep, max(map(abs, values))
 
 
 def check_separation(values: Vec3, error: type[GeneralPositionError],

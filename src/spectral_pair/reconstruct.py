@@ -1,7 +1,7 @@
 """Inverse map: spectral data back to the normalized pair.
 
 The diagonal of U comes from a linear system in closed form, the first row
-is the gauge (1, 1, 1-free), u23/u32 follow from the divisor point, and the
+is the gauge (u11, 1, 1), u23/u32 follow from the divisor point, and the
 remaining two entries (u21, u31) are computed twice: by long closed forms
 and by solving the two remaining coefficient equations, which are linear in
 them.  The linear solve is authoritative; disagreement raises, because it
@@ -10,6 +10,7 @@ can only mean a transcription bug in the closed forms.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from operator import itemgetter
 
@@ -19,6 +20,7 @@ from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
     Mat3,
     Vec3,
+    check_nonsingular,
     check_separation,
     finite_entries,
     nonsingular_det,
@@ -123,16 +125,39 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     ``eig3`` orders them by ``canonical_order``, so a comparison relists
     only the side whose ordering can differ: the output of the
     transformation formulas, or data read from outside.  The coefficients
-    pass through bit for bit.  Only the divisor point depends on the
-    ordering: h is put in canonical order, the reconstructed U is
-    conjugated by the same permutation and gauge-fixed, and the divisor is
-    read off that pair.  Nothing else is re-derived.
+    pass through bit for bit.  The divisor point is the third zero of the
+    first coordinate of the pencil's kernel vector, D = P2 + P3 + Q1 with
+    P_j = (h_j : -1 : 0), so it depends only on which eigenvalue is listed
+    first.
+
+    When the first eigenvalue keeps its place, the divisor point passes
+    through bit for bit as well, and nothing is reconstructed.  The checks
+    are then those of the stratum on the spectral data alone: h is
+    separated, diag(h) is nonsingular (named "A"), d2 = det U is
+    nonsingular against the scale max(|q_plus|, |q_minus|^(1/2),
+    |d2|^(1/3)) that U's invariants give (named "B"), and the result passes
+    ``validate_spectral_data``.
+
+    When it moves, the reconstructed U is conjugated by the permutation,
+    checked to be nonsingular and gauge-fixed, and the divisor point is
+    read off that pair.
     """
+    h = canonical_order(sd.h)
+    if h[0] == sd.h[0]:
+        check_separation(h, RepeatedEigenvalues)
+        nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])),
+                        "A")
+        c = sd.coeffs
+        try:
+            scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5,
+                        abs(c.d2) ** (1 / 3))
+        except OverflowError:
+            scale = math.inf
+        check_nonsingular(c.d2, scale, "B")
+        return validate_spectral_data(SpectralData(h, c, sd.divisor))
     np = reconstruct(sd)
-    h = canonical_order(np.h)
-    order = tuple(map(np.h.index, h))
     # entries of a checked Mat3, so the permuted U needs no second check
-    u = _CONJUGATED[order](np.u.entries)
+    u = _CONJUGATED[tuple(map(sd.h.index, h))](np.u.entries)
     nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
     nonsingular_det(u, "B")
     return validate_spectral_data(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 from spectral_pair import (
     CoincidentPoints,
@@ -141,6 +142,67 @@ def divisor_by_minor_equations(h, u):
     lam = (b1 * a22 - b2 * a12) / det
     mu = (a11 * b2 - a21 * b1) / det
     return lam, mu
+
+
+# --- exact Gaussian rationals, for identities at random points ---
+
+
+def gaussian(x) -> "GaussianRational":
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
+class GaussianRational:
+    """re + im i with ``Fraction`` parts; ints and floats mix in as reals.
+    Enough arithmetic for the closed forms and the oracles above to run
+    exactly."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        o = gaussian(o)
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -gaussian(o)
+
+    def __mul__(self, o):
+        o = gaussian(o)
+        return GaussianRational(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        o = gaussian(o)
+        n = o.re * o.re + o.im * o.im
+        return self * GaussianRational(o.re / n, -o.im / n)
+
+    def __pow__(self, k: int):
+        return math.prod([self] * k, start=GaussianRational(1))
+
+    def __eq__(self, o):
+        o = gaussian(o)
+        return (self.re, self.im) == (o.re, o.im)
+
+    __radd__, __rmul__, __hash__ = __add__, __mul__, None
+
+    def __rsub__(self, o):
+        return gaussian(o) - self
+
+
+def random_exact_normalized_pair(rng):
+    """(h, U) with seeded Gaussian-rational entries, U gauge-fixed
+    (u12 = u13 = 1) and indexed as U[i, j]."""
+    def draw():
+        return GaussianRational(Fraction(rng.randint(-60, 60), rng.randint(1, 30)),
+                                Fraction(rng.randint(-60, 60), rng.randint(1, 30)))
+
+    h = (draw(), draw(), draw())
+    u = {(i, j): draw() for i in range(3) for j in range(3)}
+    u[0, 1] = u[0, 2] = GaussianRational(1)
+    return h, u
 
 
 # --- free group on two generators: words as tuples of +-1, +-2 ---

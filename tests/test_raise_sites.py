@@ -23,6 +23,7 @@ from spectral_pair import (
     MatrixPair,
     SpectralPairError,
     act_word_spectral,
+    canonical_form,
     eig3,
     inv3,
     invert_spectral,
@@ -123,19 +124,14 @@ def swap_with_repeated_second_spectrum():
     act_word_spectral((Generator.SWAP,), sd)
 
 
-def biased_closed_form(monkeypatch, run=lambda: reconstruct(fixture_sd()),
-                       unbiased_calls=0):
+def biased_closed_form(monkeypatch, run=lambda: reconstruct(fixture_sd())):
     """A trigger that runs ``run`` with the closed forms for (u21, u31)
-    biased by 1e-6 from their call ``unbiased_calls + 1`` on."""
+    biased by 1e-6."""
     original = reconstruct_module._closed_form_lower_left
-    calls = []
 
     def biased(*args):
         u21, u31 = original(*args)
-        calls.append(1)
-        if len(calls) > unbiased_calls:
-            u21 *= 1 + 1e-6
-        return u21, u31
+        return u21 * (1 + 1e-6), u31
 
     def trigger():
         with monkeypatch.context() as m:
@@ -161,14 +157,17 @@ def test_every_coded_raise_runs(monkeypatch):
         lambda: validate_spectral_data(sd._replace(divisor=DivisorPoint(-8, 2))),
         # reconstruct
         biased_closed_form(monkeypatch),
+        # a relisting that passes through tests d2 = det U for singularity
+        lambda: canonical_form(sd._replace(coeffs=sd.coeffs._replace(d2=0))),
         # gl2z
         lambda: GL2ZMatrix(2, 0, 0, 1),
         swap_to_gauge_degenerate_pair,
         swap_with_repeated_second_spectrum,
         lambda: invert_spectral(sd._replace(h=(0, 2, 3))),
-        # the input's relisting agrees, the result's does not
+        # the input's relisting passes through; the result's, h relisted
+        # from (1, 1/2, 1/3) to (1/3, 1/2, 1), reconstructs
         biased_closed_form(monkeypatch, lambda: act_word_spectral(
-            (Generator.SHEAR,), sd), unbiased_calls=1),
+            (Generator.INVERT,), sd)),
         # cubic
         lambda: third_intersection(sd.coeffs, (1, 2, 3), (2, 4, 6)),
         third_intersection_off_the_curve,

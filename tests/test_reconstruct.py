@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from spectral_pair import (
     DivisorPoint,
     Generator,
     Mat3,
+    MatrixPair,
     NormalizedPair,
     RepeatedEigenvalues,
+    SingularMatrix,
     SpectralData,
     act_spectral,
     canonical_form,
     curve_coefficients,
     diagonal_entries,
     normalize_pair,
+    random_pair,
     reconstruct,
     shear_spectral,
     solve_cubic,
@@ -30,8 +34,14 @@ from spectral_pair import (
 from spectral_pair._kernels_py import canonical_order
 from spectral_pair.reconstruct import _closed_form_lower_left
 
-from conftest import FIXTURE_B, FIXTURE_H
-from oracles import canonical_form_by_forward_map, match_roots
+from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_H
+from oracles import (
+    canonical_form_by_forward_map,
+    divisor_by_minor_equations,
+    expanded_coefficients,
+    match_roots,
+    random_exact_normalized_pair,
+)
 
 
 def coeffs_for(**kw) -> CurveCoefficients:
@@ -208,6 +218,61 @@ def test_canonical_form_matches_forward_map(seeded_pairs):
             residuals = spectral_residuals(got, want)
             assert max(residuals[k] for k in ("h1", "h2", "h3", "L", "M")) < 1e-12
     assert non_canonical > 0   # the permutation is exercised
+
+
+def test_relisting_that_keeps_the_first_eigenvalue_passes_through(monkeypatch):
+    """The divisor point depends only on which eigenvalue is listed first,
+    so a relisting that keeps it in place returns the input's coefficients
+    and divisor point bit for bit, and reconstructs nothing."""
+    reconstructed = []
+    monkeypatch.setattr(sys.modules["spectral_pair.reconstruct"],
+                        "reconstruct", reconstructed.append)
+    kept = 0
+    for seed in range(100):
+        sd = spectral_data(random_pair(seed))
+        for g in Generator:
+            image = act_spectral(g, sd)
+            h = canonical_order(image.h)
+            if h[0] != image.h[0]:
+                continue
+            kept += 1
+            listed = canonical_form(image)
+            assert listed.h == h
+            assert listed.coeffs is image.coeffs
+            assert listed.divisor is image.divisor
+    assert reconstructed == []
+    assert kept >= 250   # 266 of the 300 images
+
+
+def test_pass_through_tests_d2_against_the_scale_of_its_invariants(
+        fixture_pair):
+    """Without U, B is singular when |d2| <= SINGULAR s^3 with s =
+    max(|q_plus|, |q_minus|^(1/2), |d2|^(1/3)), 9 for the fixture.  The
+    test is scale-free: (A, tB) relists down to t = 1e-60, where the
+    gauge-fixed U, whose (1,2) and (1,3) entries stay 1, read as singular."""
+    sd = spectral_data(fixture_pair)
+    with pytest.raises(SingularMatrix) as info:
+        canonical_form(sd._replace(coeffs=sd.coeffs._replace(d2=7e-10)))
+    assert info.value.detail == {"which": "B", "det": 7e-10, "norm": 9.0}
+    for t in (1e-60, 1e-30, 1e-10):
+        scaled = spectral_data(MatrixPair(FIXTURE_A, FIXTURE_B.scaled(t)))
+        assert canonical_form(scaled) == scaled
+
+
+def test_closed_forms_for_the_lower_left_are_exact():
+    """At random Gaussian-rational (h, U), the closed forms for (u21, u31),
+    fed the exact coefficients (by the Leibniz expansion) and the exact
+    divisor point (by the two minor equations), give U's entries exactly.
+    Two different rational functions agree at a random point only with
+    probability degree/N, so a few points pin the transcription."""
+    rng = random.Random("closed forms")
+    for _ in range(4):
+        h, u = random_exact_normalized_pair(rng)
+        coeffs = expanded_coefficients(h, u)
+        assert coeffs.pop("lam3") == 1
+        L, M = divisor_by_minor_equations(h, u)
+        assert _closed_form_lower_left(CurveCoefficients(**coeffs), h, L, M) \
+            == (u[1, 0], u[2, 0])
 
 
 def test_canonical_form_solves_no_eigenproblem(seeded_pairs, monkeypatch):

@@ -566,8 +566,9 @@ def test_normalize_pair_inverts_the_eigenbasis_once(monkeypatch, fixture_pair):
 
 def test_each_returned_matrix_is_the_one_mat3_built(monkeypatch, fixture_pair):
     """The forward map and the relisting pass flat entries between their
-    stages: ``spectral_data`` and ``normalize_pair`` build only U, and
-    ``canonical_form`` builds ``reconstruct``'s U and the re-gauged U."""
+    stages: ``spectral_data`` and ``normalize_pair`` build only U.
+    ``canonical_form`` builds nothing when the first eigenvalue keeps its
+    place, and otherwise ``reconstruct``'s U and the re-gauged U."""
     built = []
     post_init = Mat3.__post_init__
 
@@ -576,10 +577,13 @@ def test_each_returned_matrix_is_the_one_mat3_built(monkeypatch, fixture_pair):
         post_init(m)
 
     sd = spectral_data(fixture_pair)
+    # h = (1, 1/2, 1/3) relists as (1/3, 1/2, 1)
+    inverted = act_spectral(Generator.INVERT, sd)
     monkeypatch.setattr(Mat3, "__post_init__", counting_post_init)
     for call, count in ((lambda: spectral_data(fixture_pair), 1),
                         (lambda: normalize_pair(fixture_pair), 1),
-                        (lambda: canonical_form(sd), 2)):
+                        (lambda: canonical_form(sd), 0),
+                        (lambda: canonical_form(inverted), 2)):
         built.clear()
         call()
         assert len(built) == count

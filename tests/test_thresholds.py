@@ -113,4 +113,4 @@ def test_one_function_holds_the_singular_matrix_test():
     found = {(path.name, function)
              for path in sorted(PACKAGE.glob("*.py"))
              for function in functions_calling(parse(path), "SingularMatrix")}
-    assert found == {("linalg.py", "nonsingular_det")}
+    assert found == {("linalg.py", "check_nonsingular")}
