@@ -182,9 +182,9 @@ def section(line: str) -> str:
     return "seeds" if first.isdigit() and second in SEED_ITEMS else "edge"
 
 
-#: the edge section's families of pairs, by the first word of the label
-EDGE_FAMILIES = {"real": "real", "near-gap": "near-gap",
-                 "degenerate": "degenerate"}
+#: the first words of the edge section's labels that name a family of
+#: pairs; every other label is a scaled pair of a seed
+EDGE_FAMILIES = {"real", "near-gap", "degenerate"}
 #: a number in a ``repr``: an int, a float or a complex, inf and nan
 #: included, not inside a name such as ``u12``
 _PART = r"(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)"
@@ -206,7 +206,8 @@ def split(line: str) -> tuple[str, str, str]:
     key = " ".join(words[:label + width])
     item = " ".join(words[label:label + width])
     if label == 2:
-        item = f"{EDGE_FAMILIES.get(words[0], 'scaled')} {item}"
+        family = words[0] if words[0] in EDGE_FAMILIES else "scaled"
+        item = f"{family} {item}"
     return key, item, " ".join(words[label + width:])
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -254,6 +255,11 @@ def test_pass_through_tests_d2_against_the_scale_of_its_invariants(
     with pytest.raises(SingularMatrix) as info:
         canonical_form(sd._replace(coeffs=sd.coeffs._replace(d2=7e-10)))
     assert info.value.detail == {"which": "B", "det": 7e-10, "norm": 9.0}
+    # a scale whose modulus overflows reads inf, as read from a document
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(SingularMatrix) as info:
+        canonical_form(sd._replace(coeffs=sd.coeffs._replace(q_plus=huge)))
+    assert info.value.detail["norm"] == math.inf
     for t in (1e-60, 1e-30, 1e-10):
         scaled = spectral_data(MatrixPair(FIXTURE_A, FIXTURE_B.scaled(t)))
         assert canonical_form(scaled) == scaled
