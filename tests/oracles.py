@@ -186,7 +186,7 @@ class GaussianRational:
         o = gaussian(o)
         return (self.re, self.im) == (o.re, o.im)
 
-    __radd__, __rmul__, __hash__ = __add__, __mul__, None
+    __radd__, __rmul__ = __add__, __mul__
 
     def __rsub__(self, o):
         return gaussian(o) - self
