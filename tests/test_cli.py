@@ -241,10 +241,14 @@ def test_huge_matrix_is_a_coded_singular_matrix(argv, tmp_path, capsys):
     assert strict_loads(err)["error"]["code"] == "singular_matrix"
 
 
-def test_closed_form_mismatch_in_a_word_names_its_prefix(capsys, monkeypatch):
-    # closed forms for (u21, u31) biased by 1e-6; the final relisting of I
-    # moves the first eigenvalue, (1, 1/2, 1/3) to (1/3, 1/2, 1), and so
-    # reconstructs
+@pytest.mark.parametrize("seed", [33, 38])
+def test_closed_form_mismatch_in_a_word_names_its_prefix(seed, tmp_path, capsys,
+                                                         monkeypatch):
+    # closed forms for (u21, u31) biased by 1e-6; on these seeds the final
+    # relisting of T,T,I moves the first eigenvalue, and so reconstructs
+    path = tmp_path / "spectral.json"
+    path.write_text(jsonio.dumps(jsonio.spectral_to_doc(
+        spectral_pair.spectral_data(spectral_pair.random_pair(seed)))))
     reconstruct_module = sys.modules["spectral_pair.reconstruct"]
     original = reconstruct_module._closed_form_lower_left
 
@@ -253,11 +257,11 @@ def test_closed_form_mismatch_in_a_word_names_its_prefix(capsys, monkeypatch):
         return u21 * (1 + 1e-6), u31
 
     monkeypatch.setattr(reconstruct_module, "_closed_form_lower_left", biased)
-    code, out, err = run(capsys, "act", "--word", "I", SPECTRAL_FIXTURE)
+    code, out, err = run(capsys, "act", "--word", "T,T,I", str(path))
     assert (code, out) == (3, "")
     error = strict_loads(err.splitlines()[-1])["error"]
     assert error["code"] == "closed_form_mismatch"
-    assert error["detail"]["prefix"] == "I"
+    assert error["detail"]["prefix"] == "T,T,I"
     assert error["detail"]["mismatch"] > 1e-7
 
 
