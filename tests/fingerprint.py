@@ -2,19 +2,22 @@
 
 The first section prints the ``repr`` of every field of ``run_suite(200)``
 and, for seeds 0-299, of ``generation_attempts``, the general-position
-report, ``spectral_data``, the S, I and T images of the spectral data, the
+report, ``normalize_pair``, the error that ``forward`` records,
+``spectral_data``, the S, I and T images of the spectral data, the
 ``verify_commutation`` residuals of S, I and T, and ``act_word_spectral``
 of the word I,T,S.
 
 The edge section prints, for pairs off ``random_pair``'s generator, the
-general-position report, ``spectral_data``, and the S, I and T images with
-the ``canonical_form`` of each.  The pairs are the pairs of seeds 0-39 with
+general-position report, ``normalize_pair``, the error that ``forward``
+records, ``spectral_data``, and the S, I and T images with the
+``canonical_form`` of each.  The pairs are the pairs of seeds 0-39 with
 A, B or both scaled by 2^k (every 11th k from -1074, and 498, 511, 1022
 and 1023, where the entries stay finite) or by 1e-310, 1e-110, 1e110 and
 1e150; seeded real pairs; seeded pairs whose relative eigenvalue gap is
 1e-6 to 3e-4; and the tests' ``DEGENERATE_PAIRS``.
 
-A call that raises prints its error class, code, message and detail; in
+A call that raises prints its error class, code, message and detail, as
+does the error that ``forward`` records; in
 the edge section any exception does, so that uncoded errors are compared
 too.  Two checkouts whose numeric outputs agree to the last bit print the
 same text.  The package is imported from the ``src`` directory of the
@@ -63,11 +66,13 @@ from spectral_pair import (  # noqa: E402  (needs the path above)
     general_position_report,
     generation_attempts,
     inv3,
+    normalize_pair,
     random_pair,
     spectral_data,
     verify_commutation,
     well_conditioned_matrix,
 )
+from spectral_pair.spectral import forward  # noqa: E402
 from spectral_pair.verify import run_suite  # noqa: E402
 from test_spectral import DEGENERATE_PAIRS  # noqa: E402
 
@@ -81,13 +86,24 @@ SCALES = ([2.0 ** k for k in (*range(-1074, 1024, 11), 498, 511, 1022, 1023)]
 EDGE_DRAWS = 200
 
 
+def described(exc: Exception) -> tuple:
+    """The class, code, message and detail of an error."""
+    return (type(exc).__name__, getattr(exc, "code", None), str(exc),
+            getattr(exc, "detail", None))
+
+
 def outcome(fn, *args, catch=GeneralPositionError) -> str:
     """``repr`` of the value, or of the error, of ``fn(*args)``."""
     try:
         return repr(fn(*args))
     except catch as exc:
-        return repr((type(exc).__name__, getattr(exc, "code", None),
-                     str(exc), getattr(exc, "detail", None)))
+        return repr(described(exc))
+
+
+def forward_error(pair):
+    """The error ``forward(pair)`` records, described, or None."""
+    error = forward(pair).error
+    return None if error is None else described(error)
 
 
 def scaled(m, s):
@@ -133,6 +149,9 @@ def print_edges() -> None:
     for label, pair in edge_pairs():
         print(label, "report",
               outcome(general_position_report, pair, catch=Exception))
+        print(label, "normalize",
+              outcome(normalize_pair, pair, catch=Exception))
+        print(label, "forward", outcome(forward_error, pair, catch=Exception))
         print(label, "spectral", outcome(spectral_data, pair, catch=Exception))
         try:
             sd = spectral_data(pair)
@@ -155,6 +174,8 @@ def print_fingerprint() -> None:
         pair = random_pair(seed)
         print(seed, "attempts", generation_attempts(seed))
         print(seed, "report", outcome(general_position_report, pair))
+        print(seed, "normalize", outcome(normalize_pair, pair))
+        print(seed, "forward", outcome(forward_error, pair))
         print(seed, "spectral", outcome(spectral_data, pair))
         try:
             sd = spectral_data(pair)
@@ -168,7 +189,8 @@ def print_fingerprint() -> None:
 
 
 #: second words of the lines that the seeds section prints
-SEED_ITEMS = {"attempts", "report", "spectral", "commute", "word",
+SEED_ITEMS = {"attempts", "report", "normalize", "forward", "spectral",
+              "commute", "word",
               *(g.name for g in Generator)}
 SHOWN_DIFFERENCES = 3
 SHOWN_WIDTH = 300

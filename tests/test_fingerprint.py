@@ -14,9 +14,11 @@ def test_lines_split_into_key_item_and_value():
         "5 b*1e+110 SHEAR", "scaled SHEAR", OK)
     suite = "suite {'operation': 'commute_swap', 'max_residual': 1e-12}"
     assert split(suite) == ("suite commute_swap", "commute_swap", suite)
-    assert [section(line) for line in ("7 word ITS x", "near-gap 2 report x",
-                                       "degenerate gauge spectral x")] == [
-        "seeds", "edge", "edge"]
+    assert [section(line) for line in (
+        "7 word ITS x", "7 normalize x", "7 forward None",
+        "near-gap 2 report x", "degenerate gauge spectral x",
+        "5 b*1e+110 forward None")] == [
+        "seeds", "seeds", "seeds", "edge", "edge", "edge"]
 
 
 def test_moved_values_and_changed_outcomes_are_told_apart():
