@@ -161,4 +161,4 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
     nonsingular_det(u, "B")
     return validate_spectral_data(
-        SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u))))
+        SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u)[0])))

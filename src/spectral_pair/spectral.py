@@ -105,6 +105,21 @@ class SpectralData(NamedTuple):
     divisor: DivisorPoint
 
 
+#: every check of the report, in order, with (report threshold, hard
+#: threshold): a margin passes above the first; the stage that tests the
+#: same float raises at the second, None where no stage here does.  The
+#: ``divisor_on_curve`` margin is the hard threshold minus the residual.
+_CHECKS = {
+    "determinant_a": (MARGIN_DETERMINANT, None),
+    "determinant_b": (MARGIN_DETERMINANT, None),
+    "eigenvalue_separation": (MARGIN_EIGENVALUE_SEPARATION, None),
+    "gauge_entries": (MARGIN_GAUGE, GAUGE),
+    "divisor_denominator": (MARGIN_DIVISOR_DENOMINATOR, DIVISOR_DENOMINATOR),
+    "divisor_on_curve": (0.0, ON_CURVE),
+    "axis_point_separation": (MARGIN_AXIS_POINT_SEPARATION, None),
+}
+
+
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     """Diagonalize the first matrix and gauge-fix the second.
 
@@ -117,7 +132,7 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     nonsingular_det(pair.b.entries, "B")
 
     values, vectors = eig3(pair.a)
-    return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
+    return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))[0]
 
 
 def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
@@ -133,20 +148,14 @@ def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
     return u0
 
 
-def _gauge_ratio(u0: tuple[complex, ...]) -> float:
-    """min(|u12|, |u13|) / |U0| for the flat entries of the eigenbasis
-    matrix before the gauge fix; 0 when |U0| is 0, as it is for U0 = 0 and
-    when every squared entry underflows."""
-    norm = kernels.frob3(u0)
-    return min(abs(u0[1]), abs(u0[2])) / norm if norm > 0.0 else 0.0
-
-
-def _gauge_fix(values: Vec3, u0: tuple[complex, ...]) -> NormalizedPair:
+def _gauge_fix(values: Vec3, u0: tuple[complex, ...]) -> tuple[NormalizedPair, float]:
     """Rescale the flat, checked U0 by a diagonal conjugation so that
-    u12 = u13 = 1; the result's U is the one ``Mat3`` built."""
+    u12 = u13 = 1; the result's U is the one ``Mat3`` built.  Returned with
+    the ratio min(|u12|, |u13|) / |U0| that it tests, 0 when |U0| is 0."""
     u12, u13 = u0[1], u0[2]
-    ratio = _gauge_ratio(u0)
-    if ratio <= GAUGE:
+    norm = kernels.frob3(u0)
+    ratio = min(abs(u12), abs(u13)) / norm if norm > 0.0 else 0.0
+    if ratio <= _CHECKS["gauge_entries"][1]:
         raise GaugeDegenerate(
             "second matrix has negligible (1,2) or (1,3) entry in the eigenbasis",
             ratio=ratio, u12=abs(u12), u13=abs(u13))
@@ -160,7 +169,7 @@ def _gauge_fix(values: Vec3, u0: tuple[complex, ...]) -> NormalizedPair:
     u = Mat3((1.0 * u0[0] * 1.0, 1.0, 1.0,
               u12 * u0[3] * 1.0, u12 * u0[4] * r12, u12 * u0[5] * r13,
               u13 * u0[6] * 1.0, u13 * u0[7] * r12, u13 * u0[8] * r13))
-    return NormalizedPair(values, u)
+    return NormalizedPair(values, u), ratio
 
 
 def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
@@ -188,17 +197,6 @@ def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
     )
 
 
-def _divisor_denominator(np: NormalizedPair) -> tuple[complex, float]:
-    """The denominator u12 u13 (h3 - h2) of the divisor point, and its
-    ratio to max(1, max|h_i|) max(1, |U|)^2."""
-    h1, h2, h3 = np.h
-    e = np.u.entries
-    den = e[1] * e[2] * (h3 - h2)
-    scale = (max(1.0, abs(h1), abs(h2), abs(h3))
-             * max(1.0, kernels.frob3(e)) ** 2)
-    return den, abs(den) / scale
-
-
 def divisor_point(np: NormalizedPair) -> DivisorPoint:
     """The third zero (L : M : 1) of the first-coordinate section.
 
@@ -208,22 +206,30 @@ def divisor_point(np: NormalizedPair) -> DivisorPoint:
     mu-coordinate carries denominator (h2 - h3), fixed here by the on-curve
     and kernel checks.
     """
-    _, h2, h3 = np.h
+    return _divisor_point(np)[0]
+
+
+def _divisor_point(np: NormalizedPair) -> tuple[DivisorPoint, float]:
+    """``divisor_point`` and the ratio that it tests, |u12 u13 (h3 - h2)|
+    over max(1, max|h_i|) max(1, |U|)^2."""
+    h1, h2, h3 = np.h
     _, u12, u13, _, u22, u23, _, u32, u33 = np.u.entries
-    den, ratio = _divisor_denominator(np)
-    if ratio <= DIVISOR_DENOMINATOR:
+    den = u12 * u13 * (h3 - h2)
+    ratio = abs(den) / (max(1.0, abs(h1), abs(h2), abs(h3))
+                        * max(1.0, kernels.frob3(np.u.entries)) ** 2)
+    if ratio <= _CHECKS["divisor_denominator"][1]:
         raise DegenerateDivisor("divisor denominator u12*u13*(h3 - h2) is negligible",
                                 denominator=abs(den), ratio=ratio)
     det_a = u12 * u23 - u13 * u22   # rows (1,2) of the pencil minors
     det_b = u12 * u33 - u13 * u32   # rows (1,3)
     l_val = (u12 * h3 * det_a + u13 * h2 * det_b) / den
     m_val = -(u12 * det_a + u13 * det_b) / den
-    return DivisorPoint(l_val, m_val)
+    return DivisorPoint(l_val, m_val), ratio
 
 
 def spectral_data_of_normalized(np: NormalizedPair) -> SpectralData:
-    return validate_spectral_data(
-        SpectralData(np.h, curve_coefficients(np), divisor_point(np)))
+    return _validated(
+        SpectralData(np.h, curve_coefficients(np), _divisor_point(np)[0]))[0]
 
 
 def spectral_data(pair: MatrixPair) -> SpectralData:
@@ -257,6 +263,11 @@ def validate_spectral_data(sd: SpectralData) -> SpectralData:
     """``sd`` once it passes the consistency checks: the eigenvalues
     reproduce (p_plus, p_minus, d1) as their elementary symmetric functions,
     and the divisor point lies on the curve."""
+    return _validated(sd)[0]
+
+
+def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
+    """``validate_spectral_data``, with the curve residual it tests."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
     pairs = (
@@ -272,10 +283,10 @@ def validate_spectral_data(sd: SpectralData) -> SpectralData:
                 f"eigenvalues do not match coefficient {name}",
                 component=name, residual=diff / scale)
     residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
-    if not residual <= ON_CURVE:
+    if not residual <= _CHECKS["divisor_on_curve"][1]:
         raise InvariantViolation("divisor point does not lie on the curve",
                                  component="divisor", residual=residual)
-    return sd
+    return sd, residual
 
 
 def relative_difference(x: complex, y: complex) -> float:
@@ -316,10 +327,12 @@ class GeneralPositionReport(NamedTuple):
 class Forward(NamedTuple):
     """One pass of the forward map over a pair.
 
-    ``report`` holds the margin of every general-position check.  ``error``
-    is the error ``spectral_data(pair)`` raises, the first in its order of
-    stages, or None; ``np`` and ``sd`` are the normalized pair and the
-    spectral data when ``error`` is None, and None otherwise.
+    ``report`` holds the margin of every general-position check; those of
+    the gauge, divisor and on-curve checks are the floats their stages
+    tested.  ``error`` is the error ``spectral_data(pair)`` raises, the
+    first in its order of stages, or None; ``np`` and ``sd`` are the
+    normalized pair and the spectral data when ``error`` is None, and None
+    otherwise.
     """
 
     pair: MatrixPair
@@ -377,18 +390,6 @@ def _axis_point_separation(h: Vec3, xi: Vec3, s: Vec3) -> float:
     return min(d)
 
 
-#: every check of the report, in order, with its threshold; the
-#: ``divisor_on_curve`` margin is ON_CURVE minus the residual, so its
-#: threshold is 0
-_THRESHOLDS = {
-    "determinant_a": MARGIN_DETERMINANT, "determinant_b": MARGIN_DETERMINANT,
-    "eigenvalue_separation": MARGIN_EIGENVALUE_SEPARATION,
-    "gauge_entries": MARGIN_GAUGE,
-    "divisor_denominator": MARGIN_DIVISOR_DENOMINATOR,
-    "divisor_on_curve": 0.0,
-    "axis_point_separation": MARGIN_AXIS_POINT_SEPARATION}
-
-
 def forward(pair: MatrixPair) -> Forward:
     """Map the pair forward once, stage by stage, with the margin of every
     general-position check; never raises a GeneralPositionError.
@@ -402,17 +403,23 @@ def forward(pair: MatrixPair) -> Forward:
     errors: list[GeneralPositionError] = []
 
     def add(name, margin, note=""):
-        threshold = _THRESHOLDS[name]
+        threshold = _CHECKS[name][0]
         checks.append(PositionCheck(name, margin is not None and margin > threshold,
                                     margin, threshold, note))
 
     def done(np=None, sd=None) -> Forward:
-        for name in list(_THRESHOLDS)[len(checks):]:
+        for name in list(_CHECKS)[len(checks):]:
             add(name, None, "unavailable")
         report = GeneralPositionReport(tuple(checks))
         if errors:
             return Forward(pair, report, None, None, errors[0])
         return Forward(pair, report, np, sd, None)
+
+    def fail(exc, *names) -> Forward:
+        errors.append(exc)
+        for name in names:
+            add(name, None, exc.code)
+        return done()
 
     for name, m in (("A", pair.a), ("B", pair.b)):
         try:
@@ -421,49 +428,40 @@ def forward(pair: MatrixPair) -> Forward:
             errors.append(exc)
         add("determinant_" + name.lower(), _determinant_margin(m.entries))
 
-    np = None
     try:
         values, vectors = eig3(pair.a)
     except GeneralPositionError as exc:
-        errors.append(exc)
-        add("eigenvalue_separation", None, exc.code)
-        add("gauge_entries", None, exc.code)
-    else:
-        sep, scale = separation(values)
-        add("eigenvalue_separation", sep / scale)
-        try:
-            # gauge margin measured on the un-rescaled eigenbasis matrix
-            u0 = _in_eigenbasis(pair.b, vectors)
-        except GeneralPositionError as exc:
-            errors.append(exc)
-            add("gauge_entries", None, exc.code)
-        except ValueError:
-            # U0 overflows only for a B that failed determinant_b: V^-1 is
-            # bounded by the test of det V, and a B that passes has |B|
-            # below 1e103.  That SingularMatrix is the error recorded.
-            add("gauge_entries", None, SingularMatrix.code)
-        else:
-            note = ""
-            try:
-                np = _gauge_fix(values, u0)
-            except GaugeDegenerate as exc:
-                errors.append(exc)
-                note = exc.code
-            add("gauge_entries", _gauge_ratio(u0), note)
-
-    if np is None:
-        return done()
-
-    add("divisor_denominator", _divisor_denominator(np)[1])
-
+        return fail(exc, "eigenvalue_separation", "gauge_entries")
+    sep, scale = separation(values)
+    add("eigenvalue_separation", sep / scale)
     try:
-        sd = spectral_data_of_normalized(np)
+        u0 = _in_eigenbasis(pair.b, vectors)
     except GeneralPositionError as exc:
-        errors.append(exc)
-        add("divisor_on_curve", None, exc.code)
+        return fail(exc, "gauge_entries")
+    except ValueError:
+        # U0 overflows only for a B that failed determinant_b: V^-1 is
+        # bounded by the test of det V, and a B that passes has |B|
+        # below 1e103.  That SingularMatrix is the error recorded.
+        add("gauge_entries", None, SingularMatrix.code)
         return done()
-    residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
-    add("divisor_on_curve", ON_CURVE - residual)
+    try:
+        np, ratio = _gauge_fix(values, u0)
+    except GaugeDegenerate as exc:
+        add("gauge_entries", exc.detail["ratio"], exc.code)
+        return fail(exc)
+    add("gauge_entries", ratio)
+    try:
+        divisor, ratio = _divisor_point(np)
+    except DegenerateDivisor as exc:
+        add("divisor_denominator", exc.detail["ratio"])
+        return fail(exc, "divisor_on_curve")
+    add("divisor_denominator", ratio)
+    try:
+        sd, residual = _validated(
+            SpectralData(np.h, curve_coefficients(np), divisor))
+    except InvariantViolation as exc:
+        return fail(exc, "divisor_on_curve")
+    add("divisor_on_curve", _CHECKS["divisor_on_curve"][1] - residual)
 
     c = sd.coeffs
     try:

@@ -489,19 +489,21 @@ def in_eigenbasis_by_matmul(b: Mat3, vectors) -> tuple[complex, ...]:
     return (inv3(v) @ b @ v).entries
 
 
-def gauge_fix_by_matmul(values, entries) -> NormalizedPair:
+def gauge_fix_by_matmul(values, entries) -> tuple[NormalizedPair, float]:
     """D U0 D^-1 with D = diag(1, u12, u13) as two ``Mat3`` products on the
-    flat entries of U0, the gauge entries pinned afterwards."""
+    flat entries of U0, the gauge entries pinned afterwards, and the gauge
+    ratio min(|u12|, |u13|) / |U0|."""
     u0 = Mat3(entries)
     scale = u0.norm()
     u12, u13 = u0[0, 1], u0[0, 2]
+    ratio = min(abs(u12), abs(u13)) / scale if scale > 0.0 else 0.0
     if abs(u12) <= GAUGE * scale or abs(u13) <= GAUGE * scale:
-        raise GaugeDegenerate("negligible gauge entry")
+        raise GaugeDegenerate("negligible gauge entry", ratio=ratio)
     d = Mat3.diagonal(1.0, u12, u13)
     d_inv = Mat3.diagonal(1.0, 1.0 / u12, 1.0 / u13)
     e = list((d @ u0 @ d_inv).entries)
     e[1] = e[2] = 1.0
-    return NormalizedPair(values, Mat3(tuple(e)))
+    return NormalizedPair(values, Mat3(tuple(e))), ratio
 
 
 # --- the general-position report, one stage at a time ---
@@ -541,7 +543,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
             margin = min(abs(u0[1]), abs(u0[2])) / Mat3(u0).norm()
             note = ""
             try:
-                np = _gauge_fix(values, u0)
+                np, _ = _gauge_fix(values, u0)
             except GaugeDegenerate as exc:
                 note = exc.code
             add("gauge_entries", margin, MARGIN_GAUGE, note)

@@ -412,7 +412,9 @@ STAGE_CHECKS = {
 def assert_stage_check_fails(pair):
     """When the forward map raises, the report check of the stage that
     raised fails too.  A singular matrix is A's or B's determinant check,
-    or else the eigenbasis inverted on the way to the gauge entries."""
+    or else the eigenbasis inverted on the way to the gauge entries.  The
+    gauge and divisor margins are the ratio their error carries, the same
+    float."""
     drawn = spectral_module.forward(pair)
     if drawn.error is None:
         return
@@ -423,6 +425,8 @@ def assert_stage_check_fails(pair):
         name = STAGE_CHECKS[drawn.error.code]
     check = next(c for c in drawn.report.checks if c.name == name)
     assert not check.passed, (drawn.error.code, check)
+    if drawn.error.code in ("gauge_degenerate", "degenerate_divisor"):
+        assert repr(check.margin) == repr(drawn.error.detail["ratio"]), check
 
 
 def test_no_stage_raises_while_its_report_check_passes(seeded_pairs):
@@ -498,6 +502,21 @@ def test_report_decomposes_a_once(monkeypatch, fixture_pair):
     assert len(calls) == 1
 
 
+def test_report_measures_the_curve_residual_once(monkeypatch, fixture_pair):
+    # the on-curve margin is the residual the validation stage tested
+    calls = []
+    original = spectral_module.curve_residual
+
+    def counting_curve_residual(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(spectral_module, "curve_residual",
+                        counting_curve_residual)
+    assert general_position_report(fixture_pair).passed
+    assert len(calls) == 1
+
+
 def test_gauge_fix_rejects_overflowed_reciprocal():
     # every entry is subnormal, so 1/u12 and 1/u13 would overflow; |U0|
     # underflows to 0, and the gauge ratio reads 0
@@ -516,7 +535,7 @@ def test_gauge_fix_reciprocals_finite_at_smallest_positive_norm():
     g = 4e-9 * t
     u0 = (t + 0j, g + 0j, g + 0j, 0j, 0j, 0j, 0j, 0j, 0j)
     assert 0.0 < Mat3(u0).norm() < t
-    assert spectral_module._gauge_fix((1, 2, 3), u0).u[0, 0] == t
+    assert spectral_module._gauge_fix((1, 2, 3), u0)[0].u[0, 0] == t
 
 
 def test_eigenbasis_matrix_is_checked_to_be_finite():

@@ -3,8 +3,10 @@
 ``config.py`` holds one float constant per threshold and nothing else; no
 function takes a tolerance parameter, and every constant is imported and
 read by some other module of the package, so no dead threshold survives.
-The singular-matrix test is written once: one function constructs
-``SingularMatrix``.
+Each constant has one reader, a function or a module-level table, so each
+check changes in one place; the two second readers that test another
+quantity are pinned with their reasons.  The singular-matrix test is
+written once: one function constructs ``SingularMatrix``.
 """
 
 import ast
@@ -76,6 +78,39 @@ def functions_calling(tree: ast.Module, callee: str) -> set[str]:
     return found
 
 
+def readers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
+    """Name -> the innermost functions that read it, or the module-level
+    variable whose assignment reads it, for each of ``names`` read."""
+    found: dict[str, set[str]] = {}
+
+    def visit(node, reader):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            reader = node.name
+        elif reader is None and isinstance(node, ast.Assign) \
+                and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            reader = node.targets[0].id
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in names:
+            found.setdefault(node.id, set()).add(reader)
+        for child in ast.iter_child_nodes(node):
+            visit(child, reader)
+
+    visit(tree, None)
+    return found
+
+
+#: (constant, module, function): second readers that test a quantity other
+#: than the first reader's; merging either would change error codes, so it
+#: waits for the scale-free checks of ROADMAP item 3
+SECOND_READERS = {
+    # the singular_a test on h and d1, not a determinant against |M|^3
+    ("SINGULAR", "gl2z.py", "invert_spectral"),
+    # the line-at-infinity test on the transported divisor point
+    ("DIVISOR_DENOMINATOR", "gl2z.py", "swap_spectral"),
+}
+
+
 def test_tol_parameter_is_detected():
     source = "def f(x, tol=None):\n    pass\ndef g(*, tol):\n    pass\n"
     assert tol_parameters(ast.parse(source)) == ["f (line 1)", "g (line 3)"]
@@ -114,3 +149,25 @@ def test_one_function_holds_the_singular_matrix_test():
              for path in sorted(PACKAGE.glob("*.py"))
              for function in functions_calling(parse(path), "SingularMatrix")}
     assert found == {("linalg.py", "check_nonsingular")}
+
+
+def test_readers_are_functions_or_module_tables():
+    source = ("A = 1\nB = 2\nTABLE = {'a': (A, B)}\n"
+              "def f():\n    return A\ndef g():\n    A = 3\n    return A\n")
+    assert readers(ast.parse(source), {"A", "B"}) == {
+        "A": {"TABLE", "f", "g"}, "B": {"TABLE"}}
+
+
+def test_each_threshold_has_one_reader():
+    constants = set(config_constants(parse(PACKAGE / "config.py")))
+    found: dict[str, set[tuple[str, str]]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "config.py":
+            for name, names in readers(parse(path), constants).items():
+                found.setdefault(name, set()).update(
+                    (path.name, reader) for reader in names)
+    for name, module, function in SECOND_READERS:
+        assert (module, function) in found[name], name
+        found[name].discard((module, function))
+    assert {name: sorted(where) for name, where in found.items()
+            if len(where) != 1} == {}
