@@ -130,23 +130,22 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     P_j = (h_j : -1 : 0), so it depends only on which eigenvalue is listed
     first.
 
-    When the first eigenvalue keeps its place, the divisor point passes
-    through bit for bit as well, and nothing is reconstructed.  The checks
-    are then those of the stratum on the spectral data alone: h is
-    separated, diag(h) is nonsingular (named "A"), d2 = det U is
-    nonsingular against the scale max(|q_plus|, |q_minus|^(1/2),
-    |d2|^(1/3)) that U's invariants give (named "B"), and the result passes
-    ``validate_spectral_data``.
+    The relisted h is tested first: it is separated, and diag(h) is
+    nonsingular (named "A").  When the first eigenvalue keeps its place,
+    the divisor point passes through bit for bit as well, and nothing is
+    reconstructed.  The other checks are then those of the stratum on the
+    spectral data alone: d2 = det U is nonsingular against the scale
+    max(|q_plus|, |q_minus|^(1/2), |d2|^(1/3)) that U's invariants give
+    (named "B"), and the result passes ``validate_spectral_data``.
 
     When it moves, the reconstructed U is conjugated by the permutation,
     checked to be nonsingular and gauge-fixed, and the divisor point is
     read off that pair.
     """
     h = canonical_order(sd.h)
+    check_separation(h, RepeatedEigenvalues)
+    nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
     if h[0] == sd.h[0]:
-        check_separation(h, RepeatedEigenvalues)
-        nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])),
-                        "A")
         c = sd.coeffs
         try:
             scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5,
@@ -158,7 +157,6 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     np = reconstruct(sd)
     # entries of a checked Mat3, so the permuted U needs no second check
     u = _CONJUGATED[tuple(map(sd.h.index, h))](np.u.entries)
-    nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
     nonsingular_det(u, "B")
     return validate_spectral_data(
         SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u)[0])))
