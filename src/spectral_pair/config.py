@@ -1,8 +1,11 @@
 """The package's numerical thresholds, one fixed module constant each.
 
-Every threshold is relative to a natural scale (matrix norm, coefficient
-magnitude, eigenvalue spread); the modules that test a quantity import the
-constants they compare it with.
+Each threshold is compared with a quantity over a scale: a norm, a
+magnitude or a spread.  Seven hard checks floor that scale at 1, so they
+are not scale-free: both in ``invert_spectral``, ``reconstruct``'s
+agreement test, ``max_magnitude`` (the chord's ``cscale``), the divisor
+ratio, ``curve_residual`` and ``validate_spectral_data``.  The modules
+that test a quantity import the constants they compare it with.
 """
 
 # core 3x3 numerics
