@@ -130,33 +130,28 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     P_j = (h_j : -1 : 0), so it depends only on which eigenvalue is listed
     first.
 
-    The relisted h is tested first: it is separated, and diag(h) is
-    nonsingular (named "A").  When the first eigenvalue keeps its place,
-    the divisor point passes through bit for bit as well, and nothing is
-    reconstructed.  The other checks are then those of the stratum on the
-    spectral data alone: d2 = det U is nonsingular against the scale
-    max(|q_plus|, |q_minus|^(1/2), |d2|^(1/3)) that U's invariants give
-    (named "B"), and the result passes ``validate_spectral_data``.
-
-    When it moves, the reconstructed U is conjugated by the permutation,
-    checked to be nonsingular and gauge-fixed, and the divisor point is
-    read off that pair.
+    Both routes run the stratum's checks on the spectral data alone: the
+    relisted h is separated, diag(h) is nonsingular (named "A"), d2 = det U
+    is nonsingular against the scale max(|q_plus|, |q_minus|^(1/2),
+    |d2|^(1/3)) that U's invariants give (named "B"), and the result passes
+    ``validate_spectral_data``.  When the first eigenvalue keeps its place,
+    the divisor point passes through bit for bit, and nothing is
+    reconstructed.  When it moves, the reconstructed U is conjugated by the
+    permutation and gauge-fixed, and the divisor point is read off that
+    pair.
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
     nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
-    if h[0] == sd.h[0]:
-        c = sd.coeffs
-        try:
-            scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5,
-                        abs(c.d2) ** (1 / 3))
-        except OverflowError:
-            scale = math.inf
-        check_nonsingular(c.d2, scale, "B")
-        return validate_spectral_data(SpectralData(h, c, sd.divisor))
-    np = reconstruct(sd)
-    # entries of a checked Mat3, so the permuted U needs no second check
-    u = _CONJUGATED[tuple(map(sd.h.index, h))](np.u.entries)
-    nonsingular_det(u, "B")
-    return validate_spectral_data(
-        SpectralData(h, sd.coeffs, divisor_point(_gauge_fix(h, u)[0])))
+    c = sd.coeffs
+    try:
+        scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5, abs(c.d2) ** (1 / 3))
+    except OverflowError:
+        scale = math.inf
+    check_nonsingular(c.d2, scale, "B")
+    divisor = sd.divisor
+    if h[0] != sd.h[0]:
+        # entries of a checked Mat3, so the permuted U needs no second check
+        u = _CONJUGATED[tuple(map(sd.h.index, h))](reconstruct(sd).u.entries)
+        divisor = divisor_point(_gauge_fix(h, u)[0])
+    return validate_spectral_data(SpectralData(h, c, divisor))

@@ -265,6 +265,24 @@ def test_pass_through_tests_d2_against_the_scale_of_its_invariants(
         assert canonical_form(scaled) == scaled
 
 
+def test_moved_first_eigenvalue_tests_d2_before_reconstructing(
+        fixture_pair, monkeypatch):
+    """Both routes test B by the same invariant rule, before the route
+    that moves the first eigenvalue reconstructs anything."""
+    def fail(sd):
+        raise AssertionError("reconstruct called")
+    monkeypatch.setattr(sys.modules["spectral_pair.reconstruct"],
+                        "reconstruct", fail)
+    sd = spectral_data(fixture_pair)
+    h1, h2, h3 = sd.h
+    moved = SpectralData((h2, h1, h3), sd.coeffs._replace(d2=7e-10),
+                         sd.divisor)
+    assert canonical_order(moved.h)[0] != moved.h[0]
+    with pytest.raises(SingularMatrix) as info:
+        canonical_form(moved)
+    assert info.value.detail == {"which": "B", "det": 7e-10, "norm": 9.0}
+
+
 def test_closed_forms_for_the_lower_left_are_exact():
     """At random Gaussian-rational (h, U), the closed forms for (u21, u31),
     fed the exact coefficients (by the Leibniz expansion) and the exact
