@@ -308,60 +308,42 @@ def decompose_gl2z(m: GL2ZMatrix) -> Word:
     emitting SHEAR subtracts row 2 from row 1, SWAP exchanges rows, INVERT
     negates row 1, and the block [SWAP, INVERT, SWAP] negates row 2.
     """
+    S, I, T = Generator.SWAP, Generator.INVERT, Generator.SHEAR
     word: list[Generator] = []
     a, b, c, d = m.a, m.b, m.c, m.d
-
-    def emit(g: Generator):
-        word.append(g)
 
     # zero out c with a subtractive/division Euclid on the first column
     while c != 0:
         if abs(a) < abs(c):
-            emit(Generator.SWAP)
+            word.append(S)
             a, b, c, d = c, d, a, b
-            continue
-        q = a // c
-        if q < 0:
-            emit(Generator.INVERT)
+        elif (q := a // c) < 0:
+            word.append(I)
             a, b = -a, -b
-            continue
-        for _ in range(q):
-            emit(Generator.SHEAR)
-        a, b = a - q * c, b - q * d
-        if c != 0:
-            emit(Generator.SWAP)
-            a, b, c, d = c, d, a, b
+        else:
+            word += [T] * q + [S]
+            a, b, c, d = c, d, a - q * c, b - q * d
 
     # remainder is upper triangular with a, d in {+1, -1}
     if a == -1:
-        emit(Generator.INVERT)
+        word.append(I)
         a, b = -a, -b
-    q = b * d
-    if q >= 0:
-        for _ in range(q):
-            emit(Generator.SHEAR)
-        b -= q * d
-    else:
+    if b * d < 0:
         # negate row 2 first so the shear count is positive
-        emit(Generator.SWAP)
-        emit(Generator.INVERT)
-        emit(Generator.SWAP)
+        word += [S, I, S]
         c, d = -c, -d
-        q = b * d
-        for _ in range(q):
-            emit(Generator.SHEAR)
-        b -= q * d
+    q = b * d
+    word += [T] * q
+    b -= q * d
     if d == -1:
-        emit(Generator.SWAP)
-        emit(Generator.INVERT)
-        emit(Generator.SWAP)
+        word += [S, I, S]
         c, d = -c, -d
 
     assert (a, b, c, d) == (1, 0, 0, 1)
     # S and I are involutions, so adjacent repeats cancel exactly
     reduced: list[Generator] = []
     for g in word:
-        if reduced and g is reduced[-1] and g is not Generator.SHEAR:
+        if reduced and g is reduced[-1] and g is not T:
             reduced.pop()
         else:
             reduced.append(g)
