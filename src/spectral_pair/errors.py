@@ -90,10 +90,7 @@ class DeterminantNotUnit(SpectralPairError):
 
 
 class IntermediateDegeneracy(GeneralPositionError):
-    """A word action hit a degenerate intermediate; carries the failing prefix."""
+    """A word action hit a degenerate intermediate; the detail names the
+    failing ``prefix`` and the ``cause``'s code."""
 
     code = "intermediate_degeneracy"
-
-    def __init__(self, message: str, prefix=None, **detail):
-        super().__init__(message, **detail)
-        self.prefix = prefix

@@ -280,9 +280,10 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     so nothing is relisted between letters.  Relisting the input rejects
     off-stratum data before the first letter acts; relisting the result
     puts it in the forward map's ordering.  An error from a letter, or
-    from the final relisting, is raised as ``IntermediateDegeneracy`` with
-    the failing prefix; a ``ClosedFormMismatch`` keeps its class, and its
-    detail gains the prefix as ``"prefix"``."""
+    from the final relisting, is raised as ``IntermediateDegeneracy``,
+    whose detail holds the failing ``"prefix"`` and the error's code as
+    ``"cause"``; a ``ClosedFormMismatch`` keeps its class, and its detail
+    gains the ``"prefix"``."""
     current = canonical_form(sd)
     for i, g in enumerate(word):
         try:
@@ -290,9 +291,10 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
             if i == len(word) - 1:
                 current = canonical_form(current)
         except GeneralPositionError as exc:
+            prefix = word_to_str(word[:i + 1])
             raise IntermediateDegeneracy(
-                f"word left general position after {word_to_str(word[:i + 1])}",
-                prefix=word[:i + 1]) from exc
+                f"word left general position after {prefix}",
+                prefix=prefix, cause=exc.code) from exc
         except ClosedFormMismatch as exc:
             raise ClosedFormMismatch(str(exc), **exc.detail,
                                      prefix=word_to_str(word[:i + 1])) from exc

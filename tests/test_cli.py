@@ -265,6 +265,19 @@ def test_closed_form_mismatch_in_a_word_names_its_prefix(seed, tmp_path, capsys,
     assert error["detail"]["mismatch"] > 1e-7
 
 
+def test_intermediate_degeneracy_names_its_prefix_and_cause(tmp_path, capsys):
+    # on seed 9 the last shear of I,T^10 leaves the divisor denominator
+    path = tmp_path / "spectral.json"
+    path.write_text(jsonio.dumps(jsonio.spectral_to_doc(
+        spectral_pair.spectral_data(spectral_pair.random_pair(9)))))
+    word = "I," + ",".join("T" * 10)
+    code, out, err = run(capsys, "act", "--word", word, str(path))
+    assert (code, out) == (3, "")
+    error = strict_loads(err.splitlines()[-1])["error"]
+    assert error["code"] == "intermediate_degeneracy"
+    assert error["detail"] == {"prefix": word, "cause": "degenerate_divisor"}
+
+
 def test_decompose_subcommand(capsys):
     code, out, _ = run(capsys, "decompose", "--matrix", "3,5,1,2")
     assert code == 0

@@ -329,7 +329,7 @@ def test_final_relisting_error_reports_whole_word(seeded_pairs, monkeypatch):
     monkeypatch.setattr(gl2z_module, "canonical_form", failing_second_call)
     with pytest.raises(IntermediateDegeneracy) as info:
         act_word_spectral((S, T), spectral_data(seeded_pairs[0]))
-    assert info.value.prefix == (S, T)
+    assert info.value.detail == {"prefix": "S,T", "cause": "singular_matrix"}
     assert info.value.__cause__.code == "singular_matrix"
 
 
@@ -380,7 +380,7 @@ def test_intermediate_degeneracy_reports_prefix():
     sd = spectral_data(MatrixPair(a, b))
     with pytest.raises(IntermediateDegeneracy) as info:
         act_word_spectral((S,), sd)
-    assert info.value.prefix == (S,)
+    assert info.value.detail["prefix"] == "S"
 
 
 def test_invert_spectral_rejects_zero_eigenvalue():
