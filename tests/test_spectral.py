@@ -251,7 +251,8 @@ def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
             if e.margin is None:
                 assert g.margin is None, g.name
             else:
-                assert abs(g.margin - e.margin) <= 1e-12, g.name
+                assert math.isclose(g.margin, e.margin, rel_tol=1e-9,
+                                    abs_tol=0.0), g.name
     checks = report_by_stages(DEGENERATE_PAIRS["divisor"]).checks
     assert [c.name for c in checks] == CHECK_NAMES
     assert [c.note for c in checks[-2:]] == ["degenerate_divisor", "unavailable"]
