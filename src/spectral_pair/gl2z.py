@@ -25,7 +25,7 @@ from .errors import (
     SingularA,
     SwappedPairDegenerate,
 )
-from .linalg import CubicPoly, Vec3, check_separation, inv3, solve_cubic
+from .linalg import CubicPoly, Vec3, _Value, check_separation, inv3, solve_cubic
 from .reconstruct import canonical_form
 from .spectral import (
     CurveCoefficients,
@@ -72,7 +72,7 @@ def word_to_str(word: Word) -> str:
     return ",".join(g.value for g in word)
 
 
-class GL2ZMatrix:
+class GL2ZMatrix(_Value):
     """Integer 2x2 matrix with determinant +-1; an immutable value."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -84,30 +84,6 @@ class GL2ZMatrix:
                 f"determinant must be +1 or -1, got {det}", det=det)
         for name, value in zip(self.__slots__, (a, b, c, d)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._entries() == other._entries()
-
-    def __hash__(self):
-        return hash(self._entries())
-
-    def __repr__(self):
-        return "GL2ZMatrix(a={!r}, b={!r}, c={!r}, d={!r})".format(
-            *self._entries())
-
-    def __reduce__(self):
-        return (GL2ZMatrix, self._entries())
 
     def __mul__(self, other: "GL2ZMatrix") -> "GL2ZMatrix":
         return GL2ZMatrix(self.a * other.a + self.b * other.c,

@@ -4,11 +4,12 @@ eigendecomposition, and a closed-form cubic solver.
 Everything is exact small-case math (cofactor and adjugate formulas) with
 explicit conditioning checks; scalars are built-in ``complex``.  All
 functions are pure and all values immutable, so they are safe to share
-between threads.  ``Mat3`` is a slotted value class rather than a tuple, so
-that ``2 * m`` and ``m + m`` never mean tuple repetition or concatenation;
-``CubicPoly`` is a ``NamedTuple``.  The package uses no ``dataclasses``:
-importing it, with the ``inspect`` it loads, and generating each class's
-methods took about 30% of a cold ``import spectral_pair.cli``.
+between threads.  ``Mat3``, like ``GL2ZMatrix``, is a slotted ``_Value``
+rather than a tuple, so that ``2 * m`` and ``m + m`` never mean tuple
+repetition or concatenation; ``CubicPoly`` is a ``NamedTuple``.  The
+package uses no ``dataclasses``: importing it, with the ``inspect`` it
+loads, and generating each class's methods took about 30% of a cold
+``import spectral_pair.cli``.
 
 Every ``Mat3`` is checked once, when it is built: its entries are coerced
 to ``complex`` and must all be finite (``finite_entries``).  The internal
@@ -63,7 +64,36 @@ def finite_entries(values) -> tuple[complex, ...]:
     return entries
 
 
-class Mat3:
+class _Value:
+    """An immutable value made of its ``__slots__``: it refuses assignment,
+    and compares within its own class, hashes, prints and pickles as the
+    tuple of its slot values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, n) for n in self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Mat3(_Value):
     """3x3 complex matrix, flat row-major entries; an immutable value."""
 
     __slots__ = ("entries",)
@@ -78,26 +108,6 @@ class Mat3:
         if len(self.entries) != 9:
             raise ValueError("Mat3 needs exactly 9 entries")
         _set_entries(self, finite_entries(self.entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self):
-        return f"Mat3(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return (Mat3, (self.entries,))
 
     @classmethod
     def from_rows(cls, rows) -> "Mat3":
@@ -136,7 +146,7 @@ class Mat3:
         return kernels.frob3(self.entries)
 
 
-#: the slot's own setter; ``Mat3.__setattr__`` refuses every assignment
+#: the slot's own setter; ``_Value.__setattr__`` refuses every assignment
 _set_entries = Mat3.entries.__set__
 
 
