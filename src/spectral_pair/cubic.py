@@ -8,6 +8,8 @@ raises ``CoincidentPoints``."""
 
 from __future__ import annotations
 
+import math
+
 from . import _kernels_py as kernels
 from .config import DEFLATION, INCIDENCE, THIRD_POINT_ON_CURVE
 from .errors import CoincidentPoints, InputsNotIncident, LineOnCurve
@@ -58,8 +60,13 @@ def _third_intersection(coeffs: CurveCoefficients, cscale: float,
     # and c03, so the incidence test below bounds them
     c30 = kernels.eval_curve9(coeffs, *p1n)
     for name, value in (("p1", c30), ("p2", c03)):
-        residual = abs(value)
-        if not residual <= INCIDENCE * cscale:
+        # as in ``curve_residual``, a modulus that overflows reads inf, and
+        # a scale that overflows certifies nothing
+        try:
+            residual = abs(value)
+        except OverflowError:
+            residual = math.inf
+        if cscale == math.inf or not residual <= INCIDENCE * cscale:
             raise InputsNotIncident(f"{name} is not on the curve",
                                     which=name, residual=residual)
 

@@ -217,10 +217,13 @@ def shear_spectral(sd: SpectralData) -> SpectralData:
     The first matrix's data (eigenvalues, d1, p_plus, p_minus) are fixed;
     the remaining coefficients follow from rewriting the new pencil through
     the inverted one with lam and mu exchanged, which also exchanges the
-    roles of the divisor coordinates.
+    roles of the divisor coordinates.  The closed form divides by d1, so
+    d1 = 0 raises ``SingularA``; no threshold is applied.
     """
     h1, h2, h3 = sd.h
     c = sd.coeffs
+    if c.d1 == 0:
+        raise SingularA("first matrix is singular", d1=0.0)
     L, M = sd.divisor.L, sd.divisor.M
     return validate_spectral_data(SpectralData(
         sd.h,

@@ -86,7 +86,12 @@ class CurveCoefficients(NamedTuple):
         return zip(self._fields, self)
 
     def max_magnitude(self) -> float:
-        return max(1.0, *map(abs, self))
+        """Largest coefficient modulus, floored at 1; one that overflows
+        reads inf."""
+        try:
+            return max(1.0, *map(abs, self))
+        except OverflowError:
+            return math.inf
 
 
 class DivisorPoint(NamedTuple):
@@ -276,12 +281,17 @@ def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
         ("d1", h1 * h2 * h3, c.d1),
     )
     for name, lhs, rhs in pairs:
-        scale = max(1.0, abs(lhs), abs(rhs))
-        diff = abs(lhs - rhs)
-        if not diff <= SYMMETRIC_FUNCTIONS * scale:
+        try:
+            scale = max(1.0, abs(lhs), abs(rhs))
+            diff = abs(lhs - rhs)
+        except OverflowError:
+            scale = diff = math.inf
+        # as in ``curve_residual``, a scale that overflows certifies nothing
+        if scale == math.inf or not diff <= SYMMETRIC_FUNCTIONS * scale:
             raise InvariantViolation(
                 f"eigenvalues do not match coefficient {name}",
-                component=name, residual=diff / scale)
+                component=name,
+                residual=math.inf if scale == math.inf else diff / scale)
     residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
     if not residual <= _CHECKS["divisor_on_curve"][1]:
         raise InvariantViolation("divisor point does not lie on the curve",

@@ -110,6 +110,20 @@ def test_reconstruct_nan_curve_residual_rejected(tmp_path, capsys):
     assert payload["detail"]["residual"] == "nan"
 
 
+@pytest.mark.parametrize("argv", [["reconstruct"], ["act", "--word", "S"]])
+def test_overflowing_modulus_fails_load(argv, tmp_path, capsys):
+    # the parts of h[0] are finite, but its modulus, 2.1e308, is not
+    doc = jsonio.loads(Path(SPECTRAL_FIXTURE).read_text())
+    doc["h"][0] = [1.5e308, 1.5e308]
+    path = tmp_path / "overflowing_modulus.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    payload = strict_loads(err)["error"]
+    assert payload["code"] == "invariant_violation"
+    assert payload["detail"] == {"component": "p_plus", "residual": "inf"}
+
+
 def test_act_word_swap_matches_swapped_pair(tmp_path, capsys):
     code, out, _ = run(capsys, "act", "--word", "S", SPECTRAL_FIXTURE)
     assert code == 0

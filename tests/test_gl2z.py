@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -389,6 +390,36 @@ def test_invert_spectral_rejects_zero_eigenvalue():
     with pytest.raises(SingularA) as info:
         invert_spectral(sd)
     assert info.value.code == "singular_a"
+
+
+@pytest.mark.parametrize("name", ["t", "d1", "q_minus", "r_plus"])
+def test_swap_with_an_overflowing_coefficient_modulus_is_coded(name):
+    # the coefficient's parts are finite, its modulus 2.1e308 is not: the
+    # chord's scale reads inf, and a scale that overflows certifies nothing
+    sd = spectral_data(random_pair(0))
+    huge = sd._replace(coeffs=sd.coeffs._replace(**{name: 1.5e308 * (1 + 1j)}))
+    assert huge.coeffs.max_magnitude() == math.inf
+    with pytest.raises(GeneralPositionError) as info:
+        swap_spectral(huge)
+    assert info.value.code in ("inputs_not_incident",
+                               "degenerate_leading_coefficient")
+
+
+def test_shear_spectral_rejects_a_zero_d1():
+    # A x 1e-5 keeps the data loadable with d1 = 0, because the scale of
+    # the symmetric-function test is floored at 1; the closed form divides
+    # by d1, and only by d1 = 0 can it not
+    pair = random_pair(4)
+    sd = spectral_data(pair._replace(a=pair.a.scaled(1e-5)))
+    zero = validate_spectral_data(sd._replace(coeffs=sd.coeffs._replace(d1=0j)))
+    with pytest.raises(SingularA) as info:
+        shear_spectral(zero)
+    assert info.value.detail == {"d1": 0.0}
+    with pytest.raises(IntermediateDegeneracy) as info:
+        act_word_spectral((Generator.SHEAR,), zero)
+    assert info.value.detail == {"prefix": "T", "cause": "singular_a"}
+    # data that small but nonzero still shears
+    shear_spectral(sd)
 
 
 def test_invert_spectral_rejects_an_overflowing_cube():

@@ -31,6 +31,7 @@ from spectral_pair import (
     normalize_pair,
     random_pair,
     reconstruct,
+    shear_spectral,
     solve_cubic,
     spectral_data,
     swap_spectral,
@@ -164,6 +165,7 @@ def test_every_coded_raise_runs(monkeypatch):
         swap_to_gauge_degenerate_pair,
         swap_with_repeated_second_spectrum,
         lambda: invert_spectral(sd._replace(h=(0, 2, 3))),
+        lambda: shear_spectral(sd._replace(coeffs=sd.coeffs._replace(d1=0))),
         # the input's relisting passes through; the result's, h relisted
         # from (1, 1/2, 1/3) to (1/3, 1/2, 1), reconstructs
         biased_closed_form(monkeypatch, lambda: act_word_spectral(
@@ -179,5 +181,5 @@ def test_every_coded_raise_runs(monkeypatch):
     missing = [(path, first) for path, spans in sites.items()
                for first, last in spans
                if not any((path, line) in seen for line in range(first, last + 1))]
-    assert sum(map(len, sites.values())) == 19
+    assert sum(map(len, sites.values())) == 20
     assert missing == []
