@@ -9,10 +9,18 @@ from spectral_pair import (
     InvariantViolation,
     RepeatedEigenvalues,
     SchemaError,
+    SpectralPairError,
+    act_word_spectral,
+    canonical_form,
+    invert_spectral,
     jsonio,
+    parse_word,
+    random_pair,
     reconstruct,
+    shear_spectral,
     spectral_data,
     spectral_residuals,
+    swap_spectral,
 )
 
 from conftest import (
@@ -131,3 +139,52 @@ def test_normalized_pair_document(seeded_pairs):
     sd1 = spectral_data(seeded_pairs[0])
     sd2 = spectral_data(back)
     assert max(spectral_residuals(sd1, sd2).values()) < 1e-7
+
+
+def perturbed_documents():
+    """(label, document) for the spectral documents of seeds 0-2 and of
+    (A x 1e-5, B) for seeds 0-1, with the real part, the imaginary part or
+    both of one of the 15 components set to 0, 1e-320, 1e-200, 1e200 or
+    1.5e308: 1125 documents, each component finite."""
+    pairs = [random_pair(seed) for seed in range(3)]
+    pairs += [p._replace(a=p.a.scaled(1e-5)) for p in pairs[:2]]
+    for n, pair in enumerate(pairs):
+        doc = jsonio.spectral_to_doc(spectral_data(pair))
+        places = [("h", i) for i in range(3)]
+        places += [("coefficients", k) for k in doc["coefficients"]]
+        places += [("divisor", "L"), ("divisor", "M")]
+        for group, key in places:
+            for value in (0.0, 1e-320, 1e-200, 1e200, 1.5e308):
+                for parts in ((0,), (1,), (0, 1)):
+                    perturbed = json.loads(json.dumps(doc))
+                    for part in parts:
+                        perturbed[group][key][part] = value
+                    yield (n, key, value, parts), perturbed
+
+
+def test_every_spectral_document_that_loads_ends_ok_or_coded():
+    """Loading a document raises only a package error, and so does each
+    computation on a document that loads: ``canonical_form``,
+    ``reconstruct``, the three actions and the word S,I,T."""
+    word = parse_word("S,I,T")
+    calls = (canonical_form, reconstruct, swap_spectral, invert_spectral,
+             shear_spectral, lambda sd: act_word_spectral(word, sd))
+    loaded, crashes = 0, []
+    for label, doc in perturbed_documents():
+        try:
+            sd = jsonio.doc_to_spectral(doc)
+        except SpectralPairError:
+            continue
+        except Exception as exc:
+            crashes.append((label, "load", repr(exc)))
+            continue
+        loaded += 1
+        for i, call in enumerate(calls):
+            try:
+                call(sd)
+            except SpectralPairError:
+                pass
+            except Exception as exc:
+                crashes.append((label, i, repr(exc)))
+    assert crashes == []
+    assert loaded == 204
