@@ -191,6 +191,13 @@ class GaussianRational:
     def __rsub__(self, o):
         return gaussian(o) - self
 
+    def __rtruediv__(self, o):
+        return gaussian(o) / self
+
+    def __abs__(self) -> float:
+        """The modulus as a float, as the package's scale tests take it."""
+        return math.hypot(self.re, self.im)
+
 
 def random_exact_normalized_pair(rng):
     """(h, U) with seeded Gaussian-rational entries, U gauge-fixed

@@ -354,6 +354,41 @@ def test_tilde_r_minus_is_its_minor_sum_exactly():
         assert tilde_r_minus(CurveCoefficients(**coeffs), h, divisor) == want
 
 
+def exact_spectral_data(h, u) -> SpectralData:
+    """Spectral data of the normalized pair (h, U), by the Leibniz
+    expansion and the two minor equations."""
+    coeffs = expanded_coefficients(h, u)
+    assert coeffs.pop("lam3") == 1
+    return SpectralData(h, CurveCoefficients(**coeffs),
+                        DivisorPoint(*divisor_by_minor_equations(h, u)))
+
+
+def differing_components(got: SpectralData, want: SpectralData) -> list[str]:
+    names = ("h1", "h2", "h3", *CurveCoefficients._fields, "L", "M")
+    return [name for name, x, y in zip(
+        names, (*got.h, *got.coeffs, *got.divisor),
+        (*want.h, *want.coeffs, *want.divisor)) if not x == y]
+
+
+def test_invert_and_shear_formulas_are_exact():
+    """At random Gaussian-rational (h, U), I's formulas give the exact data
+    of (1/h, U), and T's the exact data of (h, U') with U' = D diag(h) U
+    D^-1 and D = diag(1, h1, h1): the eigenbasis of A is that of A^-1, and
+    D gauge-fixes the product diag(h) U.  Every component must be equal
+    exactly; see ``test_closed_forms_for_the_lower_left_are_exact``."""
+    rng = random.Random("I and T")
+    for _ in range(6):
+        h, u = random_exact_normalized_pair(rng)
+        sd = exact_spectral_data(h, u)
+        inverted = exact_spectral_data(tuple(1 / z for z in h), u)
+        assert differing_components(invert_spectral(sd), inverted) == []
+        d = (1, h[0], h[0])
+        u_sheared = {(i, j): d[i] * h[i] * u[i, j] / d[j]
+                     for i in range(3) for j in range(3)}
+        sheared = exact_spectral_data(h, u_sheared)
+        assert differing_components(shear_spectral(sd), sheared) == []
+
+
 def test_word_followed_by_its_inverse_returns_its_input():
     """The action on conjugacy classes of pairs factors through GL(2,Z), so
     a word whose matrix is the identity returns its input: a random word w
