@@ -4,8 +4,10 @@ Each threshold is compared with a quantity over a scale: a norm, a
 magnitude or a spread.  Seven hard checks floor that scale at 1, so they
 are not scale-free: both in ``invert_spectral``, ``reconstruct``'s
 agreement test, ``max_magnitude`` (the chord's ``cscale``), the divisor
-ratio, ``curve_residual`` and ``validate_spectral_data``.  The modules
-that test a quantity import the constants they compare it with.
+ratio, ``curve_residual`` and ``validate_spectral_data``.  An eighth is
+not scale-free either: ``solve_cubic`` compares a monic cubic's exact
+leading 1 with its largest coefficient.  The modules that test a quantity
+import the constants they compare it with.
 """
 
 # core 3x3 numerics

@@ -18,6 +18,7 @@ from spectral_pair import (
     curve_coefficients,
     curve_residual,
     divisor_point,
+    eig3,
     general_position_report,
     inv3,
     kernel_vector,
@@ -450,6 +451,16 @@ def test_no_stage_raises_while_its_report_check_passes(seeded_pairs):
 ], ids=["a_huge", "b_tiny"])
 def test_determinant_stage_fails_its_report_check(pair):
     assert_stage_check_fails(pair)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "solve_cubic compares a monic cubic's exact leading 1 with its largest "
+    "coefficient, here the product 7e12 of the eigenvalues; ROADMAP item 3 "
+    "lists it among the scale-dependent checks that wait for prescaling"))
+def test_eig3_of_a_scaled_diagonal_returns_its_eigenvalues():
+    values, _ = eig3(Mat3.diagonal(1e4, 2e4, 3.5e4))
+    assert max(abs(got - want) for got, want
+               in zip(values, (1e4, 2e4, 3.5e4))) <= 1e-9 * 3.5e4
 
 
 @pytest.mark.parametrize("pair", [
