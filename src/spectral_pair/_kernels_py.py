@@ -63,14 +63,6 @@ def matmul3(x, y):
     )
 
 
-def matvec3(m, v):
-    a, b, c, d, e, f, g, h, i = m
-    x, y, z = v
-    return (a * x + b * y + c * z,
-            d * x + e * y + f * z,
-            g * x + h * y + i * z)
-
-
 def frob3(m):
     """Frobenius norm, the squared moduli summed in entry order."""
     a, b, c, d, e, f, g, h, i = m
@@ -179,12 +171,18 @@ def kernel_vector3(m):
     Returns (v, residual, det_measure, minor_measure): v is the largest
     adjugate column scaled to unit norm (zero vector when the adjugate
     vanishes), residual is |M v| / |M|, and the two measures are |det|/|M|^3
-    and max |2x2 minor| / |M|^2 used for the rank-2 test.
+    and max |2x2 minor| / |M|^2 used for the rank-2 test.  One pass over
+    the unpacked entries, each quantity in the order of ``frob3``,
+    ``adj3`` and the product M v.
     """
-    norm = frob3(m)
+    a, b, c, d, e, f, g, h, i = m
+    norm = math.sqrt((a * a.conjugate() + b * b.conjugate()
+                      + c * c.conjugate() + d * d.conjugate()
+                      + e * e.conjugate() + f * f.conjugate()
+                      + g * g.conjugate() + h * h.conjugate()
+                      + i * i.conjugate()).real)
     if norm == 0.0:
         return (0j, 0j, 0j), 0.0, 0.0, 0.0
-    a, b, c, d, e, f, g, h, i = m
     # the adjugate as adj3 computes it: columns x, y, z, indexed by row
     x0, y0, z0 = e * i - f * h, c * h - b * i, b * f - c * e
     x1, y1, z1 = f * g - d * i, a * i - c * g, c * d - a * f
@@ -218,8 +216,12 @@ def kernel_vector3(m):
         return (0j, 0j, 0j), math.inf, dm, mm
     inv_n = 1.0 / math.sqrt(best_n2)
     p, q, r = best
-    v = (p * inv_n, q * inv_n, r * inv_n)
-    return v, vec_norm(matvec3(m, v)) / norm, dm, mm
+    p, q, r = p * inv_n, q * inv_n, r * inv_n
+    return ((p, q, r),
+            vec_norm((a * p + b * q + c * r,
+                      d * p + e * q + f * r,
+                      g * p + h * q + i * r)) / norm,
+            dm, mm)
 
 
 def square_modulus(z):

@@ -30,9 +30,13 @@ from .reconstruct import canonical_form
 from .spectral import (
     CurveCoefficients,
     DivisorPoint,
+    Eigen,
     MatrixPair,
     SpectralData,
+    _normalized,
+    _spectral_data_in,
     spectral_data,
+    spectral_data_of_normalized,
     spectral_residuals,
     validate_spectral_data,
 )
@@ -342,21 +346,28 @@ class CommutationReport(NamedTuple):
     max_residual: float
 
 
-def commutation_residuals(g: Generator, pair: MatrixPair,
-                          sd: SpectralData) -> dict[str, float]:
+def commutation_residuals(g: Generator, pair: MatrixPair, sd: SpectralData,
+                          eigen: Eigen) -> dict[str, float]:
     """Residuals between the two routes around the square for a pair whose
-    spectral data ``sd`` is already known: generator-then-map versus
-    map-then-generator-formula.  The forward map already lists the
-    eigenvalues in the canonical order, so only the formula's side is
-    relisted."""
+    spectral data ``sd`` and eigendecomposition of A ``eigen`` are already
+    known: generator-then-map versus map-then-generator-formula.  The
+    forward map already lists the eigenvalues in the canonical order, so
+    only the formula's side is relisted.  The shear keeps A, so its image
+    is mapped forward in ``eigen`` rather than decomposing A again."""
     lhs = canonical_form(act_spectral(g, sd))
-    rhs = spectral_data(act_on_pair(g, pair))
+    image = act_on_pair(g, pair)
+    if g is Generator.SHEAR:
+        rhs = _spectral_data_in(eigen, image)
+    else:
+        rhs = spectral_data(image)
     return spectral_residuals(lhs, rhs)
 
 
 def verify_commutation(g: Generator, pair: MatrixPair) -> CommutationReport:
     """Compare the two routes around the square for one generator."""
-    residuals = commutation_residuals(g, pair, spectral_data(pair))
+    np, eigen = _normalized(pair)
+    residuals = commutation_residuals(
+        g, pair, spectral_data_of_normalized(np), eigen)
     return CommutationReport(
         operation=f"commute_{g.name.lower()}",
         per_component=residuals,

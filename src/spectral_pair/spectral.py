@@ -53,6 +53,10 @@ class MatrixPair(NamedTuple):
     b: Mat3
 
 
+#: ``eig3``'s result: the eigenvalues in canonical order and their vectors
+Eigen = tuple[Vec3, tuple[Vec3, Vec3, Vec3]]
+
+
 class NormalizedPair(NamedTuple):
     """Ordered eigenvalues of the first matrix plus the gauge-fixed matrix of
     the second one in that eigenbasis (entries (1,2) and (1,3) exactly 1)."""
@@ -133,11 +137,30 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.
     """
+    return _normalized(pair)[0]
+
+
+def _normalized(pair: MatrixPair) -> tuple[NormalizedPair, Eigen]:
+    """``normalize_pair`` with the eigendecomposition of A that it took."""
     nonsingular_det(pair.a.entries, "A")
     nonsingular_det(pair.b.entries, "B")
+    eigen = eig3(pair.a)
+    return _normalized_in(eigen, pair.b), eigen
 
-    values, vectors = eig3(pair.a)
-    return _gauge_fix(values, _in_eigenbasis(pair.b, vectors))[0]
+
+def _normalized_in(eigen: Eigen, b: Mat3) -> NormalizedPair:
+    """The pair (A, ``b``) normalized in ``eigen``, the eigendecomposition
+    of an A that passed its determinant test; the caller tests ``b``'s."""
+    values, vectors = eigen
+    return _gauge_fix(values, _in_eigenbasis(b, vectors))[0]
+
+
+def _spectral_data_in(eigen: Eigen, pair: MatrixPair) -> SpectralData:
+    """``spectral_data(pair)`` for a pair whose A passed its determinant
+    test and decomposed as ``eigen``: the same stages and errors, without
+    testing or decomposing A again."""
+    nonsingular_det(pair.b.entries, "B")
+    return spectral_data_of_normalized(_normalized_in(eigen, pair.b))
 
 
 def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
@@ -340,9 +363,9 @@ class Forward(NamedTuple):
     ``report`` holds the margin of every general-position check; those of
     the gauge, divisor and on-curve checks are the floats their stages
     tested.  ``error`` is the error ``spectral_data(pair)`` raises, the
-    first in its order of stages, or None; ``np`` and ``sd`` are the
-    normalized pair and the spectral data when ``error`` is None, and None
-    otherwise.
+    first in its order of stages, or None; ``np``, ``sd`` and ``eigen``
+    are the normalized pair, the spectral data and A's eigendecomposition
+    when ``error`` is None, and None otherwise.
     """
 
     pair: MatrixPair
@@ -350,6 +373,7 @@ class Forward(NamedTuple):
     np: NormalizedPair | None
     sd: SpectralData | None
     error: GeneralPositionError | None
+    eigen: Eigen | None = None
 
 
 def _determinant_margin(entries: tuple[complex, ...]) -> float:
@@ -417,13 +441,13 @@ def forward(pair: MatrixPair) -> Forward:
         checks.append(PositionCheck(name, margin is not None and margin > threshold,
                                     margin, threshold, note))
 
-    def done(np=None, sd=None) -> Forward:
+    def done(np=None, sd=None, eigen=None) -> Forward:
         for name in list(_CHECKS)[len(checks):]:
             add(name, None, "unavailable")
         report = GeneralPositionReport(tuple(checks))
         if errors:
             return Forward(pair, report, None, None, errors[0])
-        return Forward(pair, report, np, sd, None)
+        return Forward(pair, report, np, sd, None, eigen)
 
     def fail(exc, *names) -> Forward:
         errors.append(exc)
@@ -439,9 +463,10 @@ def forward(pair: MatrixPair) -> Forward:
         add("determinant_" + name.lower(), _determinant_margin(m.entries))
 
     try:
-        values, vectors = eig3(pair.a)
+        eigen = eig3(pair.a)
     except GeneralPositionError as exc:
         return fail(exc, "eigenvalue_separation", "gauge_entries")
+    values, vectors = eigen
     sep, scale = separation(values)
     add("eigenvalue_separation", sep / scale)
     try:
@@ -481,7 +506,7 @@ def forward(pair: MatrixPair) -> Forward:
         add("axis_point_separation", None, exc.code)
     else:
         add("axis_point_separation", _axis_point_separation(np.h, xi, lam0))
-    return done(np, sd)
+    return done(np, sd, eigen)
 
 
 def general_position_report(pair: MatrixPair) -> GeneralPositionReport:

@@ -74,34 +74,43 @@ def _pair_residuals(lhs, rhs) -> dict[str, float]:
                                     (*rhs.h, *rhs.u.entries))))
 
 
-def _prop_round_trip_forward(pair, np, sd, seed):
-    return _pair_residuals(np, reconstruct(sd))
+def _rebuilt(rebuilt):
+    """The seed's reconstruction, or the error it raised, raised again."""
+    if isinstance(rebuilt, GeneralPositionError):
+        raise rebuilt
+    return rebuilt
 
 
-def _prop_round_trip_backward(pair, np, sd, seed):
-    again = spectral_data(reconstruct(sd).as_pair())
-    return spectral_residuals(sd, again)
+def _prop_round_trip_forward(drawn, rebuilt, seed):
+    return _pair_residuals(drawn.np, _rebuilt(rebuilt))
+
+
+def _prop_round_trip_backward(drawn, rebuilt, seed):
+    again = spectral_data(_rebuilt(rebuilt).as_pair())
+    return spectral_residuals(drawn.sd, again)
 
 
 def _make_commute(generator: Generator):
-    def prop(pair, np, sd, seed):
-        return commutation_residuals(generator, pair, sd)
+    def prop(drawn, rebuilt, seed):
+        return commutation_residuals(generator, drawn.pair, drawn.sd,
+                                     drawn.eigen)
     return prop
 
 
-def _prop_conjugation_invariance(pair, np, sd, seed):
+def _prop_conjugation_invariance(drawn, rebuilt, seed):
     rng = random.Random((seed << 16) ^ 0x5BD1)
     g, g_inv = _well_conditioned_with_inverse(rng)
+    pair = drawn.pair
     conjugated = MatrixPair(g @ pair.a @ g_inv, g @ pair.b @ g_inv)
-    return spectral_residuals(sd, spectral_data(conjugated))
+    return spectral_residuals(drawn.sd, spectral_data(conjugated))
 
 
-def _prop_word_consistency(pair, np, sd, seed):
+def _prop_word_consistency(drawn, rebuilt, seed):
     rng = random.Random((seed << 16) ^ 0xC0FF)
     word = tuple(rng.choice(list(Generator))
                  for _ in range(rng.randint(1, 6)))
-    lhs = act_word_spectral(word, sd)
-    rhs = spectral_data(act_word_on_pair(word, pair))
+    lhs = act_word_spectral(word, drawn.sd)
+    rhs = spectral_data(act_word_on_pair(word, drawn.pair))
     return spectral_residuals(lhs, rhs)
 
 
@@ -120,9 +129,11 @@ def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
               base_seed: int = 0) -> list[PropertyResult]:
     """Every property over the same seeds, one result per property in
     ``PROPERTIES`` order.  Each seed's pair is drawn once, and the forward
-    pass that accepted it supplies its normalized form and its spectral
-    data to every property.  A seed whose forward map raised is skipped by
-    every property."""
+    pass that accepted it supplies its normalized form, its spectral data
+    and A's eigendecomposition to every property, together with one
+    reconstruction of that data, or the ``GeneralPositionError`` it raised,
+    which the round trips share.  A seed whose forward map raised is
+    skipped by every property."""
     results = [PropertyResult(
         name, tolerance * TOLERANCE_MULTIPLIERS.get(name, 1.0))
         for name in PROPERTIES]
@@ -132,9 +143,13 @@ def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
             for result in results:
                 result.skip(seed, drawn.error.code)
             continue
+        try:
+            rebuilt = reconstruct(drawn.sd)
+        except GeneralPositionError as exc:
+            rebuilt = exc
         for result, prop in zip(results, PROPERTIES.values()):
             try:
-                result.record(seed, prop(drawn.pair, drawn.np, drawn.sd, seed))
+                result.record(seed, prop(drawn, rebuilt, seed))
             except GeneralPositionError as exc:
                 result.skip(seed, exc.code)
     return results

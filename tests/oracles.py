@@ -463,7 +463,6 @@ PLAIN_KERNELS = {
     "det3": det3_by_subscripts,
     "adj3": adj3_by_subscripts,
     "matmul3": matmul3_by_subscripts,
-    "matvec3": matvec3_by_subscripts,
     "eval_curve9": eval_curve9_by_subscripts,
     "vec_norm": vec_norm_by_square_modulus,
     "kernel_vector3": kernel_vector3_by_loops,

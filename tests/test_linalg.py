@@ -25,7 +25,13 @@ from spectral_pair._kernels_py import vec_norm
 from spectral_pair.linalg import nonsingular_det
 
 from conftest import rng_complex, rng_matrix
-from oracles import PLAIN_KERNELS, columns_matrix, frob3_by_loop, match_roots
+from oracles import (
+    PLAIN_KERNELS,
+    columns_matrix,
+    frob3_by_loop,
+    match_roots,
+    matvec3_by_subscripts,
+)
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -206,7 +212,7 @@ def test_kernel_constructed():
         third = [rows[0][i] + rows[1][i] for i in range(3)]
         m = Mat3.from_rows([rows[0], rows[1], third])
         v = kernel_vector(m.entries)
-        assert vec_norm(kernels.matvec3(m.entries, v)) < 1e-9 * m.norm()
+        assert vec_norm(matvec3_by_subscripts(m.entries, v)) < 1e-9 * m.norm()
         # v is proportional to w
         cross = max(abs(v[i] * w[j] - v[j] * w[i])
                     for i in range(3) for j in range(3))
@@ -283,7 +289,7 @@ def test_eig_conjugation():
         values, vectors = eig3(a)
         assert match_roots(values, (1, 2, 3)) < 1e-9
         for h, v in zip(values, vectors):
-            av = kernels.matvec3(a.entries, v)
+            av = matvec3_by_subscripts(a.entries, v)
             residual = [av[i] - h * v[i] for i in range(3)]
             assert vec_norm(tuple(residual)) <= 1e-8 * a.norm()
 
@@ -346,8 +352,7 @@ SPECIAL_PARTS = (0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan)
 
 #: the operand widths of each kernel; 1 is a bare scalar
 KERNEL_OPERANDS = {"frob3": (9,), "det3": (9,), "adj3": (9,),
-                   "kernel_vector3": (9,), "matmul3": (9, 9),
-                   "matvec3": (9, 3), "vec_norm": (3,),
+                   "kernel_vector3": (9,), "matmul3": (9, 9), "vec_norm": (3,),
                    "eval_curve9": (9, 1, 1, 1), "solve_cubic_raw": (1, 1, 1, 1)}
 
 

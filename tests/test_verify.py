@@ -2,7 +2,40 @@ import sys
 
 import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
-from spectral_pair import GaugeDegenerate, Mat3, spectral_data
+from spectral_pair import (
+    GaugeDegenerate,
+    Generator,
+    Mat3,
+    random_pair,
+    spectral_data,
+    verify_commutation,
+)
+
+
+def recording_eig3(monkeypatch) -> list:
+    """The matrices that ``eig3`` decomposes from now on, in order."""
+    calls = []
+    original = spectral.eig3
+
+    def recording(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(spectral, "eig3", recording)
+    return calls
+
+
+def recording_draws(monkeypatch) -> list:
+    """The forward passes that ``run_suite`` draws from now on, in order."""
+    drawn = []
+    original = verify.random_forward
+
+    def recording(seed):
+        drawn.append(original(seed))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "random_forward", recording)
+    return drawn
 
 
 def test_run_suite_draws_each_pair_once(monkeypatch):
@@ -24,24 +57,14 @@ def test_run_suite_maps_the_drawn_pair_forward_once(monkeypatch):
     """With the properties replaced by a probe, the only eigendecomposition
     of each drawn A is the one in the forward pass that accepted the pair,
     and the probe receives that pass's data."""
-    drawn, decomposed, probed = [], [], []
-    original_draw = verify.random_forward
-    original_eig3 = spectral.eig3
+    drawn = recording_draws(monkeypatch)
+    decomposed = recording_eig3(monkeypatch)
+    probed = []
 
-    def recording_random_forward(seed):
-        drawn.append(original_draw(seed))
-        return drawn[-1]
-
-    def recording_eig3(a):
-        decomposed.append(a)
-        return original_eig3(a)
-
-    def probe(pair, np, sd, seed):
-        probed.append((pair, np, sd))
+    def probe(accepted, rebuilt, seed):
+        probed.append((accepted.pair, accepted.np, accepted.sd))
         return {"probe": 0.0}
 
-    monkeypatch.setattr(verify, "random_forward", recording_random_forward)
-    monkeypatch.setattr(spectral, "eig3", recording_eig3)
     monkeypatch.setattr(verify, "PROPERTIES", {"probe": probe})
     verify.run_suite(3, base_seed=10)
     assert len(drawn) == 3
@@ -65,17 +88,44 @@ def test_forward_map_failure_skips_every_property(monkeypatch):
                                   {"seed": 6, "code": "gauge_degenerate"}]
 
 
-def test_run_suite_decomposes_at_most_seven_matrices(monkeypatch):
-    calls = []
-    original = spectral.eig3
-
-    def counting_eig3(a):
-        calls.append(a)
-        return original(a)
-
-    monkeypatch.setattr(spectral, "eig3", counting_eig3)
+def test_run_suite_decomposes_at_most_six_matrices(monkeypatch):
+    calls = recording_eig3(monkeypatch)
     verify.run_suite(1)
-    assert len(calls) <= 7   # 8 when run_suite mapped the drawn pair again
+    # 8 when run_suite mapped the drawn pair again, 7 when the shear
+    # diagram decomposed the drawn A again
+    assert len(calls) <= 6
+
+
+def test_run_suite_decomposes_the_drawn_a_once_per_seed(monkeypatch):
+    """Over seeds 0-99 the drawn A is decomposed by the forward pass that
+    accepted it, and again only where a word's image starts with it (as
+    T or S,S leave it): 109 times, where the shear diagram's second
+    decomposition made it 209."""
+    calls = recording_eig3(monkeypatch)
+    drawn = recording_draws(monkeypatch)
+    images = []
+    original_act = verify.act_word_on_pair
+
+    def recording_act_word_on_pair(word, pair):
+        images.append(original_act(word, pair))
+        return images[-1]
+
+    monkeypatch.setattr(verify, "act_word_on_pair", recording_act_word_on_pair)
+    verify.run_suite(100)
+    assert len(drawn) == 100
+    decomposed = [sum(a is d.pair.a for a in calls) for d in drawn]
+    starts_with_a = [sum(image.a is d.pair.a for image in images)
+                     for d in drawn]
+    assert decomposed == [1 + n for n in starts_with_a]
+    assert sum(decomposed) == 109
+
+
+def test_verify_commutation_decomposes_a_once_for_the_shear(monkeypatch):
+    pair = random_pair(1)
+    calls = recording_eig3(monkeypatch)
+    report = verify_commutation(Generator.SHEAR, pair)
+    assert len(calls) == 1 and calls[0] is pair.a
+    assert report.max_residual <= verify.DEFAULT_TOLERANCE
 
 
 def test_run_suite_builds_each_matrix_once(monkeypatch):
@@ -91,11 +141,12 @@ def test_run_suite_builds_each_matrix_once(monkeypatch):
     assert len(built) <= 120   # 253 with whole-matrix products
 
 
-def test_run_suite_relists_five_times_and_reconstructs_twice(monkeypatch):
+def test_run_suite_relists_five_times_and_reconstructs_once(monkeypatch):
     """One ``canonical_form`` per diagram and two per word: the forward
-    map's side of each comparison is already canonical.  Only the two round
-    trips reconstruct on this seed: a relisting that keeps the first
-    eigenvalue in place passes the divisor point through."""
+    map's side of each comparison is already canonical.  Only the round
+    trips reconstruct on this seed, and they share one reconstruction: a
+    relisting that keeps the first eigenvalue in place passes the divisor
+    point through."""
     calls = {"canonical_form": 0, "reconstruct": 0}
     for name in calls:
         original = getattr(sys.modules["spectral_pair.reconstruct"], name)
@@ -111,9 +162,9 @@ def test_run_suite_relists_five_times_and_reconstructs_twice(monkeypatch):
     verify.run_suite(1)
     # 13 and 15 on this seed when both sides of every comparison, and every
     # step of the word, were relisted; 7 reconstructions when each
-    # relisting reconstructed
+    # relisting reconstructed, 2 when each round trip did
     assert calls["canonical_form"] <= 5
-    assert calls["reconstruct"] <= 2
+    assert calls["reconstruct"] <= 1
 
 
 def test_word_consistency_holds_at_seed_653207699():
