@@ -53,14 +53,19 @@ EXIT_VERIFY = 5
 MAX_MATRIX_ENTRY = 10 ** 5
 
 
+def _strict(value):
+    """``value`` as strict JSON takes it: JSON has no NaN or Infinity, so a
+    non-finite float goes out as its repr, "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
 def _fail(code: int, error_code: str, message: str, **detail) -> int:
     payload = {"error": {"code": error_code, "message": message}}
     if detail:
-        # JSON has no NaN or Infinity: a non-finite float goes out as its
-        # repr, "nan", "inf" or "-inf"
         payload["error"]["detail"] = {
-            k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in detail.items()
+            k: _strict(v) for k, v in detail.items()
             if isinstance(v, (str, int, float, bool, list, dict))}
     print(json.dumps(payload), file=sys.stderr)
     return code
@@ -151,27 +156,30 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--seeds must be at least 1")
     results = run_suite(args.seeds, args.tolerance, args.base_seed)
     all_passed = True
-    overall = 0.0
     for r in results:
         status = "pass" if r.passed else "fail"
         all_passed = all_passed and r.passed
-        overall = max(overall, r.max_residual)
         line = {
             "operation": r.operation,
             "status": status,
-            "max_residual": r.max_residual,
-            "tolerance": r.tolerance,
+            "max_residual": _strict(r.max_residual),
+            "tolerance": _strict(r.tolerance),
             "seeds_run": r.seeds_run,
-            "per_component": r.per_component,
+            "per_component": {k: _strict(v)
+                              for k, v in r.per_component.items()},
         }
         if r.skipped:
             line["skipped"] = r.skipped
         if not r.passed and r.worst_seed is not None:
             line["failing_seed"] = r.worst_seed
         print(json.dumps(line))
+    # ``max`` drops a NaN that is not first, so a NaN maximum is kept apart
+    maxima = [r.max_residual for r in results]
+    overall = (math.nan if any(map(math.isnan, maxima))
+               else max(maxima, default=0.0))
     print(json.dumps({"operation": "summary",
                       "status": "pass" if all_passed else "fail",
-                      "max_residual": overall,
+                      "max_residual": _strict(overall),
                       "backend": BACKEND}))
     return EXIT_OK if all_passed else EXIT_VERIFY
 

@@ -26,7 +26,7 @@ from .errors import (
     SwappedPairDegenerate,
 )
 from .linalg import CubicPoly, Vec3, _Value, check_separation, inv3, solve_cubic
-from .reconstruct import canonical_form
+from .reconstruct import _relisted, canonical_form
 from .spectral import (
     CurveCoefficients,
     DivisorPoint,
@@ -257,12 +257,15 @@ def act_spectral(g: Generator, sd: SpectralData) -> SpectralData:
 
 def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     """Left-to-right fold of the generator actions between one
-    ``canonical_form`` of the input and one of the result.
+    ``canonical_form`` of the input and one relisting of the result.
 
     The formulas take the data in whatever eigenvalue ordering it carries,
     so nothing is relisted between letters.  Relisting the input rejects
-    off-stratum data before the first letter acts; relisting the result
-    puts it in the forward map's ordering.  An error from a letter, or
+    off-stratum data before the first letter acts, and validates it, since
+    it may come from outside.  Relisting the result puts it in the forward
+    map's ordering; the last letter's action has just validated it, so
+    when that ordering is kept the relisting returns it without validating
+    it again (``reconstruct._relisted``).  An error from a letter, or
     from the final relisting, is raised as ``IntermediateDegeneracy``,
     whose detail holds the failing ``"prefix"`` and the error's code as
     ``"cause"``; a ``ClosedFormMismatch`` keeps its class, and its detail
@@ -272,7 +275,7 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
         try:
             current = act_spectral(g, current)
             if i == len(word) - 1:
-                current = canonical_form(current)
+                current = _relisted(current, True)
         except GeneralPositionError as exc:
             prefix = word_to_str(word[:i + 1])
             raise IntermediateDegeneracy(
@@ -352,9 +355,11 @@ def commutation_residuals(g: Generator, pair: MatrixPair, sd: SpectralData,
     spectral data ``sd`` and eigendecomposition of A ``eigen`` are already
     known: generator-then-map versus map-then-generator-formula.  The
     forward map already lists the eigenvalues in the canonical order, so
-    only the formula's side is relisted.  The shear keeps A, so its image
-    is mapped forward in ``eigen`` rather than decomposing A again."""
-    lhs = canonical_form(act_spectral(g, sd))
+    only the formula's side is relisted.  The action has just validated
+    its output, so that relisting validates it again only when it permutes
+    the eigenvalues (``reconstruct._relisted``).  The shear keeps A, so its
+    image is mapped forward in ``eigen`` rather than decomposing A again."""
+    lhs = _relisted(act_spectral(g, sd), True)
     image = act_on_pair(g, pair)
     if g is Generator.SHEAR:
         rhs = _spectral_data_in(eigen, image)

@@ -217,7 +217,8 @@ def nonsingular_det(entries: tuple[complex, ...],
 
 def inv3(m: Mat3) -> Mat3:
     d = nonsingular_det(m.entries)
-    return Mat3(tuple(z / d for z in kernels.adj3(m.entries)))
+    # d.__rtruediv__(z) is the C division z / d
+    return Mat3(tuple(map(d.__rtruediv__, kernels.adj3(m.entries))))
 
 
 def kernel_vector(entries: tuple[complex, ...]) -> Vec3:

@@ -20,10 +20,9 @@ from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
     Mat3,
     Vec3,
+    check_finite,
     check_nonsingular,
     check_separation,
-    finite_entries,
-    nonsingular_det,
 )
 from .spectral import (
     CurveCoefficients,
@@ -139,16 +138,45 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     reconstructed.  When it moves, the reconstructed U is conjugated by the
     permutation and gauge-fixed, and the divisor point is read off that
     pair.
+
+    This function always validates its result, since ``sd`` may come from
+    outside.  The package's own comparisons relist the output of a spectral
+    action, which that action has just validated, through ``_relisted``:
+    it skips the validation only when the order is kept, and runs every
+    other check.
+    """
+    return _relisted(sd, False)
+
+
+def _relisted(sd: SpectralData, validated: bool) -> SpectralData:
+    """``canonical_form``, told whether ``sd`` has just passed
+    ``validate_spectral_data``, as the output of a spectral action has.
+
+    When it has, and ``canonical_order`` keeps h element for element,
+    ``sd`` itself is returned after the checks on h and d2: the result
+    would hold the very values, coefficients and divisor point that were
+    validated.  A permuted h is validated again, even when only the second
+    and third eigenvalues swap, because the symmetric functions are then
+    summed in another order and can round differently.
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
-    nonsingular_det(finite_entries((h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])), "A")
+    check_finite(h)
+    h1, h2, h3 = h
+    # det3 and frob3 of diag(h) padded with zeros: the padding adds only
+    # exact zeros to these sums, which changes at most the sign of a zero
+    # part, and ``abs`` ignores that sign
+    check_nonsingular(h1 * (h2 * h3),
+                      math.sqrt((h1 * h1.conjugate() + h2 * h2.conjugate()
+                                 + h3 * h3.conjugate()).real), "A")
     c = sd.coeffs
     try:
         scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5, abs(c.d2) ** (1 / 3))
     except OverflowError:
         scale = math.inf
     check_nonsingular(c.d2, scale, "B")
+    if validated and h == sd.h:
+        return sd
     divisor = sd.divisor
     if h[0] != sd.h[0]:
         # entries of a checked Mat3, so the permuted U needs no second check

@@ -11,6 +11,8 @@ explicit closed forms in (h, U).
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import _kernels_py as kernels
@@ -169,8 +171,8 @@ def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
     V^-1 is adj(V) / det V, as ``inv3`` computes it."""
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = vectors
     v = (x0, y0, z0, x1, y1, z1, x2, y2, z2)
-    d = nonsingular_det(v)
-    v_inv = tuple(c / d for c in kernels.adj3(v))
+    # d.__rtruediv__(c) is the C division c / d
+    v_inv = tuple(map(nonsingular_det(v).__rtruediv__, kernels.adj3(v)))
     u0 = kernels.matmul3(kernels.matmul3(v_inv, b.entries), v)
     check_finite(u0)
     return u0
@@ -376,6 +378,9 @@ class Forward(NamedTuple):
     eigen: Eigen | None = None
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
 def _determinant_margin(entries: tuple[complex, ...]) -> float:
     """|det M| / |M|^3 for the flat entries of a 3x3 matrix, 0 for the zero
     matrix.
@@ -387,14 +392,16 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     squares underflow below about 1e-154 and overflow above about 1e154;
     nor would the largest |entry|, whose modulus overflows above about
     1.8e308 although its parts are finite."""
-    largest = max(max(abs(z.real), abs(z.imag)) for z in entries)
+    re, im = tuple(map(_REAL, entries)), tuple(map(_IMAG, entries))
+    # the parts are finite, so their maximum does not depend on the order
+    largest = max(map(abs, re + im))
     if largest == 0.0:
         return 0.0
     # ldexp on each part, because 2**-exponent itself overflows for a
     # subnormal largest entry
-    shift = -math.frexp(largest)[1]
-    scaled = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
-                   for z in entries)
+    shift = repeat(-math.frexp(largest)[1])
+    scaled = tuple(map(complex, map(math.ldexp, re, shift),
+                       map(math.ldexp, im, shift)))
     return abs(kernels.det3(scaled)) / kernels.frob3(scaled) ** 3
 
 

@@ -8,7 +8,9 @@ the properties are only claimed on the general-position stratum.
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import compress, repeat
 
 from .errors import GeneralPositionError
 from .gl2z import (
@@ -50,13 +52,34 @@ class PropertyResult:
         return self.seeds_run > 0 and self.max_residual <= self.tolerance
 
     def record(self, seed: int, residuals: dict[str, float]) -> None:
+        """Fold one seed's residuals into the maxima.  A component enters
+        ``per_component`` when it first exceeds 0.  A NaN residual is worse
+        than any number and stays: it fails the property, and the first
+        seed that gave one becomes ``worst_seed``."""
         self.seeds_run += 1
-        worst = max(residuals.values()) if residuals else 0.0
+        values = residuals.values()
+        if math.isnan(self.max_residual) or any(map(math.isnan, values)):
+            self._record_nan(seed, residuals)
+            return
+        worst = max(values, default=0.0)
         if worst >= self.max_residual:
             self.max_residual = worst
             self.worst_seed = seed
+        # max(old, v) is v only when v > old, and a component still at 0
+        # is falsy, so ``compress`` leaves it out
+        best = [*map(max, map(self.per_component.get, residuals, repeat(0.0)),
+                     values)]
+        self.per_component.update(compress(zip(residuals, best), best))
+
+    def _record_nan(self, seed: int, residuals: dict[str, float]) -> None:
+        """``record`` for a seed with a NaN residual, or after one: ``max``
+        and ``>`` would drop a NaN, so this rare case takes a plain loop."""
         for k, v in residuals.items():
-            if v > self.per_component.get(k, 0.0):
+            if math.isnan(v):
+                if not math.isnan(self.max_residual):
+                    self.max_residual, self.worst_seed = v, seed
+                self.per_component[k] = v
+            elif v > self.per_component.get(k, 0.0):
                 self.per_component[k] = v
 
     def skip(self, seed: int, code: str) -> None:

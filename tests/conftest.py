@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import spectral_pair.spectral as spectral_module
 from spectral_pair import (
     CurveCoefficients,
     DivisorPoint,
@@ -98,6 +99,21 @@ def overflowing_spectral_doc() -> dict:
         q_plus=1, q_minus=1, r_plus=1, r_minus=1, t=1)
     return jsonio.spectral_to_doc(
         SpectralData(h, coeffs, DivisorPoint(1e3, 1e3)))
+
+
+def recording_validations(monkeypatch) -> list:
+    """The spectral data that are validated from now on, in order.  Every
+    validation, ``validate_spectral_data``'s and the forward map's, goes
+    through ``spectral._validated``."""
+    calls = []
+    original = spectral_module._validated
+
+    def recording(sd):
+        calls.append(sd)
+        return original(sd)
+
+    monkeypatch.setattr(spectral_module, "_validated", recording)
+    return calls
 
 
 def _reject_constant(name):

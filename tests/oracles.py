@@ -304,6 +304,31 @@ def act_word_spectral_relisting_each_step(word, sd):
     return current
 
 
+# --- a property's running maxima as a plain loop ---
+
+
+def record_by_loop(result, seed: int, residuals: dict[str, float]) -> None:
+    """``PropertyResult.record`` one comparison at a time, with NaN above
+    every number: the seed's worst residual starts at its first value, a
+    NaN residual becomes the maximum unless one already is, and a
+    component enters ``per_component`` when it first exceeds 0 or is
+    NaN, and never falls back from NaN."""
+    result.seeds_run += 1
+    values = list(residuals.values())
+    worst = values[0] if values else 0.0
+    for v in values[1:]:
+        if math.isnan(v) or v > worst:
+            worst = v
+    if math.isnan(worst):
+        if not math.isnan(result.max_residual):
+            result.max_residual, result.worst_seed = worst, seed
+    elif worst >= result.max_residual:
+        result.max_residual, result.worst_seed = worst, seed
+    for k, v in residuals.items():
+        if math.isnan(v) or v > result.per_component.get(k, 0.0):
+            result.per_component[k] = v
+
+
 # --- the Frobenius norm as a running sum ---
 
 

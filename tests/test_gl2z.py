@@ -303,33 +303,50 @@ def test_act_word_spectral_matches_relisting_each_step(seeded_pairs):
                 word_to_str(word)
 
 
+def recording_relistings(monkeypatch, hook=None) -> list:
+    """The relistings ``gl2z`` makes from now on, in order: the public
+    ``canonical_form``, or the private ``_relisted`` for data that an
+    action has just validated.  ``hook`` runs before each one."""
+    calls = []
+
+    def patch(name):
+        original = getattr(gl2z_module, name)
+
+        def recording(*args):
+            calls.append((name, *args))
+            if hook is not None:
+                hook(calls)
+            return original(*args)
+
+        monkeypatch.setattr(gl2z_module, name, recording)
+
+    patch("canonical_form")
+    patch("_relisted")
+    return calls
+
+
 def test_act_word_spectral_relists_input_and_result_only(seeded_pairs,
                                                          monkeypatch):
-    calls = []
-    original = gl2z_module.canonical_form
-
-    def counting_canonical_form(sd):
-        calls.append(sd)
-        return original(sd)
-
-    monkeypatch.setattr(gl2z_module, "canonical_form", counting_canonical_form)
-    act_word_spectral((S, I, T, T, S, I), spectral_data(seeded_pairs[0]))
+    calls = recording_relistings(monkeypatch)
+    sd = spectral_data(seeded_pairs[0])
+    out = act_word_spectral((S, I, T, T, S, I), sd)
     assert len(calls) == 2
+    # the input is validated as data from outside; the result was just
+    # validated by the last letter's action
+    assert calls[0] == ("canonical_form", sd)
+    assert calls[1][0] == "_relisted" and calls[1][2] is True
+    assert out == canonical_form(calls[1][1])
 
 
 def test_final_relisting_error_reports_whole_word(seeded_pairs, monkeypatch):
-    original = gl2z_module.canonical_form
-    calls = []
-
-    def failing_second_call(sd):
-        calls.append(sd)
+    def failing_second_call(calls):
         if len(calls) == 2:
             raise SingularMatrix("forced")
-        return original(sd)
 
-    monkeypatch.setattr(gl2z_module, "canonical_form", failing_second_call)
+    calls = recording_relistings(monkeypatch, failing_second_call)
     with pytest.raises(IntermediateDegeneracy) as info:
         act_word_spectral((S, T), spectral_data(seeded_pairs[0]))
+    assert len(calls) == 2
     assert info.value.detail == {"prefix": "S,T", "cause": "singular_matrix"}
     assert info.value.__cause__.code == "singular_matrix"
 

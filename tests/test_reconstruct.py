@@ -10,7 +10,9 @@ from spectral_pair import (
     CubicPoly,
     CurveCoefficients,
     DivisorPoint,
+    GeneralPositionError,
     Generator,
+    InvariantViolation,
     Mat3,
     MatrixPair,
     NormalizedPair,
@@ -33,9 +35,10 @@ from spectral_pair import (
     validate_spectral_data,
 )
 from spectral_pair._kernels_py import canonical_order
-from spectral_pair.reconstruct import _closed_form_lower_left
+from spectral_pair.linalg import nonsingular_det
+from spectral_pair.reconstruct import _closed_form_lower_left, _relisted
 
-from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_H
+from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_H, recording_validations
 from oracles import (
     canonical_form_by_forward_map,
     divisor_by_minor_equations,
@@ -243,6 +246,105 @@ def test_relisting_that_keeps_the_first_eigenvalue_passes_through(monkeypatch):
             assert listed.divisor is image.divisor
     assert reconstructed == []
     assert kept >= 250   # 266 of the 300 images
+
+
+def test_relisting_an_action_output_in_kept_order_returns_it_unvalidated(
+        seeded_pairs, monkeypatch):
+    """An action validates its output, so the private relisting returns
+    that very object when the canonical order keeps h, and validates
+    nothing more; it runs the other checks all the same."""
+    validated = recording_validations(monkeypatch)
+    kept = 0
+    for pair in seeded_pairs:
+        sd = spectral_data(pair)
+        for g in Generator:
+            image = act_spectral(g, sd)
+            if canonical_order(image.h) != image.h:
+                continue
+            kept += 1
+            validated.clear()
+            assert _relisted(image, True) is image
+            assert validated == []
+            # data from outside: the public relisting validates it
+            assert canonical_form(image) == image
+            assert len(validated) == 1
+    assert kept >= 10
+    sd = spectral_data(seeded_pairs[0])
+    with pytest.raises(SingularMatrix) as info:
+        _relisted(sd._replace(coeffs=sd.coeffs._replace(d2=1e-300)), True)
+    assert info.value.detail["which"] == "B"
+
+
+@pytest.mark.parametrize("order", [(0, 2, 1), (1, 0, 2), (2, 1, 0)],
+                         ids=["second-and-third", "first-and-second",
+                              "first-and-third"])
+def test_relisting_a_permuted_h_validates_it_again(seeded_pairs, order,
+                                                   monkeypatch):
+    """A permuted h sums the symmetric functions in another order, which
+    can round differently, so the result is validated again, also when
+    only the second and third eigenvalues swap."""
+    sd = spectral_data(seeded_pairs[0])
+    listed = sd._replace(h=tuple(sd.h[i] for i in order))
+    validated = recording_validations(monkeypatch)
+    out = _relisted(listed, True)
+    assert out.h == sd.h and out.coeffs is sd.coeffs
+    assert validated == [out]
+    assert out == canonical_form(listed)
+
+
+def test_canonical_form_validates_data_in_canonical_order(seeded_pairs):
+    """Data from outside is validated even when its order is kept: an
+    off-curve divisor point is an invariant violation."""
+    sd = spectral_data(seeded_pairs[0])
+    off_curve = sd._replace(divisor=sd.divisor._replace(L=sd.divisor.L + 1))
+    assert canonical_order(off_curve.h) == off_curve.h
+    for relist in (canonical_form, lambda sd: _relisted(sd, False)):
+        with pytest.raises(InvariantViolation) as info:
+            relist(off_curve)
+        assert info.value.detail["component"] == "divisor"
+
+
+def singular_a_detail(call):
+    """The detail of the ``SingularMatrix`` naming "A" that ``call``
+    raises, or None when it raises none."""
+    try:
+        call()
+    except SingularMatrix as exc:
+        if exc.detail["which"] == "A":
+            return exc.detail
+    except GeneralPositionError:
+        pass
+    return None
+
+
+@pytest.mark.parametrize("h", [
+    (1 + 0j, 2 + 0j, 3 + 0j),
+    (1e-110, 2e-110, 3e-110),
+    (1e110 + 1j, -2e110 + 0j, 3e110j),
+    (1e200 + 1e200j, 2e200 - 1e200j, -1e200 + 0j),
+    (2.0 ** -600, 1.5, -3.25),
+    (1 + 0j, 1e-6 + 0j, -1e-6 + 0j),
+    (4 + 0j, 3e-6 + 0j, -3e-6j),
+])
+def test_diagonal_test_matches_the_padded_matrix(fixture_pair, h):
+    """``canonical_form`` tests diag(h) by h1 (h2 h3) and the norm of h.
+    These equal the determinant and norm of the padded matrix up to the
+    sign of a zero, so the test raises, and reports, as ``nonsingular_det``
+    of the padded entries does."""
+    h = canonical_order(h)
+    padded = tuple(map(complex, (h[0], 0, 0, 0, h[1], 0, 0, 0, h[2])))
+    sd = spectral_data(fixture_pair)._replace(h=h)
+    # repr, so that a NaN determinant compares equal
+    assert repr(singular_a_detail(lambda: canonical_form(sd))) == \
+        repr(singular_a_detail(lambda: nonsingular_det(padded, "A")))
+
+
+def test_canonical_form_rejects_a_non_finite_h(fixture_pair):
+    """A NaN eigenvalue passes the separation test, and the finiteness
+    check that every ``Mat3`` gets rejects it."""
+    sd = spectral_data(fixture_pair)
+    with pytest.raises(ValueError, match="^Mat3 entries must be finite$"):
+        canonical_form(sd._replace(h=(1 + 0j, 2 + 0j, complex(math.nan, 0))))
 
 
 def test_pass_through_tests_d2_against_the_scale_of_its_invariants(

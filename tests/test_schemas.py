@@ -2,11 +2,13 @@
 docs/schemas/, parsed as strict JSON (no NaN or Infinity)."""
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import spectral_pair.verify as verify
 from spectral_pair import Mat3, MatrixPair, jsonio, random_pair
 from spectral_pair.cli import main
 
@@ -55,6 +57,30 @@ def test_verify_lines_match_report_schema(capsys):
     assert len(lines) == 8   # seven properties and the summary
     for line in lines:
         validate(strict_loads(line), "report")
+
+
+def test_a_nan_residual_fails_verify_in_strict_json(monkeypatch, capsys):
+    """A property that returns NaN on seed 1 fails, with that seed and
+    component, and every line stays strict JSON: a non-finite residual is
+    written as its repr."""
+    def nan_on_seed_1(drawn, rebuilt, seed):
+        return {"h1": 0.0, "h2": math.nan if seed == 1 else 1e-9}
+
+    monkeypatch.setitem(verify.PROPERTIES, "commute_swap", nan_on_seed_1)
+    code, out, _ = run(capsys, "verify", "--seeds", "3")
+    assert code == 5
+    lines = [strict_loads(line) for line in out.strip().splitlines()]
+    for line in lines:
+        validate(line, "report")
+    by_operation = {line["operation"]: line for line in lines}
+    swap = by_operation["commute_swap"]
+    assert swap["status"] == "fail" and swap["max_residual"] == "nan"
+    assert swap["per_component"] == {"h2": "nan"}
+    assert swap["failing_seed"] == 1
+    assert by_operation["summary"]["status"] == "fail"
+    assert by_operation["summary"]["max_residual"] == "nan"
+    assert all(line["status"] == "pass" for name, line in by_operation.items()
+               if name not in ("commute_swap", "summary"))
 
 
 def test_error_lines_match_error_schema(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import math
+import random
 import sys
+
+import pytest
 
 import spectral_pair.spectral as spectral
 import spectral_pair.verify as verify
@@ -7,9 +11,14 @@ from spectral_pair import (
     Generator,
     Mat3,
     random_pair,
+    act_spectral,
     spectral_data,
     verify_commutation,
 )
+from spectral_pair._kernels_py import canonical_order
+
+from conftest import recording_validations
+from oracles import record_by_loop
 
 
 def recording_eig3(monkeypatch) -> list:
@@ -142,12 +151,13 @@ def test_run_suite_builds_each_matrix_once(monkeypatch):
 
 
 def test_run_suite_relists_five_times_and_reconstructs_once(monkeypatch):
-    """One ``canonical_form`` per diagram and two per word: the forward
-    map's side of each comparison is already canonical.  Only the round
-    trips reconstruct on this seed, and they share one reconstruction: a
-    relisting that keeps the first eigenvalue in place passes the divisor
-    point through."""
-    calls = {"canonical_form": 0, "reconstruct": 0}
+    """One relisting per diagram and two per word: the forward map's side
+    of each comparison is already canonical.  Every relisting, public
+    ``canonical_form`` or not, goes through ``reconstruct._relisted``.
+    Only the round trips reconstruct on this seed, and they share one
+    reconstruction: a relisting that keeps the first eigenvalue in place
+    passes the divisor point through."""
+    calls = {"_relisted": 0, "reconstruct": 0}
     for name in calls:
         original = getattr(sys.modules["spectral_pair.reconstruct"], name)
 
@@ -163,7 +173,7 @@ def test_run_suite_relists_five_times_and_reconstructs_once(monkeypatch):
     # 13 and 15 on this seed when both sides of every comparison, and every
     # step of the word, were relisted; 7 reconstructions when each
     # relisting reconstructed, 2 when each round trip did
-    assert calls["canonical_form"] <= 5
+    assert calls["_relisted"] <= 5
     assert calls["reconstruct"] <= 1
 
 
@@ -173,3 +183,80 @@ def test_word_consistency_holds_at_seed_653207699():
     results = {r.operation: r for r in verify.run_suite(1, base_seed=653207699)}
     word = results["word_consistency"]
     assert word.seeds_run == 1 and word.passed, word.max_residual
+
+
+def test_run_suite_validates_seventeen_times_on_seed_0(monkeypatch):
+    """Each action validates its output, and relisting it in the same
+    order does not validate it again: 20 validations when it did."""
+    validated = recording_validations(monkeypatch)
+    verify.run_suite(1)
+    assert len(validated) == 17
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("g", list(Generator))
+def test_a_diagram_validates_its_relisting_only_when_permuted(
+        seed, g, monkeypatch):
+    """One diagram validates the pair's data, the action's output and the
+    image's data; the relisting of the action's output adds a fourth only
+    when it permutes the eigenvalues (I on seed 0)."""
+    pair = random_pair(seed)
+    permuted = (canonical_order(act_spectral(g, spectral_data(pair)).h)
+                != act_spectral(g, spectral_data(pair)).h)
+    validated = recording_validations(monkeypatch)
+    verify_commutation(g, pair)
+    assert len(validated) == 3 + permuted
+    assert permuted == (seed == 0 and g is Generator.INVERT)
+
+
+def results_equal(a, b) -> bool:
+    """Two results hold the same maxima, bit for bit and NaN included, and
+    the same components in the same order."""
+    return (repr(a.max_residual) == repr(b.max_residual)
+            and a.worst_seed == b.worst_seed and a.seeds_run == b.seeds_run
+            and repr(list(a.per_component.items()))
+            == repr(list(b.per_component.items())))
+
+
+def test_a_nan_residual_fails_its_property():
+    """A NaN residual fails the property and names its seed and its
+    component, first or not (``max`` keeps a NaN only when it comes
+    first), and it stays when later seeds are finite."""
+    result = verify.PropertyResult("x", 1e-6)
+    result.record(0, {"a": math.nan, "b": 0.0})
+    assert math.isnan(result.max_residual) and not result.passed
+    assert result.worst_seed == 0
+    assert repr(result.per_component) == "{'a': nan}"
+    for residuals in ({"a": math.nan, "b": 0.0}, {"a": 0.0, "b": math.nan}):
+        result = verify.PropertyResult("x", 1e-6)
+        result.record(0, {"a": 1e-9, "b": 0.0})
+        result.record(3, residuals)
+        result.record(4, {"a": 2e-9, "b": 5e-9})
+        result.record(5, {"a": math.nan})
+        assert math.isnan(result.max_residual) and not result.passed
+        assert result.worst_seed == 3
+        nan_key = "a" if math.isnan(residuals["a"]) else "b"
+        assert list(result.per_component) == ["a", "b"]
+        assert math.isnan(result.per_component[nan_key])
+
+
+def test_record_matches_the_plain_loop():
+    """Seeded residual dicts with zeros, ties, keys that come and go and
+    NaNs after the first value: ``record`` keeps the oracle's maxima, worst
+    seed and components, in the oracle's order."""
+    rng = random.Random("record")
+    keys = [f"k{i}" for i in range(12)]
+    levels = (0.0, 0.0, 1e-12, 1e-9, 1e-9, 3e-7, 2e-6)
+    for trial in range(200):
+        got = verify.PropertyResult("x", 1e-6)
+        want = verify.PropertyResult("x", 1e-6)
+        nan_seed = rng.randrange(12) if trial % 2 else None
+        for seed in range(10):
+            chosen = rng.sample(keys, rng.randint(0, len(keys)))
+            residuals = {k: rng.choice(levels) if rng.random() < 0.7
+                         else rng.random() * 1e-6 for k in chosen}
+            if seed == nan_seed and len(chosen) > 1:
+                residuals[rng.choice(chosen[1:])] = math.nan
+            got.record(seed, residuals)
+            record_by_loop(want, seed, residuals)
+            assert results_equal(got, want), (trial, seed)
