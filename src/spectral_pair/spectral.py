@@ -393,7 +393,8 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     nor would the largest |entry|, whose modulus overflows above about
     1.8e308 although its parts are finite."""
     re, im = tuple(map(_REAL, entries)), tuple(map(_IMAG, entries))
-    # the parts are finite, so their maximum does not depend on the order
+    # the entries are a checked Mat3's, so every part is finite and the
+    # maximum of the parts does not depend on their order
     largest = max(map(abs, re + im))
     if largest == 0.0:
         return 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import compress, repeat
+from operator import gt
 
 from .errors import GeneralPositionError
 from .gl2z import (
@@ -54,33 +55,36 @@ class PropertyResult:
     def record(self, seed: int, residuals: dict[str, float]) -> None:
         """Fold one seed's residuals into the maxima.  A component enters
         ``per_component`` when it first exceeds 0.  A NaN residual is worse
-        than any number and stays: it fails the property, and the first
-        seed that gave one becomes ``worst_seed``."""
+        than any number and stays: it fails the property, its component
+        reads NaN, and the first seed that gave one is ``worst_seed``."""
         self.seeds_run += 1
         values = residuals.values()
-        if math.isnan(self.max_residual) or any(map(math.isnan, values)):
-            self._record_nan(seed, residuals)
+        if math.isnan(sum(values, self.max_residual)):
+            self._record_with_nan(seed, residuals)
             return
-        worst = max(values, default=0.0)
+        worst = max(values) if residuals else 0.0
         if worst >= self.max_residual:
             self.max_residual = worst
             self.worst_seed = seed
-        # max(old, v) is v only when v > old, and a component still at 0
-        # is falsy, so ``compress`` leaves it out
-        best = [*map(max, map(self.per_component.get, residuals, repeat(0.0)),
-                     values)]
-        self.per_component.update(compress(zip(residuals, best), best))
+        # the components whose residual exceeds their maximum so far
+        self.per_component.update(compress(residuals.items(), map(
+            gt, values, map(self.per_component.get, residuals, repeat(0.0)))))
 
-    def _record_nan(self, seed: int, residuals: dict[str, float]) -> None:
-        """``record`` for a seed with a NaN residual, or after one: ``max``
-        and ``>`` would drop a NaN, so this rare case takes a plain loop."""
+    def _record_with_nan(self, seed: int, residuals: dict[str, float]) -> None:
+        """``record`` one component at a time, for residuals that sum to
+        NaN with the maximum so far: ``max`` keeps a NaN only when it comes
+        first, and ``>`` never takes one."""
+        worst = max(residuals.values()) if residuals else 0.0
         for k, v in residuals.items():
             if math.isnan(v):
-                if not math.isnan(self.max_residual):
-                    self.max_residual, self.worst_seed = v, seed
-                self.per_component[k] = v
+                worst = self.per_component[k] = v
             elif v > self.per_component.get(k, 0.0):
                 self.per_component[k] = v
+        if math.isnan(worst):
+            if not math.isnan(self.max_residual):
+                self.max_residual, self.worst_seed = worst, seed
+        elif worst >= self.max_residual:
+            self.max_residual, self.worst_seed = worst, seed
 
     def skip(self, seed: int, code: str) -> None:
         self.skipped.append({"seed": seed, "code": code})
