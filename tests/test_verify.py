@@ -201,8 +201,8 @@ def test_a_diagram_validates_its_relisting_only_when_permuted(
     image's data; the relisting of the action's output adds a fourth only
     when it permutes the eigenvalues (I on seed 0)."""
     pair = random_pair(seed)
-    permuted = (canonical_order(act_spectral(g, spectral_data(pair)).h)
-                != act_spectral(g, spectral_data(pair)).h)
+    image = act_spectral(g, spectral_data(pair))
+    permuted = canonical_order(image.h) != image.h
     validated = recording_validations(monkeypatch)
     verify_commutation(g, pair)
     assert len(validated) == 3 + permuted
