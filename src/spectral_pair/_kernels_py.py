@@ -83,8 +83,6 @@ def char_poly3(m):
 
 
 def _cbrt(z):
-    if z == 0:
-        return 0j
     return cmath.exp(cmath.log(z) / 3.0)
 
 
@@ -104,7 +102,11 @@ def canonical_order(values):
     gaps; a NaN gap or scale never counts as a tie.
     """
     a, b, c = sorted(values, key=_BY_PARTS)
-    quantum = EIGENVALUE_TIE * max(map(abs, values))
+    try:
+        quantum = EIGENVALUE_TIE * max(map(abs, values))
+    except OverflowError:
+        # a scale that overflows certifies nothing: every value ties
+        quantum = math.inf
     if min((b - a).real, (c - b).real) > quantum:
         return a, b, c
     groups = [[a]]
@@ -222,6 +224,15 @@ def kernel_vector3(m):
                       d * p + e * q + f * r,
                       g * p + h * q + i * r)) / norm,
             dm, mm)
+
+
+def modulus(z):
+    """``abs(z)``, reading inf where the modulus overflows instead of
+    raising ``OverflowError``."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def square_modulus(z):

@@ -19,9 +19,14 @@ from .spectral import CurveCoefficients
 def _normalized(p) -> tuple[complex, complex, complex]:
     """p's coordinates as ``complex``, the largest one scaled to 1."""
     a, b, c = complex(p[0]), complex(p[1]), complex(p[2])
+    # a modulus that overflows reads inf
+    try:
+        na, nb, nc = abs(a), abs(b), abs(c)
+    except OverflowError:
+        na, nb, nc = map(kernels.modulus, (a, b, c))
     # the first of the largest, as max(key=abs) picks it, without its calls
-    pivot = b if abs(b) > abs(a) else a
-    if abs(c) > abs(pivot):
+    pivot, n = (b, nb) if nb > na else (a, na)
+    if nc > n:
         pivot = c
     if pivot == 0:
         raise ValueError("zero projective point")

@@ -15,6 +15,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from ._kernels_py import modulus
 from .config import DIVISOR_DENOMINATOR, SINGULAR
 from .cubic import chord_swap_divisor
 from .errors import (
@@ -189,15 +190,19 @@ def invert_spectral(sd: SpectralData) -> SpectralData:
     """
     h1, h2, h3 = sd.h
     c = sd.coeffs
-    scale = max(1.0, max(abs(h1), abs(h2), abs(h3)))
-    # a cube that overflows reads inf; ``**`` keeps the finite bits
+    # a modulus or a cube that overflows reads inf; ``**`` keeps the
+    # finite bits
+    try:
+        moduli, det = (abs(h1), abs(h2), abs(h3)), abs(c.d1)
+    except OverflowError:
+        moduli, det = tuple(map(modulus, sd.h)), modulus(c.d1)
+    scale = max(1.0, max(moduli))
     try:
         cube = scale ** 3
     except OverflowError:
         cube = math.inf
-    if min(abs(h1), abs(h2), abs(h3)) <= SINGULAR * scale \
-            or abs(c.d1) <= SINGULAR * cube:
-        raise SingularA("first matrix is numerically singular", d1=abs(c.d1))
+    if min(moduli) <= SINGULAR * scale or det <= SINGULAR * cube:
+        raise SingularA("first matrix is numerically singular", d1=det)
     d1 = c.d1
     L, M = sd.divisor.L, sd.divisor.M
     return validate_spectral_data(SpectralData(
@@ -262,10 +267,10 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     The formulas take the data in whatever eigenvalue ordering it carries,
     so nothing is relisted between letters.  Relisting the input rejects
     off-stratum data before the first letter acts, and validates it, since
-    it may come from outside.  Relisting the result puts it in the forward
-    map's ordering; the last letter's action has just validated it, so
-    when that ordering is kept the relisting returns it without validating
-    it again (``reconstruct._relisted``).  An error from a letter, or
+    it may come from outside.  The result, which the last letter's action
+    has just validated, is relisted into the forward map's ordering by
+    ``reconstruct._relisted``, which validates it again only when it
+    permutes h.  An error from a letter, or
     from the final relisting, is raised as ``IntermediateDegeneracy``,
     whose detail holds the failing ``"prefix"`` and the error's code as
     ``"cause"``; a ``ClosedFormMismatch`` keeps its class, and its detail
@@ -275,7 +280,7 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
         try:
             current = act_spectral(g, current)
             if i == len(word) - 1:
-                current = _relisted(current, True)
+                current = _relisted(current)
         except GeneralPositionError as exc:
             prefix = word_to_str(word[:i + 1])
             raise IntermediateDegeneracy(
@@ -355,11 +360,11 @@ def commutation_residuals(g: Generator, pair: MatrixPair, sd: SpectralData,
     spectral data ``sd`` and eigendecomposition of A ``eigen`` are already
     known: generator-then-map versus map-then-generator-formula.  The
     forward map already lists the eigenvalues in the canonical order, so
-    only the formula's side is relisted.  The action has just validated
-    its output, so that relisting validates it again only when it permutes
-    the eigenvalues (``reconstruct._relisted``).  The shear keeps A, so its
+    only the formula's side is relisted, by ``reconstruct._relisted``: the
+    action has just validated it, so it is validated again only when h is
+    permuted.  The shear keeps A, so its
     image is mapped forward in ``eigen`` rather than decomposing A again."""
-    lhs = _relisted(act_spectral(g, sd), True)
+    lhs = _relisted(act_spectral(g, sd))
     image = act_on_pair(g, pair)
     if g is Generator.SHEAR:
         rhs = _spectral_data_in(eigen, image)

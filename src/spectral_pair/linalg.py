@@ -240,11 +240,14 @@ def kernel_vector(entries: tuple[complex, ...]) -> Vec3:
 
 
 def separation(values: Vec3) -> tuple[float, float]:
-    """Smallest pairwise gap and largest magnitude of a triple."""
-    sep = min(abs(values[0] - values[1]),
-              abs(values[0] - values[2]),
-              abs(values[1] - values[2]))
-    return sep, max(map(abs, values))
+    """Smallest pairwise gap and largest magnitude of a triple; a modulus
+    that overflows reads inf."""
+    a, b, c = values
+    try:
+        return min(abs(a - b), abs(a - c), abs(b - c)), max(map(abs, values))
+    except OverflowError:
+        m = kernels.modulus
+        return min(m(a - b), m(a - c), m(b - c)), max(map(m, values))
 
 
 def check_separation(values: Vec3, error: type[GeneralPositionError],

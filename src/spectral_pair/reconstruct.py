@@ -133,31 +133,22 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     relisted h is separated, diag(h) is nonsingular (named "A"), d2 = det U
     is nonsingular against the scale max(|q_plus|, |q_minus|^(1/2),
     |d2|^(1/3)) that U's invariants give (named "B"), and the result passes
-    ``validate_spectral_data``.  When the first eigenvalue keeps its place,
-    the divisor point passes through bit for bit, and nothing is
-    reconstructed.  When it moves, the reconstructed U is conjugated by the
-    permutation and gauge-fixed, and the divisor point is read off that
-    pair.
-
-    This function always validates its result, since ``sd`` may come from
-    outside.  The package's own comparisons relist the output of a spectral
-    action, which that action has just validated, through ``_relisted``:
-    it skips the validation only when the order is kept, and runs every
-    other check.
+    ``validate_spectral_data``, since ``sd`` may come from outside.  When
+    the first eigenvalue keeps its place, the divisor point passes through
+    bit for bit, and nothing is reconstructed.  When it moves, the
+    reconstructed U is conjugated by the permutation and gauge-fixed, and
+    the divisor point is read off that pair.
     """
-    return _relisted(sd, False)
+    listed = _relisted(sd)
+    return validate_spectral_data(sd) if listed is sd else listed
 
 
-def _relisted(sd: SpectralData, validated: bool) -> SpectralData:
-    """``canonical_form``, told whether ``sd`` has just passed
-    ``validate_spectral_data``, as the output of a spectral action has.
-
-    When it has, and ``canonical_order`` keeps h element for element,
-    ``sd`` itself is returned after the checks on h and d2: the result
-    would hold the very values, coefficients and divisor point that were
-    validated.  A permuted h is validated again, even when only the second
-    and third eigenvalues swap, because the symmetric functions are then
-    summed in another order and can round differently.
+def _relisted(sd: SpectralData) -> SpectralData:
+    """``canonical_form`` of data that was just validated, such as an
+    action's output: ``sd`` itself, after the checks on h and d2, when
+    ``canonical_order`` keeps h.  A permuted h is validated again, even
+    when only the second and third eigenvalues swap, because the symmetric
+    functions are then summed in another order and can round differently.
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
@@ -175,7 +166,7 @@ def _relisted(sd: SpectralData, validated: bool) -> SpectralData:
     except OverflowError:
         scale = math.inf
     check_nonsingular(c.d2, scale, "B")
-    if validated and h == sd.h:
+    if h == sd.h:
         return sd
     divisor = sd.divisor
     if h[0] != sd.h[0]:

@@ -292,12 +292,10 @@ def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
 def validate_spectral_data(sd: SpectralData) -> SpectralData:
     """``sd`` once it passes the consistency checks: the eigenvalues
     reproduce (p_plus, p_minus, d1) as their elementary symmetric functions,
-    and the divisor point lies on the curve."""
-    return _validated(sd)[0]
-
-
-def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
-    """``validate_spectral_data``, with the curve residual it tests."""
+    and the divisor point lies on the curve.  Data is checked in full where
+    it enters (a document, ``canonical_form``) or where a formula produced
+    it (the actions, a relisting that permutes h); the forward map checks
+    only the divisor point (``_validated``)."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
     pairs = (
@@ -317,7 +315,15 @@ def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
                 f"eigenvalues do not match coefficient {name}",
                 component=name,
                 residual=math.inf if scale == math.inf else diff / scale)
-    residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
+    return _validated(sd)[0]
+
+
+def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
+    """``sd`` once its divisor point lies on the curve, with the residual
+    it tests.  ``curve_coefficients`` computes (p_plus, p_minus, d1) as h's
+    symmetric functions, which ``eig3`` keeps finite, so the forward map
+    checks nothing more."""
+    residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
     if not residual <= _CHECKS["divisor_on_curve"][1]:
         raise InvariantViolation("divisor point does not lie on the curve",
                                  component="divisor", residual=residual)

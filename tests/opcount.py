@@ -62,7 +62,7 @@ LAYERS = {
     "in_eigenbasis": ("spectral._in_eigenbasis",),
     "normalize": ("spectral._normalized_in",),
     "closed_forms": ("spectral.curve_coefficients", "spectral._divisor_point"),
-    "validate": ("spectral._validated",),
+    "validate": ("spectral.validate_spectral_data", "spectral._validated"),
     "reconstruct": ("reconstruct.reconstruct",),
     "canonical_form": ("reconstruct.canonical_form", "reconstruct._relisted"),
     "swap_spectral": ("gl2z.swap_spectral",),

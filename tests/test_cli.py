@@ -199,6 +199,19 @@ def test_verify_rejects_bad_seed_count(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "0"])
+def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(
+        tolerance, capsys, monkeypatch):
+    """A NaN tolerance would fail every property, and a negative one every
+    property with a residual; both are malformed input, as ``--seeds 0``
+    is, and nothing runs."""
+    monkeypatch.setattr(cli_module, "run_suite", None)
+    code, out, err = run(capsys, "verify", "--seeds", "1",
+                         "--tolerance", tolerance)
+    assert code == 2 and out == ""
+    assert strict_loads(err)["error"]["code"] == "schema"
+
+
 def test_random_pair_deterministic(capsys):
     code, out1, _ = run(capsys, "random-pair", "--seed", "7")
     assert code == 0

@@ -19,6 +19,7 @@ from spectral_pair import (
     SingularA,
     SingularMatrix,
     SpectralData,
+    SpectralPairError,
     SwappedPairDegenerate,
     act_on_pair,
     act_spectral,
@@ -28,12 +29,14 @@ from spectral_pair import (
     curve_coefficients,
     decompose_gl2z,
     det3,
+    diagonal_entries,
     divisor_point,
     inv3,
     invert_spectral,
     matrix_of_word,
     parse_word,
     random_pair,
+    reconstruct,
     shear_spectral,
     spectral_data,
     spectral_residuals,
@@ -328,13 +331,21 @@ def recording_relistings(monkeypatch, hook=None) -> list:
 def test_act_word_spectral_relists_input_and_result_only(seeded_pairs,
                                                          monkeypatch):
     calls = recording_relistings(monkeypatch)
+    images = []
+    act = gl2z_module.act_spectral
+
+    def recording_act(g, sd):
+        images.append(act(g, sd))
+        return images[-1]
+
+    monkeypatch.setattr(gl2z_module, "act_spectral", recording_act)
     sd = spectral_data(seeded_pairs[0])
     out = act_word_spectral((S, I, T, T, S, I), sd)
-    assert len(calls) == 2
-    # the input is validated as data from outside; the result was just
-    # validated by the last letter's action
+    assert len(calls) == 2 and len(images) == 6
+    # the input is validated as data from outside; the result is the very
+    # object that the last letter's action has just validated
     assert calls[0] == ("canonical_form", sd)
-    assert calls[1][0] == "_relisted" and calls[1][2] is True
+    assert calls[1][0] == "_relisted" and calls[1][1] is images[-1]
     assert out == canonical_form(calls[1][1])
 
 
@@ -455,6 +466,31 @@ def test_swap_with_an_overflowing_coefficient_modulus_is_coded(name):
         swap_spectral(huge)
     assert info.value.code in ("inputs_not_incident",
                                "degenerate_leading_coefficient")
+
+
+@pytest.mark.parametrize("component, call", [
+    ("h1", canonical_form),
+    ("h1", reconstruct),
+    ("h1", invert_spectral),
+    ("h1", swap_spectral),
+    ("h1", lambda sd: act_word_spectral((Generator.INVERT,), sd)),
+    ("h1", lambda sd: diagonal_entries(sd.coeffs, sd.h)),
+    ("L", swap_spectral),
+], ids=["canonical_form", "reconstruct", "invert", "swap", "word",
+        "diagonal_entries", "swap-L"])
+def test_an_overflowing_modulus_in_h_or_the_divisor_is_coded(component, call):
+    """A component whose parts are finite but whose modulus overflows
+    reads inf wherever a modulus is taken, so each call ends in a coded
+    error rather than ``OverflowError``.  A document cannot carry such a
+    value, because loading validates it."""
+    sd = spectral_data(random_pair(0))
+    huge = complex(1.5e308, 1.5e308)
+    if component == "h1":
+        sd = sd._replace(h=(huge, *sd.h[1:]))
+    else:
+        sd = sd._replace(divisor=sd.divisor._replace(L=huge))
+    with pytest.raises(SpectralPairError):
+        call(sd)
 
 
 def test_shear_spectral_rejects_a_zero_d1():

@@ -263,7 +263,7 @@ def test_relisting_an_action_output_in_kept_order_returns_it_unvalidated(
                 continue
             kept += 1
             validated.clear()
-            assert _relisted(image, True) is image
+            assert _relisted(image) is image
             assert validated == []
             # data from outside: the public relisting validates it
             assert canonical_form(image) == image
@@ -271,7 +271,7 @@ def test_relisting_an_action_output_in_kept_order_returns_it_unvalidated(
     assert kept >= 10
     sd = spectral_data(seeded_pairs[0])
     with pytest.raises(SingularMatrix) as info:
-        _relisted(sd._replace(coeffs=sd.coeffs._replace(d2=1e-300)), True)
+        _relisted(sd._replace(coeffs=sd.coeffs._replace(d2=1e-300)))
     assert info.value.detail["which"] == "B"
 
 
@@ -286,7 +286,7 @@ def test_relisting_a_permuted_h_validates_it_again(seeded_pairs, order,
     sd = spectral_data(seeded_pairs[0])
     listed = sd._replace(h=tuple(sd.h[i] for i in order))
     validated = recording_validations(monkeypatch)
-    out = _relisted(listed, True)
+    out = _relisted(listed)
     assert out.h == sd.h and out.coeffs is sd.coeffs
     assert validated == [out]
     assert out == canonical_form(listed)
@@ -294,14 +294,15 @@ def test_relisting_a_permuted_h_validates_it_again(seeded_pairs, order,
 
 def test_canonical_form_validates_data_in_canonical_order(seeded_pairs):
     """Data from outside is validated even when its order is kept: an
-    off-curve divisor point is an invariant violation."""
+    off-curve divisor point is an invariant violation.  The private
+    relisting trusts its caller to have validated the data."""
     sd = spectral_data(seeded_pairs[0])
     off_curve = sd._replace(divisor=sd.divisor._replace(L=sd.divisor.L + 1))
     assert canonical_order(off_curve.h) == off_curve.h
-    for relist in (canonical_form, lambda sd: _relisted(sd, False)):
-        with pytest.raises(InvariantViolation) as info:
-            relist(off_curve)
-        assert info.value.detail["component"] == "divisor"
+    with pytest.raises(InvariantViolation) as info:
+        canonical_form(off_curve)
+    assert info.value.detail["component"] == "divisor"
+    assert _relisted(off_curve) is off_curve
 
 
 def singular_a_detail(call):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import spectral_pair.verify as verify
-from spectral_pair import Mat3, MatrixPair, jsonio, random_pair
+from spectral_pair import Mat3, MatrixPair, SingularMatrix, jsonio, random_pair
 from spectral_pair.cli import main
 
 from conftest import (
@@ -81,6 +81,29 @@ def test_a_nan_residual_fails_verify_in_strict_json(monkeypatch, capsys):
     assert by_operation["summary"]["max_residual"] == "nan"
     assert all(line["status"] == "pass" for name, line in by_operation.items()
                if name not in ("commute_swap", "summary"))
+
+
+def test_verify_lines_with_skipped_seeds_match_report_schema(monkeypatch,
+                                                            capsys):
+    """A property that skipped seeds lists them in ``skipped``; with every
+    seed skipped it ran none, which fails it."""
+    def singular(sd):
+        raise SingularMatrix("forced", which=None)
+
+    monkeypatch.setattr(verify, "reconstruct", singular)
+    code, out, _ = run(capsys, "verify", "--seeds", "2")
+    assert code == 5
+    lines = [strict_loads(line) for line in out.strip().splitlines()]
+    for line in lines:
+        validate(line, "report")
+    skipped = {line["operation"]: line["skipped"]
+               for line in lines if "skipped" in line}
+    assert skipped == dict.fromkeys(
+        ("round_trip_forward", "round_trip_backward"),
+        [{"seed": 0, "code": "singular_matrix"},
+         {"seed": 1, "code": "singular_matrix"}])
+    assert all(line["status"] == "fail" and line["seeds_run"] == 0
+               for line in lines if "skipped" in line)
 
 
 def test_error_lines_match_error_schema(tmp_path, capsys):

@@ -9,10 +9,12 @@ from spectral_pair import (
     GaugeDegenerate,
     GeneralPositionError,
     Generator,
+    InvariantViolation,
     Mat3,
     MatrixPair,
     NormalizedPair,
     DegenerateDivisor,
+    SingularMatrix,
     act_spectral,
     canonical_form,
     curve_coefficients,
@@ -26,6 +28,7 @@ from spectral_pair import (
     random_pair,
     spectral_data,
     spectral_residuals,
+    validate_spectral_data,
     well_conditioned_matrix,
 )
 
@@ -398,6 +401,85 @@ def test_report_lists_every_check_when_the_eigenbasis_matrix_overflows(k):
     assert None not in [c.margin for c in checks[:3]]
     assert [(c.passed, c.margin) for c in checks[3:]] == [(False, None)] * 4
     assert checks[3].note == "singular_matrix"
+
+
+def test_forward_records_an_error_of_the_change_of_basis(fixture_pair,
+                                                         monkeypatch):
+    """An error that the change of basis raises, as a singular eigenbasis
+    would, fails the gauge check with its code; the checks after it are
+    unavailable, and ``forward`` records the error that ``spectral_data``
+    raises and returns no data."""
+    def singular(b, vectors):
+        raise SingularMatrix("forced", which=None, det=0.0, norm=1.0)
+
+    monkeypatch.setattr(spectral_module, "_in_eigenbasis", singular)
+    drawn = spectral_module.forward(fixture_pair)
+    checks = drawn.report.checks
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert all(c.passed and c.note == "" for c in checks[:3])
+    assert [(c.passed, c.margin, c.note) for c in checks[3:]] == [
+        (False, None, "singular_matrix"), (False, None, "unavailable"),
+        (False, None, "unavailable"), (False, None, "unavailable")]
+    with pytest.raises(SingularMatrix) as info:
+        spectral_data(fixture_pair)
+    assert (drawn.error.code, drawn.error.detail) == (
+        "singular_matrix", info.value.detail)
+    assert (drawn.np, drawn.sd, drawn.eigen) == (None, None, None)
+
+
+def test_forward_records_a_divisor_point_off_the_curve(fixture_pair,
+                                                       monkeypatch):
+    """The forward map's one consistency check is the divisor point's
+    incidence: a point off the curve fails ``divisor_on_curve`` with
+    ``invariant_violation``, and leaves the axis points unavailable."""
+    original = spectral_module._divisor_point
+
+    def off_curve(np):
+        divisor, ratio = original(np)
+        return divisor._replace(L=divisor.L + 1), ratio
+
+    monkeypatch.setattr(spectral_module, "_divisor_point", off_curve)
+    drawn = spectral_module.forward(fixture_pair)
+    checks = drawn.report.checks
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert all(c.passed and c.note == "" for c in checks[:5])
+    assert [(c.passed, c.margin, c.note) for c in checks[5:]] == [
+        (False, None, "invariant_violation"), (False, None, "unavailable")]
+    with pytest.raises(InvariantViolation) as info:
+        spectral_data(fixture_pair)
+    assert drawn.error.detail == info.value.detail
+    assert drawn.error.detail["component"] == "divisor"
+    assert (drawn.np, drawn.sd, drawn.eigen) == (None, None, None)
+
+
+def test_only_full_validation_checks_the_symmetric_functions(seeded_pairs):
+    """``validate_spectral_data`` checks h against (p_plus, p_minus, d1)
+    before the divisor point; ``_validated``, the forward map's check,
+    tests the divisor point alone.  Moving p_plus and q_plus against each
+    other keeps the curve's value at the divisor point."""
+    for pair in seeded_pairs[:5]:
+        sd = spectral_data(pair)
+        c, M = sd.coeffs, sd.divisor.M
+        step = 1e-6 * max(1.0, abs(c.p_plus))
+        moved = sd._replace(coeffs=c._replace(p_plus=c.p_plus + step,
+                                              q_plus=c.q_plus - step * M))
+        with pytest.raises(InvariantViolation) as info:
+            validate_spectral_data(moved)
+        assert info.value.detail["component"] == "p_plus"
+        assert spectral_module._validated(moved)[0] is moved
+
+
+def test_overflowing_symmetric_functions_fail_the_incidence_test():
+    """A hand-made normalized pair whose symmetric functions overflow, which
+    ``eig3`` never returns, still raises ``invariant_violation``: its
+    coefficients overflow, and the curve residual at the divisor point
+    reads NaN."""
+    np = normalize_pair(random_pair(0))
+    huge = NormalizedPair(tuple(z * 1e103 for z in np.h), np.u)
+    with pytest.raises(InvariantViolation) as info:
+        spectral_module.spectral_data_of_normalized(huge)
+    assert info.value.detail["component"] == "divisor"
+    assert math.isnan(info.value.detail["residual"])
 
 
 #: the report check of the stage that raises each error code

@@ -10,6 +10,7 @@ from spectral_pair import (
     GaugeDegenerate,
     Generator,
     Mat3,
+    SingularMatrix,
     random_pair,
     act_spectral,
     spectral_data,
@@ -95,6 +96,49 @@ def test_forward_map_failure_skips_every_property(monkeypatch):
         assert result.seeds_run == 0
         assert result.skipped == [{"seed": 5, "code": "gauge_degenerate"},
                                   {"seed": 6, "code": "gauge_degenerate"}]
+
+
+def summaries(results) -> dict:
+    """Each result's maximum, seeds run and skips, by operation."""
+    return {r.operation: (repr(r.max_residual), r.seeds_run, r.skipped)
+            for r in results}
+
+
+ROUND_TRIPS = ("round_trip_forward", "round_trip_backward")
+
+
+def test_a_reconstruction_error_skips_both_round_trips(monkeypatch):
+    """The seed's one reconstruction raised: both round trips skip the
+    seed with its code, and every other property runs as before."""
+    def singular(sd):
+        raise SingularMatrix("forced", which=None)
+
+    before = summaries(verify.run_suite(3))
+    monkeypatch.setattr(verify, "reconstruct", singular)
+    after = summaries(verify.run_suite(3))
+    for name in ROUND_TRIPS:
+        assert after[name] == (
+            "0.0", 0, [{"seed": s, "code": "singular_matrix"} for s in range(3)])
+    assert {k: v for k, v in after.items() if k not in ROUND_TRIPS} == {
+        k: v for k, v in before.items() if k not in ROUND_TRIPS}
+
+
+def test_a_property_error_skips_that_property_and_seed_only(monkeypatch):
+    original = verify.PROPERTIES["commute_shear"]
+
+    def degenerate_on_seed_1(drawn, rebuilt, seed):
+        if seed == 1:
+            raise GaugeDegenerate("forced")
+        return original(drawn, rebuilt, seed)
+
+    before = summaries(verify.run_suite(3))
+    monkeypatch.setitem(verify.PROPERTIES, "commute_shear",
+                        degenerate_on_seed_1)
+    after = summaries(verify.run_suite(3))
+    assert after.pop("commute_shear")[1:] == (
+        2, [{"seed": 1, "code": "gauge_degenerate"}])
+    del before["commute_shear"]
+    assert after == before
 
 
 def test_run_suite_decomposes_at_most_six_matrices(monkeypatch):
