@@ -21,6 +21,7 @@ from .errors import (
     IntermediateDegeneracy,
     InvariantViolation,
     LineOnCurve,
+    NonFiniteEntries,
     RankNotTwo,
     RepeatedEigenvalues,
     SchemaError,

@@ -38,7 +38,7 @@ from .gl2z import (
 from .randgen import random_pair
 from .reconstruct import reconstruct
 from .spectral import general_position_report, spectral_data
-from .verify import DEFAULT_TOLERANCE, run_suite
+from .verify import DEFAULT_TOLERANCE, TOLERANCE_MULTIPLIERS, run_suite
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -157,6 +157,11 @@ def _cmd_verify(args) -> int:
     # written so that a NaN fails
     if not 0.0 < args.tolerance < math.inf:
         raise SchemaError("--tolerance must be a positive finite number")
+    # a property's tolerance is the base times its multiplier
+    multiplier = max(TOLERANCE_MULTIPLIERS.values())
+    if args.tolerance * multiplier == math.inf:
+        raise SchemaError(f"--tolerance times {multiplier:g}, the largest "
+                          "per-property multiplier, must be finite")
     results = run_suite(args.seeds, args.tolerance, args.base_seed)
     all_passed = True
     for r in results:

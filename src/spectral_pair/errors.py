@@ -85,6 +85,16 @@ class ClosedFormMismatch(SpectralPairError):
     code = "closed_form_mismatch"
 
 
+class NonFiniteEntries(SpectralPairError, ValueError):
+    """A matrix, or an intermediate tested as one, has a NaN or infinite
+    entry, as a product of matrices with entries near 1e160 does.  It is a
+    ``ValueError``, as such an entry always raised, and not a
+    ``GeneralPositionError``: no check of the general-position report
+    measures it."""
+
+    code = "non_finite_entries"
+
+
 class DeterminantNotUnit(SpectralPairError):
     code = "determinant_not_unit"
 

@@ -16,12 +16,12 @@ to ``complex`` and must all be finite (``finite_entries``).  The internal
 stages of the forward map and of the relisting pass flat row-major 9-tuples
 instead, and each matrix a function returns is built as one ``Mat3``.
 Sums and products never turn a non-finite value finite again, so a chain
-of products is checked where it ends.  Two flat intermediates get the
-``Mat3`` test explicitly (``check_finite``), because the stage after each
-would raise a different error, or none: the shifted matrices A - hI in
-``eig3``, since a NaN eigenvalue passes the separation test, and
-U0 = V^-1 B V in ``spectral``.  A reciprocal that a chain multiplies in is
-bounded by the test before it.
+of products is checked where it ends.  One flat intermediate gets the
+``Mat3`` test explicitly (``check_finite``), because the stage after it
+would raise a different error, or none: U0 = V^-1 B V in ``spectral``.
+Each A - hI in ``eig3`` is finite once ``check_separation`` passes: the
+leading-coefficient test bounds a finite eigenvalue by 1 + 1e12.  A
+reciprocal that a chain multiplies in is bounded by the test before it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .config import (
 from .errors import (
     DegenerateLeadingCoefficient,
     GeneralPositionError,
+    NonFiniteEntries,
     RankNotTwo,
     RepeatedEigenvalues,
     SingularMatrix,
@@ -50,13 +51,15 @@ Vec3 = tuple[complex, complex, complex]
 
 
 def check_finite(entries: tuple[complex, ...]) -> None:
-    """ValueError unless every ``complex`` entry is finite."""
+    """NonFiniteEntries, a ValueError, unless every ``complex`` entry is
+    finite."""
     if not all(map(cmath.isfinite, entries)):
-        raise ValueError("Mat3 entries must be finite")
+        raise NonFiniteEntries("Mat3 entries must be finite")
 
 
 def finite_entries(values) -> tuple[complex, ...]:
-    """``values`` coerced to ``complex``; ValueError unless all are finite.
+    """``values`` coerced to ``complex``; NonFiniteEntries unless all are
+    finite.
 
     This is the check every ``Mat3`` gets when it is built."""
     entries = tuple(map(complex, values))
@@ -252,9 +255,12 @@ def separation(values: Vec3) -> tuple[float, float]:
 
 def check_separation(values: Vec3, error: type[GeneralPositionError],
                      message: str = "eigenvalues are not pairwise separated"):
-    """Raise ``error`` unless every gap exceeds EIGENVALUE_SEPARATION max|h|."""
+    """Raise ``error`` unless every value is finite and every gap exceeds
+    EIGENVALUE_SEPARATION max|h|, written so that a NaN fails: ``min`` and
+    ``max`` skip one that is not first, so finiteness is tested apart."""
     sep, scale = separation(values)
-    if scale == 0.0 or sep <= EIGENVALUE_SEPARATION * scale:
+    if not (sep > EIGENVALUE_SEPARATION * scale
+            and all(map(cmath.isfinite, values))):
         raise error(message, separation=sep, scale=scale)
 
 
@@ -276,8 +282,6 @@ def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
         shifted = (e[0] - on, e[1] - off, e[2] - off,
                    e[3] - off, e[4] - on, e[5] - off,
                    e[6] - off, e[7] - off, e[8] - on)
-        # a NaN eigenvalue passes the separation test
-        check_finite(shifted)
         vectors.append(kernel_vector(shifted))
     return values, tuple(vectors)
 

@@ -20,7 +20,6 @@ from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
     Mat3,
     Vec3,
-    check_finite,
     check_nonsingular,
     check_separation,
 )
@@ -152,7 +151,6 @@ def _relisted(sd: SpectralData) -> SpectralData:
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
-    check_finite(h)
     h1, h2, h3 = h
     # det3 and frob3 of diag(h) padded with zeros: the padding adds only
     # exact zeros to these sums, which changes at most the sign of a zero

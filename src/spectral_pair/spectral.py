@@ -331,8 +331,13 @@ def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
 
 
 def relative_difference(x: complex, y: complex) -> float:
-    """|x - y| relative to the larger magnitude, floored at 1."""
-    return abs(x - y) / max(1.0, abs(x), abs(y))
+    """|x - y| relative to the larger magnitude, floored at 1.  As in
+    ``curve_residual``, a scale that overflows certifies nothing: a modulus
+    that overflows reads inf."""
+    try:
+        return abs(x - y) / max(1.0, abs(x), abs(y))
+    except OverflowError:
+        return math.inf
 
 
 #: the components of spectral data, flattened: h, the coefficients, (L, M)

@@ -28,6 +28,17 @@ FIXTURE_COEFFS = {
 }
 FIXTURE_DIVISOR = (-9 + 0j, 2 + 0j)
 
+# tr A = 1, but c1 and c0 of A's characteristic polynomial are inf - inf =
+# NaN, which the leading-coefficient test skips, so the roots are NaN
+NAN_EIGENVALUE_A = Mat3.from_rows(
+    [[1e160, 1e160, 0], [-1e160, -1e160, 0], [0, 0, 1]])
+
+#: the entries of ``extreme_entry_pairs``: small ones, and extreme ones
+#: whose products, squares or cubes overflow or underflow
+SMALL_ENTRIES = (0.0, 1.0, -1.0, 3.0)
+EXTREME_ENTRIES = (1e154, -1e154, 1e160, -1e160, 1e200, -1e200, 1e300,
+                   -1e300, 1e-160)
+
 FIXTURES = Path(__file__).parent / "fixtures"
 PAIR_FIXTURE = str(FIXTURES / "pair_fixture.json")
 SPECTRAL_FIXTURE = str(FIXTURES / "spectral_fixture.json")
@@ -43,6 +54,23 @@ def seeded_pairs() -> list[MatrixPair]:
     """The first 100 deterministic general-position pairs, shared across
     tests to keep the suite fast."""
     return [random_pair(seed) for seed in range(100)]
+
+
+def nan_eigenvalue_pair() -> MatrixPair:
+    return MatrixPair(NAN_EIGENVALUE_A, random_pair(0).b)
+
+
+def extreme_entry_pairs(count: int, seed: int = 0) -> list[MatrixPair]:
+    """Seeded real pairs whose entries are extreme with probability 0.1,
+    0.3 or 0.7 in turn, and small otherwise."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        share = (0.1, 0.3, 0.7)[i % 3]
+        entries = [rng.choice(EXTREME_ENTRIES if rng.random() < share
+                              else SMALL_ENTRIES) for _ in range(18)]
+        pairs.append(MatrixPair(Mat3(entries[:9]), Mat3(entries[9:])))
+    return pairs
 
 
 def rng_complex(rng: random.Random, radius: float = 1.0) -> complex:

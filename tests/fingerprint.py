@@ -9,12 +9,14 @@ of the word I,T,S.
 
 The edge section prints, for pairs off ``random_pair``'s generator, the
 general-position report, ``normalize_pair``, the error that ``forward``
-records, ``spectral_data``, and the S, I and T images with the
-``canonical_form`` of each.  The pairs are the pairs of seeds 0-39 with
-A, B or both scaled by 2^k (every 11th k from -1074, and 498, 511, 1022
-and 1023, where the entries stay finite) or by 1e-310, 1e-110, 1e110 and
-1e150; seeded real pairs; seeded pairs whose relative eigenvalue gap is
-1e-6 to 3e-4; and the tests' ``DEGENERATE_PAIRS``.
+records, ``spectral_data``, the shear T of the matrices, and the S, I and
+T images of the spectral data with the ``canonical_form`` of each.  The
+pairs are the pairs of seeds 0-39 with A, B or both scaled by 2^k (every
+11th k from -1074, and 498, 511, 1022 and 1023, where the entries stay
+finite) or by 1e-310, 1e-110, 1e110 and 1e150; seeded real pairs; seeded
+pairs whose relative eigenvalue gap is 1e-6 to 3e-4; seeded real pairs
+with extreme entries, up to 1e300, and a pair whose A has a characteristic
+polynomial with NaN coefficients; and the tests' ``DEGENERATE_PAIRS``.
 
 A call that raises prints its error class, code, message and detail, as
 does the error that ``forward`` records; in
@@ -60,6 +62,7 @@ from spectral_pair import (  # noqa: E402  (needs the path above)
     GeneralPositionError,
     Mat3,
     MatrixPair,
+    act_on_pair,
     act_spectral,
     act_word_spectral,
     canonical_form,
@@ -84,6 +87,14 @@ EDGE_SEEDS = range(40)
 SCALES = ([2.0 ** k for k in (*range(-1074, 1024, 11), 498, 511, 1022, 1023)]
           + [1e-310, 1e-110, 1e110, 1e150])
 EDGE_DRAWS = 200
+EXTREME_DRAWS = 60
+#: the entries of the extreme pairs: small ones, and extreme ones whose
+#: products, squares or cubes overflow or underflow.  The script defines
+#: its own pairs, because ``--against`` runs it in a checkout of another
+#: revision, whose tests may not have them.
+SMALL_ENTRIES = (0.0, 1.0, -1.0, 3.0)
+EXTREME_ENTRIES = (1e154, -1e154, 1e160, -1e160, 1e200, -1e200, 1e300,
+                   -1e300, 1e-160)
 
 
 def described(exc: Exception) -> tuple:
@@ -141,6 +152,17 @@ def edge_pairs():
                        for _ in range(9)))
         yield (f"near-gap {k}",
                MatrixPair(v @ Mat3.diagonal(h1, h2, h3) @ inv3(v), b))
+    # tr A = 1, but A's characteristic polynomial has c1 = c0 = NaN
+    yield "extreme nan-eigenvalues", MatrixPair(
+        Mat3.from_rows([[1e160, 1e160, 0], [-1e160, -1e160, 0], [0, 0, 1]]),
+        random_pair(0).b)
+    rng = random.Random("fingerprint:extreme")
+    for k in range(EXTREME_DRAWS):
+        share = (0.1, 0.3, 0.7)[k % 3]
+        entries = [rng.choice(EXTREME_ENTRIES if rng.random() < share
+                              else SMALL_ENTRIES) for _ in range(18)]
+        yield (f"extreme {k}",
+               MatrixPair(Mat3(entries[:9]), Mat3(entries[9:])))
     for name, pair in DEGENERATE_PAIRS.items():
         yield f"degenerate {name}", pair
 
@@ -153,6 +175,8 @@ def print_edges() -> None:
               outcome(normalize_pair, pair, catch=Exception))
         print(label, "forward", outcome(forward_error, pair, catch=Exception))
         print(label, "spectral", outcome(spectral_data, pair, catch=Exception))
+        print(label, "matrix", Generator.SHEAR.name, outcome(
+            act_on_pair, Generator.SHEAR, pair, catch=Exception))
         try:
             sd = spectral_data(pair)
         except Exception:
@@ -206,7 +230,7 @@ def section(line: str) -> str:
 
 #: the first words of the edge section's labels that name a family of
 #: pairs; every other label is a scaled pair of a seed
-EDGE_FAMILIES = {"real", "near-gap", "degenerate"}
+EDGE_FAMILIES = {"real", "near-gap", "extreme", "degenerate"}
 #: a number in a ``repr``: an int, a float or a complex, inf and nan
 #: included, not inside a name such as ``u12``
 _PART = r"(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)"
@@ -216,15 +240,17 @@ NUMBER = re.compile(rf"(?<![\w.])-?{_PART}(?:[-+]{_PART}j|j)?(?![\w.])")
 def split(line: str) -> tuple[str, str, str]:
     """(key, item, value) of a line: the key names the line, the item is
     what the line prints (``report``, ``commute SWAP``, ``canonical
-    INVERT``, a property of the suite, ...), in the edge section prefixed
-    by the family of the pair (``real``, ``near-gap``, ``degenerate`` or
-    ``scaled``), and the value is the ``repr`` printed."""
+    INVERT``, ``matrix SHEAR``, a property of the suite, ...), in the edge
+    section prefixed by the family of the pair (``real``, ``near-gap``,
+    ``extreme``, ``degenerate`` or ``scaled``), and the value is the
+    ``repr`` printed."""
     words = line.split(" ")
     if words[0] == "suite":
         item = re.search(r"'operation': '(\w+)'", line).group(1)
         return f"suite {item}", item, line
     label = 1 if section(line) == "seeds" else 2
-    width = 2 if words[label] in ("commute", "word", "canonical") else 1
+    width = 2 if words[label] in ("commute", "word", "canonical",
+                                  "matrix") else 1
     key = " ".join(words[:label + width])
     item = " ".join(words[label:label + width])
     if label == 2:

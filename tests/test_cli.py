@@ -212,6 +212,30 @@ def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(
     assert strict_loads(err)["error"]["code"] == "schema"
 
 
+def test_verify_rejects_a_tolerance_whose_multiple_overflows(capsys,
+                                                            monkeypatch):
+    """``word_consistency``'s tolerance is ten times the base, so 1e308
+    would give it an infinite tolerance; 1e306 runs."""
+    code, out, err = run(capsys, "verify", "--seeds", "1",
+                         "--tolerance", "1e306")
+    assert code == 0 and err == ""
+    assert all(line["tolerance"] in (1e306, 1e307)
+               for line in map(strict_loads, out.splitlines()[:-1]))
+    monkeypatch.setattr(cli_module, "run_suite", None)
+    code, out, err = run(capsys, "verify", "--seeds", "1",
+                         "--tolerance", "1e308")
+    assert code == 2 and out == ""
+    assert strict_loads(err)["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize("matrix", ["1,2,3", "1,x,0,1"],
+                         ids=["three-entries", "non-integer"])
+def test_malformed_matrix_is_a_schema_error(matrix, capsys):
+    code, out, err = run(capsys, "decompose", "--matrix", matrix)
+    assert (code, out) == (2, "")
+    assert strict_loads(err)["error"]["code"] == "schema"
+
+
 def test_random_pair_deterministic(capsys):
     code, out1, _ = run(capsys, "random-pair", "--seed", "7")
     assert code == 0

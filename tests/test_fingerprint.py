@@ -12,6 +12,8 @@ def test_lines_split_into_key_item_and_value():
         "real 3 canonical INVERT", "real canonical INVERT", OK)
     assert split("5 b*1e+110 SHEAR " + OK) == (
         "5 b*1e+110 SHEAR", "scaled SHEAR", OK)
+    assert split("extreme 3 matrix SHEAR " + OK) == (
+        "extreme 3 matrix SHEAR", "extreme matrix SHEAR", OK)
     suite = "suite {'operation': 'commute_swap', 'max_residual': 1e-12}"
     assert split(suite) == ("suite commute_swap", "commute_swap", suite)
     assert [section(line) for line in (

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from spectral_pair import (
     Mat3,
     MatrixPair,
     NormalizedPair,
+    RepeatedEigenvalues,
     SingularA,
     SingularMatrix,
     SpectralData,
@@ -31,9 +33,11 @@ from spectral_pair import (
     det3,
     diagonal_entries,
     divisor_point,
+    general_position_report,
     inv3,
     invert_spectral,
     matrix_of_word,
+    normalize_pair,
     parse_word,
     random_pair,
     reconstruct,
@@ -50,7 +54,7 @@ from spectral_pair import (
 
 from spectral_pair.verify import DEFAULT_TOLERANCE, TOLERANCE_MULTIPLIERS
 
-from conftest import FIXTURE_B
+from conftest import FIXTURE_B, extreme_entry_pairs, nan_eigenvalue_pair
 from oracles import (
     act_word_spectral_relisting_each_step,
     divisor_by_minor_equations,
@@ -491,6 +495,45 @@ def test_an_overflowing_modulus_in_h_or_the_divisor_is_coded(component, call):
         sd = sd._replace(divisor=sd.divisor._replace(L=huge))
     with pytest.raises(SpectralPairError):
         call(sd)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_nan_eigenvalue_in_any_place_is_coded(position):
+    """The separation test rejects a NaN wherever h lists it, although
+    ``min`` and ``max`` skip one that is not first: each call ends in
+    ``repeated_eigenvalues``, not in ``ValueError`` or in NaN entries."""
+    calls = [canonical_form, lambda sd: diagonal_entries(sd.coeffs, sd.h),
+             *(partial(act_word_spectral, (g,)) for g in Generator)]
+    for seed in range(3):
+        sd = spectral_data(random_pair(seed))
+        h = list(sd.h)
+        h[position] = complex(math.nan, 0.0)
+        for call in calls:
+            with pytest.raises(RepeatedEigenvalues):
+                call(sd._replace(h=tuple(h)))
+
+
+def test_every_extreme_entry_pair_ends_ok_or_coded():
+    """Pairs with entries up to 1e300, whose characteristic polynomials,
+    eigenbases and products overflow: the report, the forward map, each
+    commuting diagram and each letter's action on the matrices raise
+    nothing but a package error, and each returns on some pair."""
+    calls = [general_position_report, spectral_data, normalize_pair,
+             *(partial(verify_commutation, g) for g in Generator),
+             *(partial(act_word_on_pair, (g,)) for g in Generator)]
+    returned, crashes = set(), []
+    for k, pair in enumerate([nan_eigenvalue_pair(), *extreme_entry_pairs(600)]):
+        for i, call in enumerate(calls):
+            try:
+                call(pair)
+            except SpectralPairError:
+                continue
+            except Exception as exc:
+                crashes.append((k, i, repr(exc)))
+                continue
+            returned.add(i)
+    assert crashes == []
+    assert returned == set(range(len(calls)))
 
 
 def test_shear_spectral_rejects_a_zero_d1():

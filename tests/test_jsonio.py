@@ -72,6 +72,20 @@ def test_bad_complex_shapes_rejected():
             jsonio.json_to_complex(bad, "z")
 
 
+@pytest.mark.parametrize("load, doc, where", [
+    (jsonio.doc_to_pair, [1, 2], "pair document"),
+    (jsonio.doc_to_spectral, "h", "spectral document"),
+    (jsonio.doc_to_pair, {"A": [[[1, 0]] * 3] * 2, "B": []}, "A"),
+    (jsonio.doc_to_spectral, {"h": [[1, 0]] * 2, "coefficients": {},
+                              "divisor": {}}, "h"),
+], ids=["pair-not-object", "spectral-not-object", "matrix-not-3x3",
+        "h-with-two-values"])
+def test_malformed_document_is_a_schema_error(load, doc, where):
+    with pytest.raises(SchemaError) as info:
+        load(doc)
+    assert info.value.detail == {"where": where}
+
+
 def test_oversized_integer_is_a_schema_error(tmp_path):
     # float() of an integer beyond the float range raises OverflowError
     for bad in ([10 ** 400, 0.0], [0, -10 ** 400]):

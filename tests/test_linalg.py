@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spectral_pair import (
     CubicPoly,
     Mat3,
+    NonFiniteEntries,
     RankNotTwo,
     RepeatedEigenvalues,
     SingularMatrix,
@@ -42,7 +43,7 @@ complexes = st.builds(complex, finite, finite)
 def test_mat3_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="^Mat3 entries must be finite$"):
         Mat3((1, 0, 0, 0, bad, 0, 0, 0, 1))
-    with pytest.raises(ValueError, match="^Mat3 entries must be finite$"):
+    with pytest.raises(NonFiniteEntries, match="^Mat3 entries must be finite$"):
         Mat3.from_rows([[1, 0, 0], [0, bad, 0], [0, 0, 1]])
 
 
@@ -429,13 +430,16 @@ def test_kernel_vector3_det_measure_is_abs_det3():
         assert repr(kernels.kernel_vector3(m)[2]) == repr(expected)
 
 
-def test_eig_checks_each_shifted_matrix_is_finite(monkeypatch):
-    # a NaN eigenvalue passes the separation test; the shift A - hI is
-    # checked as a Mat3 would be, before its kernel is sought
-    monkeypatch.setattr(linalg, "solve_cubic",
-                        lambda p: (complex(math.nan, 0.0), 2 + 0j, 3 + 0j))
+def test_eig_rejects_a_nan_eigenvalue_before_seeking_a_kernel(monkeypatch):
+    # the separation test is the one test of the triple: a NaN in any
+    # place fails it, although ``min`` and ``max`` skip one that is not
+    # first, so no shift A - hI is formed with it
     kernels_sought = []
     monkeypatch.setattr(linalg, "kernel_vector", kernels_sought.append)
-    with pytest.raises(ValueError, match="Mat3 entries must be finite"):
-        eig3(Mat3.diagonal(1, 2, 3))
+    for i in range(3):
+        values = [1 + 0j, 2 + 0j, 3 + 0j]
+        values[i] = complex(math.nan, 0.0)
+        monkeypatch.setattr(linalg, "solve_cubic", lambda p: tuple(values))
+        with pytest.raises(RepeatedEigenvalues):
+            eig3(Mat3.diagonal(1, 2, 3))
     assert kernels_sought == []

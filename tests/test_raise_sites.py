@@ -144,7 +144,8 @@ def biased_closed_form(monkeypatch, run=lambda: reconstruct(fixture_sd())):
 def test_every_coded_raise_runs(monkeypatch):
     sd = fixture_sd()
     triggers = [
-        # linalg
+        # linalg; a product whose entries overflow is not a Mat3
+        lambda: FIXTURE_A.scaled(1e160) @ FIXTURE_B.scaled(1e160),
         lambda: solve_cubic(CubicPoly(0.0, 1.0, 2.0, 3.0)),
         lambda: inv3(Mat3.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])),
         lambda: kernel_vector(Mat3.identity().entries),
@@ -181,5 +182,5 @@ def test_every_coded_raise_runs(monkeypatch):
     missing = [(path, first) for path, spans in sites.items()
                for first, last in spans
                if not any((path, line) in seen for line in range(first, last + 1))]
-    assert sum(map(len, sites.values())) == 20
+    assert sum(map(len, sites.values())) == 21
     assert missing == []

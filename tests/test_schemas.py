@@ -15,6 +15,7 @@ from spectral_pair.cli import main
 from conftest import (
     FIXTURE_B,
     PAIR_FIXTURE,
+    nan_eigenvalue_pair,
     SPECTRAL_FIXTURE,
     oversized_integer_pair_file,
     scaled_pair_file,
@@ -201,3 +202,45 @@ def test_overflowing_eigenbasis_matrix_is_a_coded_report(tmp_path, capsys):
     validate(doc, "check")
     assert [(c["passed"], c["margin"]) for c in doc["checks"][3:]] \
         == [(False, None)] * 4
+
+
+def test_nan_eigenvalues_are_a_coded_report(tmp_path, capsys):
+    # the characteristic polynomial of A holds inf - inf; its NaN roots
+    # fail the separation test, which tests their finiteness
+    path = pair_file(tmp_path, "nan_eigenvalues", nan_eigenvalue_pair())
+    code, out, _ = run(capsys, "check", path)
+    assert code == 3
+    doc = strict_loads(out)
+    validate(doc, "check")
+    notes = {c["name"]: (c["passed"], c["note"]) for c in doc["checks"]}
+    assert notes["eigenvalue_separation"] == notes["gauge_entries"] \
+        == (False, "repeated_eigenvalues")
+
+
+@pytest.mark.parametrize("letters", [
+    pytest.param(("--word", "T"), id="word"),
+    pytest.param(("--matrix", "1,1,0,1"), id="matrix"),
+])
+def test_overflowing_matrix_product_is_a_coded_error(letters, tmp_path, capsys):
+    # A B of a pair scaled by 1e160 has entries near 1e320
+    a, b = random_pair(0)
+    path = pair_file(tmp_path, "huge", MatrixPair(a.scaled(1e160), b.scaled(1e160)))
+    code, out, err = run(capsys, "act", *letters, "--side", "matrix", path)
+    assert (code, out) == (3, "")
+    doc = strict_loads(err.splitlines()[-1])
+    validate(doc, "error")
+    assert doc["error"] == {"code": "non_finite_entries",
+                            "message": "Mat3 entries must be finite"}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("spectral", "/nonexistent/pair.json"), id="read"),
+    pytest.param(("spectral", PAIR_FIXTURE, "-o", "/nonexistent/out.json"),
+                 id="write"),
+])
+def test_io_failure_is_an_error_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    doc = strict_loads(err)
+    validate(doc, "error")
+    assert doc["error"]["code"] == "io"

@@ -38,6 +38,7 @@ from conftest import (
     FIXTURE_COEFFS,
     FIXTURE_DIVISOR,
     FIXTURE_H,
+    nan_eigenvalue_pair,
     rng_complex,
 )
 from oracles import (
@@ -371,7 +372,8 @@ def test_nan_axis_point_separation_fails_its_check(fixture_pair, monkeypatch):
 
 def test_forward_raises_what_spectral_data_raises(seeded_pairs):
     tiny_b = MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-110))
-    for pair in [*seeded_pairs[:10], *DEGENERATE_PAIRS.values(), tiny_b]:
+    for pair in [*seeded_pairs[:10], *DEGENERATE_PAIRS.values(), tiny_b,
+                 nan_eigenvalue_pair()]:
         drawn = spectral_module.forward(pair)
         try:
             expected = spectral_data(pair)
@@ -519,7 +521,8 @@ def test_no_stage_raises_while_its_report_check_passes(seeded_pairs):
     scaled = [MatrixPair(FIXTURE_A.scaled(sa), FIXTURE_B.scaled(sb))
               for k in range(-320, 321, 20)
               for sa, sb in ((2.0 ** k, 1), (1, 2.0 ** k), (2.0 ** k, 2.0 ** k))]
-    for pair in [*DEGENERATE_PAIRS.values(), *seeded_pairs, *scaled]:
+    for pair in [*DEGENERATE_PAIRS.values(), *seeded_pairs, *scaled,
+                 nan_eigenvalue_pair()]:
         assert_stage_check_fails(pair)
 
 
@@ -721,3 +724,17 @@ def test_curve_residual_reads_inf_when_its_scale_overflows():
     # an infinite or NaN value over it reads NaN
     assert math.isnan(curve_residual(coeffs, 1e120, 0, 1))
     assert math.isnan(curve_residual(coeffs, complex(math.nan, 0), 1e120, 1))
+
+
+def test_spectral_residuals_read_an_overflowing_modulus_as_inf():
+    # h1's parts are finite but its modulus is not: the difference with
+    # itself is 0, over a scale that overflows, which certifies nothing
+    sd = spectral_data(random_pair(0))
+    huge = sd._replace(h=(complex(1.5e308, 1.5e308), *sd.h[1:]))
+    residuals = spectral_residuals(huge, huge)
+    assert residuals["h1"] == math.inf
+    assert set(residuals.values()) == {0.0, math.inf}
+    # a finite scale keeps the plain quotient, bit for bit
+    x, y = 3 + 4j, 1e300 - 2j
+    assert spectral_module.relative_difference(x, y) \
+        == abs(x - y) / max(1.0, abs(x), abs(y))
