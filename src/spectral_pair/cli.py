@@ -154,6 +154,9 @@ def _cmd_act(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seeds < 1:
         raise SchemaError("--seeds must be at least 1")
+    # seeds n and -n draw the same pair
+    if args.base_seed < 0:
+        raise SchemaError("--base-seed must not be negative")
     # written so that a NaN fails
     if not 0.0 < args.tolerance < math.inf:
         raise SchemaError("--tolerance must be a positive finite number")

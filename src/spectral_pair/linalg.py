@@ -22,6 +22,15 @@ would raise a different error, or none: U0 = V^-1 B V in ``spectral``.
 Each A - hI in ``eig3`` is finite once ``check_separation`` passes: the
 leading-coefficient test bounds a finite eigenvalue by 1 + 1e12.  A
 reciprocal that a chain multiplies in is bounded by the test before it.
+
+``eig3`` of a diagonal A, whose six off-diagonal entries are exactly zero,
+solves no cubic and seeks no kernel: the eigenvalues are the diagonal
+entries in ``canonical_order`` and the eigenvectors the unit vectors in that
+order.  Once the gaps pass, A - h_i I has rank exactly 2 and the unit
+vector is its exact kernel.  The branch keeps the general path's two tests:
+the leading-coefficient test on A's characteristic polynomial
+(``_check_leading_coefficient``, which ``solve_cubic`` calls too) and
+``check_separation``.
 """
 
 from __future__ import annotations
@@ -179,13 +188,19 @@ class CubicPoly(NamedTuple):
             return math.inf
 
 
-def solve_cubic(p: CubicPoly) -> Vec3:
-    """Three roots with multiplicity, in ``canonical_order``."""
+def _check_leading_coefficient(p: CubicPoly) -> None:
+    """DegenerateLeadingCoefficient unless |c3| exceeds LEADING_COEFFICIENT
+    times the largest coefficient modulus."""
     scale = p.max_coefficient()
     if abs(p.c3) <= LEADING_COEFFICIENT * scale:
         raise DegenerateLeadingCoefficient(
             "leading coefficient is negligible",
             c3=abs(p.c3), scale=scale)
+
+
+def solve_cubic(p: CubicPoly) -> Vec3:
+    """Three roots with multiplicity, in ``canonical_order``."""
+    _check_leading_coefficient(p)
     return kernels.solve_cubic_raw(p.c3, p.c2, p.c1, p.c0)
 
 
@@ -264,16 +279,31 @@ def check_separation(values: Vec3, error: type[GeneralPositionError],
         raise error(message, separation=sep, scale=scale)
 
 
+#: the unit vectors e1, e2, e3, the eigenvectors of a diagonal matrix
+_UNIT = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
+
+
 def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
     """Eigenvalues (in ``canonical_order``) and matching unit eigenvectors.
 
     Requires pairwise separated eigenvalues; defective and near-defective
-    matrices are rejected.
+    matrices are rejected.  The eigenvalues of a diagonal A (all six
+    off-diagonal entries exactly zero) are its entries and its eigenvectors
+    the unit vectors, after the same leading-coefficient and separation
+    tests, with no cubic solved and no kernel sought.
     """
-    c2, c1, c0 = kernels.char_poly3(a.entries)
-    values = solve_cubic(CubicPoly(1.0, c2, c1, c0))
-    check_separation(values, RepeatedEigenvalues)
     e = a.entries
+    c2, c1, c0 = kernels.char_poly3(e)
+    p = CubicPoly(1.0, c2, c1, c0)
+    if not (e[1] or e[2] or e[3] or e[5] or e[6] or e[7]):
+        _check_leading_coefficient(p)
+        diagonal = (e[0], e[4], e[8])
+        values = kernels.canonical_order(diagonal)
+        check_separation(values, RepeatedEigenvalues)
+        # separated values are distinct, so each has one place
+        return values, tuple(_UNIT[diagonal.index(h)] for h in values)
+    values = solve_cubic(p)
+    check_separation(values, RepeatedEigenvalues)
     vectors = []
     for h in values:
         # the entries of I.scaled(h), so that a - h*I keeps every bit,
@@ -284,4 +314,3 @@ def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
                    e[6] - off, e[7] - off, e[8] - on)
         vectors.append(kernel_vector(shifted))
     return values, tuple(vectors)
-

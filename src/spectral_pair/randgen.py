@@ -10,29 +10,25 @@ from __future__ import annotations
 
 import random
 
-from .linalg import Mat3, det3, inv3
+from . import _kernels_py as kernels
+from .linalg import Mat3
 from .spectral import Forward, MatrixPair, forward
 
 _MAX_ATTEMPTS = 1000
-_DISK_RADIUS = 1.0       # entries are drawn from this disk
 _MAX_CONDITION = 30.0    # bound on |g| |g^-1| for well_conditioned_matrix
-
-
-def _complex_in_disk(rng: random.Random) -> complex:
-    while True:
-        z = complex(rng.uniform(-_DISK_RADIUS, _DISK_RADIUS),
-                    rng.uniform(-_DISK_RADIUS, _DISK_RADIUS))
-        if abs(z) <= _DISK_RADIUS:
-            return z
 
 
 def _eigenvalue_triple(rng: random.Random) -> tuple[complex, complex, complex]:
     """Three values in the annulus 0.5 <= |h| <= 2 with pairwise gaps >= 0.3."""
+    r = rng.random
     while True:
         triple = []
         for _ in range(3):
             while True:
-                z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                # ``rng.uniform(a, b)`` is a + (b - a) * rng.random(),
+                # written out so that each draw keeps its bits without
+                # the call
+                z = complex(-2.0 + 4.0 * r(), -2.0 + 4.0 * r())
                 if 0.5 <= abs(z) <= 2.0:
                     triple.append(z)
                     break
@@ -42,25 +38,37 @@ def _eigenvalue_triple(rng: random.Random) -> tuple[complex, complex, complex]:
             return tuple(triple)
 
 
-def _random_matrix(rng: random.Random) -> Mat3:
-    return Mat3(tuple(_complex_in_disk(rng) for _ in range(9)))
+def _random_matrix(rng: random.Random) -> tuple[complex, ...]:
+    """The flat entries of a matrix, each drawn from the closed unit disk."""
+    # ``rng.uniform(-1.0, 1.0)``, as in ``_eigenvalue_triple``
+    r = rng.random
+    entries = []
+    while len(entries) < 9:
+        z = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        if abs(z) <= 1.0:
+            entries.append(z)
+    return tuple(entries)
 
 
 def well_conditioned_matrix(rng: random.Random) -> Mat3:
     """Random unit-disk matrix with a bounded condition estimate."""
-    return _well_conditioned_with_inverse(rng)[0]
+    return Mat3(_well_conditioned_with_inverse(rng)[0])
 
 
-def _well_conditioned_with_inverse(rng: random.Random) -> tuple[Mat3, Mat3]:
-    """``well_conditioned_matrix`` and the inverse its condition estimate
-    took."""
+def _well_conditioned_with_inverse(
+        rng: random.Random) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The flat entries of ``well_conditioned_matrix`` and of the inverse
+    its condition estimate took."""
     for _ in range(_MAX_ATTEMPTS):
         g = _random_matrix(rng)
-        f = g.norm()
-        if f == 0.0 or abs(det3(g)) <= 1e-3 * f ** 3:
+        f = kernels.frob3(g)
+        d = kernels.det3(g)
+        if f == 0.0 or abs(d) <= 1e-3 * f ** 3:
             continue
-        g_inv = inv3(g)
-        if f * g_inv.norm() <= _MAX_CONDITION:
+        # adj(g) / det g, as ``inv3`` computes it; its determinant test,
+        # |det g| > 1e-12 |g|^3, holds a fortiori
+        g_inv = tuple(map(d.__rtruediv__, kernels.adj3(g)))
+        if f * kernels.frob3(g_inv) <= _MAX_CONDITION:
             return g, g_inv
     raise RuntimeError("could not draw a well-conditioned matrix")
 
@@ -68,10 +76,12 @@ def _well_conditioned_with_inverse(rng: random.Random) -> tuple[Mat3, Mat3]:
 def _random_pair_with_attempts(seed: int) -> tuple[Forward, int]:
     rng = random.Random(seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
-        h = _eigenvalue_triple(rng)
+        h1, h2, h3 = _eigenvalue_triple(rng)
         v, v_inv = _well_conditioned_with_inverse(rng)
-        a = v @ Mat3.diagonal(*h) @ v_inv
-        b = _random_matrix(rng)
+        # V diag(h) V^-1, built as one Mat3
+        a = Mat3(kernels.matmul3(
+            kernels.matmul3(v, (h1, 0j, 0j, 0j, h2, 0j, 0j, 0j, h3)), v_inv))
+        b = Mat3(_random_matrix(rng))
         drawn = forward(MatrixPair(a, b))
         if drawn.report.passed:
             return drawn, attempt
@@ -86,7 +96,9 @@ def random_forward(seed: int) -> Forward:
 
 
 def random_pair(seed: int) -> MatrixPair:
-    """General-position pair for this seed; identical across runs."""
+    """General-position pair for this seed; identical across runs.
+    ``random.Random`` seeds by |seed|, so ``seed`` and ``-seed`` draw the
+    same pair."""
     return random_forward(seed).pair
 
 

@@ -13,6 +13,7 @@ import random
 from itertools import compress, repeat
 from operator import gt
 
+from . import _kernels_py as kernels
 from .errors import GeneralPositionError
 from .gl2z import (
     Generator,
@@ -20,6 +21,7 @@ from .gl2z import (
     act_word_spectral,
     commutation_residuals,
 )
+from .linalg import Mat3
 from .randgen import _well_conditioned_with_inverse, random_forward
 from .reconstruct import reconstruct
 from .spectral import (
@@ -127,8 +129,10 @@ def _make_commute(generator: Generator):
 def _prop_conjugation_invariance(drawn, rebuilt, seed):
     rng = random.Random((seed << 16) ^ 0x5BD1)
     g, g_inv = _well_conditioned_with_inverse(rng)
-    pair = drawn.pair
-    conjugated = MatrixPair(g @ pair.a @ g_inv, g @ pair.b @ g_inv)
+    # g M g^-1 for M = A, B, each built as one Mat3
+    conjugated = MatrixPair(*(
+        Mat3(kernels.matmul3(kernels.matmul3(g, m.entries), g_inv))
+        for m in drawn.pair))
     return spectral_residuals(drawn.sd, spectral_data(conjugated))
 
 

@@ -199,6 +199,16 @@ def test_verify_rejects_bad_seed_count(capsys):
     assert code == 2
 
 
+def test_verify_rejects_a_negative_base_seed(capsys, monkeypatch):
+    """Seeds n and -n draw the same pair, so a negative base would report
+    a positive seed's pair under another number; nothing runs."""
+    monkeypatch.setattr(cli_module, "run_suite", None)
+    code, out, err = run(capsys, "verify", "--seeds", "1",
+                         "--base-seed", "-7")
+    assert code == 2 and out == ""
+    assert strict_loads(err)["error"]["code"] == "schema"
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "0"])
 def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(
         tolerance, capsys, monkeypatch):

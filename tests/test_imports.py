@@ -57,7 +57,7 @@ def test_package_has_no_unused_imports():
 #: workloads, the README's Library example, and conveniences the tests use
 OUTSIDE_CALLERS = {
     "verify_commutation", "well_conditioned_matrix", "generation_attempts",
-    "Mat3.from_rows", "Mat3.scaled",
+    "Mat3.from_rows", "Mat3.scaled", "Mat3.norm",
     "CubicPoly.from_roots", "GeneralPositionReport.failing",
 }
 

@@ -34,6 +34,9 @@ from oracles import (
     matvec3_by_subscripts,
 )
 
+#: not diagonal, so ``eig3`` takes its general path, with spectrum 1, 2, 3
+TRIANGULAR_123 = Mat3.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
 
@@ -328,8 +331,30 @@ def test_eig_finds_each_vector_from_its_kernel(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "kernel_vector", counting_kernel_vector)
-    eig3(Mat3.diagonal(1, 2, 3))
+    eig3(TRIANGULAR_123)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("diagonal", [
+    (1e-100, 2e-100, 3.5e-100), (1e-120, 2e-120, 3.5e-120),
+    (3, 1 + 1j, 1 - 1j), (-0.5, 2j, -2j)])
+def test_eig_of_a_diagonal_returns_its_entries(diagonal, monkeypatch):
+    """A diagonal A's eigenvalues are its entries, to the bit, in canonical
+    order, with the unit vectors in that order; no cubic is solved and no
+    kernel sought.  Through the cubic, the 1e-100 scale read rank_not_two
+    and the 1e-120 scale repeated_eigenvalues."""
+    calls = []
+    for module, name in ((linalg, "kernel_vector"),
+                         (kernels, "solve_cubic_raw")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: calls.append(name))
+    values, vectors = eig3(Mat3.diagonal(*diagonal))
+    assert calls == []
+    entries = tuple(map(complex, diagonal))
+    assert repr(values) == repr(kernels.canonical_order(entries))
+    for h, v in zip(values, vectors):
+        i = entries.index(h)
+        assert v == tuple(1 + 0j if k == i else 0j for k in range(3))
 
 
 def test_frob3_sums_in_entry_order():
@@ -441,5 +466,5 @@ def test_eig_rejects_a_nan_eigenvalue_before_seeking_a_kernel(monkeypatch):
         values[i] = complex(math.nan, 0.0)
         monkeypatch.setattr(linalg, "solve_cubic", lambda p: tuple(values))
         with pytest.raises(RepeatedEigenvalues):
-            eig3(Mat3.diagonal(1, 2, 3))
+            eig3(TRIANGULAR_123)
     assert kernels_sought == []

@@ -140,6 +140,15 @@ def test_round_trip_backward(seeded_pairs):
         assert max(spectral_residuals(sd, again).values()) < 1e-7
 
 
+def test_round_trip_backward_keeps_h_to_the_bit(seeded_pairs):
+    """``reconstruct`` returns diag(h) with h in canonical order, and
+    ``eig3`` reads a diagonal A's eigenvalues off its entries."""
+    for pair in seeded_pairs:
+        sd = spectral_data(pair)
+        again = spectral_data(reconstruct(sd).as_pair())
+        assert repr(again.h) == repr(sd.h)
+
+
 def test_closed_forms_agree_with_linear_solve(seeded_pairs):
     for pair in seeded_pairs:
         sd = spectral_data(pair)
