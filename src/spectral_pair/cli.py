@@ -37,7 +37,7 @@ from .gl2z import (
 )
 from .randgen import random_pair
 from .reconstruct import reconstruct
-from .spectral import general_position_report, spectral_data
+from .spectral import general_position_report, spectral_data, worst_residual
 from .verify import DEFAULT_TOLERANCE, TOLERANCE_MULTIPLIERS, run_suite
 
 EXIT_OK = 0
@@ -184,10 +184,7 @@ def _cmd_verify(args) -> int:
         if not r.passed and r.worst_seed is not None:
             line["failing_seed"] = r.worst_seed
         print(json.dumps(line))
-    # ``max`` drops a NaN that is not first, so a NaN maximum is kept apart
-    maxima = [r.max_residual for r in results]
-    overall = (math.nan if any(map(math.isnan, maxima))
-               else max(maxima, default=0.0))
+    overall = worst_residual([r.max_residual for r in results])
     print(json.dumps({"operation": "summary",
                       "status": "pass" if all_passed else "fail",
                       "max_residual": _strict(overall),
@@ -196,6 +193,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_random_pair(args) -> int:
+    # seeds n and -n draw the same pair
+    if args.seed < 0:
+        raise SchemaError("--seed must not be negative")
     pair = random_pair(args.seed)
     _write_document(jsonio.pair_to_doc(pair), args.output)
     return EXIT_OK

@@ -40,6 +40,7 @@ from .spectral import (
     spectral_data_of_normalized,
     spectral_residuals,
     validate_spectral_data,
+    worst_residual,
 )
 
 
@@ -381,4 +382,4 @@ def verify_commutation(g: Generator, pair: MatrixPair) -> CommutationReport:
     return CommutationReport(
         operation=f"commute_{g.name.lower()}",
         per_component=residuals,
-        max_residual=max(residuals.values()))
+        max_residual=worst_residual(residuals.values()))

@@ -22,6 +22,7 @@ from .linalg import (
     Vec3,
     check_nonsingular,
     check_separation,
+    nonsingular_det,
 )
 from .spectral import (
     CurveCoefficients,
@@ -30,6 +31,7 @@ from .spectral import (
     _gauge_fix,
     divisor_point,
     validate_spectral_data,
+    worst_residual,
 )
 
 
@@ -96,8 +98,12 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     u31 = (h3 * rhs1 - rhs2) / den
 
     u21_cf, u31_cf = _closed_form_lower_left(c, h, L, M)
-    ref = max(1.0, abs(u21), abs(u31))
-    mismatch = max(abs(u21 - u21_cf), abs(u31 - u31_cf)) / ref
+    # as in ``relative_difference``, a modulus that overflows reads inf
+    try:
+        mismatch = (worst_residual((abs(u21 - u21_cf), abs(u31 - u31_cf)))
+                    / max(1.0, abs(u21), abs(u31)))
+    except OverflowError:
+        mismatch = math.inf
     if not mismatch <= CLOSED_FORM_AGREEMENT:
         raise ClosedFormMismatch(
             "closed forms for (u21, u31) disagree with the linear solve",
@@ -152,12 +158,7 @@ def _relisted(sd: SpectralData) -> SpectralData:
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
     h1, h2, h3 = h
-    # det3 and frob3 of diag(h) padded with zeros: the padding adds only
-    # exact zeros to these sums, which changes at most the sign of a zero
-    # part, and ``abs`` ignores that sign
-    check_nonsingular(h1 * (h2 * h3),
-                      math.sqrt((h1 * h1.conjugate() + h2 * h2.conjugate()
-                                 + h3 * h3.conjugate()).real), "A")
+    nonsingular_det((h1, 0j, 0j, 0j, h2, 0j, 0j, 0j, h3), "A")
     c = sd.coeffs
     try:
         scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5, abs(c.d2) ** (1 / 3))

@@ -340,6 +340,15 @@ def relative_difference(x: complex, y: complex) -> float:
         return math.inf
 
 
+def worst_residual(values) -> float:
+    """The largest of a collection of residuals, 0.0 for none, and NaN if
+    any is NaN: a NaN is worse than any number, and ``max`` alone keeps a
+    NaN only when it comes first."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(values, default=0.0)
+
+
 #: the components of spectral data, flattened: h, the coefficients, (L, M)
 _SPECTRAL_KEYS = ("h1", "h2", "h3", *CurveCoefficients._fields, "L", "M")
 

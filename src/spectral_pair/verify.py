@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import compress, repeat
-from operator import gt
 
 from . import _kernels_py as kernels
 from .errors import GeneralPositionError
@@ -29,6 +27,7 @@ from .spectral import (
     relative_difference,
     spectral_data,
     spectral_residuals,
+    worst_residual,
 )
 
 DEFAULT_TOLERANCE = 1e-6
@@ -60,33 +59,16 @@ class PropertyResult:
         than any number and stays: it fails the property, its component
         reads NaN, and the first seed that gave one is ``worst_seed``."""
         self.seeds_run += 1
-        values = residuals.values()
-        if math.isnan(sum(values, self.max_residual)):
-            self._record_with_nan(seed, residuals)
-            return
-        worst = max(values) if residuals else 0.0
-        if worst >= self.max_residual:
-            self.max_residual = worst
-            self.worst_seed = seed
-        # the components whose residual exceeds their maximum so far
-        self.per_component.update(compress(residuals.items(), map(
-            gt, values, map(self.per_component.get, residuals, repeat(0.0)))))
-
-    def _record_with_nan(self, seed: int, residuals: dict[str, float]) -> None:
-        """``record`` one component at a time, for residuals that sum to
-        NaN with the maximum so far: ``max`` keeps a NaN only when it comes
-        first, and ``>`` never takes one."""
-        worst = max(residuals.values()) if residuals else 0.0
-        for k, v in residuals.items():
-            if math.isnan(v):
-                worst = self.per_component[k] = v
-            elif v > self.per_component.get(k, 0.0):
-                self.per_component[k] = v
+        worst = worst_residual(residuals.values())
         if math.isnan(worst):
             if not math.isnan(self.max_residual):
                 self.max_residual, self.worst_seed = worst, seed
         elif worst >= self.max_residual:
             self.max_residual, self.worst_seed = worst, seed
+        per_component = self.per_component
+        for k, v in residuals.items():
+            if v > per_component.get(k, 0.0) or math.isnan(v):
+                per_component[k] = v
 
     def skip(self, seed: int, code: str) -> None:
         self.skipped.append({"seed": seed, "code": code})

@@ -245,9 +245,12 @@ def main() -> int:
         print(json.dumps(count_workloads()))
         return 0
     columns = {}
-    doc = {"sha": git("rev-parse", "HEAD"),
-           "uncommitted_changes": bool(git("status", "--porcelain",
-                                           "--untracked-files=no"))}
+    doc = {}
+    # a plain count needs no repository, so it runs in an exported tree
+    if args.write or args.against:
+        doc["sha"] = git("rev-parse", "HEAD")
+        doc["uncommitted_changes"] = bool(git("status", "--porcelain",
+                                              "--untracked-files=no"))
     if args.against:
         doc["against"] = git("rev-parse", "--verify",
                              f"{args.against}^{{commit}}")

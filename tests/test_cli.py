@@ -255,6 +255,15 @@ def test_random_pair_deterministic(capsys):
     assert out3 != out1
 
 
+def test_random_pair_rejects_a_negative_seed(capsys, monkeypatch):
+    """Seeds n and -n draw the same pair, so ``--seed -7`` would print
+    seed 7's pair under another number; nothing is drawn."""
+    monkeypatch.setattr(cli_module, "random_pair", None)
+    code, out, err = run(capsys, "random-pair", "--seed", "-7")
+    assert code == 2 and out == ""
+    assert strict_loads(err)["error"]["code"] == "schema"
+
+
 def test_random_pair_passes_checks(capsys):
     for seed in (0, 1, 2):
         code, out, _ = run(capsys, "random-pair", "--seed", str(seed))

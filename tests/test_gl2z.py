@@ -270,6 +270,18 @@ def test_commutation_report_conjugation_invariant(seeded_pairs):
         assert diff < 1e-7
 
 
+@pytest.mark.parametrize("component", ["h2", "t", "L", "M"])
+def test_a_nan_residual_is_the_commutation_maximum(component, monkeypatch):
+    """A NaN residual in any component but the first is the report's
+    maximum, as it is in the first (``max`` would drop it)."""
+    def with_nan(lhs, rhs):
+        return {**spectral_residuals(lhs, rhs), component: math.nan}
+    monkeypatch.setattr(gl2z_module, "spectral_residuals", with_nan)
+    report = verify_commutation(Generator.SWAP, random_pair(0))
+    assert math.isnan(report.per_component[component])
+    assert math.isnan(report.max_residual)
+
+
 def test_commutation_degenerate_pair_raises():
     degenerate = MatrixPair(Mat3.diagonal(1, 2, 3), Mat3.identity())
     with pytest.raises(GeneralPositionError):

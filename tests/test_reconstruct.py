@@ -7,6 +7,7 @@ import pytest
 
 import spectral_pair.spectral
 from spectral_pair import (
+    ClosedFormMismatch,
     CubicPoly,
     CurveCoefficients,
     DivisorPoint,
@@ -158,6 +159,32 @@ def test_closed_forms_agree_with_linear_solve(seeded_pairs):
         ref = max(1.0, abs(npair.u[1, 0]), abs(npair.u[2, 0]))
         assert abs(npair.u[1, 0] - u21_cf) / ref < 1e-7
         assert abs(npair.u[2, 0] - u31_cf) / ref < 1e-7
+
+
+def test_a_nan_closed_form_fails_the_agreement_test(monkeypatch):
+    """A NaN difference in u31 fails the test although u21 agrees:
+    ``max`` would keep the finite difference and pass it."""
+    module = sys.modules["spectral_pair.reconstruct"]
+    closed_form = module._closed_form_lower_left
+
+    def nan_u31(*args):
+        return closed_form(*args)[0], complex(math.nan, 0.0)
+    monkeypatch.setattr(module, "_closed_form_lower_left", nan_u31)
+    with pytest.raises(ClosedFormMismatch) as info:
+        reconstruct(spectral_data(random_pair(2)))
+    assert math.isnan(info.value.detail["mismatch"])
+
+
+@pytest.mark.parametrize("seed, name, value", [
+    (4, "q_minus", 8e307), (18, "r_minus", 8e307), (5, "r_minus", 1.7e308)])
+def test_an_overflowing_modulus_fails_the_agreement_test(seed, name, value):
+    """Data that fails ``validate_spectral_data`` can overflow the
+    agreement test's moduli; as in ``relative_difference`` they read inf,
+    and the test fails with its coded error instead of ``OverflowError``."""
+    sd = spectral_data(random_pair(seed))
+    with pytest.raises(ClosedFormMismatch) as info:
+        reconstruct(sd._replace(coeffs=sd.coeffs._replace(**{name: value})))
+    assert info.value.detail["mismatch"] == math.inf
 
 
 def test_reconstruct_rejects_nearly_equal_h2_h3():

@@ -738,3 +738,14 @@ def test_spectral_residuals_read_an_overflowing_modulus_as_inf():
     x, y = 3 + 4j, 1e300 - 2j
     assert spectral_module.relative_difference(x, y) \
         == abs(x - y) / max(1.0, abs(x), abs(y))
+
+
+@pytest.mark.parametrize("values, want", [
+    ((), "0.0"), ((1e-9,), "1e-09"), ((0.0, 2e-9, 1e-9), "2e-09"),
+    ((0.0, math.inf), "inf"), ((math.nan, 1e-9), "nan"),
+    ((1e-9, math.nan), "nan"), ((math.inf, 0.0, math.nan), "nan")])
+def test_worst_residual_keeps_a_nan_wherever_it_stands(values, want):
+    """``max`` keeps a NaN only when it comes first; the worst residual
+    is NaN when any residual is."""
+    assert repr(spectral_module.worst_residual(values)) == want
+    assert repr(spectral_module.worst_residual(list(values))) == want
