@@ -190,11 +190,15 @@ def kernel_vector3(m):
     x1, y1, z1 = f * g - d * i, a * i - c * g, c * d - a * f
     x2, y2, z2 = d * h - e * g, b * g - a * h, a * e - b * d
     # the first row against the adjugate's first column: |det M| to the
-    # bit (only the sign of a zero can differ from det3)
-    dm = abs(a * x0 + b * x1 + c * x2) / (norm * norm * norm)
-    # ``max`` takes a later value only when it is greater, so it skips a
-    # NaN as a running ``>`` does
-    max_minor = max(0.0, *map(abs, (x0, y0, z0, x1, y1, z1, x2, y2, z2)))
+    # bit (only the sign of a zero can differ from det3).  ``max`` takes a
+    # later value only when it is greater, so it skips a NaN as a running
+    # ``>`` does.  A modulus that overflows reads inf.
+    try:
+        dm = abs(a * x0 + b * x1 + c * x2) / (norm * norm * norm)
+        max_minor = max(0.0, *map(abs, (x0, y0, z0, x1, y1, z1, x2, y2, z2)))
+    except OverflowError:
+        dm = modulus(a * x0 + b * x1 + c * x2) / (norm * norm * norm)
+        max_minor = max(0.0, *map(modulus, (x0, y0, z0, x1, y1, z1, x2, y2, z2)))
     mm = max_minor / (norm * norm)
 
     # ``float ** 2`` raises OverflowError where ``x * x`` gives inf; an

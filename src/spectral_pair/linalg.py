@@ -233,6 +233,16 @@ def nonsingular_det(entries: tuple[complex, ...],
     return d
 
 
+def check_nonsingular_diagonal(h: Vec3, which: str | None = None) -> None:
+    """``nonsingular_det`` of diag(h) from its three entries: the
+    determinant h1 (h2 h3) and |diag(h)| with the squares summed in
+    ``frob3``'s order are the padded matrix's, up to the sign of a zero."""
+    h1, h2, h3 = h
+    check_nonsingular(h1 * (h2 * h3), math.sqrt(
+        (h1 * h1.conjugate() + h2 * h2.conjugate() + h3 * h3.conjugate()).real),
+        which)
+
+
 def inv3(m: Mat3) -> Mat3:
     d = nonsingular_det(m.entries)
     # d.__rtruediv__(z) is the C division z / d

@@ -21,8 +21,8 @@ from .linalg import (
     Mat3,
     Vec3,
     check_nonsingular,
+    check_nonsingular_diagonal,
     check_separation,
-    nonsingular_det,
 )
 from .spectral import (
     CurveCoefficients,
@@ -157,8 +157,7 @@ def _relisted(sd: SpectralData) -> SpectralData:
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
-    h1, h2, h3 = h
-    nonsingular_det((h1, 0j, 0j, 0j, h2, 0j, 0j, 0j, h3), "A")
+    check_nonsingular_diagonal(h, "A")
     c = sd.coeffs
     try:
         scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5, abs(c.d2) ** (1 / 3))

@@ -129,6 +129,7 @@ _CHECKS = {
     "divisor_on_curve": (0.0, ON_CURVE),
     "axis_point_separation": (MARGIN_AXIS_POINT_SEPARATION, None),
 }
+_CHECK_NAMES = tuple(_CHECKS)
 
 
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
@@ -457,9 +458,15 @@ def forward(pair: MatrixPair) -> Forward:
     general-position check; never raises a GeneralPositionError.
 
     The stages and their hard checks are ``spectral_data``'s.  A failed
-    determinant check does not stop the later stages; a stage that raises
-    leaves the checks that depend on it failed with the error code, or with
-    "unavailable", as their note.
+    determinant check does not stop the later stages.  A stage that raises
+    fails the first check not yet recorded, with the error code as its note
+    and the ``ratio`` of its detail, if any, as its margin; the checks after
+    it are "unavailable".  After a failed determinant check, an overflow or
+    a non-finite entry in a later stage (an ``ArithmeticError`` or
+    ``ValueError`` with no code) counts as that determinant error, the one
+    ``spectral_data`` raises first; without one, it propagates.  ``eig3``'s
+    error also fails the gauge check, and a degenerate divisor keeps its
+    ratio with no note and fails the on-curve check.
     """
     checks: list[PositionCheck] = []
     errors: list[GeneralPositionError] = []
@@ -470,7 +477,7 @@ def forward(pair: MatrixPair) -> Forward:
                                     margin, threshold, note))
 
     def done(np=None, sd=None, eigen=None) -> Forward:
-        for name in list(_CHECKS)[len(checks):]:
+        for name in _CHECK_NAMES[len(checks):]:
             add(name, None, "unavailable")
         report = GeneralPositionReport(tuple(checks))
         if errors:
@@ -498,32 +505,22 @@ def forward(pair: MatrixPair) -> Forward:
     sep, scale = separation(values)
     add("eigenvalue_separation", sep / scale)
     try:
-        u0 = _in_eigenbasis(pair.b, vectors)
-    except GeneralPositionError as exc:
-        return fail(exc, "gauge_entries")
-    except ValueError:
-        # U0 overflows only for a B that failed determinant_b: V^-1 is
-        # bounded by the test of det V, and a B that passes has |B|
-        # below 1e103.  That SingularMatrix is the error recorded.
-        add("gauge_entries", None, SingularMatrix.code)
-        return done()
-    try:
-        np, ratio = _gauge_fix(values, u0)
-    except GaugeDegenerate as exc:
-        add("gauge_entries", exc.detail["ratio"], exc.code)
-        return fail(exc)
-    add("gauge_entries", ratio)
-    try:
+        np, ratio = _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
+        add("gauge_entries", ratio)
         divisor, ratio = _divisor_point(np)
+        add("divisor_denominator", ratio)
+        sd, residual = _validated(
+            SpectralData(np.h, curve_coefficients(np), divisor))
     except DegenerateDivisor as exc:
         add("divisor_denominator", exc.detail["ratio"])
         return fail(exc, "divisor_on_curve")
-    add("divisor_denominator", ratio)
-    try:
-        sd, residual = _validated(
-            SpectralData(np.h, curve_coefficients(np), divisor))
-    except InvariantViolation as exc:
-        return fail(exc, "divisor_on_curve")
+    except (GeneralPositionError, ArithmeticError, ValueError) as exc:
+        if not isinstance(exc, GeneralPositionError):
+            if not errors:
+                raise
+            exc = errors[0]
+        add(_CHECK_NAMES[len(checks)], exc.detail.get("ratio"), exc.code)
+        return fail(exc)
     add("divisor_on_curve", _CHECKS["divisor_on_curve"][1] - residual)
 
     c = sd.coeffs
@@ -542,8 +539,9 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
     GeneralPositionError.
 
     Each of the seven checks appears once, in ``forward``'s order of
-    stages.  Checks that depend on a stage that raised fail with no margin
-    and the error code, or "unavailable", as their note.  The determinant
-    checks only report: a singular A or B does not stop the later checks.
+    stages.  A stage that raises fails its check with the error code as its
+    note, and the checks after it are "unavailable" (``forward`` gives the
+    rule).  The determinant checks only report: a singular A or B does not
+    stop the later checks.
     """
     return forward(pair).report

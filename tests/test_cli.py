@@ -300,6 +300,25 @@ def test_check_tiny_matrix_prints_report(which, scale, tmp_path, capsys):
     assert len(json.loads(out)["checks"]) == 7
 
 
+def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
+    # B's (1,2) and (1,3) entries have finite parts and moduli above
+    # 1.8e308: B fails its determinant check, and the gauge fix's |u12|
+    # overflows, which fails the gauge check with the determinant's code
+    z = 1.5e308 * (1 + 1j)
+    pair = spectral_pair.MatrixPair(
+        spectral_pair.Mat3.diagonal(1, 2, 3.5),
+        spectral_pair.Mat3((1, z, z, 0.5, 2, 1, 1j, 3, 1)))
+    path = tmp_path / "huge_gauge_entries.json"
+    path.write_text(jsonio.dumps(jsonio.pair_to_doc(pair)))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 3
+    checks = strict_loads(out)["checks"]
+    assert len(checks) == 7
+    assert [c["name"] for c in checks if not c["passed"]][:2] \
+        == ["determinant_b", "gauge_entries"]
+    assert checks[3]["note"] == "singular_matrix"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(("spectral",), id="spectral"),
     pytest.param(("act", "--side", "matrix", "--word", "I"), id="act-matrix"),

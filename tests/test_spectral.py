@@ -15,6 +15,7 @@ from spectral_pair import (
     NormalizedPair,
     DegenerateDivisor,
     SingularMatrix,
+    SpectralPairError,
     act_spectral,
     canonical_form,
     curve_coefficients,
@@ -29,6 +30,7 @@ from spectral_pair import (
     spectral_data,
     spectral_residuals,
     validate_spectral_data,
+    verify_commutation,
     well_conditioned_matrix,
 )
 
@@ -403,6 +405,66 @@ def test_report_lists_every_check_when_the_eigenbasis_matrix_overflows(k):
     assert None not in [c.margin for c in checks[:3]]
     assert [(c.passed, c.margin) for c in checks[3:]] == [(False, None)] * 4
     assert checks[3].note == "singular_matrix"
+
+
+# an overflowing off-diagonal entry makes the diagonal A triangular: its
+# eigenvalues pass the leading-coefficient test, and the adjugates of its
+# eigen-shifts hold entries whose moduli overflow
+@pytest.mark.parametrize("base", [
+    random_pair(0), MatrixPair(Mat3.diagonal(1, 2, 3.5), random_pair(0).b)],
+    ids=["seed-0", "diagonal-a"])
+@pytest.mark.parametrize("value", [1.5e308 * (1 + 1j), complex(-1.5e308, 1.5e308)],
+                         ids=["plus", "minus"])
+def test_an_entry_whose_modulus_overflows_ends_in_a_coded_outcome(base, value):
+    """Each of the 18 entries set in turn to a value whose parts are finite
+    but whose modulus overflows: the pair fails a determinant check, and
+    every stage after it returns or raises a coded error, the report's
+    continuation and ``eig3``'s kernels included."""
+    calls = {
+        "report": general_position_report,
+        "spectral_data": spectral_data,
+        "normalize_pair": normalize_pair,
+        "eig3": lambda pair: eig3(pair.a),
+        "verify_commutation": lambda pair: verify_commutation(Generator.SWAP, pair),
+    }
+    uncoded = []
+    for k in range(18):
+        entries = [*base.a.entries, *base.b.entries]
+        entries[k] = value
+        pair = MatrixPair(Mat3(tuple(entries[:9])), Mat3(tuple(entries[9:])))
+        for name, call in calls.items():
+            try:
+                call(pair)
+            except SpectralPairError:
+                pass
+            except Exception as exc:
+                uncoded.append((k, name, type(exc).__name__))
+    assert uncoded == []
+
+
+def test_the_report_fails_an_overflowing_stage_with_the_determinant_error():
+    """After a failed determinant check, a stage that overflows without a
+    code of its own fails its check with the determinant error: the gauge
+    fix's |u12| for a B with one huge entry, and ``eig3``'s kernel, which
+    reads the overflowing modulus as inf and rejects the rank, for an A."""
+    z = 1.5e308 * (1 + 1j)
+    huge_b = MatrixPair(Mat3.diagonal(1, 2, 3.5),
+                        Mat3((1, z, z, 0.5, 2, 1, 1j, 3, 1)))
+    huge_a = MatrixPair(Mat3((1, 0, z, 0, 2, 0, 0, 0, 3.5)), random_pair(0).b)
+    for pair, failed, notes in [
+            (huge_b, "determinant_b", ["", "singular_matrix"]),
+            (huge_a, "determinant_a", ["rank_not_two", "rank_not_two"])]:
+        drawn = spectral_module.forward(pair)
+        with pytest.raises(SingularMatrix) as raised:
+            spectral_data(pair)
+        # repr, so that a NaN determinant compares equal
+        assert (drawn.error.code, repr(drawn.error.detail)) \
+            == ("singular_matrix", repr(raised.value.detail))
+        checks = drawn.report.checks
+        assert [c.name for c in checks if not c.passed][0] == failed
+        assert [c.note for c in checks[2:4]] == notes
+        assert checks[3].margin is None
+        assert [c.note for c in checks[4:]] == ["unavailable"] * 3
 
 
 def test_forward_records_an_error_of_the_change_of_basis(fixture_pair,
