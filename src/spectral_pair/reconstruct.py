@@ -97,9 +97,11 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     u21 = (rhs2 - h2 * rhs1) / den
     u31 = (h3 * rhs1 - rhs2) / den
 
-    u21_cf, u31_cf = _closed_form_lower_left(c, h, L, M)
-    # as in ``relative_difference``, a modulus that overflows reads inf
+    # as in ``relative_difference``, a modulus that overflows reads inf, and
+    # so does a closed form that overflows, whose values are then None
+    closed = None
     try:
+        closed = u21_cf, u31_cf = _closed_form_lower_left(c, h, L, M)
         mismatch = (worst_residual((abs(u21 - u21_cf), abs(u31 - u31_cf)))
                     / max(1.0, abs(u21), abs(u31)))
     except OverflowError:
@@ -107,8 +109,7 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     if not mismatch <= CLOSED_FORM_AGREEMENT:
         raise ClosedFormMismatch(
             "closed forms for (u21, u31) disagree with the linear solve",
-            mismatch=mismatch,
-            linear=(u21, u31), closed=(u21_cf, u31_cf))
+            mismatch=mismatch, linear=(u21, u31), closed=closed)
 
     u = Mat3((u11, 1.0, 1.0,
               u21, u22, u23,

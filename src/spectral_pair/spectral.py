@@ -464,9 +464,7 @@ def forward(pair: MatrixPair) -> Forward:
     it are "unavailable".  After a failed determinant check, an overflow or
     a non-finite entry in a later stage (an ``ArithmeticError`` or
     ``ValueError`` with no code) counts as that determinant error, the one
-    ``spectral_data`` raises first; without one, it propagates.  ``eig3``'s
-    error also fails the gauge check, and a degenerate divisor keeps its
-    ratio with no note and fails the on-curve check.
+    ``spectral_data`` raises first; without one, it propagates.
     """
     checks: list[PositionCheck] = []
     errors: list[GeneralPositionError] = []
@@ -484,12 +482,6 @@ def forward(pair: MatrixPair) -> Forward:
             return Forward(pair, report, None, None, errors[0])
         return Forward(pair, report, np, sd, None, eigen)
 
-    def fail(exc, *names) -> Forward:
-        errors.append(exc)
-        for name in names:
-            add(name, None, exc.code)
-        return done()
-
     for name, m in (("A", pair.a), ("B", pair.b)):
         try:
             nonsingular_det(m.entries, name)
@@ -498,29 +490,24 @@ def forward(pair: MatrixPair) -> Forward:
         add("determinant_" + name.lower(), _determinant_margin(m.entries))
 
     try:
-        eigen = eig3(pair.a)
-    except GeneralPositionError as exc:
-        return fail(exc, "eigenvalue_separation", "gauge_entries")
-    values, vectors = eigen
-    sep, scale = separation(values)
-    add("eigenvalue_separation", sep / scale)
-    try:
+        eigen = values, vectors = eig3(pair.a)
+        sep, scale = separation(values)
+        add("eigenvalue_separation", sep / scale)
         np, ratio = _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
         add("gauge_entries", ratio)
         divisor, ratio = _divisor_point(np)
         add("divisor_denominator", ratio)
         sd, residual = _validated(
             SpectralData(np.h, curve_coefficients(np), divisor))
-    except DegenerateDivisor as exc:
-        add("divisor_denominator", exc.detail["ratio"])
-        return fail(exc, "divisor_on_curve")
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
-        if not isinstance(exc, GeneralPositionError):
-            if not errors:
-                raise
+        if isinstance(exc, GeneralPositionError):
+            errors.append(exc)
+        elif errors:
             exc = errors[0]
+        else:
+            raise
         add(_CHECK_NAMES[len(checks)], exc.detail.get("ratio"), exc.code)
-        return fail(exc)
+        return done()
     add("divisor_on_curve", _CHECKS["divisor_on_curve"][1] - residual)
 
     c = sd.coeffs

@@ -16,6 +16,7 @@ from fractions import Fraction
 from spectral_pair import (
     CoincidentPoints,
     CubicPoly,
+    DegenerateDivisor,
     DegenerateLeadingCoefficient,
     GaugeDegenerate,
     GeneralPositionError,
@@ -545,7 +546,10 @@ def report_by_stages(pair) -> GeneralPositionReport:
     forward-map stages, each margin computed where its stage completes and
     each pair of axis points measured with ``projective_distance``; the
     single forward pass behind ``general_position_report`` must give the
-    same checks."""
+    same checks.  A stage that raises fails its own check, with the error
+    code as its note, and every later check reads "unavailable": ``eig3``'s
+    error fails the separation check, and a degenerate divisor fails the
+    denominator check, which keeps its margin."""
     checks = []
 
     def add(name, margin, threshold, note=""):
@@ -562,7 +566,7 @@ def report_by_stages(pair) -> GeneralPositionReport:
         values, vectors = eig3(pair.a)
     except GeneralPositionError as exc:
         add("eigenvalue_separation", None, MARGIN_EIGENVALUE_SEPARATION, exc.code)
-        add("gauge_entries", None, MARGIN_GAUGE, exc.code)
+        add("gauge_entries", None, MARGIN_GAUGE, "unavailable")
     else:
         sep, scale = separation(values)
         add("eigenvalue_separation", sep / scale, MARGIN_EIGENVALUE_SEPARATION)
@@ -590,17 +594,22 @@ def report_by_stages(pair) -> GeneralPositionReport:
     u = np.u
     denominator = abs(u[0, 1] * u[0, 2] * (np.h[2] - np.h[1]))
     scale = max(1.0, *(abs(h) for h in np.h)) * max(1.0, u.norm()) ** 2
-    add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR)
-
     try:
         sd = spectral_data_of_normalized(np)
-        add("divisor_on_curve",
-            ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0),
-            0.0)
+    except DegenerateDivisor as exc:
+        add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR,
+            exc.code)
+        add("divisor_on_curve", None, 0.0, "unavailable")
+        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
+        return GeneralPositionReport(tuple(checks))
     except GeneralPositionError as exc:
+        add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR)
         add("divisor_on_curve", None, 0.0, exc.code)
         add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
         return GeneralPositionReport(tuple(checks))
+    add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR)
+    add("divisor_on_curve",
+        ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0), 0.0)
 
     c = sd.coeffs
     try:

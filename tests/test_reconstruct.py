@@ -176,14 +176,21 @@ def test_a_nan_closed_form_fails_the_agreement_test(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, name, value", [
-    (4, "q_minus", 8e307), (18, "r_minus", 8e307), (5, "r_minus", 1.7e308)])
+    (4, "q_minus", 8e307), (18, "r_minus", 8e307), (5, "r_minus", 1.7e308),
+    (11, "h", 1e308 + 0j)])
 def test_an_overflowing_modulus_fails_the_agreement_test(seed, name, value):
     """Data that fails ``validate_spectral_data`` can overflow the
-    agreement test's moduli; as in ``relative_difference`` they read inf,
-    and the test fails with its coded error instead of ``OverflowError``."""
+    agreement test's moduli, or the closed forms themselves, at
+    (h1 - h2) ** 2 for h1 = -h2 = ``value``; as in ``relative_difference``
+    they read inf, and the test fails with its coded error instead of
+    ``OverflowError``."""
     sd = spectral_data(random_pair(seed))
+    if name == "h":
+        sd = sd._replace(h=(value, -value, sd.h[2]))
+    else:
+        sd = sd._replace(coeffs=sd.coeffs._replace(**{name: value}))
     with pytest.raises(ClosedFormMismatch) as info:
-        reconstruct(sd._replace(coeffs=sd.coeffs._replace(**{name: value})))
+        reconstruct(sd)
     assert info.value.detail["mismatch"] == math.inf
 
 

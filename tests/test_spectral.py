@@ -262,7 +262,8 @@ def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
                                     abs_tol=0.0), g.name
     checks = report_by_stages(DEGENERATE_PAIRS["divisor"]).checks
     assert [c.name for c in checks] == CHECK_NAMES
-    assert [c.note for c in checks[-2:]] == ["degenerate_divisor", "unavailable"]
+    assert [c.note for c in checks[-3:]] == ["degenerate_divisor", "unavailable",
+                                             "unavailable"]
 
 
 def test_axis_point_separation_matches_nine_point_oracle(seeded_pairs,
@@ -453,7 +454,7 @@ def test_the_report_fails_an_overflowing_stage_with_the_determinant_error():
     huge_a = MatrixPair(Mat3((1, 0, z, 0, 2, 0, 0, 0, 3.5)), random_pair(0).b)
     for pair, failed, notes in [
             (huge_b, "determinant_b", ["", "singular_matrix"]),
-            (huge_a, "determinant_a", ["rank_not_two", "rank_not_two"])]:
+            (huge_a, "determinant_a", ["rank_not_two", "unavailable"])]:
         drawn = spectral_module.forward(pair)
         with pytest.raises(SingularMatrix) as raised:
             spectral_data(pair)
@@ -489,6 +490,31 @@ def test_forward_records_an_error_of_the_change_of_basis(fixture_pair,
     assert (drawn.error.code, drawn.error.detail) == (
         "singular_matrix", info.value.detail)
     assert (drawn.np, drawn.sd, drawn.eigen) == (None, None, None)
+
+
+def test_an_uncoded_error_of_eig3_counts_as_the_determinant_error(
+        fixture_pair, monkeypatch):
+    """After a failed determinant check, an overflow in ``eig3`` fails the
+    separation check with the determinant error, as in the later stages,
+    and the checks after it are unavailable; with no failed determinant
+    check, it propagates."""
+    def overflowing(a):
+        raise OverflowError("forced")
+
+    monkeypatch.setattr(spectral_module, "eig3", overflowing)
+    pair = DEGENERATE_PAIRS["singular_b"]
+    drawn = spectral_module.forward(pair)
+    checks = drawn.report.checks
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert [c.passed for c in checks[:2]] == [True, False]
+    assert [(c.passed, c.margin, c.note) for c in checks[2:]] == [
+        (False, None, "singular_matrix")] + [(False, None, "unavailable")] * 4
+    with pytest.raises(SingularMatrix) as info:
+        spectral_data(pair)
+    assert (drawn.error.code, drawn.error.detail) == (
+        "singular_matrix", info.value.detail)
+    with pytest.raises(OverflowError):
+        spectral_module.forward(fixture_pair)
 
 
 def test_forward_records_a_divisor_point_off_the_curve(fixture_pair,
