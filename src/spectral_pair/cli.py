@@ -19,26 +19,13 @@ import json
 import math
 import sys
 
-from . import jsonio
-from ._kernels_py import BACKEND
+# Each command imports the modules it runs when it runs, so a cold start
+# compiles only those: `spectral` needs neither `gl2z` nor `verify`.
 from .errors import (
     DeterminantNotUnit,
     SchemaError,
     SpectralPairError,
 )
-from .gl2z import (
-    GL2ZMatrix,
-    act_word_on_pair,
-    act_word_spectral,
-    decompose_gl2z,
-    matrix_of_word,
-    parse_word,
-    word_to_str,
-)
-from .randgen import random_pair
-from .reconstruct import reconstruct
-from .spectral import general_position_report, spectral_data, worst_residual
-from .verify import DEFAULT_TOLERANCE, TOLERANCE_MULTIPLIERS, run_suite
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -72,6 +59,7 @@ def _fail(code: int, error_code: str, message: str, **detail) -> int:
 
 
 def _read_document(path: str):
+    from . import jsonio
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -88,6 +76,7 @@ class _IOFailure(Exception):
 
 
 def _write_document(doc, path: str | None) -> None:
+    from . import jsonio
     text = jsonio.dumps(doc)
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -99,7 +88,8 @@ def _write_document(doc, path: str | None) -> None:
             raise _IOFailure(str(exc)) from exc
 
 
-def _parse_gl2z(text: str) -> GL2ZMatrix:
+def _parse_gl2z(text: str):
+    from .gl2z import GL2ZMatrix
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise SchemaError("--matrix expects four comma-separated integers")
@@ -114,6 +104,8 @@ def _parse_gl2z(text: str) -> GL2ZMatrix:
 
 
 def _cmd_spectral(args) -> int:
+    from . import jsonio
+    from .spectral import spectral_data
     pair = jsonio.doc_to_pair(_read_document(args.input))
     sd = spectral_data(pair)
     _write_document(jsonio.spectral_to_doc(sd), args.output)
@@ -121,6 +113,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import jsonio
+    from .reconstruct import reconstruct
     sd = jsonio.doc_to_spectral(_read_document(args.input))
     np = reconstruct(sd)
     _write_document(jsonio.normalized_to_pair_doc(np), args.output)
@@ -128,6 +122,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_act(args) -> int:
+    from . import jsonio
+    from .gl2z import (act_word_on_pair, act_word_spectral, decompose_gl2z,
+                       parse_word, word_to_str)
     if args.word is not None:
         try:
             word = parse_word(args.word)
@@ -152,6 +149,10 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from ._kernels_py import BACKEND
+    from .spectral import worst_residual
+    from .tolerances import TOLERANCE_MULTIPLIERS
+    from .verify import run_suite
     if args.seeds < 1:
         raise SchemaError("--seeds must be at least 1")
     # seeds n and -n draw the same pair
@@ -193,6 +194,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_random_pair(args) -> int:
+    from . import jsonio
+    from .randgen import random_pair
     # seeds n and -n draw the same pair
     if args.seed < 0:
         raise SchemaError("--seed must not be negative")
@@ -202,6 +205,7 @@ def _cmd_random_pair(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .gl2z import decompose_gl2z, matrix_of_word, word_to_str
     matrix = _parse_gl2z(args.matrix)
     word = decompose_gl2z(matrix)
     recomposed = matrix_of_word(word)
@@ -215,6 +219,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import jsonio
+    from .spectral import general_position_report
     pair = jsonio.doc_to_pair(_read_document(args.input))
     report = general_position_report(pair)
     doc = {"passed": report.passed,
@@ -227,6 +233,7 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .tolerances import DEFAULT_TOLERANCE
     parser = argparse.ArgumentParser(
         prog="spectral-pair",
         description="Spectral data of 3x3 matrix pairs and the GL(2,Z) action")

@@ -29,12 +29,7 @@ from .spectral import (
     spectral_residuals,
     worst_residual,
 )
-
-DEFAULT_TOLERANCE = 1e-6
-
-#: per-property slack multipliers on the base tolerance; a word chains up
-#: to six generator formulas, with nothing re-derived between steps.
-TOLERANCE_MULTIPLIERS = {"word_consistency": 10.0}
+from .tolerances import DEFAULT_TOLERANCE, TOLERANCE_MULTIPLIERS
 
 
 class PropertyResult:

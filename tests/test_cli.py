@@ -202,7 +202,7 @@ def test_verify_rejects_bad_seed_count(capsys):
 def test_verify_rejects_a_negative_base_seed(capsys, monkeypatch):
     """Seeds n and -n draw the same pair, so a negative base would report
     a positive seed's pair under another number; nothing runs."""
-    monkeypatch.setattr(cli_module, "run_suite", None)
+    monkeypatch.setattr("spectral_pair.verify.run_suite", None)
     code, out, err = run(capsys, "verify", "--seeds", "1",
                          "--base-seed", "-7")
     assert code == 2 and out == ""
@@ -215,7 +215,7 @@ def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(
     """A NaN tolerance would fail every property, and a negative one every
     property with a residual; both are malformed input, as ``--seeds 0``
     is, and nothing runs."""
-    monkeypatch.setattr(cli_module, "run_suite", None)
+    monkeypatch.setattr("spectral_pair.verify.run_suite", None)
     code, out, err = run(capsys, "verify", "--seeds", "1",
                          "--tolerance", tolerance)
     assert code == 2 and out == ""
@@ -231,7 +231,7 @@ def test_verify_rejects_a_tolerance_whose_multiple_overflows(capsys,
     assert code == 0 and err == ""
     assert all(line["tolerance"] in (1e306, 1e307)
                for line in map(strict_loads, out.splitlines()[:-1]))
-    monkeypatch.setattr(cli_module, "run_suite", None)
+    monkeypatch.setattr("spectral_pair.verify.run_suite", None)
     code, out, err = run(capsys, "verify", "--seeds", "1",
                          "--tolerance", "1e308")
     assert code == 2 and out == ""
@@ -258,7 +258,7 @@ def test_random_pair_deterministic(capsys):
 def test_random_pair_rejects_a_negative_seed(capsys, monkeypatch):
     """Seeds n and -n draw the same pair, so ``--seed -7`` would print
     seed 7's pair under another number; nothing is drawn."""
-    monkeypatch.setattr(cli_module, "random_pair", None)
+    monkeypatch.setattr("spectral_pair.randgen.random_pair", None)
     code, out, err = run(capsys, "random-pair", "--seed", "-7")
     assert code == 2 and out == ""
     assert strict_loads(err)["error"]["code"] == "schema"
@@ -384,7 +384,8 @@ def test_matrix_entry_bound_is_checked_before_decomposing(command, capsys,
     def no_decomposition(m):
         raise AssertionError("decompose_gl2z was called")
 
-    monkeypatch.setattr(cli_module, "decompose_gl2z", no_decomposition)
+    monkeypatch.setattr("spectral_pair.gl2z.decompose_gl2z",
+                        no_decomposition)
     code, out, err = run(capsys, command[0], "--matrix", "1,1000000000000,0,1",
                          *command[1:])
     assert (code, out) == (2, "")
