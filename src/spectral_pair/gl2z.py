@@ -31,13 +31,10 @@ from .reconstruct import _relisted, canonical_form
 from .spectral import (
     CurveCoefficients,
     DivisorPoint,
-    Eigen,
     MatrixPair,
     SpectralData,
-    _normalized,
-    _spectral_data_in,
+    _spectral,
     spectral_data,
-    spectral_data_of_normalized,
     spectral_residuals,
     validate_spectral_data,
     worst_residual,
@@ -356,29 +353,25 @@ class CommutationReport(NamedTuple):
 
 
 def commutation_residuals(g: Generator, pair: MatrixPair, sd: SpectralData,
-                          eigen: Eigen) -> dict[str, float]:
+                          w: Vec3) -> dict[str, float]:
     """Residuals between the two routes around the square for a pair whose
-    spectral data ``sd`` and eigendecomposition of A ``eigen`` are already
+    spectral data ``sd`` and left eigenvector w of A at h1 are already
     known: generator-then-map versus map-then-generator-formula.  The
     forward map already lists the eigenvalues in the canonical order, so
     only the formula's side is relisted, by ``reconstruct._relisted``: the
     action has just validated it, so it is validated again only when h is
-    permuted.  The shear keeps A, so its
-    image is mapped forward in ``eigen`` rather than decomposing A again."""
+    permuted.  The shear keeps A, so its image is mapped forward with A's
+    h and w rather than decomposing A again."""
     lhs = _relisted(act_spectral(g, sd))
     image = act_on_pair(g, pair)
-    if g is Generator.SHEAR:
-        rhs = _spectral_data_in(eigen, image)
-    else:
-        rhs = spectral_data(image)
+    rhs = (_spectral(image, (sd.h, w))[0] if g is Generator.SHEAR
+           else spectral_data(image))
     return spectral_residuals(lhs, rhs)
 
 
 def verify_commutation(g: Generator, pair: MatrixPair) -> CommutationReport:
     """Compare the two routes around the square for one generator."""
-    np, eigen = _normalized(pair)
-    residuals = commutation_residuals(
-        g, pair, spectral_data_of_normalized(np), eigen)
+    residuals = commutation_residuals(g, pair, *_spectral(pair))
     return CommutationReport(
         operation=f"commute_{g.name.lower()}",
         per_component=residuals,

@@ -19,24 +19,24 @@ Sums and products never turn a non-finite value finite again, so a chain
 of products is checked where it ends.  One flat intermediate gets the
 ``Mat3`` test explicitly (``check_finite``), because the stage after it
 would raise a different error, or none: U0 = V^-1 B V in ``spectral``.
-Each A - hI in ``eig3`` is finite once ``check_separation`` passes: the
-leading-coefficient test bounds a finite eigenvalue by 1 + 1e12.  A
+Each A - hI in ``eigenvector`` is finite once ``check_separation`` passes:
+the leading-coefficient test bounds a finite eigenvalue by 1 + 1e12.  A
 reciprocal that a chain multiplies in is bounded by the test before it.
 
-``eig3`` of a diagonal A, whose six off-diagonal entries are exactly zero,
-solves no cubic and seeks no kernel: the eigenvalues are the diagonal
-entries in ``canonical_order`` and the eigenvectors the unit vectors in that
-order.  Once the gaps pass, A - h_i I has rank exactly 2 and the unit
-vector is its exact kernel.  The branch keeps the general path's two tests:
-the leading-coefficient test on A's characteristic polynomial
-(``_check_leading_coefficient``, which ``solve_cubic`` calls too) and
-``check_separation``.
+``eig3`` is ``eigenvalues``, then ``eigenvector`` at each; the forward map
+needs only the first half and one left eigenvector.  For a diagonal A,
+whose six off-diagonal entries are exactly zero, they solve no cubic and
+seek no kernel: the eigenvalues are the entries in ``canonical_order`` and
+the eigenvectors the unit vectors, A - h_i I's exact kernels once the gaps
+pass.  The branch keeps the leading-coefficient test on A's characteristic
+polynomial (``_check_leading_coefficient``) and ``check_separation``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _kernels_py as kernels
@@ -291,36 +291,45 @@ def check_separation(values: Vec3, error: type[GeneralPositionError],
 
 #: the unit vectors e1, e2, e3, the eigenvectors of a diagonal matrix
 _UNIT = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
+#: the flat entries of a 3x3 matrix's transpose
+_TRANSPOSE = itemgetter(0, 3, 6, 1, 4, 7, 2, 5, 8)
 
 
-def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
-    """Eigenvalues (in ``canonical_order``) and matching unit eigenvectors.
-
-    Requires pairwise separated eigenvalues; defective and near-defective
-    matrices are rejected.  The eigenvalues of a diagonal A (all six
-    off-diagonal entries exactly zero) are its entries and its eigenvectors
-    the unit vectors, after the same leading-coefficient and separation
-    tests, with no cubic solved and no kernel sought.
-    """
+def eigenvalues(a: Mat3) -> Vec3:
+    """A's eigenvalues in ``canonical_order``, after the leading-coefficient
+    and separation tests; a diagonal A's are its entries, no cubic solved."""
     e = a.entries
     c2, c1, c0 = kernels.char_poly3(e)
     p = CubicPoly(1.0, c2, c1, c0)
     if not (e[1] or e[2] or e[3] or e[5] or e[6] or e[7]):
         _check_leading_coefficient(p)
-        diagonal = (e[0], e[4], e[8])
-        values = kernels.canonical_order(diagonal)
-        check_separation(values, RepeatedEigenvalues)
-        # separated values are distinct, so each has one place
-        return values, tuple(_UNIT[diagonal.index(h)] for h in values)
-    values = solve_cubic(p)
+        values = kernels.canonical_order((e[0], e[4], e[8]))
+    else:
+        values = solve_cubic(p)
     check_separation(values, RepeatedEigenvalues)
-    vectors = []
-    for h in values:
-        # the entries of I.scaled(h), so that a - h*I keeps every bit,
-        # signed zeros included
-        on, off = h * (1 + 0j), h * 0j
-        shifted = (e[0] - on, e[1] - off, e[2] - off,
-                   e[3] - off, e[4] - on, e[5] - off,
-                   e[6] - off, e[7] - off, e[8] - on)
-        vectors.append(kernel_vector(shifted))
-    return values, tuple(vectors)
+    return values
+
+
+def eigenvector(a: Mat3, h: complex, left: bool = False) -> Vec3:
+    """Unit kernel vector of A - hI for A's separated eigenvalue h, or with
+    ``left`` of its transpose (w^T A = h w^T).  A diagonal A's is the unit
+    vector at h's place, its exact kernel, with none sought."""
+    e = a.entries
+    if not (e[1] or e[2] or e[3] or e[5] or e[6] or e[7]):
+        # separated values are distinct, so h has one place
+        return _UNIT[(e[0], e[4], e[8]).index(h)]
+    if left:
+        e = _TRANSPOSE(e)
+    # the entries of I.scaled(h), so that a - h*I keeps every bit, signed
+    # zeros included
+    on, off = h * (1 + 0j), h * 0j
+    return kernel_vector((e[0] - on, e[1] - off, e[2] - off,
+                          e[3] - off, e[4] - on, e[5] - off,
+                          e[6] - off, e[7] - off, e[8] - on))
+
+
+def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
+    """Eigenvalues (in ``canonical_order``) and matching unit eigenvectors;
+    defective and near-defective matrices are rejected."""
+    values = eigenvalues(a)
+    return values, tuple(eigenvector(a, h) for h in values)

@@ -28,8 +28,7 @@ from .spectral import (
     CurveCoefficients,
     NormalizedPair,
     SpectralData,
-    _gauge_fix,
-    divisor_point,
+    _divisor,
     validate_spectral_data,
     worst_residual,
 )
@@ -142,8 +141,9 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     ``validate_spectral_data``, since ``sd`` may come from outside.  When
     the first eigenvalue keeps its place, the divisor point passes through
     bit for bit, and nothing is reconstructed.  When it moves, the
-    reconstructed U is conjugated by the permutation and gauge-fixed, and
-    the divisor point is read off that pair.
+    reconstructed U is conjugated by the permutation, and the divisor point
+    is read off the pair (diag(h), U) by the forward map's formula, which
+    needs no gauge.
     """
     listed = _relisted(sd)
     return validate_spectral_data(sd) if listed is sd else listed
@@ -171,5 +171,5 @@ def _relisted(sd: SpectralData) -> SpectralData:
     if h[0] != sd.h[0]:
         # entries of a checked Mat3, so the permuted U needs no second check
         u = _CONJUGATED[tuple(map(sd.h.index, h))](reconstruct(sd).u.entries)
-        divisor = divisor_point(_gauge_fix(h, u)[0])
+        divisor = _divisor((h[0], 0j, 0j, 0j, h[1], 0j, 0j, 0j, h[2]), u)[0]
     return validate_spectral_data(SpectralData(h, c, divisor))

@@ -1,18 +1,19 @@
-"""Forward map: matrix pair -> normalized gauge -> curve coefficients and
-divisor point.
+"""Forward map: matrix pair -> curve coefficients and divisor point.
 
 A pair (A, B) of nondegenerate 3x3 matrices, taken up to simultaneous
 conjugation, determines a plane cubic det(lam + mu*A + nu*B) = 0 together
-with a distinguished point on it.  With A's eigenvalues ordered and B's
-matrix U in the eigenbasis gauge-fixed to u12 = u13 = 1, both become
-explicit closed forms in (h, U).
+with a distinguished point on it.  The nine coefficients are trace
+invariants of the pair (Procesi 1976), and the point depends only on A's
+left eigenvector at its first eigenvalue, so neither needs A's eigenbasis.
+The normal form (h, U), with U gauge-fixed to u12 = u13 = 1 in A's
+eigenbasis, is what ``reconstruct`` inverts.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from . import _kernels_py as kernels
@@ -38,9 +39,11 @@ from .linalg import (
     CubicPoly,
     Mat3,
     Vec3,
+    _TRANSPOSE,
+    _UNIT,
     check_finite,
-    det3,
-    eig3,
+    eigenvalues,
+    eigenvector,
     nonsingular_det,
     separation,
     solve_cubic,
@@ -53,10 +56,6 @@ class MatrixPair(NamedTuple):
 
     a: Mat3
     b: Mat3
-
-
-#: ``eig3``'s result: the eigenvalues in canonical order and their vectors
-Eigen = tuple[Vec3, tuple[Vec3, Vec3, Vec3]]
 
 
 class NormalizedPair(NamedTuple):
@@ -118,18 +117,21 @@ class SpectralData(NamedTuple):
 
 #: every check of the report, in order, with (report threshold, hard
 #: threshold): a margin passes above the first; the stage that tests the
-#: same float raises at the second, None where no stage here does.  The
-#: ``divisor_on_curve`` margin is the hard threshold minus the residual.
+#: same float raises at the second, None where no stage of ``spectral_data``
+#: does.  The ``divisor_on_curve`` margin is the hard threshold minus the residual.
 _CHECKS = {
     "determinant_a": (MARGIN_DETERMINANT, None),
     "determinant_b": (MARGIN_DETERMINANT, None),
     "eigenvalue_separation": (MARGIN_EIGENVALUE_SEPARATION, None),
-    "gauge_entries": (MARGIN_GAUGE, GAUGE),
+    "gauge_entries": (MARGIN_GAUGE, None),
     "divisor_denominator": (MARGIN_DIVISOR_DENOMINATOR, DIVISOR_DENOMINATOR),
     "divisor_on_curve": (0.0, ON_CURVE),
     "axis_point_separation": (MARGIN_AXIS_POINT_SEPARATION, None),
 }
 _CHECK_NAMES = tuple(_CHECKS)
+#: ``forward``'s order of stages: ``spectral_data``'s, then two that report
+_STAGE_ORDER = (*_CHECK_NAMES[:3], "divisor_denominator", "divisor_on_curve",
+                "gauge_entries", "axis_point_separation")
 
 
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
@@ -140,30 +142,15 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     second matrix become exactly 1; the result is then a complete invariant
     of the simultaneous-conjugation class.
     """
-    return _normalized(pair)[0]
-
-
-def _normalized(pair: MatrixPair) -> tuple[NormalizedPair, Eigen]:
-    """``normalize_pair`` with the eigendecomposition of A that it took."""
     nonsingular_det(pair.a.entries, "A")
     nonsingular_det(pair.b.entries, "B")
-    eigen = eig3(pair.a)
-    return _normalized_in(eigen, pair.b), eigen
+    return _normal_form(pair, eigenvalues(pair.a))[0]
 
 
-def _normalized_in(eigen: Eigen, b: Mat3) -> NormalizedPair:
-    """The pair (A, ``b``) normalized in ``eigen``, the eigendecomposition
-    of an A that passed its determinant test; the caller tests ``b``'s."""
-    values, vectors = eigen
-    return _gauge_fix(values, _in_eigenbasis(b, vectors))[0]
-
-
-def _spectral_data_in(eigen: Eigen, pair: MatrixPair) -> SpectralData:
-    """``spectral_data(pair)`` for a pair whose A passed its determinant
-    test and decomposed as ``eigen``: the same stages and errors, without
-    testing or decomposing A again."""
-    nonsingular_det(pair.b.entries, "B")
-    return spectral_data_of_normalized(_normalized_in(eigen, pair.b))
+def _normal_form(pair: MatrixPair, h: Vec3) -> tuple[NormalizedPair, float]:
+    """The normal form for A's eigenvalues h, with the gauge ratio it tests."""
+    vectors = tuple(eigenvector(pair.a, z) for z in h)
+    return _gauge_fix(h, _in_eigenbasis(pair.b, vectors))
 
 
 def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
@@ -186,7 +173,7 @@ def _gauge_fix(values: Vec3, u0: tuple[complex, ...]) -> tuple[NormalizedPair, f
     u12, u13 = u0[1], u0[2]
     norm = kernels.frob3(u0)
     ratio = min(abs(u12), abs(u13)) / norm if norm > 0.0 else 0.0
-    if ratio <= _CHECKS["gauge_entries"][1]:
+    if ratio <= GAUGE:
         raise GaugeDegenerate(
             "second matrix has negligible (1,2) or (1,3) entry in the eigenbasis",
             ratio=ratio, u12=abs(u12), u13=abs(u13))
@@ -203,69 +190,92 @@ def _gauge_fix(values: Vec3, u0: tuple[complex, ...]) -> tuple[NormalizedPair, f
     return NormalizedPair(values, u), ratio
 
 
-def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
-    """The nine cubic coefficients as closed forms in (h, U).
+def _coefficients(a, b) -> CurveCoefficients:
+    """The nine coefficients of det(lam + mu A + nu B), all plus signs, for
+    the flat entries of A and B, as trace invariants of the pair."""
+    adj_a, adj_b, b_t = kernels.adj3(a), kernels.adj3(b), _TRANSPOSE(b)
+    tr_a, tr_b = a[0] + a[4] + a[8], b[0] + b[4] + b[8]
+    return CurveCoefficients(   # tr(XY) is sum(map(mul, X, Y^T))
+        d1=kernels.det3(a), d2=kernels.det3(b),
+        p_plus=tr_a, p_minus=adj_a[0] + adj_a[4] + adj_a[8],
+        q_plus=tr_b, q_minus=adj_b[0] + adj_b[4] + adj_b[8],
+        r_plus=sum(map(mul, adj_a, b_t)),
+        r_minus=sum(map(mul, a, _TRANSPOSE(adj_b))),
+        t=tr_a * tr_b - sum(map(mul, a, b_t)))
 
-    Convention (verified against direct trilinear expansion of the
-    determinant): det(lam + mu*diag(h) + nu*U) expands with all plus signs.
-    """
-    h1, h2, h3 = np.h
-    u11, u12, u13, u21, u22, u23, u31, u32, u33 = np.u.entries
-    # the 2x2 principal minors on rows/columns (1,2), (1,3), (2,3)
-    m12 = u11 * u22 - u12 * u21
-    m13 = u11 * u33 - u13 * u31
-    m23 = u22 * u33 - u23 * u32
-    return CurveCoefficients(
-        d1=h1 * h2 * h3,
-        d2=det3(np.u),
-        p_plus=h1 + h2 + h3,
-        p_minus=h1 * h2 + h1 * h3 + h2 * h3,
-        q_plus=u11 + u22 + u33,
-        q_minus=m12 + m13 + m23,
-        r_plus=h1 * h2 * u33 + h1 * h3 * u22 + h2 * h3 * u11,
-        r_minus=h3 * m12 + h2 * m13 + h1 * m23,
-        t=(h1 + h2) * u33 + (h1 + h3) * u22 + (h2 + h3) * u11,
-    )
+
+def _divisor(a, b, w: Vec3 = _UNIT[0]) -> tuple[DivisorPoint, float]:
+    """The divisor point (L : M : 1) of the pair with flat entries ``a`` and
+    ``b``, for A's unit left eigenvector w at h1 (e1 for a diagonal A with
+    h1 first), and the margin it tests.
+
+    There the pencil's kernel vector k has w^T k = 0, its first coordinate
+    in A's eigenbasis.  With p the place of w's largest entry and j, k the
+    others, k = y1 q_j + y2 q_k for q_c = w_p e_c - w_c e_p, and w^T B k = 0
+    gives y = (g_k, -g_j), g_c = w^T B q_c, here over its larger entry.
+    Rows j and k of (L + M A + B) k = 0 are a 2x2 system; its determinant,
+    u12 u13 (h2 - h3) up to scale in the normal form, over |y|^2 |A| is the
+    scale-free margin, 0 for y = 0."""
+    p = max(range(3), key=lambda i: abs(w[i]))
+    j, k = (1, 2) if p == 0 else (0, 3 - p)   # the other two places
+    wp, wj, wk = w[p], w[j], w[k]
+    # w^T B at places p, j and k
+    rp, rj, rk = (w[0] * b[c] + w[1] * b[3 + c] + w[2] * b[6 + c]
+                  for c in (p, j, k))
+    gj, gk = wp * rj - wj * rp, wp * rk - wk * rp
+    big = gj if abs(gj) > abs(gk) else gk
+    y1, y2 = (gk / big, -gj / big) if big else (0.0, 0.0)
+    # k at places j, k and p, then rows j and k of A k and B k
+    kj, kk, kp = wp * y1, wp * y2, -(wj * y1 + wk * y2)
+    aj, ak, bj, bk = (m[3 * r + j] * kj + m[3 * r + k] * kk + m[3 * r + p] * kp
+                      for m, r in ((a, j), (a, k), (b, j), (b, k)))
+    det = kj * ak - kk * aj
+    scale = (y1 * y1.conjugate() + y2 * y2.conjugate()).real * kernels.frob3(a)
+    margin = kernels.modulus(det) / scale if scale > 0.0 else 0.0
+    if not margin > _CHECKS["divisor_denominator"][1]:
+        raise DegenerateDivisor("divisor denominator is negligible",
+                                denominator=kernels.modulus(det), ratio=margin)
+    return DivisorPoint((bk * aj - bj * ak) / det, (kk * bj - kj * bk) / det), margin
+
+
+def curve_coefficients(np: NormalizedPair) -> CurveCoefficients:
+    """The nine cubic coefficients of the pair (diag(h), U)."""
+    return _coefficients(Mat3.diagonal(*np.h).entries, np.u.entries)
 
 
 def divisor_point(np: NormalizedPair) -> DivisorPoint:
-    """The third zero (L : M : 1) of the first-coordinate section.
-
-    At this point the pencil matrix lam + mu*diag(h) + nu*U has a kernel
-    vector with vanishing first coordinate; the other two zeros are the
-    fixed points (h2 : -1 : 0) and (h3 : -1 : 0).  Sign convention: the
-    mu-coordinate carries denominator (h2 - h3), fixed here by the on-curve
-    and kernel checks.
-    """
-    return _divisor_point(np)[0]
-
-
-def _divisor_point(np: NormalizedPair) -> tuple[DivisorPoint, float]:
-    """``divisor_point`` and the ratio that it tests, |u12 u13 (h3 - h2)|
-    over max(1, max|h_i|) max(1, |U|)^2."""
-    h1, h2, h3 = np.h
-    _, u12, u13, _, u22, u23, _, u32, u33 = np.u.entries
-    den = u12 * u13 * (h3 - h2)
-    ratio = abs(den) / (max(1.0, abs(h1), abs(h2), abs(h3))
-                        * max(1.0, kernels.frob3(np.u.entries)) ** 2)
-    if ratio <= _CHECKS["divisor_denominator"][1]:
-        raise DegenerateDivisor("divisor denominator u12*u13*(h3 - h2) is negligible",
-                                denominator=abs(den), ratio=ratio)
-    det_a = u12 * u23 - u13 * u22   # rows (1,2) of the pencil minors
-    det_b = u12 * u33 - u13 * u32   # rows (1,3)
-    l_val = (u12 * h3 * det_a + u13 * h2 * det_b) / den
-    m_val = -(u12 * det_a + u13 * det_b) / den
-    return DivisorPoint(l_val, m_val), ratio
+    """The divisor point of (diag(h), U), whose left eigenvector at h1 is e1."""
+    return _divisor(Mat3.diagonal(*np.h).entries, np.u.entries)[0]
 
 
 def spectral_data_of_normalized(np: NormalizedPair) -> SpectralData:
     return _validated(
-        SpectralData(np.h, curve_coefficients(np), _divisor_point(np)[0]))[0]
+        SpectralData(np.h, curve_coefficients(np), divisor_point(np)))[0]
 
 
 def spectral_data(pair: MatrixPair) -> SpectralData:
-    """Full forward map; invariant under simultaneous conjugation."""
-    return spectral_data_of_normalized(normalize_pair(pair))
+    """Full forward map; invariant under simultaneous conjugation.  Stages:
+    A's and B's determinant tests, A's eigenvalues and left eigenvector at
+    h1, the divisor margin and ``validate_spectral_data``; no eigenbasis."""
+    return _spectral(pair)[0]
+
+
+def _first_left_eigen(a: Mat3) -> tuple[Vec3, Vec3]:
+    """A's eigenvalues h and its unit left eigenvector w at h1."""
+    h = eigenvalues(a)
+    return h, eigenvector(a, h[0], left=True)
+
+
+def _spectral(pair: MatrixPair, known=None) -> tuple[SpectralData, Vec3]:
+    """``spectral_data`` and the w it took; ``known``, the (h, w) of an A that
+    passed its determinant test, skips A's test and decomposition."""
+    a, b = pair.a.entries, pair.b.entries
+    if known is None:
+        nonsingular_det(a, "A")
+    nonsingular_det(b, "B")
+    h, w = known or _first_left_eigen(pair.a)
+    return validate_spectral_data(
+        SpectralData(h, _coefficients(a, b), _divisor(a, b, w)[0])), w
 
 
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
@@ -293,17 +303,23 @@ def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
 def validate_spectral_data(sd: SpectralData) -> SpectralData:
     """``sd`` once it passes the consistency checks: the eigenvalues
     reproduce (p_plus, p_minus, d1) as their elementary symmetric functions,
-    and the divisor point lies on the curve.  Data is checked in full where
-    it enters (a document, ``canonical_form``) or where a formula produced
-    it (the actions, a relisting that permutes h); the forward map checks
-    only the divisor point (``_validated``)."""
+    and the divisor point lies on the curve.  Data is checked in full
+    wherever h did not produce its coefficients: the forward map (A's
+    traces), a document, ``canonical_form``, the actions and a relisting
+    that permutes h; the normal form's (``_validated``) only on the curve."""
+    return _validated(sd, full=True)[0]
+
+
+def _validated(sd: SpectralData, full: bool = False) -> tuple[SpectralData, float]:
+    """``sd`` once its divisor point lies on the curve, with the residual it
+    tests; with ``full``, once h reproduces (p_plus, p_minus, d1) too."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
     pairs = (
         ("p_plus", h1 + h2 + h3, c.p_plus),
         ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus),
         ("d1", h1 * h2 * h3, c.d1),
-    )
+    ) if full else ()
     for name, lhs, rhs in pairs:
         try:
             scale = max(1.0, abs(lhs), abs(rhs))
@@ -316,14 +332,6 @@ def validate_spectral_data(sd: SpectralData) -> SpectralData:
                 f"eigenvalues do not match coefficient {name}",
                 component=name,
                 residual=math.inf if scale == math.inf else diff / scale)
-    return _validated(sd)[0]
-
-
-def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
-    """``sd`` once its divisor point lies on the curve, with the residual
-    it tests.  ``curve_coefficients`` computes (p_plus, p_minus, d1) as h's
-    symmetric functions, which ``eig3`` keeps finite, so the forward map
-    checks nothing more."""
     residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
     if not residual <= _CHECKS["divisor_on_curve"][1]:
         raise InvariantViolation("divisor point does not lie on the curve",
@@ -386,9 +394,9 @@ class Forward(NamedTuple):
     ``report`` holds the margin of every general-position check; those of
     the gauge, divisor and on-curve checks are the floats their stages
     tested.  ``error`` is the error ``spectral_data(pair)`` raises, the
-    first in its order of stages, or None; ``np``, ``sd`` and ``eigen``
-    are the normalized pair, the spectral data and A's eigendecomposition
-    when ``error`` is None, and None otherwise.
+    first in its order of stages, or None; ``sd`` and ``w`` are the spectral
+    data and A's left eigenvector at h1 when ``error`` is None, and ``np``
+    the normal form, unless it failed; the others are None.
     """
 
     pair: MatrixPair
@@ -396,7 +404,7 @@ class Forward(NamedTuple):
     np: NormalizedPair | None
     sd: SpectralData | None
     error: GeneralPositionError | None
-    eigen: Eigen | None = None
+    w: Vec3 | None = None
 
 
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
@@ -457,30 +465,40 @@ def forward(pair: MatrixPair) -> Forward:
     """Map the pair forward once, stage by stage, with the margin of every
     general-position check; never raises a GeneralPositionError.
 
-    The stages and their hard checks are ``spectral_data``'s.  A failed
-    determinant check does not stop the later stages.  A stage that raises
-    fails the first check not yet recorded, with the error code as its note
-    and the ``ratio`` of its detail, if any, as its margin; the checks after
-    it are "unavailable".  After a failed determinant check, an overflow or
-    a non-finite entry in a later stage (an ``ArithmeticError`` or
-    ``ValueError`` with no code) counts as that determinant error, the one
-    ``spectral_data`` raises first; without one, it propagates.
+    The stages and their hard checks are ``spectral_data``'s, then the
+    normal form and the axis points, which only report; a failed
+    determinant check does not stop them.  A stage that raises fails the
+    first check not yet recorded in ``_STAGE_ORDER``, with the error code
+    as its note and the ``ratio`` of its detail, if any, as its margin;
+    after ``spectral_data``'s, the later checks are "unavailable".  After a
+    failed determinant check, an overflow or a non-finite entry in a later
+    stage (an ``ArithmeticError`` or ``ValueError`` with no code) counts as
+    that determinant error, the one ``spectral_data`` raises first; without
+    one, it propagates.
     """
-    checks: list[PositionCheck] = []
+    checks: dict[str, PositionCheck] = {}
     errors: list[GeneralPositionError] = []
 
     def add(name, margin, note=""):
         threshold = _CHECKS[name][0]
-        checks.append(PositionCheck(name, margin is not None and margin > threshold,
-                                    margin, threshold, note))
+        checks[name] = PositionCheck(name, margin is not None and margin > threshold,
+                                     margin, threshold, note)
 
-    def done(np=None, sd=None, eigen=None) -> Forward:
-        for name in _CHECK_NAMES[len(checks):]:
+    def failed(name, exc):
+        # an uncoded error counts as the first determinant error, if any
+        if not isinstance(exc, GeneralPositionError):
+            if not errors:
+                raise exc
+            exc = errors[0]
+        add(name, exc.detail.get("ratio"), exc.code)
+
+    def done(np=None, sd=None, w=None) -> Forward:
+        for name in _STAGE_ORDER[len(checks):]:
             add(name, None, "unavailable")
-        report = GeneralPositionReport(tuple(checks))
+        report = GeneralPositionReport(tuple(map(checks.get, _CHECK_NAMES)))
         if errors:
             return Forward(pair, report, None, None, errors[0])
-        return Forward(pair, report, np, sd, None, eigen)
+        return Forward(pair, report, np, sd, None, w)
 
     for name, m in (("A", pair.a), ("B", pair.b)):
         try:
@@ -489,36 +507,37 @@ def forward(pair: MatrixPair) -> Forward:
             errors.append(exc)
         add("determinant_" + name.lower(), _determinant_margin(m.entries))
 
+    a, b = pair.a.entries, pair.b.entries
     try:
-        eigen = values, vectors = eig3(pair.a)
-        sep, scale = separation(values)
+        h, w = _first_left_eigen(pair.a)
+        sep, scale = separation(h)
         add("eigenvalue_separation", sep / scale)
-        np, ratio = _gauge_fix(values, _in_eigenbasis(pair.b, vectors))
-        add("gauge_entries", ratio)
-        divisor, ratio = _divisor_point(np)
-        add("divisor_denominator", ratio)
+        divisor, margin = _divisor(a, b, w)
+        add("divisor_denominator", margin)
         sd, residual = _validated(
-            SpectralData(np.h, curve_coefficients(np), divisor))
+            SpectralData(h, _coefficients(a, b), divisor), full=True)
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
         if isinstance(exc, GeneralPositionError):
             errors.append(exc)
-        elif errors:
-            exc = errors[0]
-        else:
-            raise
-        add(_CHECK_NAMES[len(checks)], exc.detail.get("ratio"), exc.code)
+        failed(_STAGE_ORDER[len(checks)], exc)
         return done()
     add("divisor_on_curve", _CHECKS["divisor_on_curve"][1] - residual)
+
+    try:
+        np, ratio = _normal_form(pair, h)
+        add("gauge_entries", ratio)
+    except (GeneralPositionError, ArithmeticError, ValueError) as exc:
+        np = None
+        failed("gauge_entries", exc)
 
     c = sd.coeffs
     try:
         xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
         lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
+        add("axis_point_separation", _axis_point_separation(h, xi, lam0))
     except GeneralPositionError as exc:
         add("axis_point_separation", None, exc.code)
-    else:
-        add("axis_point_separation", _axis_point_separation(np.h, xi, lam0))
-    return done(np, sd, eigen)
+    return done(np, sd, w)
 
 
 def general_position_report(pair: MatrixPair) -> GeneralPositionReport:

@@ -98,8 +98,7 @@ def _prop_round_trip_backward(drawn, rebuilt, seed):
 
 def _make_commute(generator: Generator):
     def prop(drawn, rebuilt, seed):
-        return commutation_residuals(generator, drawn.pair, drawn.sd,
-                                     drawn.eigen)
+        return commutation_residuals(generator, drawn.pair, drawn.sd, drawn.w)
     return prop
 
 
@@ -138,7 +137,7 @@ def run_suite(seeds: int, tolerance: float = DEFAULT_TOLERANCE,
     """Every property over the same seeds, one result per property in
     ``PROPERTIES`` order.  Each seed's pair is drawn once, and the forward
     pass that accepted it supplies its normalized form, its spectral data
-    and A's eigendecomposition to every property, together with one
+    and A's left eigenvector at h1 to every property, together with one
     reconstruction of that data, or the ``GeneralPositionError`` it raised,
     which the round trips share.  A seed whose forward map raised is
     skipped by every property."""

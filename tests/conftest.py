@@ -136,9 +136,9 @@ def recording_validations(monkeypatch) -> list:
     calls = []
     original = spectral_module._validated
 
-    def recording(sd):
+    def recording(sd, **kwargs):
         calls.append(sd)
-        return original(sd)
+        return original(sd, **kwargs)
 
     monkeypatch.setattr(spectral_module, "_validated", recording)
     return calls

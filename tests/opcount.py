@@ -63,10 +63,11 @@ LAYERS = {
     "draw": ("randgen._eigenvalue_triple",
              "randgen._well_conditioned_with_inverse",
              "randgen._random_matrix"),
-    "eig3": ("linalg.eig3",),
+    "eigenvalues": ("linalg.eigenvalues",),
+    "eigenvector": ("linalg.eigenvector",),
+    "trace_divisor": ("spectral._coefficients", "spectral._divisor"),
     "in_eigenbasis": ("spectral._in_eigenbasis",),
-    "normalize": ("spectral._normalized_in",),
-    "closed_forms": ("spectral.curve_coefficients", "spectral._divisor_point"),
+    "normalize": ("spectral._normal_form",),
     "validate": ("spectral.validate_spectral_data", "spectral._validated"),
     "reconstruct": ("reconstruct.reconstruct",),
     "canonical_form": ("reconstruct.canonical_form", "reconstruct._relisted"),

@@ -2,8 +2,10 @@
 
 Everything here recomputes expected values by a route disjoint from the
 library code under test: symbolic trivariate expansion for the curve
-coefficients, direct minor equations for the divisor point, a free-group
-word engine for the generator actions, and brute-force root matching.
+coefficients, direct minor equations for the divisor point, the closed
+forms in the normal form (h, U) that the forward map used before it read
+the curve off the pair's trace invariants, a free-group word engine for the
+generator actions, and brute-force root matching.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 from spectral_pair import (
     CoincidentPoints,
     CubicPoly,
-    DegenerateDivisor,
     DegenerateLeadingCoefficient,
     GaugeDegenerate,
     GeneralPositionError,
@@ -35,12 +36,13 @@ from spectral_pair import (
     reconstruct,
     solve_cubic,
     spectral_data,
-    spectral_data_of_normalized,
 )
 from spectral_pair import _kernels_py as kernels
+from spectral_pair import spectral as spectral_module
 from spectral_pair._kernels_py import vec_norm
 from spectral_pair.config import (
     DEFLATION,
+    DIVISOR_DENOMINATOR,
     GAUGE,
     INCIDENCE,
     MARGIN_AXIS_POINT_SEPARATION,
@@ -52,8 +54,8 @@ from spectral_pair.config import (
     THIRD_POINT_ON_CURVE,
 )
 from spectral_pair.cubic import _cross
-from spectral_pair.linalg import separation
-from spectral_pair.spectral import PositionCheck, _gauge_fix, _in_eigenbasis
+from spectral_pair.linalg import eigenvalues, eigenvector, separation
+from spectral_pair.spectral import PositionCheck
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
 
@@ -87,9 +89,10 @@ def pencil_entry(i, j, h, u):
     return poly
 
 
-def pencil_determinant(h, u):
+def pencil_determinant(h, u, entry=pencil_entry):
     """Leibniz expansion of the 3x3 determinant of the pencil, collected by
-    monomial; completely independent of the cofactor code paths."""
+    monomial; completely independent of the cofactor code paths.  ``entry``
+    gives the pencil's entry (i, j) as a trivariate polynomial."""
     total = {}
     for perm in itertools.permutations(range(3)):
         sign = 1
@@ -99,7 +102,7 @@ def pencil_determinant(h, u):
                     sign = -sign
         term = poly_const(sign)
         for row in range(3):
-            term = poly_mul(term, pencil_entry(row, perm[row], h, u))
+            term = poly_mul(term, entry(row, perm[row], h, u))
         total = poly_add(total, term)
     return total
 
@@ -118,11 +121,103 @@ MONOMIALS = {
 }
 
 
-def expanded_coefficients(h, u) -> dict[str, complex]:
-    det = pencil_determinant(h, u)
+def expanded_coefficients(h, u, entry=pencil_entry) -> dict[str, complex]:
+    det = pencil_determinant(h, u, entry)
     out = {name: det.pop(key, 0.0) for name, key in MONOMIALS.items()}
     assert not det, f"unexpected monomials in pencil determinant: {det}"
     return out
+
+
+def pair_pencil_entry(i, j, a, b):
+    """Entry (i, j) of lam*I + mu*A + nu*B for flat entries a and b."""
+    poly = {(0, 1, 0): a[3 * i + j], (0, 0, 1): b[3 * i + j]}
+    if i == j:
+        poly[(1, 0, 0)] = 1.0
+    return poly
+
+
+def pair_expanded_coefficients(a, b) -> dict[str, complex]:
+    """``expanded_coefficients`` of the pencil of a general pair, given by
+    its flat entries."""
+    return expanded_coefficients(a, b, pair_pencil_entry)
+
+
+# --- the closed forms in the normal form (h, U) ---
+
+
+def closed_form_coefficients(h, u) -> dict[str, complex]:
+    """The nine coefficients as closed forms in (h, U), U indexed as U[i, j];
+    det(lam + mu*diag(h) + nu*U) expands with all plus signs."""
+    h1, h2, h3 = h
+    u11, u12, u13 = u[0, 0], u[0, 1], u[0, 2]
+    u21, u22, u23 = u[1, 0], u[1, 1], u[1, 2]
+    u31, u32, u33 = u[2, 0], u[2, 1], u[2, 2]
+    # the 2x2 principal minors on rows/columns (1,2), (1,3), (2,3)
+    m12 = u11 * u22 - u12 * u21
+    m13 = u11 * u33 - u13 * u31
+    m23 = u22 * u33 - u23 * u32
+    return {
+        "d1": h1 * h2 * h3,
+        "d2": (u11 * (u22 * u33 - u23 * u32) - u12 * (u21 * u33 - u23 * u31)
+               + u13 * (u21 * u32 - u22 * u31)),
+        "p_plus": h1 + h2 + h3,
+        "p_minus": h1 * h2 + h1 * h3 + h2 * h3,
+        "q_plus": u11 + u22 + u33,
+        "q_minus": m12 + m13 + m23,
+        "r_plus": h1 * h2 * u33 + h1 * h3 * u22 + h2 * h3 * u11,
+        "r_minus": h3 * m12 + h2 * m13 + h1 * m23,
+        "t": (h1 + h2) * u33 + (h1 + h3) * u22 + (h2 + h3) * u11,
+    }
+
+
+def closed_form_divisor(h, u) -> tuple[complex, complex]:
+    """(L, M) as closed forms in (h, U): the third zero of the first
+    coordinate of the pencil's kernel vector, over the denominator
+    u12 u13 (h3 - h2)."""
+    _, h2, h3 = h
+    u12, u13 = u[0, 1], u[0, 2]
+    den = u12 * u13 * (h3 - h2)
+    det_a = u12 * u[1, 2] - u13 * u[1, 1]   # rows (1,2) of the pencil minors
+    det_b = u12 * u[2, 2] - u13 * u[2, 1]   # rows (1,3)
+    return ((u12 * h3 * det_a + u13 * h2 * det_b) / den,
+            -(u12 * det_a + u13 * det_b) / den)
+
+
+# --- the divisor point from A's left eigenvector, with vectors ---
+
+
+def _matvec(m: Mat3, v):
+    return tuple(sum(m[i, j] * v[j] for j in range(3)) for i in range(3))
+
+
+def divisor_by_left_eigenvector(a: Mat3, b: Mat3, w):
+    """(L, M, margin) of the pair whose A has the left eigenvector w at h1:
+    the pencil's kernel vector k = y1 q_j + y2 q_k in the kernel of w^T,
+    where q_c = w_p e_c - w_c e_p, p is the place of w's largest entry and
+    y = (w^T B q_k, -w^T B q_j) unscaled, then rows j and k of
+    (L + M A + B) k = 0 solved by Cramer's rule.  The margin is the 2x2
+    determinant over |y|^2 |A|."""
+    p = max(range(3), key=lambda i: abs(w[i]))
+    j, k = (c for c in range(3) if c != p)
+
+    def q(c):
+        out = [0j, 0j, 0j]
+        out[c], out[p] = w[p], -w[c]
+        return out
+
+    def dot(x, y):
+        return sum(s * t for s, t in zip(x, y))
+
+    y1, y2 = dot(w, _matvec(b, q(k))), -dot(w, _matvec(b, q(j)))
+    kv = [y1 * s + y2 * t for s, t in zip(q(j), q(k))]
+    ak, bk = _matvec(a, kv), _matvec(b, kv)
+    det = kv[j] * ak[k] - kv[k] * ak[j]
+    scale = (abs(y1) ** 2 + abs(y2) ** 2) * a.norm()
+    margin = abs(det) / scale if scale > 0.0 else 0.0
+    if margin == 0.0:
+        return None, None, margin
+    return ((bk[k] * ak[j] - bk[j] * ak[k]) / det,
+            (kv[k] * bk[j] - kv[j] * bk[k]) / det, margin)
 
 
 # --- divisor point by solving the two minor equations directly ---
@@ -198,6 +293,16 @@ class GaussianRational:
     def __abs__(self) -> float:
         """The modulus as a float, as the package's scale tests take it."""
         return math.hypot(self.re, self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
 
 
 def random_exact_normalized_pair(rng):
@@ -506,13 +611,13 @@ def columns_matrix(v1, v2, v3) -> Mat3:
                  v1[2], v2[2], v3[2]))
 
 
-def eig3_by_identity_shift(a: Mat3):
-    """``eig3`` with each shifted matrix built as the ``Mat3``
-    a - I.scaled(h)."""
-    values, _ = eig3(a)
-    ident = Mat3.identity()
-    return values, tuple(kernel_vector((a - ident.scaled(h)).entries)
-                         for h in values)
+def eigenvector_by_identity_shift(a: Mat3, h, left=False):
+    """``eigenvector`` of a non-diagonal A with the shifted matrix built as
+    the ``Mat3`` a - I.scaled(h), or with ``left`` its transpose's.  For a
+    diagonal A it seeks the kernel too, which is the unit vector up to a
+    phase."""
+    m = Mat3.from_rows(zip(*a.rows())) if left else a
+    return kernel_vector((m - Mat3.identity().scaled(h)).entries)
 
 
 def in_eigenbasis_by_matmul(b: Mat3, vectors) -> tuple[complex, ...]:
@@ -541,88 +646,98 @@ def gauge_fix_by_matmul(values, entries) -> tuple[NormalizedPair, float]:
 # --- the general-position report, one stage at a time ---
 
 
+#: (name, report threshold) of each check, in the report's order
+REPORT_CHECKS = (
+    ("determinant_a", MARGIN_DETERMINANT),
+    ("determinant_b", MARGIN_DETERMINANT),
+    ("eigenvalue_separation", MARGIN_EIGENVALUE_SEPARATION),
+    ("gauge_entries", MARGIN_GAUGE),
+    ("divisor_denominator", MARGIN_DIVISOR_DENOMINATOR),
+    ("divisor_on_curve", 0.0),
+    ("axis_point_separation", MARGIN_AXIS_POINT_SEPARATION),
+)
+
+
 def report_by_stages(pair) -> GeneralPositionReport:
-    """The general-position report as its own try/except ladder over the
-    forward-map stages, each margin computed where its stage completes and
+    """The general-position report as its own ladder over the forward-map
+    stages, each margin computed where its stage completes: the left
+    eigenvector by ``eigenvector_by_identity_shift``, the divisor point by
+    ``divisor_by_left_eigenvector``, the coefficients by Leibniz expansion
+    of the pair's pencil, the normal form by whole-matrix products, and
     each pair of axis points measured with ``projective_distance``; the
     single forward pass behind ``general_position_report`` must give the
-    same checks.  A stage that raises fails its own check, with the error
-    code as its note, and every later check reads "unavailable": ``eig3``'s
-    error fails the separation check, and a degenerate divisor fails the
-    denominator check, which keeps its margin."""
-    checks = []
+    same checks.  The stages of the spectral data (eigenvalues, divisor,
+    on-curve test) run first; one that fails fails its own check, with the
+    error code as its note, and every check not yet computed reads
+    "unavailable".  Then the normal form, whose error is only the gauge
+    check's note, and the axis points."""
+    thresholds = dict(REPORT_CHECKS)
+    checks = {}
 
-    def add(name, margin, threshold, note=""):
-        checks.append(PositionCheck(name, margin is not None and margin > threshold,
-                                    margin, threshold, note))
+    def add(name, margin, note=""):
+        threshold = thresholds[name]
+        checks[name] = PositionCheck(name, margin is not None and margin > threshold,
+                                     margin, threshold, note)
+
+    def finish():
+        for name, _ in REPORT_CHECKS:
+            if name not in checks:
+                add(name, None, "unavailable")
+        return GeneralPositionReport(tuple(checks[name]
+                                           for name, _ in REPORT_CHECKS))
 
     for name, m in (("determinant_a", pair.a), ("determinant_b", pair.b)):
         f = m.norm()
-        margin = abs(det3(m)) / f ** 3 if f > 0 else 0.0
-        add(name, margin, MARGIN_DETERMINANT)
+        add(name, abs(det3(m)) / f ** 3 if f > 0 else 0.0)
 
-    np = None
+    try:
+        h = eigenvalues(pair.a)
+        w = eigenvector_by_identity_shift(pair.a, h[0], left=True)
+    except GeneralPositionError as exc:
+        add("eigenvalue_separation", None, exc.code)
+        return finish()
+    sep, scale = separation(h)
+    add("eigenvalue_separation", sep / scale)
+
+    lam, mu, margin = divisor_by_left_eigenvector(pair.a, pair.b, w)
+    if not margin > DIVISOR_DENOMINATOR:
+        add("divisor_denominator", margin, "degenerate_divisor")
+        return finish()
+    add("divisor_denominator", margin)
+    # the on-curve margin is compared to the bit, so it is the residual of
+    # the forward map's own floats; the oracle's are checked against them
+    a, b = pair.a.entries, pair.b.entries
+    c = spectral_module._coefficients(a, b)
+    divisor = spectral_module._divisor(a, b, eigenvector(pair.a, h[0], left=True))[0]
+    expanded = pair_expanded_coefficients(a, b)
+    assert abs(expanded.pop("lam3") - 1) < 1e-12
+    assert all(abs(x - expanded[name]) <= 1e-9 * max(1.0, abs(x))
+               for name, x in c.items())
+    assert all(abs(x - y) <= 1e-6 * max(1.0, abs(x))
+               for x, y in zip(divisor, (lam, mu)))
+    residual = curve_residual(c, *divisor, 1.0)
+    if not residual <= ON_CURVE:
+        add("divisor_on_curve", None, "invariant_violation")
+        return finish()
+    add("divisor_on_curve", ON_CURVE - residual)
+
     try:
         values, vectors = eig3(pair.a)
+        _, ratio = gauge_fix_by_matmul(values,
+                                       in_eigenbasis_by_matmul(pair.b, vectors))
+        add("gauge_entries", ratio)
     except GeneralPositionError as exc:
-        add("eigenvalue_separation", None, MARGIN_EIGENVALUE_SEPARATION, exc.code)
-        add("gauge_entries", None, MARGIN_GAUGE, "unavailable")
-    else:
-        sep, scale = separation(values)
-        add("eigenvalue_separation", sep / scale, MARGIN_EIGENVALUE_SEPARATION)
-        try:
-            u0 = _in_eigenbasis(pair.b, vectors)
-        except GeneralPositionError as exc:
-            add("gauge_entries", None, MARGIN_GAUGE, exc.code)
-        else:
-            margin = min(abs(u0[1]), abs(u0[2])) / Mat3(u0).norm()
-            note = ""
-            try:
-                np, _ = _gauge_fix(values, u0)
-            except GaugeDegenerate as exc:
-                note = exc.code
-            add("gauge_entries", margin, MARGIN_GAUGE, note)
+        add("gauge_entries", exc.detail.get("ratio"), exc.code)
 
-    if np is None:
-        add("divisor_denominator", None, MARGIN_DIVISOR_DENOMINATOR, "unavailable")
-        add("divisor_on_curve", None, 0.0, "unavailable")
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
-        return GeneralPositionReport(tuple(checks))
-
-    # |u12 u13 (h3 - h2)| against max(1, max|h_i|) max(1, |U|)^2, the
-    # ratio divisor_point tests
-    u = np.u
-    denominator = abs(u[0, 1] * u[0, 2] * (np.h[2] - np.h[1]))
-    scale = max(1.0, *(abs(h) for h in np.h)) * max(1.0, u.norm()) ** 2
-    try:
-        sd = spectral_data_of_normalized(np)
-    except DegenerateDivisor as exc:
-        add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR,
-            exc.code)
-        add("divisor_on_curve", None, 0.0, "unavailable")
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
-        return GeneralPositionReport(tuple(checks))
-    except GeneralPositionError as exc:
-        add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR)
-        add("divisor_on_curve", None, 0.0, exc.code)
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, "unavailable")
-        return GeneralPositionReport(tuple(checks))
-    add("divisor_denominator", denominator / scale, MARGIN_DIVISOR_DENOMINATOR)
-    add("divisor_on_curve",
-        ON_CURVE - curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0), 0.0)
-
-    c = sd.coeffs
     try:
         xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
         lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
-        points = axis_points(np.h, xi, lam0)
-        min_dist = min(projective_distance(points[i], points[j])
-                       for i in range(9) for j in range(i + 1, 9))
-        add("axis_point_separation", min_dist, MARGIN_AXIS_POINT_SEPARATION)
     except GeneralPositionError as exc:
-        add("axis_point_separation", None, MARGIN_AXIS_POINT_SEPARATION, exc.code)
-
-    return GeneralPositionReport(tuple(checks))
+        add("axis_point_separation", None, exc.code)
+    else:
+        points = axis_points(h, xi, lam0)
+        add("axis_point_separation", min_projective_distance(points))
+    return finish()
 
 
 # --- points as coordinate triples: the cubic at a point, and the generic

@@ -4,9 +4,9 @@ the package.
 ``perfbench/test_harness.py`` drives the whole harness through subprocesses
 and lies outside the default test paths.  This loads
 ``perfbench/workloads.py`` and ``perfbench/tracer.py`` directly, runs the
-first ops of the two in-process workloads and traces one forward map, so a
-package name the benchmark imports or patches, or a result it checks,
-cannot break unnoticed.
+first ops of the two in-process workloads and traces one forward map and
+one normal form, so a package name the benchmark imports or patches, or a
+result it checks, cannot break unnoticed.
 """
 
 import importlib.util
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import spectral_pair.spectral as spectral
-from spectral_pair import MatrixPair, spectral_data
+from spectral_pair import MatrixPair, normalize_pair, spectral_data
 from spectral_pair.linalg import Mat3
 
 from conftest import FIXTURE_A, FIXTURE_B
@@ -43,17 +43,19 @@ def test_first_ops_are_delivered(name):
 
 def test_tracer_counts_constructions_and_restores_the_package():
     tracer_module = load("tracer")
-    post_init, eig3 = Mat3.__post_init__, spectral.eig3
+    post_init, validate = Mat3.__post_init__, spectral.validate_spectral_data
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         tracer.begin_op(0)
+        # the spectral data builds no Mat3; the normal form builds U
         spectral_data(MatrixPair(FIXTURE_A, FIXTURE_B))
+        normalize_pair(MatrixPair(FIXTURE_A, FIXTURE_B))
         tracer.end_op(0)
     finally:
         tracer.uninstall()
     assert tracer.mat3_new > 0
     names = {tracer_module.SPAN_NAMES[i] for i in tracer.names}
-    assert {"spectral.spectral_data", "linalg.eig3"} <= names
+    assert {"spectral.spectral_data", "spectral.validate_spectral_data"} <= names
     assert Mat3.__post_init__ is post_init
-    assert spectral.eig3 is eig3
+    assert spectral.validate_spectral_data is validate

@@ -51,7 +51,9 @@ def test_spectral_gauge_degenerate(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "spectral", str(path))
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "gauge_degenerate"
+    # the forward map forms no gauge: both gauge entries vanish, so y = 0
+    # and the divisor margin reads 0
+    assert json.loads(err)["error"]["code"] == "degenerate_divisor"
 
 
 def test_spectral_malformed_json(tmp_path, capsys):
@@ -302,8 +304,9 @@ def test_check_tiny_matrix_prints_report(which, scale, tmp_path, capsys):
 
 def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
     # B's (1,2) and (1,3) entries have finite parts and moduli above
-    # 1.8e308: B fails its determinant check, and the gauge fix's |u12|
-    # overflows, which fails the gauge check with the determinant's code
+    # 1.8e308: B fails its determinant check, and the divisor stage's |g_j|
+    # overflows, which fails the divisor check with the determinant's code;
+    # the normal form, a later stage, is unavailable
     z = 1.5e308 * (1 + 1j)
     pair = spectral_pair.MatrixPair(
         spectral_pair.Mat3.diagonal(1, 2, 3.5),
@@ -316,7 +319,7 @@ def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
     assert len(checks) == 7
     assert [c["name"] for c in checks if not c["passed"]][:2] \
         == ["determinant_b", "gauge_entries"]
-    assert checks[3]["note"] == "singular_matrix"
+    assert [c["note"] for c in checks[3:5]] == ["unavailable", "singular_matrix"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,16 +358,17 @@ def test_closed_form_mismatch_in_a_word_names_its_prefix(seed, tmp_path, capsys,
 
 
 def test_intermediate_degeneracy_names_its_prefix_and_cause(tmp_path, capsys):
-    # on seed 9 the last shear of I,T^10 leaves the divisor denominator
+    # on seed 8 the last shear of I,T^12 leaves d2 = det(A^12 B) singular
+    # against the scale of its invariants, which the relisting tests
     path = tmp_path / "spectral.json"
     path.write_text(jsonio.dumps(jsonio.spectral_to_doc(
-        spectral_pair.spectral_data(spectral_pair.random_pair(9)))))
-    word = "I," + ",".join("T" * 10)
+        spectral_pair.spectral_data(spectral_pair.random_pair(8)))))
+    word = "I," + ",".join("T" * 12)
     code, out, err = run(capsys, "act", "--word", word, str(path))
     assert (code, out) == (3, "")
     error = strict_loads(err.splitlines()[-1])["error"]
     assert error["code"] == "intermediate_degeneracy"
-    assert error["detail"] == {"prefix": word, "cause": "degenerate_divisor"}
+    assert error["detail"] == {"prefix": word, "cause": "singular_matrix"}
 
 
 def test_decompose_subcommand(capsys):

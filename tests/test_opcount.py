@@ -13,4 +13,4 @@ def test_two_ops_counted_twice_give_equal_counts():
         assert set(first["layers"]) == set(LAYERS)
         assert all(0 <= n <= first["total"]
                    for n in first["layers"].values())
-        assert first["layers"]["eig3"] > 0 and first["layers"]["kernels"] > 0
+        assert first["layers"]["eigenvalues"] > 0 and first["layers"]["kernels"] > 0

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import spectral_pair.linalg
 import spectral_pair.spectral
 from spectral_pair import (
     ClosedFormMismatch,
@@ -34,6 +35,7 @@ from spectral_pair import (
     spectral_residuals,
     swap_spectral,
     validate_spectral_data,
+    verify_commutation,
 )
 from spectral_pair._kernels_py import canonical_order
 from spectral_pair.linalg import nonsingular_det
@@ -448,17 +450,51 @@ def test_closed_forms_for_the_lower_left_are_exact():
 
 def test_canonical_form_solves_no_eigenproblem(seeded_pairs, monkeypatch):
     calls = []
-    original = spectral_pair.spectral.eig3
+    for name in ("eigenvalues", "eigenvector"):
+        original = getattr(spectral_pair.spectral, name)
 
-    def counting_eig3(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(spectral_pair.spectral, "eig3", counting_eig3)
+        monkeypatch.setattr(spectral_pair.spectral, name, counting)
     sd = act_spectral(Generator.INVERT, spectral_data(seeded_pairs[0]))
+    assert len(calls) == 2
     calls.clear()
     canonical_form(sd)
     assert calls == []
+
+
+def counting(monkeypatch, module, names) -> dict[str, int]:
+    """Calls of each of the module's functions ``names`` from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_spectral_data_seeks_one_kernel_vector_and_no_eigenbasis(monkeypatch):
+    """The forward map of a general pair seeks A's left eigenvector at h1
+    and nothing more: no change of basis and no gauge fix.  The shear's
+    diagram maps its image forward with A's h and w, so it seeks one
+    kernel vector in all."""
+    pair = random_pair(0)
+    kernels = counting(monkeypatch, spectral_pair.linalg, ["kernel_vector"])
+    stages = counting(monkeypatch, spectral_pair.spectral,
+                      ["_in_eigenbasis", "_gauge_fix"])
+    spectral_data(pair)
+    assert (kernels, stages) == ({"kernel_vector": 1},
+                                 {"_in_eigenbasis": 0, "_gauge_fix": 0})
+    kernels["kernel_vector"] = 0
+    verify_commutation(Generator.SHEAR, pair)
+    assert (kernels, stages) == ({"kernel_vector": 1},
+                                 {"_in_eigenbasis": 0, "_gauge_fix": 0})
 
 
 def test_reconstruction_jacobian_rank(seeded_pairs):

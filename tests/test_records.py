@@ -110,17 +110,17 @@ def test_reprs_match_the_dataclass_text():
         "SpectralData(h=((-0.31771367667661987-0.9643329988281467j), "
         "(1.1351943561390905-0.78674909568429j), "
         "(1.3776874061001925+1.03181761176121j)), "
-        "coeffs=CurveCoefficients(d1=(-0.6704989511205826-2.31876384907005j), "
-        "d2=(0.6127239194322682+0.8062927929788224j), "
+        "coeffs=CurveCoefficients(d1=(-0.6704989511205827-2.3187638490700495j), "
+        "d2=(0.6127239194322677+0.806292792978822j), "
         "p_plus=(2.195168085562663-0.7192644827512269j), "
-        "p_minus=(1.8136752941852512-2.413697216209968j), "
-        "q_plus=(-0.8703708020274844+0.49315052982783464j), "
-        "q_minus=(-0.34888125268277376-0.3000696348807792j), "
-        "r_plus=(2.4974051689485877+2.479120177264651j), "
-        "r_minus=(-2.5635962170819067-0.11478778091716607j), "
-        "t=(-0.11251476753097567+2.290904670462907j)), "
-        "divisor=DivisorPoint(L=(-0.8627717784011182-0.708837227332441j), "
-        "M=(1.041744256643879+0.44546821561827876j)))")
+        "p_minus=(1.8136752941852508-2.413697216209968j), "
+        "q_plus=(-0.8703708020274845+0.4931505298278347j), "
+        "q_minus=(-0.34888125268277387-0.3000696348807794j), "
+        "r_plus=(2.497405168948589+2.4791201772646527j), "
+        "r_minus=(-2.5635962170819067-0.11478778091716678j), "
+        "t=(-0.11251476753097478+2.2909046704629077j)), "
+        "divisor=DivisorPoint(L=(-0.862771778401118-0.7088372273324407j), "
+        "M=(1.041744256643879+0.4454682156182786j)))")
 
 
 @pytest.mark.parametrize("operation", [

@@ -22,16 +22,17 @@ from conftest import recording_validations
 from oracles import record_by_loop
 
 
-def recording_eig3(monkeypatch) -> list:
-    """The matrices that ``eig3`` decomposes from now on, in order."""
+def recording_eigenvalues(monkeypatch) -> list:
+    """The matrices whose eigenvalues the forward map and ``normalize_pair``
+    solve for from now on, in order."""
     calls = []
-    original = spectral.eig3
+    original = spectral.eigenvalues
 
     def recording(a):
         calls.append(a)
         return original(a)
 
-    monkeypatch.setattr(spectral, "eig3", recording)
+    monkeypatch.setattr(spectral, "eigenvalues", recording)
     return calls
 
 
@@ -68,7 +69,7 @@ def test_run_suite_maps_the_drawn_pair_forward_once(monkeypatch):
     of each drawn A is the one in the forward pass that accepted the pair,
     and the probe receives that pass's data."""
     drawn = recording_draws(monkeypatch)
-    decomposed = recording_eig3(monkeypatch)
+    decomposed = recording_eigenvalues(monkeypatch)
     probed = []
 
     def probe(accepted, rebuilt, seed):
@@ -142,7 +143,7 @@ def test_a_property_error_skips_that_property_and_seed_only(monkeypatch):
 
 
 def test_run_suite_decomposes_at_most_six_matrices(monkeypatch):
-    calls = recording_eig3(monkeypatch)
+    calls = recording_eigenvalues(monkeypatch)
     verify.run_suite(1)
     # 8 when run_suite mapped the drawn pair again, 7 when the shear
     # diagram decomposed the drawn A again
@@ -154,7 +155,7 @@ def test_run_suite_decomposes_the_drawn_a_once_per_seed(monkeypatch):
     accepted it, and again only where a word's image starts with it (as
     T or S,S leave it): 109 times, where the shear diagram's second
     decomposition made it 209."""
-    calls = recording_eig3(monkeypatch)
+    calls = recording_eigenvalues(monkeypatch)
     drawn = recording_draws(monkeypatch)
     images = []
     original_act = verify.act_word_on_pair
@@ -175,7 +176,7 @@ def test_run_suite_decomposes_the_drawn_a_once_per_seed(monkeypatch):
 
 def test_verify_commutation_decomposes_a_once_for_the_shear(monkeypatch):
     pair = random_pair(1)
-    calls = recording_eig3(monkeypatch)
+    calls = recording_eigenvalues(monkeypatch)
     report = verify_commutation(Generator.SHEAR, pair)
     assert len(calls) == 1 and calls[0] is pair.a
     assert report.max_residual <= verify.DEFAULT_TOLERANCE
