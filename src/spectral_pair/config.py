@@ -1,13 +1,13 @@
 """The package's numerical thresholds, one fixed module constant each.
 
 Each threshold is compared with a quantity over a scale: a norm, a
-magnitude or a spread.  Seven hard checks floor that scale at 1, so they
+magnitude or a spread.  Six hard checks floor that scale at 1, so they
 are not scale-free: both in ``invert_spectral``, ``reconstruct``'s
-agreement test, ``max_magnitude`` (the chord's ``cscale``), the divisor
-ratio, ``curve_residual`` and ``validate_spectral_data``.  An eighth is
-not scale-free either: ``solve_cubic`` compares a monic cubic's exact
-leading 1 with its largest coefficient.  The modules that test a quantity
-import the constants they compare it with.
+agreement test, ``max_magnitude`` (the chord's ``cscale``),
+``curve_residual`` and ``validate_spectral_data``.  A seventh is not
+scale-free either: ``solve_cubic`` compares a monic cubic's exact leading
+1 with its largest coefficient.  The modules that test a quantity import
+the constants they compare it with.
 """
 
 # core 3x3 numerics
@@ -19,8 +19,8 @@ EIGENVALUE_SEPARATION = 1e-6  # min |h_i - h_j| vs max |h_i|
 EIGENVALUE_TIE = 1e-8         # real parts this close vs max |h_i| are tied
 
 # pair normalization and spectral data
-GAUGE = 1e-9                  # min(|u12|, |u13|) vs |U0|
-DIVISOR_DENOMINATOR = 1e-9    # |u12 u13 (h3 - h2)| vs max(1, |h|) max(1, |U|)^2
+GAUGE = 1e-9                  # min(|u12|, |u13|) vs |U0| in the normal form
+DIVISOR_DENOMINATOR = 1e-9    # the divisor's 2x2 determinant vs |y|^2 |A|
 ON_CURVE = 1e-8               # divisor point curve residual
 SYMMETRIC_FUNCTIONS = 1e-9    # e_k(h) vs (p_plus, p_minus, d1)
 
