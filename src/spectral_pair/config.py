@@ -4,10 +4,10 @@ Each threshold is compared with a quantity over a scale: a norm, a
 magnitude or a spread.  Six hard checks floor that scale at 1, so they
 are not scale-free: both in ``invert_spectral``, ``reconstruct``'s
 agreement test, ``max_magnitude`` (the chord's ``cscale``),
-``curve_residual`` and ``validate_spectral_data``.  A seventh is not
-scale-free either: ``solve_cubic`` compares a monic cubic's exact leading
-1 with its largest coefficient.  The modules that test a quantity import
-the constants they compare it with.
+``curve_residual`` and ``validate_spectral_data`` (below max|h| = 1 at
+max|h|^k).  A seventh is not scale-free either: ``solve_cubic`` compares a
+monic cubic's exact leading 1 with its largest coefficient.  The modules
+that test a quantity import the constants they compare it with.
 """
 
 # core 3x3 numerics
@@ -22,7 +22,7 @@ EIGENVALUE_TIE = 1e-8         # real parts this close vs max |h_i| are tied
 GAUGE = 1e-9                  # min(|u12|, |u13|) vs |U0| in the normal form
 DIVISOR_DENOMINATOR = 1e-9    # the divisor's 2x2 determinant vs |y|^2 |A|
 ON_CURVE = 1e-8               # divisor point curve residual
-SYMMETRIC_FUNCTIONS = 1e-9    # e_k(h) vs (p_plus, p_minus, d1)
+SYMMETRIC_FUNCTIONS = 1e-9    # e_k(h) vs (p_plus, p_minus, d1), scale floored at min(1, max|h|)^k
 
 # projective geometry
 INCIDENCE = 1e-6              # points claimed on the curve; coincident points

@@ -116,9 +116,9 @@ class SpectralData(NamedTuple):
 
 
 #: every check of the report, in order, with (report threshold, hard
-#: threshold): a margin passes above the first; the stage that tests the
-#: same float raises at the second, None where no stage of ``spectral_data``
-#: does.  The ``divisor_on_curve`` margin is the hard threshold minus the residual.
+#: threshold): a margin passes above the first; the stage of ``spectral_data``
+#: that tests the same float raises at the second, None where none does.  The
+#: ``divisor_on_curve`` margin is the hard threshold minus the residual.
 _CHECKS = {
     "determinant_a": (MARGIN_DETERMINANT, None),
     "determinant_b": (MARGIN_DETERMINANT, None),
@@ -249,8 +249,7 @@ def divisor_point(np: NormalizedPair) -> DivisorPoint:
 
 
 def spectral_data_of_normalized(np: NormalizedPair) -> SpectralData:
-    return _validated(
-        SpectralData(np.h, curve_coefficients(np), divisor_point(np)))[0]
+    return _validated(SpectralData(np.h, curve_coefficients(np), divisor_point(np)))[0]
 
 
 def spectral_data(pair: MatrixPair) -> SpectralData:
@@ -320,9 +319,10 @@ def _validated(sd: SpectralData, full: bool = False) -> tuple[SpectralData, floa
         ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus),
         ("d1", h1 * h2 * h3, c.d1),
     ) if full else ()
-    for name, lhs, rhs in pairs:
+    for k, (name, lhs, rhs) in enumerate(pairs, 1):
         try:
-            scale = max(1.0, abs(lhs), abs(rhs))
+            # floored at 1, or at e_k(h)'s own scale max|h|^k below it
+            scale = max(min(1.0, max(map(abs, sd.h))) ** k, abs(lhs), abs(rhs))
             diff = abs(lhs - rhs)
         except OverflowError:
             scale = diff = math.inf

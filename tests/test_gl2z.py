@@ -14,6 +14,7 @@ from spectral_pair import (
     Generator,
     GeneralPositionError,
     IntermediateDegeneracy,
+    InvariantViolation,
     Mat3,
     MatrixPair,
     NormalizedPair,
@@ -549,18 +550,19 @@ def test_every_extreme_entry_pair_ends_ok_or_coded():
 
 
 def test_shear_spectral_rejects_a_zero_d1():
-    # A x 1e-5 keeps the data loadable with d1 = 0, because the scale of
-    # the symmetric-function test is floored at 1; the closed form divides
-    # by d1, and only by d1 = 0 can it not
+    # the closed form divides by d1, and only by d1 = 0 can it not.  The
+    # symmetric-function test's scale follows max|h|^3 below 1, so data
+    # with nonzero h and d1 = 0 fails validation, even for A x 1e-5, and a
+    # word rejects it before its first letter
     pair = random_pair(4)
     sd = spectral_data(pair._replace(a=pair.a.scaled(1e-5)))
-    zero = validate_spectral_data(sd._replace(coeffs=sd.coeffs._replace(d1=0j)))
+    zero = sd._replace(coeffs=sd.coeffs._replace(d1=0j))
     with pytest.raises(SingularA) as info:
         shear_spectral(zero)
     assert info.value.detail == {"d1": 0.0}
-    with pytest.raises(IntermediateDegeneracy) as info:
+    with pytest.raises(InvariantViolation) as info:
         act_word_spectral((Generator.SHEAR,), zero)
-    assert info.value.detail == {"prefix": "T", "cause": "singular_a"}
+    assert info.value.detail["component"] == "d1"
     # data that small but nonzero still shears
     shear_spectral(sd)
 

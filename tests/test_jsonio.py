@@ -201,7 +201,9 @@ def test_every_spectral_document_that_loads_ends_ok_or_coded():
             except Exception as exc:
                 crashes.append((label, i, repr(exc)))
     assert crashes == []
-    assert loaded == 204
+    # 168 since the symmetric-function test's scale follows max|h|^k below
+    # 1: h no longer hides a perturbed p_plus, p_minus or d1 of A x 1e-5
+    assert loaded == 168
 
 
 @pytest.mark.xfail(strict=True, reason=(
