@@ -320,8 +320,7 @@ def eigenvector(a: Mat3, h: complex, left: bool = False) -> Vec3:
         return _UNIT[(e[0], e[4], e[8]).index(h)]
     if left:
         e = _TRANSPOSE(e)
-    # the entries of I.scaled(h), so that a - h*I keeps every bit, signed
-    # zeros included
+    # I.scaled(h)'s entries, so a - h*I keeps every bit, signed zeros too
     on, off = h * (1 + 0j), h * 0j
     return kernel_vector((e[0] - on, e[1] - off, e[2] - off,
                           e[3] - off, e[4] - on, e[5] - off,

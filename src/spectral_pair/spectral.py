@@ -196,7 +196,8 @@ def _coefficients(a, b) -> CurveCoefficients:
     adj_a, adj_b, b_t = kernels.adj3(a), kernels.adj3(b), _TRANSPOSE(b)
     tr_a, tr_b = a[0] + a[4] + a[8], b[0] + b[4] + b[8]
     return CurveCoefficients(   # tr(XY) is sum(map(mul, X, Y^T))
-        d1=kernels.det3(a), d2=kernels.det3(b),
+        d1=a[0] * adj_a[0] + a[1] * adj_a[3] + a[2] * adj_a[6],
+        d2=b[0] * adj_b[0] + b[1] * adj_b[3] + b[2] * adj_b[6],
         p_plus=tr_a, p_minus=adj_a[0] + adj_a[4] + adj_a[8],
         q_plus=tr_b, q_minus=adj_b[0] + adj_b[4] + adj_b[8],
         r_plus=sum(map(mul, adj_a, b_t)),
@@ -216,19 +217,19 @@ def _divisor(a, b, w: Vec3 = _UNIT[0]) -> tuple[DivisorPoint, float]:
     Rows j and k of (L + M A + B) k = 0 are a 2x2 system; its determinant,
     u12 u13 (h2 - h3) up to scale in the normal form, over |y|^2 |A| is the
     scale-free margin, 0 for y = 0."""
-    p = max(range(3), key=lambda i: abs(w[i]))
+    p = (sizes := tuple(map(abs, w))).index(max(sizes))
     j, k = (1, 2) if p == 0 else (0, 3 - p)   # the other two places
     wp, wj, wk = w[p], w[j], w[k]
     # w^T B at places p, j and k
-    rp, rj, rk = (w[0] * b[c] + w[1] * b[3 + c] + w[2] * b[6 + c]
-                  for c in (p, j, k))
+    rp, rj, rk = [w[0] * b[c] + w[1] * b[3 + c] + w[2] * b[6 + c]
+                  for c in (p, j, k)]
     gj, gk = wp * rj - wj * rp, wp * rk - wk * rp
     big = gj if abs(gj) > abs(gk) else gk
     y1, y2 = (gk / big, -gj / big) if big else (0.0, 0.0)
     # k at places j, k and p, then rows j and k of A k and B k
     kj, kk, kp = wp * y1, wp * y2, -(wj * y1 + wk * y2)
-    aj, ak, bj, bk = (m[3 * r + j] * kj + m[3 * r + k] * kk + m[3 * r + p] * kp
-                      for m, r in ((a, j), (a, k), (b, j), (b, k)))
+    aj, ak, bj, bk = [m[3 * r + j] * kj + m[3 * r + k] * kk + m[3 * r + p] * kp
+                      for m, r in ((a, j), (a, k), (b, j), (b, k))]
     det = kj * ak - kk * aj
     scale = (y1 * y1.conjugate() + y2 * y2.conjugate()).real * kernels.frob3(a)
     margin = kernels.modulus(det) / scale if scale > 0.0 else 0.0
@@ -314,15 +315,16 @@ def _validated(sd: SpectralData, full: bool = False) -> tuple[SpectralData, floa
     tests; with ``full``, once h reproduces (p_plus, p_minus, d1) too."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
+    # each floored at 1, or at e_k(h)'s own scale max|h|^k below it
+    top = min(1.0, max(map(kernels.modulus, sd.h))) if full else 0.0
     pairs = (
-        ("p_plus", h1 + h2 + h3, c.p_plus),
-        ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus),
-        ("d1", h1 * h2 * h3, c.d1),
+        ("p_plus", h1 + h2 + h3, c.p_plus, top),
+        ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus, top * top),
+        ("d1", h1 * h2 * h3, c.d1, top * top * top),
     ) if full else ()
-    for k, (name, lhs, rhs) in enumerate(pairs, 1):
+    for name, lhs, rhs, floor in pairs:
         try:
-            # floored at 1, or at e_k(h)'s own scale max|h|^k below it
-            scale = max(min(1.0, max(map(abs, sd.h))) ** k, abs(lhs), abs(rhs))
+            scale = max(floor, abs(lhs), abs(rhs))
             diff = abs(lhs - rhs)
         except OverflowError:
             scale = diff = math.inf
@@ -465,16 +467,15 @@ def forward(pair: MatrixPair) -> Forward:
     """Map the pair forward once, stage by stage, with the margin of every
     general-position check; never raises a GeneralPositionError.
 
-    The stages and their hard checks are ``spectral_data``'s, then the
-    normal form and the axis points, which only report; a failed
-    determinant check does not stop them.  A stage that raises fails the
-    first check not yet recorded in ``_STAGE_ORDER``, with the error code
-    as its note and the ``ratio`` of its detail, if any, as its margin;
-    after ``spectral_data``'s, the later checks are "unavailable".  After a
-    failed determinant check, an overflow or a non-finite entry in a later
-    stage (an ``ArithmeticError`` or ``ValueError`` with no code) counts as
-    that determinant error, the one ``spectral_data`` raises first; without
-    one, it propagates.
+    The stages and hard checks are ``spectral_data``'s, then the normal
+    form and the axis points, which only report; a failed determinant check
+    stops none.  A stage that raises fails the first check not yet recorded
+    in ``_STAGE_ORDER``, with the error code as its note and the ``ratio``
+    of its detail, if any, as its margin; after ``spectral_data``'s, the
+    later checks are "unavailable".  After a failed determinant check, an
+    overflow or a non-finite entry in a later stage (an ``ArithmeticError``
+    or ``ValueError`` with no code) counts as that determinant error, the
+    one ``spectral_data`` raises first; without one, it propagates.
     """
     checks: dict[str, PositionCheck] = {}
     errors: list[GeneralPositionError] = []
