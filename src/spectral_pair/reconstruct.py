@@ -126,7 +126,7 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
     The forward map already lists the eigenvalues in this order, because
-    ``eig3`` orders them by ``canonical_order``, so a comparison relists
+    ``eigenvalues`` orders them by ``canonical_order``, so a comparison relists
     only the side whose ordering can differ: the output of the
     transformation formulas, or data read from outside.  The coefficients
     pass through bit for bit.  The divisor point is the third zero of the

@@ -207,8 +207,8 @@ def _coefficients(a, b) -> CurveCoefficients:
 
 def _divisor(a, b, w: Vec3 = _UNIT[0]) -> tuple[DivisorPoint, float]:
     """The divisor point (L : M : 1) of the pair with flat entries ``a`` and
-    ``b``, for A's unit left eigenvector w at h1 (e1 for a diagonal A with
-    h1 first), and the margin it tests.
+    ``b``, for A's unit left eigenvector w at h1 (e1 for diag(h)), and the
+    margin it tests.
 
     There the pencil's kernel vector k has w^T k = 0, its first coordinate
     in A's eigenbasis.  With p the place of w's largest entry and j, k the

@@ -704,7 +704,7 @@ def assert_stage_check_fails(pair):
 def test_no_stage_raises_while_its_report_check_passes(seeded_pairs):
     # the fixture pair with A, B or both scaled by 2^k: the divisor margin
     # is scale-free, so none gives degenerate_divisor; large A fails the
-    # leading-coefficient test, and B beyond 2^160 the on-curve test, whose
+    # leading-coefficient test, and B from about 2^180 the on-curve test, whose
     # scale overflows
     scaled = [MatrixPair(FIXTURE_A.scaled(sa), FIXTURE_B.scaled(sb))
               for k in range(-320, 321, 20)
