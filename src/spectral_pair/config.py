@@ -20,7 +20,7 @@ EIGENVALUE_TIE = 1e-8         # real parts this close vs max |h_i| are tied
 
 # pair normalization and spectral data
 GAUGE = 1e-9                  # min(|u12|, |u13|) vs |U0| in the normal form
-DIVISOR_DENOMINATOR = 1e-9    # the divisor's 2x2 determinant vs |y|^2 |A|
+DIVISOR_DENOMINATOR = 1e-9    # the divisor's 2x2 determinant vs |y|^2 |A|, times h1's squared relative gap
 ON_CURVE = 1e-8               # divisor point curve residual
 SYMMETRIC_FUNCTIONS = 1e-9    # e_k(h) vs (p_plus, p_minus, d1), scale floored at min(1, max|h|)^k
 

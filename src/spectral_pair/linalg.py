@@ -24,12 +24,10 @@ the leading-coefficient test bounds a finite eigenvalue by 1 + 1e12.  A
 reciprocal that a chain multiplies in is bounded by the test before it.
 
 ``eig3`` is ``eigenvalues``, then ``eigenvector`` at each; the forward map
-needs only the first half and one left eigenvector.  For a diagonal A,
-whose six off-diagonal entries are exactly zero, they solve no cubic and
-seek no kernel: the eigenvalues are the entries in ``canonical_order`` and
-the eigenvectors the unit vectors, A - h_i I's exact kernels once the gaps
-pass.  The branch keeps the leading-coefficient test on A's characteristic
-polynomial (``_check_leading_coefficient``) and ``check_separation``.
+needs only the first half and one left eigenvector.  A diagonal A's (six
+off-diagonal entries exactly zero) take no cubic and no kernel, only the
+leading-coefficient and separation tests: the entries in ``canonical_order``
+and the unit vectors, A - h_i I's exact kernels once the gaps pass.
 """
 
 from __future__ import annotations
@@ -327,8 +325,8 @@ def eigenvector(a: Mat3, h: complex, left: bool = False) -> Vec3:
                           e[6] - off, e[7] - off, e[8] - on))
 
 
-def eig3(a: Mat3) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
-    """Eigenvalues (in ``canonical_order``) and matching unit eigenvectors;
-    defective and near-defective matrices are rejected."""
-    values = eigenvalues(a)
+def eig3(a: Mat3, values: Vec3 | None = None) -> tuple[Vec3, tuple[Vec3, Vec3, Vec3]]:
+    """Eigenvalues (in ``canonical_order``, or ``values`` if already known)
+    and matching unit eigenvectors; near-defective matrices are rejected."""
+    values = values or eigenvalues(a)
     return values, tuple(eigenvector(a, h) for h in values)

@@ -42,6 +42,7 @@ from .linalg import (
     _TRANSPOSE,
     _UNIT,
     check_finite,
+    eig3,
     eigenvalues,
     eigenvector,
     nonsingular_det,
@@ -144,12 +145,13 @@ def normalize_pair(pair: MatrixPair) -> NormalizedPair:
     """
     nonsingular_det(pair.a.entries, "A")
     nonsingular_det(pair.b.entries, "B")
-    return _normal_form(pair, eigenvalues(pair.a))[0]
+    return _normal_form(pair)[0]
 
 
-def _normal_form(pair: MatrixPair, h: Vec3) -> tuple[NormalizedPair, float]:
-    """The normal form for A's eigenvalues h, with the gauge ratio it tests."""
-    vectors = tuple(eigenvector(pair.a, z) for z in h)
+def _normal_form(pair: MatrixPair, h: Vec3 | None = None) -> tuple[NormalizedPair, float]:
+    """The normal form, at A's eigenvalues h if known, with the gauge ratio
+    it tests."""
+    h, vectors = eig3(pair.a, h)
     return _gauge_fix(h, _in_eigenbasis(pair.b, vectors))
 
 
@@ -205,10 +207,10 @@ def _coefficients(a, b) -> CurveCoefficients:
         t=tr_a * tr_b - sum(map(mul, a, b_t)))
 
 
-def _divisor(a, b, w: Vec3 = _UNIT[0]) -> tuple[DivisorPoint, float]:
+def _divisor(a, b, w=_UNIT[0], h=None) -> tuple[DivisorPoint, float]:
     """The divisor point (L : M : 1) of the pair with flat entries ``a`` and
     ``b``, for A's unit left eigenvector w at h1 (e1 for diag(h)), and the
-    margin it tests.
+    margin it tests; h, A's eigenvalues, when w was computed.
 
     There the pencil's kernel vector k has w^T k = 0, its first coordinate
     in A's eigenbasis.  With p the place of w's largest entry and j, k the
@@ -216,7 +218,9 @@ def _divisor(a, b, w: Vec3 = _UNIT[0]) -> tuple[DivisorPoint, float]:
     gives y = (g_k, -g_j), g_c = w^T B q_c, here over its larger entry.
     Rows j and k of (L + M A + B) k = 0 are a 2x2 system; its determinant,
     u12 u13 (h2 - h3) up to scale in the normal form, over |y|^2 |A| is the
-    scale-free margin, 0 for y = 0."""
+    scale-free margin, 0 for y = 0.  A computed w, and the point with it,
+    loses 1/g^2 for h1's relative gap g = min(|h1 - h2|, |h1 - h3|, max|h|)
+    / max|h|, so the margin is then multiplied by g^2; e1 loses nothing."""
     p = (sizes := tuple(map(abs, w))).index(max(sizes))
     j, k = (1, 2) if p == 0 else (0, 3 - p)   # the other two places
     wp, wj, wk = w[p], w[j], w[k]
@@ -232,10 +236,14 @@ def _divisor(a, b, w: Vec3 = _UNIT[0]) -> tuple[DivisorPoint, float]:
                       for m, r in ((a, j), (a, k), (b, j), (b, k))]
     det = kj * ak - kk * aj
     scale = (y1 * y1.conjugate() + y2 * y2.conjugate()).real * kernels.frob3(a)
-    margin = kernels.modulus(det) / scale if scale > 0.0 else 0.0
+    mod = kernels.modulus
+    margin = mod(det) / scale if scale > 0.0 else 0.0
+    if h is not None:   # separated, so max|h| > 0
+        top = max(map(mod, h))
+        margin *= (min(mod(h[0] - h[1]), mod(h[0] - h[2]), top) / top) ** 2
     if not margin > _CHECKS["divisor_denominator"][1]:
         raise DegenerateDivisor("divisor denominator is negligible",
-                                denominator=kernels.modulus(det), ratio=margin)
+                                denominator=mod(det), ratio=margin)
     return DivisorPoint((bk * aj - bj * ak) / det, (kk * bj - kj * bk) / det), margin
 
 
@@ -250,7 +258,8 @@ def divisor_point(np: NormalizedPair) -> DivisorPoint:
 
 
 def spectral_data_of_normalized(np: NormalizedPair) -> SpectralData:
-    return _validated(SpectralData(np.h, curve_coefficients(np), divisor_point(np)))[0]
+    return validate_spectral_data(
+        SpectralData(np.h, curve_coefficients(np), divisor_point(np)))
 
 
 def spectral_data(pair: MatrixPair) -> SpectralData:
@@ -275,7 +284,7 @@ def _spectral(pair: MatrixPair, known=None) -> tuple[SpectralData, Vec3]:
     nonsingular_det(b, "B")
     h, w = known or _first_left_eigen(pair.a)
     return validate_spectral_data(
-        SpectralData(h, _coefficients(a, b), _divisor(a, b, w)[0])), w
+        SpectralData(h, _coefficients(a, b), _divisor(a, b, w, h)[0])), w
 
 
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
@@ -303,26 +312,20 @@ def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
 def validate_spectral_data(sd: SpectralData) -> SpectralData:
     """``sd`` once it passes the consistency checks: the eigenvalues
     reproduce (p_plus, p_minus, d1) as their elementary symmetric functions,
-    and the divisor point lies on the curve.  Data is checked in full
-    wherever h did not produce its coefficients: the forward map (A's
-    traces), a document, ``canonical_form``, the actions and a relisting
-    that permutes h; the normal form's (``_validated``) only on the curve."""
-    return _validated(sd, full=True)[0]
+    and the divisor point lies on the curve."""
+    return _validated(sd)[0]
 
 
-def _validated(sd: SpectralData, full: bool = False) -> tuple[SpectralData, float]:
-    """``sd`` once its divisor point lies on the curve, with the residual it
-    tests; with ``full``, once h reproduces (p_plus, p_minus, d1) too."""
+def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
+    """``validate_spectral_data``, with the on-curve residual it tests."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
     # each floored at 1, or at e_k(h)'s own scale max|h|^k below it
-    top = min(1.0, max(map(kernels.modulus, sd.h))) if full else 0.0
-    pairs = (
-        ("p_plus", h1 + h2 + h3, c.p_plus, top),
-        ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus, top * top),
-        ("d1", h1 * h2 * h3, c.d1, top * top * top),
-    ) if full else ()
-    for name, lhs, rhs, floor in pairs:
+    top = min(1.0, max(map(kernels.modulus, sd.h)))
+    for name, lhs, rhs, floor in (
+            ("p_plus", h1 + h2 + h3, c.p_plus, top),
+            ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus, top * top),
+            ("d1", h1 * h2 * h3, c.d1, top * top * top)):
         try:
             scale = max(floor, abs(lhs), abs(rhs))
             diff = abs(lhs - rhs)
@@ -513,10 +516,9 @@ def forward(pair: MatrixPair) -> Forward:
         h, w = _first_left_eigen(pair.a)
         sep, scale = separation(h)
         add("eigenvalue_separation", sep / scale)
-        divisor, margin = _divisor(a, b, w)
+        divisor, margin = _divisor(a, b, w, h)
         add("divisor_denominator", margin)
-        sd, residual = _validated(
-            SpectralData(h, _coefficients(a, b), divisor), full=True)
+        sd, residual = _validated(SpectralData(h, _coefficients(a, b), divisor))
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
         if isinstance(exc, GeneralPositionError):
             errors.append(exc)

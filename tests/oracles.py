@@ -700,6 +700,8 @@ def report_by_stages(pair) -> GeneralPositionReport:
     add("eigenvalue_separation", sep / scale)
 
     lam, mu, margin = divisor_by_left_eigenvector(pair.a, pair.b, w)
+    # h1's relative gap, squared: w's loss in the close pair it belongs to
+    margin *= min(1.0, min(abs(h[0] - x) for x in h[1:]) / scale) ** 2
     if not margin > DIVISOR_DENOMINATOR:
         add("divisor_denominator", margin, "degenerate_divisor")
         return finish()
@@ -708,7 +710,8 @@ def report_by_stages(pair) -> GeneralPositionReport:
     # the forward map's own floats; the oracle's are checked against them
     a, b = pair.a.entries, pair.b.entries
     c = spectral_module._coefficients(a, b)
-    divisor = spectral_module._divisor(a, b, eigenvector(pair.a, h[0], left=True))[0]
+    divisor = spectral_module._divisor(
+        a, b, eigenvector(pair.a, h[0], left=True), h)[0]
     expanded = pair_expanded_coefficients(a, b)
     assert abs(expanded.pop("lam3") - 1) < 1e-12
     assert all(abs(x - expanded[name]) <= 1e-9 * max(1.0, abs(x))

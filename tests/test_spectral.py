@@ -207,18 +207,19 @@ def test_divisor_margin_is_scale_free(fixture_pair):
     """The divisor margin of A x 2^j and B x 2^k, for j and k in -60..60
     by 20, is the unscaled one within 1e-12 relative, and no such pair
     raises degenerate_divisor.  The margin is taken at A's left eigenvector
-    for the exactly scaled h1, since the leading-coefficient test of
+    for the exactly scaled h, since the leading-coefficient test of
     ``solve_cubic`` rejects a scaled A's cubic (ROADMAP item 3); where the
     report reaches the divisor stage, its margin is compared too."""
     steps = range(-60, 61, 20)
     for pair in [fixture_pair, *map(random_pair, range(10))]:
-        h1 = spectral_data(pair).h[0]
+        hs = spectral_data(pair).h
         base = spectral_module.forward(pair).report.checks[4].margin
         for j in steps:
             for k in steps:
                 a, b = pair.a.scaled(2.0 ** j), pair.b.scaled(2.0 ** k)
-                w = eigenvector(a, 2.0 ** j * h1, left=True)
-                _, margin = spectral_module._divisor(a.entries, b.entries, w)
+                h = tuple(2.0 ** j * z for z in hs)
+                w = eigenvector(a, h[0], left=True)
+                _, margin = spectral_module._divisor(a.entries, b.entries, w, h)
                 assert math.isclose(margin, base, rel_tol=1e-12), (j, k)
                 check = general_position_report(MatrixPair(a, b)).checks[4]
                 assert check.margin is None or math.isclose(
@@ -227,6 +228,54 @@ def test_divisor_margin_is_scale_free(fixture_pair):
                     spectral_data(MatrixPair(a, b))
                 except GeneralPositionError as exc:
                     assert exc.code != "degenerate_divisor", (j, k)
+
+
+#: near-gap pairs, A = V diag(h) V^-1 with a relative eigenvalue gap of
+#: 1.5e-6 and 3.8e-6 (``boundary-mix`` seeds 201 and 204, ops 15 and 139):
+#: in the first the close pair is listed first, in the second last
+CLOSE_PAIR_FIRST = MatrixPair(Mat3((
+    4.195182585720047+2.5397316853661804j, 1.25890142793077+3.1523375977200327j,
+    2.167977635435254-3.382678013038714j, -1.2299907084153134+2.1318291673965315j,
+    -1.2326496158184392+1.1225572927507894j, 2.000552605093093+1.218378822442523j,
+    4.9309126813216135-1.2009356499167112j, 3.7493414740572835+1.6104759979418315j,
+    -0.44348857791083507-4.371903890980161j)), Mat3((
+    -0.08504150348395867+0.8950516980734133j, 0.5106531210218792+0.5331639846893323j,
+    0.39460820808277686-0.5566579948454897j, -0.24267931558944822+0.12452294793310048j,
+    0.4663930288969971+0.2190897323043135j, 0.6756752859838391+0.04768423952623713j,
+    0.28586492935129626+0.08188724789083968j, -0.9045185416403383-0.2874174844427697j,
+    -0.38358043602608727+0.1332828065660523j)))
+CLOSE_PAIR_LAST = MatrixPair(Mat3((
+    -4.0221486688149515-7.278064664512189j, -0.05500661064704282-3.5816078730021648j,
+    -4.390395618884392+3.480356915750144j, 7.633191110054538+1.882116834627496j,
+    2.652052061622676+1.4670076886081098j, 1.0569257121135922-6.189485513967263j,
+    -5.868938433325162-0.9010247248128875j, -2.2499842114820097-2.0324562233837127j,
+    -0.4524835182760778+3.2479376920525773j)), Mat3((
+    -0.7787052193108666+0.3067848482423685j, 0.46823876624759464+0.22362148154999084j,
+    0.646372270267501-0.1663424931418871j, -0.674284994188167+0.6477535986112881j,
+    0.2667555989619901+0.43257935305590145j, 0.08336196669809603+0.46337162801370946j,
+    0.0689669183559185+0.005640981945107981j, -0.5902923245687832-0.0917370296970268j,
+    0.5160162587519588-0.44870175029096226j)))
+#: the second pair's divisor point by a 60-digit forward map
+CLOSE_PAIR_LAST_DIVISOR = (93445.86198596383-648098.7578731094j,
+                           -433796.65853451757-85113.54157282144j)
+
+
+def test_divisor_stage_rejects_h1_in_a_close_pair():
+    """When h1 belongs to a close pair, A's computed left eigenvector at h1,
+    and the divisor point with it, lose 1/g^2 for h1's relative gap g (on
+    the first pair, 3.1e-4 against a 60-digit forward map): the margin,
+    multiplied by g^2, fails the divisor stage, which the report records.
+    With the close pair listed last, w is well conditioned and the data map
+    forward within 1e-8 of the reference (measured: 1.1e-9)."""
+    with pytest.raises(DegenerateDivisor) as info:
+        spectral_data(CLOSE_PAIR_FIRST)
+    check = general_position_report(CLOSE_PAIR_FIRST).checks[4]
+    assert check.name == "divisor_denominator"
+    assert (check.margin, check.note) == (info.value.detail["ratio"],
+                                          "degenerate_divisor")
+    sd = spectral_data(CLOSE_PAIR_LAST)
+    assert max(map(spectral_module.relative_difference, sd.divisor,
+                   CLOSE_PAIR_LAST_DIVISOR)) <= 1e-8
 
 
 def test_divisor_kernel_first_coordinate(seeded_pairs):
@@ -642,34 +691,36 @@ def test_forward_records_a_divisor_point_off_the_curve(fixture_pair,
 
 
 def test_only_full_validation_checks_the_symmetric_functions(seeded_pairs):
-    """``validate_spectral_data``, which the forward map runs, checks h
-    against (p_plus, p_minus, d1) before the divisor point; ``_validated``
-    without ``full``, the normal form's check, tests the divisor point
-    alone.  Moving p_plus and q_plus against each other keeps the curve's
-    value at the divisor point."""
+    """Every validation is the full one: ``validate_spectral_data`` and the
+    forward map's ``_validated`` check h against (p_plus, p_minus, d1)
+    before the divisor point.  Moving p_plus and q_plus against each other
+    keeps the curve's value at the divisor point."""
     for pair in seeded_pairs[:5]:
         sd = spectral_data(pair)
         c, M = sd.coeffs, sd.divisor.M
         step = 1e-6 * max(1.0, abs(c.p_plus))
         moved = sd._replace(coeffs=c._replace(p_plus=c.p_plus + step,
                                               q_plus=c.q_plus - step * M))
-        with pytest.raises(InvariantViolation) as info:
-            validate_spectral_data(moved)
-        assert info.value.detail["component"] == "p_plus"
-        assert spectral_module._validated(moved)[0] is moved
+        for validate in validate_spectral_data, spectral_module._validated:
+            with pytest.raises(InvariantViolation) as info:
+                validate(moved)
+            assert info.value.detail["component"] == "p_plus"
 
 
 def test_overflowing_symmetric_functions_fail_the_incidence_test():
     """A hand-made normalized pair whose symmetric functions overflow, which
-    ``eig3`` never returns, still raises ``invariant_violation``: its
-    coefficients overflow, and the curve residual at the divisor point
-    reads NaN."""
+    ``eig3`` never returns, still raises ``invariant_violation``: the scale
+    of d1's test overflows, which certifies nothing, and so do its
+    coefficients, so that the curve residual at the divisor point reads
+    NaN too."""
     np = normalize_pair(random_pair(0))
     huge = NormalizedPair(tuple(z * 1e103 for z in np.h), np.u)
     with pytest.raises(InvariantViolation) as info:
         spectral_module.spectral_data_of_normalized(huge)
-    assert info.value.detail["component"] == "divisor"
-    assert math.isnan(info.value.detail["residual"])
+    assert info.value.detail == {"component": "d1", "residual": math.inf}
+    divisor = spectral_module.divisor_point(huge)
+    assert math.isnan(spectral_module.curve_residual(
+        spectral_module.curve_coefficients(huge), *divisor, 1.0))
 
 
 #: the report check of the stage that raises each error code; the forward
