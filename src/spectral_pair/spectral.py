@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import attrgetter, mul
+from operator import attrgetter, mul, truediv
 from typing import NamedTuple
 
 from . import _kernels_py as kernels
@@ -42,6 +42,7 @@ from .linalg import (
     _TRANSPOSE,
     _UNIT,
     check_finite,
+    check_nonsingular,
     eig3,
     eigenvalues,
     eigenvector,
@@ -207,10 +208,11 @@ def _coefficients(a, b) -> CurveCoefficients:
         t=tr_a * tr_b - sum(map(mul, a, b_t)))
 
 
-def _divisor(a, b, w=_UNIT[0], h=None) -> tuple[DivisorPoint, float]:
+def _divisor(a, b, w=_UNIT[0], h=None, norm=None) -> tuple[DivisorPoint, float]:
     """The divisor point (L : M : 1) of the pair with flat entries ``a`` and
     ``b``, for A's unit left eigenvector w at h1 (e1 for diag(h)), and the
-    margin it tests; h, A's eigenvalues, when w was computed.
+    margin it tests; h, A's eigenvalues, when w was computed, and ``norm``,
+    |A|, when the caller has taken it.
 
     There the pencil's kernel vector k has w^T k = 0, its first coordinate
     in A's eigenbasis.  With p the place of w's largest entry and j, k the
@@ -223,19 +225,24 @@ def _divisor(a, b, w=_UNIT[0], h=None) -> tuple[DivisorPoint, float]:
     / max|h|, so the margin is then multiplied by g^2; e1 loses nothing."""
     p = (sizes := tuple(map(abs, w))).index(max(sizes))
     j, k = (1, 2) if p == 0 else (0, 3 - p)   # the other two places
-    wp, wj, wk = w[p], w[j], w[k]
+    (w0, w1, w2), wp, wj, wk = w, w[p], w[j], w[k]
     # w^T B at places p, j and k
-    rp, rj, rk = [w[0] * b[c] + w[1] * b[3 + c] + w[2] * b[6 + c]
-                  for c in (p, j, k)]
+    rp = w0 * b[p] + w1 * b[3 + p] + w2 * b[6 + p]
+    rj = w0 * b[j] + w1 * b[3 + j] + w2 * b[6 + j]
+    rk = w0 * b[k] + w1 * b[3 + k] + w2 * b[6 + k]
     gj, gk = wp * rj - wj * rp, wp * rk - wk * rp
     big = gj if abs(gj) > abs(gk) else gk
     y1, y2 = (gk / big, -gj / big) if big else (0.0, 0.0)
     # k at places j, k and p, then rows j and k of A k and B k
     kj, kk, kp = wp * y1, wp * y2, -(wj * y1 + wk * y2)
-    aj, ak, bj, bk = [m[3 * r + j] * kj + m[3 * r + k] * kk + m[3 * r + p] * kp
-                      for m, r in ((a, j), (a, k), (b, j), (b, k))]
+    oj, ok = 3 * j, 3 * k   # where rows j and k start
+    aj = a[oj + j] * kj + a[oj + k] * kk + a[oj + p] * kp
+    ak = a[ok + j] * kj + a[ok + k] * kk + a[ok + p] * kp
+    bj = b[oj + j] * kj + b[oj + k] * kk + b[oj + p] * kp
+    bk = b[ok + j] * kj + b[ok + k] * kk + b[ok + p] * kp
     det = kj * ak - kk * aj
-    scale = (y1 * y1.conjugate() + y2 * y2.conjugate()).real * kernels.frob3(a)
+    norm = kernels.frob3(a) if norm is None else norm
+    scale = (y1 * y1.conjugate() + y2 * y2.conjugate()).real * norm
     mod = kernels.modulus
     margin = mod(det) / scale if scale > 0.0 else 0.0
     if h is not None:   # separated, so max|h| > 0
@@ -269,22 +276,30 @@ def spectral_data(pair: MatrixPair) -> SpectralData:
     return _spectral(pair)[0]
 
 
-def _first_left_eigen(a: Mat3) -> tuple[Vec3, Vec3]:
-    """A's eigenvalues h and its unit left eigenvector w at h1."""
-    h = eigenvalues(a)
-    return h, eigenvector(a, h[0], left=True)
-
-
-def _spectral(pair: MatrixPair, known=None) -> tuple[SpectralData, Vec3]:
-    """``spectral_data`` and the w it took; ``known``, the (h, w) of an A that
-    passed its determinant test, skips A's test and decomposition."""
+def _spectral(pair: MatrixPair, known=None, report=None) -> tuple[SpectralData, Vec3]:
+    """``spectral_data`` and the w it took, each invariant formed once: the
+    determinants tested are d1 and d2, the first-row expansions of adj A and
+    adj B (det3's bits but for the sign of a zero, which the test does not
+    see), and |A| serves A's test and the divisor.  ``known``, the (h, w) of
+    an A that passed its test, skips it and A's decomposition.  ``forward``'s
+    ``report`` records each margin, and a failed determinant test unraised."""
     a, b = pair.a.entries, pair.b.entries
+    c, norm = _coefficients(a, b), kernels.frob3(a)
+    test = check_nonsingular if report is None else report.determinant
     if known is None:
-        nonsingular_det(a, "A")
-    nonsingular_det(b, "B")
-    h, w = known or _first_left_eigen(pair.a)
-    return validate_spectral_data(
-        SpectralData(h, _coefficients(a, b), _divisor(a, b, w, h)[0])), w
+        test(c.d1, norm, "A")
+    test(c.d2, kernels.frob3(b), "B")
+    h = known[0] if known else eigenvalues(pair.a)
+    w = known[1] if known else eigenvector(pair.a, h[0], left=True)
+    if report is None:   # validated under the name the benchmark's tracer times
+        return validate_spectral_data(
+            SpectralData(h, c, _divisor(a, b, w, h, norm)[0])), w
+    report.add("eigenvalue_separation", truediv(*separation(h)))
+    divisor, margin = _divisor(a, b, w, h, norm)
+    report.add("divisor_denominator", margin)
+    sd, residual = _validated(SpectralData(h, c, divisor))
+    report.add("divisor_on_curve", _CHECKS["divisor_on_curve"][1] - residual)
+    return sd, w
 
 
 def curve_residual(coeffs: CurveCoefficients, lam: complex, mu: complex,
@@ -320,24 +335,30 @@ def _validated(sd: SpectralData) -> tuple[SpectralData, float]:
     """``validate_spectral_data``, with the on-curve residual it tests."""
     h1, h2, h3 = sd.h
     c = sd.coeffs
-    # each floored at 1, or at e_k(h)'s own scale max|h|^k below it
-    top = min(1.0, max(map(kernels.modulus, sd.h)))
-    for name, lhs, rhs, floor in (
-            ("p_plus", h1 + h2 + h3, c.p_plus, top),
-            ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus, top * top),
-            ("d1", h1 * h2 * h3, c.d1, top * top * top)):
-        try:
-            scale = max(floor, abs(lhs), abs(rhs))
-            diff = abs(lhs - rhs)
-        except OverflowError:
-            scale = diff = math.inf
-        # as in ``curve_residual``, a scale that overflows certifies nothing
-        if scale == math.inf or not diff <= SYMMETRIC_FUNCTIONS * scale:
-            raise InvariantViolation(
-                f"eigenvalues do not match coefficient {name}",
-                component=name,
-                residual=math.inf if scale == math.inf else diff / scale)
-    residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
+    e1, e2, e3 = h1 + h2 + h3, h1 * h2 + h1 * h3 + h2 * h3, h1 * h2 * h3
+    p1, p2, p3 = c.p_plus, c.p_minus, c.d1
+    # each scale floored at 1, or at e_k(h)'s own scale max|h|^k below it;
+    # where a modulus overflows, all are taken again, that one reading inf
+    try:
+        f = min(1.0, max(abs(h1), abs(h2), abs(h3)))
+        r1, s1 = abs(e1 - p1), max(f, abs(e1), abs(p1))
+        r2, s2 = abs(e2 - p2), max(f * f, abs(e2), abs(p2))
+        r3, s3 = abs(e3 - p3), max(f * f * f, abs(e3), abs(p3))
+    except OverflowError:
+        m = kernels.modulus
+        f = min(1.0, max(m(h1), m(h2), m(h3)))
+        r1, s1 = m(e1 - p1), max(f, m(e1), m(p1))
+        r2, s2 = m(e2 - p2), max(f * f, m(e2), m(p2))
+        r3, s3 = m(e3 - p3), max(f * f * f, m(e3), m(p3))
+    # as in ``curve_residual``, a scale that overflows certifies nothing
+    inf, tol = math.inf, SYMMETRIC_FUNCTIONS
+    if not (r1 <= tol * s1 < inf and r2 <= tol * s2 < inf and r3 <= tol * s3 < inf):
+        for name, diff, scale in ("p_plus", r1, s1), ("p_minus", r2, s2), ("d1", r3, s3):
+            if not diff <= tol * scale < inf:
+                raise InvariantViolation(
+                    f"eigenvalues do not match coefficient {name}", component=name,
+                    residual=inf if scale == inf else diff / scale)
+    residual = curve_residual(c, sd.divisor.L, sd.divisor.M, 1.0)
     if not residual <= _CHECKS["divisor_on_curve"][1]:
         raise InvariantViolation("divisor point does not lie on the curve",
                                  component="divisor", residual=residual)
@@ -447,100 +468,109 @@ def _axis_point_separation(h: Vec3, xi: Vec3, s: Vec3) -> float:
     |P x X|^2 = 1 + |h|^2 + |xi|^2, |P x Z|^2 = 1 + |h|^2 + |hs|^2 and
     |X x Z|^2 = |s|^2 + |xi|^2 + |xi s|^2.  Squares are summed in
     ``vec_norm``'s order, a square that overflows reading inf, and ``min``
-    takes the pairs of the list P, X, Z in order, so the bits, a NaN
-    included, are the generic cross product's."""
-    sqrt, sq = math.sqrt, kernels.square_modulus
-    hh, xx, ss = ([sq(z) for z in r] for r in (h, xi, s))
-    nh, nx, ns = ([sqrt(a + 1.0) for a in r] for r in (hh, xx, ss))
-    d = []
-    for i, (p, a, n) in enumerate(zip(h, hh, nh)):
-        d += [sqrt(sq(h[j] - p)) / (n * nh[j]) for j in range(i + 1, 3)]
-        d += [sqrt(1.0 + a + b) / (n * m) for b, m in zip(xx, nx)]
-        d += [sqrt(1.0 + a + sq(p * t)) / (n * m) for t, m in zip(s, ns)]
-    for i, (x, a, n) in enumerate(zip(xi, xx, nx)):
-        d += [sqrt(sq(xi[j] - x)) / (n * nx[j]) for j in range(i + 1, 3)]
-        d += [sqrt(b + a + sq(x * t)) / (n * m)
-              for t, b, m in zip(s, ss, ns)]
-    d += [sqrt(sq(s[j] - s[i])) / (ns[i] * ns[j])
-          for i in range(3) for j in range(i + 1, 3)]
-    return min(d)
+    takes the 36 pairs of the list P, X, Z in order, written out, so the
+    bits, a NaN included, are the generic cross product's."""
+    r, q = math.sqrt, kernels.square_modulus
+    (h1, h2, h3), (x1, x2, x3), (s1, s2, s3) = h, xi, s
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = v = tuple(map(q, (*h, *xi, *s)))
+    n1, n2, n3, m1, m2, m3, k1, k2, k3 = map(r, map((1.0).__add__, v))
+    return min(
+        r(q(h2 - h1)) / (n1 * n2), r(q(h3 - h1)) / (n1 * n3),
+        r(1.0 + a1 + b1) / (n1 * m1), r(1.0 + a1 + b2) / (n1 * m2),
+        r(1.0 + a1 + b3) / (n1 * m3), r(1.0 + a1 + q(h1 * s1)) / (n1 * k1),
+        r(1.0 + a1 + q(h1 * s2)) / (n1 * k2), r(1.0 + a1 + q(h1 * s3)) / (n1 * k3),
+        r(q(h3 - h2)) / (n2 * n3), r(1.0 + a2 + b1) / (n2 * m1),
+        r(1.0 + a2 + b2) / (n2 * m2), r(1.0 + a2 + b3) / (n2 * m3),
+        r(1.0 + a2 + q(h2 * s1)) / (n2 * k1), r(1.0 + a2 + q(h2 * s2)) / (n2 * k2),
+        r(1.0 + a2 + q(h2 * s3)) / (n2 * k3), r(1.0 + a3 + b1) / (n3 * m1),
+        r(1.0 + a3 + b2) / (n3 * m2), r(1.0 + a3 + b3) / (n3 * m3),
+        r(1.0 + a3 + q(h3 * s1)) / (n3 * k1), r(1.0 + a3 + q(h3 * s2)) / (n3 * k2),
+        r(1.0 + a3 + q(h3 * s3)) / (n3 * k3), r(q(x2 - x1)) / (m1 * m2),
+        r(q(x3 - x1)) / (m1 * m3), r(c1 + b1 + q(x1 * s1)) / (m1 * k1),
+        r(c2 + b1 + q(x1 * s2)) / (m1 * k2), r(c3 + b1 + q(x1 * s3)) / (m1 * k3),
+        r(q(x3 - x2)) / (m2 * m3), r(c1 + b2 + q(x2 * s1)) / (m2 * k1),
+        r(c2 + b2 + q(x2 * s2)) / (m2 * k2), r(c3 + b2 + q(x2 * s3)) / (m2 * k3),
+        r(c1 + b3 + q(x3 * s1)) / (m3 * k1), r(c2 + b3 + q(x3 * s2)) / (m3 * k2),
+        r(c3 + b3 + q(x3 * s3)) / (m3 * k3), r(q(s2 - s1)) / (k1 * k2),
+        r(q(s3 - s1)) / (k1 * k3), r(q(s3 - s2)) / (k2 * k3))
 
 
 def forward(pair: MatrixPair) -> Forward:
-    """Map the pair forward once, stage by stage, with the margin of every
-    general-position check; never raises a GeneralPositionError.
+    """Map the pair forward once, with the margin of every general-position
+    check; never raises a GeneralPositionError.
 
-    The stages and hard checks are ``spectral_data``'s, then the normal
-    form and the axis points, which only report; a failed determinant check
-    stops none.  A stage that raises fails the first check not yet recorded
-    in ``_STAGE_ORDER``, with the error code as its note and the ``ratio``
-    of its detail, if any, as its margin; after ``spectral_data``'s, the
-    later checks are "unavailable".  After a failed determinant check, an
-    overflow or a non-finite entry in a later stage (an ``ArithmeticError``
-    or ``ValueError`` with no code) counts as that determinant error, the
-    one ``spectral_data`` raises first; without one, it propagates.
-    """
-    checks: dict[str, PositionCheck] = {}
-    errors: list[GeneralPositionError] = []
-
-    def add(name, margin, note=""):
-        threshold = _CHECKS[name][0]
-        checks[name] = PositionCheck(name, margin is not None and margin > threshold,
-                                     margin, threshold, note)
-
-    def failed(name, exc):
-        # an uncoded error counts as the first determinant error, if any
-        if not isinstance(exc, GeneralPositionError):
-            if not errors:
-                raise exc
-            exc = errors[0]
-        add(name, exc.detail.get("ratio"), exc.code)
-
-    def done(np=None, sd=None, w=None) -> Forward:
-        for name in _STAGE_ORDER[len(checks):]:
-            add(name, None, "unavailable")
-        report = GeneralPositionReport(tuple(map(checks.get, _CHECK_NAMES)))
-        if errors:
-            return Forward(pair, report, None, None, errors[0])
-        return Forward(pair, report, np, sd, None, w)
-
-    for name, m in (("A", pair.a), ("B", pair.b)):
-        try:
-            nonsingular_det(m.entries, name)
-        except SingularMatrix as exc:
-            errors.append(exc)
-        add("determinant_" + name.lower(), _determinant_margin(m.entries))
-
-    a, b = pair.a.entries, pair.b.entries
+    ``_spectral`` runs the stages and hard checks of ``spectral_data`` and
+    records their margins, a failed determinant check stopping none; the
+    normal form and the axis points follow, and only report.  A stage that
+    raises fails the first check not yet recorded in ``_STAGE_ORDER``, with
+    the error code as its note and the ``ratio`` of its detail, if any, as
+    its margin; after ``spectral_data``'s, the later checks are
+    "unavailable".  After a failed determinant check, an overflow or a
+    non-finite entry in a later stage (an ``ArithmeticError`` or
+    ``ValueError`` with no code) counts as that determinant error, the one
+    ``spectral_data`` raises first; without one, it propagates."""
+    report = _Report(pair)
     try:
-        h, w = _first_left_eigen(pair.a)
-        sep, scale = separation(h)
-        add("eigenvalue_separation", sep / scale)
-        divisor, margin = _divisor(a, b, w, h)
-        add("divisor_denominator", margin)
-        sd, residual = _validated(SpectralData(h, _coefficients(a, b), divisor))
+        sd, w = _spectral(pair, report=report)
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
         if isinstance(exc, GeneralPositionError):
-            errors.append(exc)
-        failed(_STAGE_ORDER[len(checks)], exc)
-        return done()
-    add("divisor_on_curve", _CHECKS["divisor_on_curve"][1] - residual)
+            report.errors.append(exc)
+        return report.failed(exc).done()
 
+    h, np = sd.h, None
     try:
         np, ratio = _normal_form(pair, h)
-        add("gauge_entries", ratio)
+        report.add("gauge_entries", ratio)
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
-        np = None
-        failed("gauge_entries", exc)
+        report.failed(exc)
 
     c = sd.coeffs
     try:
         xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
         lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
-        add("axis_point_separation", _axis_point_separation(h, xi, lam0))
+        report.add("axis_point_separation", _axis_point_separation(h, xi, lam0))
     except GeneralPositionError as exc:
-        add("axis_point_separation", None, exc.code)
-    return done(np, sd, w)
+        report.add("axis_point_separation", None, exc.code)
+    return report.done(np, sd, w)
+
+
+class _Report:
+    """``forward``'s checks by name, each recorded as its stage passes or
+    fails, and the errors ``spectral_data`` raises, in its order."""
+
+    def __init__(self, pair: MatrixPair):
+        self.pair, self.checks, self.errors = pair, {}, []
+
+    def add(self, name, margin, note=""):
+        threshold = _CHECKS[name][0]
+        self.checks[name] = PositionCheck(
+            name, margin is not None and margin > threshold, margin, threshold, note)
+
+    def determinant(self, det, norm, which):
+        # ``check_nonsingular``, its error recorded, with the report's margin
+        try:
+            check_nonsingular(det, norm, which)
+        except SingularMatrix as exc:
+            self.errors.append(exc)
+        m = self.pair.a if which == "A" else self.pair.b
+        self.add("determinant_" + which.lower(), _determinant_margin(m.entries))
+
+    def failed(self, exc) -> "_Report":
+        # an uncoded error counts as the first determinant error, if any
+        if not isinstance(exc, GeneralPositionError):
+            if not self.errors:
+                raise exc
+            exc = self.errors[0]
+        self.add(_STAGE_ORDER[len(self.checks)], exc.detail.get("ratio"), exc.code)
+        return self
+
+    def done(self, np=None, sd=None, w=None) -> Forward:
+        for name in _STAGE_ORDER[len(self.checks):]:
+            self.add(name, None, "unavailable")
+        report = GeneralPositionReport(tuple(map(self.checks.get, _CHECK_NAMES)))
+        if self.errors:
+            return Forward(self.pair, report, None, None, self.errors[0])
+        return Forward(self.pair, report, np, sd, None, w)
 
 
 def general_position_report(pair: MatrixPair) -> GeneralPositionReport:

@@ -18,14 +18,18 @@ from fractions import Fraction
 from spectral_pair import (
     CoincidentPoints,
     CubicPoly,
+    DegenerateDivisor,
     DegenerateLeadingCoefficient,
+    DivisorPoint,
     GaugeDegenerate,
     GeneralPositionError,
     GeneralPositionReport,
     InputsNotIncident,
+    InvariantViolation,
     LineOnCurve,
     Mat3,
     NormalizedPair,
+    SingularMatrix,
     act_spectral,
     canonical_form,
     curve_residual,
@@ -51,11 +55,12 @@ from spectral_pair.config import (
     MARGIN_EIGENVALUE_SEPARATION,
     MARGIN_GAUGE,
     ON_CURVE,
+    SYMMETRIC_FUNCTIONS,
     THIRD_POINT_ON_CURVE,
 )
 from spectral_pair.cubic import _cross
-from spectral_pair.linalg import eigenvalues, eigenvector, separation
-from spectral_pair.spectral import PositionCheck
+from spectral_pair.linalg import eigenvalues, eigenvector, nonsingular_det, separation
+from spectral_pair.spectral import Forward, PositionCheck, SpectralData
 
 # --- trivariate polynomials as {(i, j, k): coeff} for lam^i mu^j nu^k ---
 
@@ -741,6 +746,160 @@ def report_by_stages(pair) -> GeneralPositionReport:
         points = axis_points(h, xi, lam0)
         add("axis_point_separation", min_projective_distance(points))
     return finish()
+
+
+# --- the forward map as separate stages, to the bit ---
+
+
+def validated_by_loop(sd) -> tuple:
+    """``spectral._validated`` as a loop over the three symmetric functions,
+    each test with its own overflow handler, then the on-curve residual:
+    (sd, residual), or the ``InvariantViolation`` of the first test that
+    fails.  The package's straight-line validation must match it to the bit,
+    errors included."""
+    h1, h2, h3 = sd.h
+    c = sd.coeffs
+    top = min(1.0, max(map(kernels.modulus, sd.h)))
+    for name, lhs, rhs, floor in (
+            ("p_plus", h1 + h2 + h3, c.p_plus, top),
+            ("p_minus", h1 * h2 + h1 * h3 + h2 * h3, c.p_minus, top * top),
+            ("d1", h1 * h2 * h3, c.d1, top * top * top)):
+        try:
+            scale = max(floor, abs(lhs), abs(rhs))
+            diff = abs(lhs - rhs)
+        except OverflowError:
+            scale = diff = math.inf
+        if scale == math.inf or not diff <= SYMMETRIC_FUNCTIONS * scale:
+            raise InvariantViolation(
+                f"eigenvalues do not match coefficient {name}",
+                component=name,
+                residual=math.inf if scale == math.inf else diff / scale)
+    residual = curve_residual(sd.coeffs, sd.divisor.L, sd.divisor.M, 1.0)
+    if not residual <= ON_CURVE:
+        raise InvariantViolation("divisor point does not lie on the curve",
+                                 component="divisor", residual=residual)
+    return sd, residual
+
+
+def divisor_by_comprehensions(a, b, w=(1 + 0j, 0j, 0j), h=None) -> tuple:
+    """``spectral._divisor(a, b, w, h)`` with its sums over the places p, j
+    and k written as comprehensions, the form the package unrolled: the
+    divisor point and its margin, to the bit, or the same error."""
+    p = (sizes := tuple(map(abs, w))).index(max(sizes))
+    j, k = (1, 2) if p == 0 else (0, 3 - p)
+    wp, wj, wk = w[p], w[j], w[k]
+    rp, rj, rk = [w[0] * b[c] + w[1] * b[3 + c] + w[2] * b[6 + c]
+                  for c in (p, j, k)]
+    gj, gk = wp * rj - wj * rp, wp * rk - wk * rp
+    big = gj if abs(gj) > abs(gk) else gk
+    y1, y2 = (gk / big, -gj / big) if big else (0.0, 0.0)
+    kj, kk, kp = wp * y1, wp * y2, -(wj * y1 + wk * y2)
+    aj, ak, bj, bk = [m[3 * r + j] * kj + m[3 * r + k] * kk + m[3 * r + p] * kp
+                      for m, r in ((a, j), (a, k), (b, j), (b, k))]
+    det = kj * ak - kk * aj
+    scale = (y1 * y1.conjugate() + y2 * y2.conjugate()).real * kernels.frob3(a)
+    mod = kernels.modulus
+    margin = mod(det) / scale if scale > 0.0 else 0.0
+    if h is not None:
+        top = max(map(mod, h))
+        margin *= (min(mod(h[0] - h[1]), mod(h[0] - h[2]), top) / top) ** 2
+    if not margin > DIVISOR_DENOMINATOR:
+        raise DegenerateDivisor("divisor denominator is negligible",
+                                denominator=mod(det), ratio=margin)
+    return DivisorPoint((bk * aj - bj * ak) / det, (kk * bj - kj * bk) / det), margin
+
+
+def spectral_by_stages(pair) -> tuple:
+    """``spectral._spectral(pair)``, (sd, w), one stage at a time: A's and
+    B's determinants by ``nonsingular_det``, A's eigenvalues, its left
+    eigenvector at h1, the trace coefficients, the divisor point, each from
+    its own call (the divisor by ``divisor_by_comprehensions``), and
+    ``validated_by_loop``.  Raises what the first stage that fails raises."""
+    a, b = pair.a.entries, pair.b.entries
+    nonsingular_det(a, "A")
+    nonsingular_det(b, "B")
+    h = eigenvalues(pair.a)
+    w = eigenvector(pair.a, h[0], left=True)
+    divisor = divisor_by_comprehensions(a, b, w, h)[0]
+    sd = SpectralData(h, spectral_module._coefficients(a, b), divisor)
+    return validated_by_loop(sd)[0], w
+
+
+def forward_by_stages(pair) -> Forward:
+    """``spectral.forward(pair)``, one stage at a time in the order of
+    ``spectral_by_stages``, each check recorded where its stage completes:
+    the determinant tests, which stop nothing, with the prescaled margins;
+    the eigenvalues with ``separation``'s margin; the divisor; the
+    coefficients and the validation; then the normal form and the axis
+    points, whose margin is ``min_projective_distance`` over the nine
+    points.  A stage's error fails the first check not yet recorded, and an
+    uncoded error after a failed determinant test counts as that error."""
+    thresholds = dict(REPORT_CHECKS)
+    order = ("determinant_a", "determinant_b", "eigenvalue_separation",
+             "divisor_denominator", "divisor_on_curve", "gauge_entries",
+             "axis_point_separation")
+    checks, errors = {}, []
+
+    def add(name, margin, note=""):
+        threshold = thresholds[name]
+        checks[name] = PositionCheck(name, margin is not None and margin > threshold,
+                                     margin, threshold, note)
+
+    def failed(exc):
+        if not isinstance(exc, GeneralPositionError):
+            if not errors:
+                raise exc
+            exc = errors[0]
+        add(order[len(checks)], exc.detail.get("ratio"), exc.code)
+
+    def done(np=None, sd=None, w=None):
+        for name in order[len(checks):]:
+            add(name, None, "unavailable")
+        report = GeneralPositionReport(tuple(checks[name]
+                                             for name, _ in REPORT_CHECKS))
+        if errors:
+            return Forward(pair, report, None, None, errors[0])
+        return Forward(pair, report, np, sd, None, w)
+
+    for name, m in (("A", pair.a), ("B", pair.b)):
+        try:
+            nonsingular_det(m.entries, name)
+        except SingularMatrix as exc:
+            errors.append(exc)
+        add("determinant_" + name.lower(),
+            spectral_module._determinant_margin(m.entries))
+    a, b = pair.a.entries, pair.b.entries
+    try:
+        h = eigenvalues(pair.a)
+        w = eigenvector(pair.a, h[0], left=True)
+        sep, scale = separation(h)
+        add("eigenvalue_separation", sep / scale)
+        divisor, margin = divisor_by_comprehensions(a, b, w, h)
+        add("divisor_denominator", margin)
+        sd, residual = validated_by_loop(
+            SpectralData(h, spectral_module._coefficients(a, b), divisor))
+    except (GeneralPositionError, ArithmeticError, ValueError) as exc:
+        if isinstance(exc, GeneralPositionError):
+            errors.append(exc)
+        failed(exc)
+        return done()
+    add("divisor_on_curve", ON_CURVE - residual)
+    np = None
+    try:
+        np, ratio = spectral_module._normal_form(pair, h)
+        add("gauge_entries", ratio)
+    except (GeneralPositionError, ArithmeticError, ValueError) as exc:
+        failed(exc)
+    c = sd.coeffs
+    try:
+        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
+        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
+    except GeneralPositionError as exc:
+        add("axis_point_separation", None, exc.code)
+    else:
+        add("axis_point_separation",
+            min_projective_distance(axis_points(h, xi, lam0)))
+    return done(np, sd, w)
 
 
 # --- points as coordinate triples: the cubic at a point, and the generic

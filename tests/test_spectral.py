@@ -1,6 +1,8 @@
 import importlib
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,7 @@ from conftest import (
     FIXTURE_COEFFS,
     FIXTURE_DIVISOR,
     FIXTURE_H,
+    extreme_entry_pairs,
     nan_eigenvalue_pair,
     rng_complex,
 )
@@ -49,14 +52,18 @@ from oracles import (
     axis_points,
     closed_form_coefficients,
     closed_form_divisor,
+    divisor_by_comprehensions,
     divisor_by_minor_equations,
     eigenvector_by_identity_shift,
     expanded_coefficients,
+    forward_by_stages,
     gauge_fix_by_matmul,
     in_eigenbasis_by_matmul,
     min_projective_distance,
     random_exact_normalized_pair,
     report_by_stages,
+    spectral_by_stages,
+    validated_by_loop,
 )
 
 # the package binds the name ``reconstruct`` to the function
@@ -409,6 +416,94 @@ def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
     assert [c.name for c in checks] == CHECK_NAMES
     assert [c.note for c in checks[-3:]] == ["degenerate_divisor", "unavailable",
                                              "unavailable"]
+
+
+def outcome_key(fn, *args) -> str:
+    """repr of ``fn(*args)``, or of the class, code and detail of the error
+    it raises."""
+    try:
+        return repr(fn(*args))
+    except (SpectralPairError, ArithmeticError, ValueError) as exc:
+        return repr(error_key(exc))
+
+
+def error_key(exc):
+    return exc if exc is None else (type(exc).__name__, getattr(exc, "code", None),
+                                    repr(getattr(exc, "detail", exc.args)))
+
+
+def boundary_mix_inputs(seed: int) -> list[MatrixPair]:
+    """The 240 pairs of the benchmark's ``boundary-mix`` setup for ``seed``:
+    60 each of real, rescaled, near-gap and plain complex pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    mix = workloads.BoundaryMix()
+    mix.setup(seed)
+    return [pair for pair, _ in mix.inputs]
+
+
+@pytest.fixture(scope="module")
+def pinned_pairs(seeded_pairs) -> list[MatrixPair]:
+    """random_pair seeds 0-299, boundary-mix seed 201, the degenerate pairs
+    and pairs with extreme entries, whose stages fail in every way."""
+    return [*seeded_pairs, *map(random_pair, range(100, 300)),
+            *boundary_mix_inputs(201), *DEGENERATE_PAIRS.values(),
+            nan_eigenvalue_pair(), *extreme_entry_pairs(60)]
+
+
+def test_forward_map_keeps_the_bits_of_its_stages(pinned_pairs):
+    """The one pass of ``spectral_data`` and ``forward`` gives, to the bit,
+    what its stages give one call at a time: the spectral data, w, the
+    normal form, every margin and note, and each error's class, code and
+    detail.  The divisor stage, unrolled in the package, is compared with
+    its comprehension form at the normal form's e1 too."""
+    for pair in pinned_pairs:
+        assert (outcome_key(spectral_module._spectral, pair)
+                == outcome_key(spectral_by_stages, pair)), pair
+        try:
+            got = spectral_module.forward(pair)
+            got = repr(got._replace(error=None)), error_key(got.error)
+        except (ArithmeticError, ValueError) as exc:
+            got = error_key(exc)
+        try:
+            drawn = forward_by_stages(pair)
+            want = repr(drawn._replace(error=None)), error_key(drawn.error)
+        except (ArithmeticError, ValueError) as exc:
+            drawn, want = None, error_key(exc)
+        assert got == want, pair
+        if drawn is not None and drawn.np is not None:
+            # the exact e1 of the normal form, as the relisting uses it
+            args = Mat3.diagonal(*drawn.np.h).entries, drawn.np.u.entries
+            assert (outcome_key(spectral_module._divisor, *args)
+                    == outcome_key(divisor_by_comprehensions, *args))
+
+
+def test_validation_keeps_the_bits_of_the_loop(pinned_pairs):
+    """The straight-line validation raises, and measures, what the loop
+    over the three symmetric functions does, on the pinned pairs' spectral
+    data and on copies with p_plus, p_minus or d1 moved, h overflowing, or
+    the divisor point moved off the curve."""
+    z = 1.5e308 * (1 + 1j)
+    compared = 0
+    for pair in pinned_pairs:
+        drawn = spectral_module.forward(pair)
+        if drawn.sd is None:
+            continue
+        sd, c = drawn.sd, drawn.sd.coeffs
+        moved = [sd, sd._replace(h=(z, *sd.h[1:])),
+                 sd._replace(divisor=sd.divisor._replace(L=sd.divisor.L + 1e-6))]
+        for name in ("p_plus", "p_minus", "d1"):
+            x = getattr(c, name)
+            for step in (1e-10, 1e-9, 3e-9, 1e-3, 1e300, math.inf, NAN):
+                moved.append(sd._replace(coeffs=c._replace(
+                    **{name: x + step * max(1.0, abs(x))})))
+        for data in moved:
+            assert (outcome_key(spectral_module._validated, data)
+                    == outcome_key(validated_by_loop, data)), data
+            compared += 1
+    assert compared > 10_000
 
 
 def test_axis_point_separation_matches_nine_point_oracle(seeded_pairs,
