@@ -78,8 +78,11 @@ class InvariantViolation(GeneralPositionError):
 class ClosedFormMismatch(SpectralPairError):
     """The two independent routes for the lower-left entries disagree.
 
-    This is not a degeneracy: it signals a formula transcription bug and is
-    surfaced loudly rather than averaged away.
+    It is surfaced loudly rather than averaged away.  It signals either a
+    transcription bug in the closed forms or an ill-conditioned U: near an
+    eigenvalue gap the two routes lose accuracy differently and part by
+    more than the agreement tolerance, as on many pairs with a relative
+    eigenvalue gap between 1e-6 and 3e-4.
     """
 
     code = "closed_form_mismatch"

@@ -4,8 +4,9 @@ The diagonal of U comes from a linear system in closed form, the first row
 is the gauge (u11, 1, 1), u23/u32 follow from the divisor point, and the
 remaining two entries (u21, u31) are computed twice: by long closed forms
 and by solving the two remaining coefficient equations, which are linear in
-them.  The linear solve is authoritative; disagreement raises, because it
-can only mean a transcription bug in the closed forms.
+them.  The linear solve is authoritative; disagreement raises.  It means
+a transcription bug in the closed forms, or an ill-conditioned U, as near
+an eigenvalue gap, where the two routes part by more than the tolerance.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from . import _kernels_py as kernels
 from .config import (
     DIVISOR_DENOMINATOR,
     GAUGE,
-    MARGIN_AXIS_POINT_SEPARATION,
     MARGIN_DETERMINANT,
     MARGIN_DIVISOR_DENOMINATOR,
     MARGIN_EIGENVALUE_SEPARATION,
@@ -36,7 +35,6 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
-    CubicPoly,
     Mat3,
     Vec3,
     _TRANSPOSE,
@@ -48,7 +46,6 @@ from .linalg import (
     eigenvector,
     nonsingular_det,
     separation,
-    solve_cubic,
 )
 
 
@@ -128,12 +125,12 @@ _CHECKS = {
     "gauge_entries": (MARGIN_GAUGE, None),
     "divisor_denominator": (MARGIN_DIVISOR_DENOMINATOR, DIVISOR_DENOMINATOR),
     "divisor_on_curve": (0.0, ON_CURVE),
-    "axis_point_separation": (MARGIN_AXIS_POINT_SEPARATION, None),
 }
 _CHECK_NAMES = tuple(_CHECKS)
-#: ``forward``'s order of stages: ``spectral_data``'s, then two that report
+#: ``forward``'s order of stages: ``spectral_data``'s, then the normal form,
+#: which only reports
 _STAGE_ORDER = (*_CHECK_NAMES[:3], "divisor_denominator", "divisor_on_curve",
-                "gauge_entries", "axis_point_separation")
+                "gauge_entries")
 
 
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
@@ -461,54 +458,20 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     return abs(kernels.det3(scaled)) / kernels.frob3(scaled) ** 3
 
 
-def _axis_point_separation(h: Vec3, xi: Vec3, s: Vec3) -> float:
-    """Smallest |P x Q| / (|P| |Q|) over the points P = (h : -1 : 0),
-    X = (xi : 0 : -1) and Z = (0 : s : 1) where the curve meets the axes:
-    |P|^2 = |h|^2 + 1, |P_i x P_j| = |h_j - h_i| (likewise for X and Z),
-    |P x X|^2 = 1 + |h|^2 + |xi|^2, |P x Z|^2 = 1 + |h|^2 + |hs|^2 and
-    |X x Z|^2 = |s|^2 + |xi|^2 + |xi s|^2.  Squares are summed in
-    ``vec_norm``'s order, a square that overflows reading inf, and ``min``
-    takes the 36 pairs of the list P, X, Z in order, written out, so the
-    bits, a NaN included, are the generic cross product's."""
-    r, q = math.sqrt, kernels.square_modulus
-    (h1, h2, h3), (x1, x2, x3), (s1, s2, s3) = h, xi, s
-    a1, a2, a3, b1, b2, b3, c1, c2, c3 = v = tuple(map(q, (*h, *xi, *s)))
-    n1, n2, n3, m1, m2, m3, k1, k2, k3 = map(r, map((1.0).__add__, v))
-    return min(
-        r(q(h2 - h1)) / (n1 * n2), r(q(h3 - h1)) / (n1 * n3),
-        r(1.0 + a1 + b1) / (n1 * m1), r(1.0 + a1 + b2) / (n1 * m2),
-        r(1.0 + a1 + b3) / (n1 * m3), r(1.0 + a1 + q(h1 * s1)) / (n1 * k1),
-        r(1.0 + a1 + q(h1 * s2)) / (n1 * k2), r(1.0 + a1 + q(h1 * s3)) / (n1 * k3),
-        r(q(h3 - h2)) / (n2 * n3), r(1.0 + a2 + b1) / (n2 * m1),
-        r(1.0 + a2 + b2) / (n2 * m2), r(1.0 + a2 + b3) / (n2 * m3),
-        r(1.0 + a2 + q(h2 * s1)) / (n2 * k1), r(1.0 + a2 + q(h2 * s2)) / (n2 * k2),
-        r(1.0 + a2 + q(h2 * s3)) / (n2 * k3), r(1.0 + a3 + b1) / (n3 * m1),
-        r(1.0 + a3 + b2) / (n3 * m2), r(1.0 + a3 + b3) / (n3 * m3),
-        r(1.0 + a3 + q(h3 * s1)) / (n3 * k1), r(1.0 + a3 + q(h3 * s2)) / (n3 * k2),
-        r(1.0 + a3 + q(h3 * s3)) / (n3 * k3), r(q(x2 - x1)) / (m1 * m2),
-        r(q(x3 - x1)) / (m1 * m3), r(c1 + b1 + q(x1 * s1)) / (m1 * k1),
-        r(c2 + b1 + q(x1 * s2)) / (m1 * k2), r(c3 + b1 + q(x1 * s3)) / (m1 * k3),
-        r(q(x3 - x2)) / (m2 * m3), r(c1 + b2 + q(x2 * s1)) / (m2 * k1),
-        r(c2 + b2 + q(x2 * s2)) / (m2 * k2), r(c3 + b2 + q(x2 * s3)) / (m2 * k3),
-        r(c1 + b3 + q(x3 * s1)) / (m3 * k1), r(c2 + b3 + q(x3 * s2)) / (m3 * k2),
-        r(c3 + b3 + q(x3 * s3)) / (m3 * k3), r(q(s2 - s1)) / (k1 * k2),
-        r(q(s3 - s1)) / (k1 * k3), r(q(s3 - s2)) / (k2 * k3))
-
-
 def forward(pair: MatrixPair) -> Forward:
     """Map the pair forward once, with the margin of every general-position
     check; never raises a GeneralPositionError.
 
     ``_spectral`` runs the stages and hard checks of ``spectral_data`` and
     records their margins, a failed determinant check stopping none; the
-    normal form and the axis points follow, and only report.  A stage that
-    raises fails the first check not yet recorded in ``_STAGE_ORDER``, with
-    the error code as its note and the ``ratio`` of its detail, if any, as
-    its margin; after ``spectral_data``'s, the later checks are
-    "unavailable".  After a failed determinant check, an overflow or a
-    non-finite entry in a later stage (an ``ArithmeticError`` or
-    ``ValueError`` with no code) counts as that determinant error, the one
-    ``spectral_data`` raises first; without one, it propagates."""
+    normal form follows, and only reports.  A stage that raises fails the
+    first check not yet recorded in ``_STAGE_ORDER``, with the error code
+    as its note and the ``ratio`` of its detail, if any, as its margin;
+    after ``spectral_data``'s, the later checks are "unavailable".  After a
+    failed determinant check, an overflow or a non-finite entry in a later
+    stage (an ``ArithmeticError`` or ``ValueError`` with no code) counts as
+    that determinant error, the one ``spectral_data`` raises first; without
+    one, it propagates."""
     report = _Report(pair)
     try:
         sd, w = _spectral(pair, report=report)
@@ -517,20 +480,12 @@ def forward(pair: MatrixPair) -> Forward:
             report.errors.append(exc)
         return report.failed(exc).done()
 
-    h, np = sd.h, None
+    np = None
     try:
-        np, ratio = _normal_form(pair, h)
+        np, ratio = _normal_form(pair, sd.h)
         report.add("gauge_entries", ratio)
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
         report.failed(exc)
-
-    c = sd.coeffs
-    try:
-        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
-        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
-        report.add("axis_point_separation", _axis_point_separation(h, xi, lam0))
-    except GeneralPositionError as exc:
-        report.add("axis_point_separation", None, exc.code)
     return report.done(np, sd, w)
 
 
@@ -577,7 +532,7 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
     """Every general-position check with its margin; never raises a
     GeneralPositionError.
 
-    Each of the seven checks appears once, in ``forward``'s order of
+    Each of the six checks appears once, in ``forward``'s order of
     stages.  A stage that raises fails its check with the error code as its
     note, and the checks after it are "unavailable" (``forward`` gives the
     rule).  The determinant checks only report: a singular A or B does not

@@ -49,7 +49,6 @@ from spectral_pair.config import (
     DIVISOR_DENOMINATOR,
     GAUGE,
     INCIDENCE,
-    MARGIN_AXIS_POINT_SEPARATION,
     MARGIN_DETERMINANT,
     MARGIN_DIVISOR_DENOMINATOR,
     MARGIN_EIGENVALUE_SEPARATION,
@@ -659,7 +658,6 @@ REPORT_CHECKS = (
     ("gauge_entries", MARGIN_GAUGE),
     ("divisor_denominator", MARGIN_DIVISOR_DENOMINATOR),
     ("divisor_on_curve", 0.0),
-    ("axis_point_separation", MARGIN_AXIS_POINT_SEPARATION),
 )
 
 
@@ -668,14 +666,13 @@ def report_by_stages(pair) -> GeneralPositionReport:
     stages, each margin computed where its stage completes: the left
     eigenvector by ``eigenvector_by_identity_shift``, the divisor point by
     ``divisor_by_left_eigenvector``, the coefficients by Leibniz expansion
-    of the pair's pencil, the normal form by whole-matrix products, and
-    each pair of axis points measured with ``projective_distance``; the
+    of the pair's pencil and the normal form by whole-matrix products; the
     single forward pass behind ``general_position_report`` must give the
     same checks.  The stages of the spectral data (eigenvalues, divisor,
     on-curve test) run first; one that fails fails its own check, with the
     error code as its note, and every check not yet computed reads
     "unavailable".  Then the normal form, whose error is only the gauge
-    check's note, and the axis points."""
+    check's note."""
     thresholds = dict(REPORT_CHECKS)
     checks = {}
 
@@ -736,15 +733,6 @@ def report_by_stages(pair) -> GeneralPositionReport:
         add("gauge_entries", ratio)
     except GeneralPositionError as exc:
         add("gauge_entries", exc.detail.get("ratio"), exc.code)
-
-    try:
-        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
-        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
-    except GeneralPositionError as exc:
-        add("axis_point_separation", None, exc.code)
-    else:
-        points = axis_points(h, xi, lam0)
-        add("axis_point_separation", min_projective_distance(points))
     return finish()
 
 
@@ -830,14 +818,12 @@ def forward_by_stages(pair) -> Forward:
     ``spectral_by_stages``, each check recorded where its stage completes:
     the determinant tests, which stop nothing, with the prescaled margins;
     the eigenvalues with ``separation``'s margin; the divisor; the
-    coefficients and the validation; then the normal form and the axis
-    points, whose margin is ``min_projective_distance`` over the nine
-    points.  A stage's error fails the first check not yet recorded, and an
-    uncoded error after a failed determinant test counts as that error."""
+    coefficients and the validation; then the normal form.  A stage's
+    error fails the first check not yet recorded, and an uncoded error
+    after a failed determinant test counts as that error."""
     thresholds = dict(REPORT_CHECKS)
     order = ("determinant_a", "determinant_b", "eigenvalue_separation",
-             "divisor_denominator", "divisor_on_curve", "gauge_entries",
-             "axis_point_separation")
+             "divisor_denominator", "divisor_on_curve", "gauge_entries")
     checks, errors = {}, []
 
     def add(name, margin, note=""):
@@ -890,15 +876,6 @@ def forward_by_stages(pair) -> Forward:
         add("gauge_entries", ratio)
     except (GeneralPositionError, ArithmeticError, ValueError) as exc:
         failed(exc)
-    c = sd.coeffs
-    try:
-        xi = solve_cubic(CubicPoly(1.0, -c.q_plus, c.q_minus, -c.d2))
-        lam0 = solve_cubic(CubicPoly(c.d1, c.r_plus, c.r_minus, c.d2))
-    except GeneralPositionError as exc:
-        add("axis_point_separation", None, exc.code)
-    else:
-        add("axis_point_separation",
-            min_projective_distance(axis_points(h, xi, lam0)))
     return done(np, sd, w)
 
 
@@ -952,7 +929,7 @@ def evaluate_curve(coeffs, p) -> complex:
 
 def min_projective_distance(points) -> float:
     """Smallest projective distance over all pairs of the points, in the
-    order of the list's pairs.  The report's ``axis_point_separation``
+    order of the list's pairs.  ``boundary_outcomes.axis_point_separation``
     writes this out for its nine points and must give the same bits."""
     n = len(points)
     return min(projective_distance(points[i], points[j])
@@ -961,7 +938,7 @@ def min_projective_distance(points) -> float:
 
 def axis_points(h, xi, s) -> list:
     """The nine points where the curve meets the coordinate lines, in the
-    report's order: (h : -1 : 0), (xi : 0 : -1), (0 : s : 1)."""
+    audit's order: (h : -1 : 0), (xi : 0 : -1), (0 : s : 1)."""
     return ([point(z, -1.0, 0.0) for z in h]
             + [point(z, 0.0, -1.0) for z in xi]
             + [point(0.0, z, 1.0) for z in s])

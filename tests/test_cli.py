@@ -280,9 +280,9 @@ def test_check_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
-    assert {c["name"] for c in doc["checks"]} >= {
+    assert [c["name"] for c in doc["checks"]] == [
         "determinant_a", "determinant_b", "eigenvalue_separation",
-        "gauge_entries", "divisor_denominator", "axis_point_separation"}
+        "gauge_entries", "divisor_denominator", "divisor_on_curve"]
 
 
 @pytest.mark.parametrize("which, scale", [
@@ -299,7 +299,7 @@ def test_check_tiny_matrix_prints_report(which, scale, tmp_path, capsys):
     # by 1e110 it overflows
     code, out, _ = run(capsys, "check", scaled_pair_file(tmp_path, which, scale))
     assert code in (0, 3)
-    assert len(json.loads(out)["checks"]) == 7
+    assert len(json.loads(out)["checks"]) == 6
 
 
 def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
@@ -316,7 +316,7 @@ def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 3
     checks = strict_loads(out)["checks"]
-    assert len(checks) == 7
+    assert len(checks) == 6
     assert [c["name"] for c in checks if not c["passed"]][:2] \
         == ["determinant_b", "gauge_entries"]
     assert [c["note"] for c in checks[3:5]] == ["unavailable", "singular_matrix"]

@@ -194,7 +194,7 @@ def test_overflowing_modulus_is_a_coded_error(command, tmp_path, capsys):
 def test_overflowing_eigenbasis_matrix_is_a_coded_report(tmp_path, capsys):
     # B x 2^1023 is singular to the forward map, and B k overflows on the
     # report's way to the divisor point, which then misses the curve; the
-    # normal form and the axis points, later stages, are unavailable
+    # normal form, a later stage, is unavailable
     pair = random_pair(3)
     path = pair_file(tmp_path, "huge_b", pair._replace(b=pair.b.scaled(2.0 ** 1023)))
     code, out, _ = run(capsys, "check", path)
@@ -202,8 +202,7 @@ def test_overflowing_eigenbasis_matrix_is_a_coded_report(tmp_path, capsys):
     doc = strict_loads(out)
     validate(doc, "check")
     assert [(c["passed"], c["note"]) for c in doc["checks"][3:]] == [
-        (False, "unavailable"), (True, ""), (False, "invariant_violation"),
-        (False, "unavailable")]
+        (False, "unavailable"), (True, ""), (False, "invariant_violation")]
 
 
 def test_nan_eigenvalues_are_a_coded_report(tmp_path, capsys):
