@@ -12,8 +12,6 @@ an eigenvalue gap, where the two routes part by more than the tolerance.
 from __future__ import annotations
 
 import math
-from itertools import permutations
-from operator import itemgetter
 
 from ._kernels_py import canonical_order
 from .config import CLOSED_FORM_AGREEMENT
@@ -21,6 +19,7 @@ from .errors import ClosedFormMismatch, RepeatedEigenvalues
 from .linalg import (
     Mat3,
     Vec3,
+    _UNIT,
     check_nonsingular,
     check_nonsingular_diagonal,
     check_separation,
@@ -117,12 +116,6 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     return NormalizedPair(h, u)
 
 
-#: for each listing order of the eigenvalues, the getter of the flat
-#: entries of U conjugated by that permutation
-_CONJUGATED = {order: itemgetter(*(3 * i + j for i in order for j in order))
-               for order in permutations(range(3))}
-
-
 def canonical_form(sd: SpectralData) -> SpectralData:
     """Spectral data relisted in the canonical eigenvalue ordering.
 
@@ -141,10 +134,10 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     |d2|^(1/3)) that U's invariants give (named "B"), and the result passes
     ``validate_spectral_data``, since ``sd`` may come from outside.  When
     the first eigenvalue keeps its place, the divisor point passes through
-    bit for bit, and nothing is reconstructed.  When it moves, the
-    reconstructed U is conjugated by the permutation, and the divisor point
-    is read off the pair (diag(h), U) by the forward map's formula, which
-    needs no gauge.
+    bit for bit, and nothing is reconstructed.  When it moves, U is
+    reconstructed in the data's own listing, and the divisor point is read
+    off the pair (diag(h), U) by the forward map's formula at the new first
+    eigenvalue's left eigenvector e_k, which needs no gauge.
     """
     listed = _relisted(sd)
     return validate_spectral_data(sd) if listed is sd else listed
@@ -156,6 +149,8 @@ def _relisted(sd: SpectralData) -> SpectralData:
     ``canonical_order`` keeps h.  A permuted h is validated again, even
     when only the second and third eigenvalues swap, because the symmetric
     functions are then summed in another order and can round differently.
+    A first eigenvalue that moves from place k has its divisor point read
+    off (diag(sd.h), U), in the data's own listing, at e_k.
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
@@ -169,8 +164,8 @@ def _relisted(sd: SpectralData) -> SpectralData:
     if h == sd.h:
         return sd
     divisor = sd.divisor
-    if h[0] != sd.h[0]:
-        # entries of a checked Mat3, so the permuted U needs no second check
-        u = _CONJUGATED[tuple(map(sd.h.index, h))](reconstruct(sd).u.entries)
-        divisor = _divisor((h[0], 0j, 0j, 0j, h[1], 0j, 0j, 0j, h[2]), u)[0]
+    if h[0] != sd.h[0]:   # at e_k, diag(sd.h)'s left eigenvector at h[0]
+        h1, h2, h3 = sd.h
+        divisor = _divisor((h1, 0j, 0j, 0j, h2, 0j, 0j, 0j, h3),
+                           reconstruct(sd).u.entries, _UNIT[sd.h.index(h[0])])[0]
     return validate_spectral_data(SpectralData(h, c, divisor))

@@ -114,23 +114,20 @@ class SpectralData(NamedTuple):
     divisor: DivisorPoint
 
 
-#: every check of the report, in order, with (report threshold, hard
-#: threshold): a margin passes above the first; the stage of ``spectral_data``
-#: that tests the same float raises at the second, None where none does.  The
-#: ``divisor_on_curve`` margin is the hard threshold minus the residual.
+#: every check of the report, in the order ``forward`` runs their stages,
+#: with (report threshold, hard threshold): a margin passes above the first;
+#: the stage of ``spectral_data`` that tests the same float raises at the
+#: second, None where none does.  The ``divisor_on_curve`` margin is the hard
+#: threshold minus the residual.
 _CHECKS = {
     "determinant_a": (MARGIN_DETERMINANT, None),
     "determinant_b": (MARGIN_DETERMINANT, None),
     "eigenvalue_separation": (MARGIN_EIGENVALUE_SEPARATION, None),
-    "gauge_entries": (MARGIN_GAUGE, None),
     "divisor_denominator": (MARGIN_DIVISOR_DENOMINATOR, DIVISOR_DENOMINATOR),
     "divisor_on_curve": (0.0, ON_CURVE),
+    "gauge_entries": (MARGIN_GAUGE, None),
 }
 _CHECK_NAMES = tuple(_CHECKS)
-#: ``forward``'s order of stages: ``spectral_data``'s, then the normal form,
-#: which only reports
-_STAGE_ORDER = (*_CHECK_NAMES[:3], "divisor_denominator", "divisor_on_curve",
-                "gauge_entries")
 
 
 def normalize_pair(pair: MatrixPair) -> NormalizedPair:
@@ -207,9 +204,10 @@ def _coefficients(a, b) -> CurveCoefficients:
 
 def _divisor(a, b, w=_UNIT[0], h=None, norm=None) -> tuple[DivisorPoint, float]:
     """The divisor point (L : M : 1) of the pair with flat entries ``a`` and
-    ``b``, for A's unit left eigenvector w at h1 (e1 for diag(h)), and the
-    margin it tests; h, A's eigenvalues, when w was computed, and ``norm``,
-    |A|, when the caller has taken it.
+    ``b``, for A's unit left eigenvector w at the eigenvalue listed first
+    (e_k for a diagonal A whose k-th entry it is), and the margin it tests;
+    h, A's eigenvalues, when w was computed, and ``norm``, |A|, when the
+    caller has taken it.
 
     There the pencil's kernel vector k has w^T k = 0, its first coordinate
     in A's eigenbasis.  With p the place of w's largest entry and j, k the
@@ -219,7 +217,7 @@ def _divisor(a, b, w=_UNIT[0], h=None, norm=None) -> tuple[DivisorPoint, float]:
     u12 u13 (h2 - h3) up to scale in the normal form, over |y|^2 |A| is the
     scale-free margin, 0 for y = 0.  A computed w, and the point with it,
     loses 1/g^2 for h1's relative gap g = min(|h1 - h2|, |h1 - h3|, max|h|)
-    / max|h|, so the margin is then multiplied by g^2; e1 loses nothing."""
+    / max|h|, so the margin is then multiplied by g^2; e_k loses nothing."""
     p = (sizes := tuple(map(abs, w))).index(max(sizes))
     j, k = (1, 2) if p == 0 else (0, 3 - p)   # the other two places
     (w0, w1, w2), wp, wj, wk = w, w[p], w[j], w[k]
@@ -465,9 +463,9 @@ def forward(pair: MatrixPair) -> Forward:
     ``_spectral`` runs the stages and hard checks of ``spectral_data`` and
     records their margins, a failed determinant check stopping none; the
     normal form follows, and only reports.  A stage that raises fails the
-    first check not yet recorded in ``_STAGE_ORDER``, with the error code
-    as its note and the ``ratio`` of its detail, if any, as its margin;
-    after ``spectral_data``'s, the later checks are "unavailable".  After a
+    next check of ``_CHECKS``, which lists them in the order of the stages,
+    with the error code as its note and the ``ratio`` of its detail, if
+    any, as its margin; the later checks are "unavailable".  After a
     failed determinant check, an overflow or a non-finite entry in a later
     stage (an ``ArithmeticError`` or ``ValueError`` with no code) counts as
     that determinant error, the one ``spectral_data`` raises first; without
@@ -516,13 +514,13 @@ class _Report:
             if not self.errors:
                 raise exc
             exc = self.errors[0]
-        self.add(_STAGE_ORDER[len(self.checks)], exc.detail.get("ratio"), exc.code)
+        self.add(_CHECK_NAMES[len(self.checks)], exc.detail.get("ratio"), exc.code)
         return self
 
     def done(self, np=None, sd=None, w=None) -> Forward:
-        for name in _STAGE_ORDER[len(self.checks):]:
+        for name in _CHECK_NAMES[len(self.checks):]:
             self.add(name, None, "unavailable")
-        report = GeneralPositionReport(tuple(map(self.checks.get, _CHECK_NAMES)))
+        report = GeneralPositionReport(tuple(self.checks.values()))
         if self.errors:
             return Forward(self.pair, report, None, None, self.errors[0])
         return Forward(self.pair, report, np, sd, None, w)
@@ -532,10 +530,10 @@ def general_position_report(pair: MatrixPair) -> GeneralPositionReport:
     """Every general-position check with its margin; never raises a
     GeneralPositionError.
 
-    Each of the six checks appears once, in ``forward``'s order of
-    stages.  A stage that raises fails its check with the error code as its
-    note, and the checks after it are "unavailable" (``forward`` gives the
-    rule).  The determinant checks only report: a singular A or B does not
-    stop the later checks.
+    Each of the six checks appears once, in the order its stage runs.  A
+    stage that raises fails its check with the error code as its note, and
+    the checks after it, the last ones, are "unavailable" (``forward``
+    gives the rule).  The determinant checks only report: a singular A or B
+    does not stop the later checks.
     """
     return forward(pair).report

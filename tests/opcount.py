@@ -21,7 +21,11 @@ still needs timed runs of the benchmark.
 ``--against`` clones the repository into a temporary directory, checks out
 REV there, copies this script into the clone, and counts both the clone
 and this checkout, uncommitted changes included, as
-``tests/fingerprint.py --against`` does.  ``--write`` saves the counts as
+``tests/fingerprint.py --against`` does.  Both sides count each layer with
+the union of its functions here and in REV's own ``tests/opcount.py``, so a
+function that one side removed from a layer still counts on the other.
+With ``--json``, ``--against REV`` only adds REV's layers to this
+checkout's count; the clone is counted that way.  ``--write`` saves the counts as
 JSON, with this checkout's commit, whether it had uncommitted changes,
 REV's commit and the Python version.  ``--harness`` adds the medians and
 quartiles of timed benchmark runs: a JSON Lines file in which each line is
@@ -32,6 +36,7 @@ pytest does not collect it.
 """
 
 import argparse
+import ast
 import gc
 import json
 import shutil
@@ -76,6 +81,30 @@ LAYERS = {
     "record": ("verify.PropertyResult.record",),
 }
 _LAYER_OF = {name: layer for layer, names in LAYERS.items() for name in names}
+
+
+def layers_at(rev: str) -> dict:
+    """The ``LAYERS`` of revision ``rev``'s own ``tests/opcount.py``, empty
+    where it has none."""
+    shown = subprocess.run(["git", "show", f"{rev}:tests/opcount.py"],
+                           cwd=ROOT, text=True, stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL)
+    if shown.returncode:
+        return {}
+    for node in ast.parse(shown.stdout).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]):
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def add_layers(extra: dict) -> None:
+    """Count each layer with the union of its functions in ``LAYERS`` and in
+    ``extra``; a layer only ``extra`` names is added."""
+    for layer, names in extra.items():
+        LAYERS[layer] = tuple(dict.fromkeys((*LAYERS.get(layer, ()), *names)))
+    _LAYER_OF.update((name, layer) for layer, names in LAYERS.items()
+                     for name in names)
 
 
 def _layer_of(code):
@@ -180,7 +209,8 @@ def git(*args, cwd=ROOT) -> str:
 
 
 def counts_at(rev: str) -> dict:
-    """The counts of revision ``rev``, from a temporary clone."""
+    """The counts of revision ``rev``, from a temporary clone, with the
+    layers of ``rev`` and of this script."""
     with tempfile.TemporaryDirectory() as tmp:
         clone = Path(tmp) / "checkout"
         # --shared borrows the objects of this repository, so any commit it
@@ -190,7 +220,8 @@ def counts_at(rev: str) -> dict:
         git("checkout", "--quiet", "--detach", rev, cwd=clone)
         script = clone / "tests" / Path(__file__).name
         shutil.copyfile(__file__, script)
-        run = subprocess.run([sys.executable, str(script), "--json"],
+        run = subprocess.run([sys.executable, str(script), "--json",
+                              "--against", "HEAD"],
                              check=True, text=True, stdout=subprocess.PIPE)
         return json.loads(run.stdout)
 
@@ -241,6 +272,8 @@ def main() -> int:
     parser.add_argument("--json", action="store_true",
                         help="print this checkout's counts as JSON only")
     args = parser.parse_args()
+    if args.against:
+        add_layers(layers_at(args.against))
     if args.json:
         print(json.dumps(count_workloads()))
         return 0

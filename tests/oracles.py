@@ -650,14 +650,15 @@ def gauge_fix_by_matmul(values, entries) -> tuple[NormalizedPair, float]:
 # --- the general-position report, one stage at a time ---
 
 
-#: (name, report threshold) of each check, in the report's order
+#: (name, report threshold) of each check, in the report's order, which is
+#: the order its stages run
 REPORT_CHECKS = (
     ("determinant_a", MARGIN_DETERMINANT),
     ("determinant_b", MARGIN_DETERMINANT),
     ("eigenvalue_separation", MARGIN_EIGENVALUE_SEPARATION),
-    ("gauge_entries", MARGIN_GAUGE),
     ("divisor_denominator", MARGIN_DIVISOR_DENOMINATOR),
     ("divisor_on_curve", 0.0),
+    ("gauge_entries", MARGIN_GAUGE),
 )
 
 
@@ -819,11 +820,9 @@ def forward_by_stages(pair) -> Forward:
     the determinant tests, which stop nothing, with the prescaled margins;
     the eigenvalues with ``separation``'s margin; the divisor; the
     coefficients and the validation; then the normal form.  A stage's
-    error fails the first check not yet recorded, and an uncoded error
+    error fails the next check of ``REPORT_CHECKS``, and an uncoded error
     after a failed determinant test counts as that error."""
     thresholds = dict(REPORT_CHECKS)
-    order = ("determinant_a", "determinant_b", "eigenvalue_separation",
-             "divisor_denominator", "divisor_on_curve", "gauge_entries")
     checks, errors = {}, []
 
     def add(name, margin, note=""):
@@ -836,13 +835,12 @@ def forward_by_stages(pair) -> Forward:
             if not errors:
                 raise exc
             exc = errors[0]
-        add(order[len(checks)], exc.detail.get("ratio"), exc.code)
+        add(REPORT_CHECKS[len(checks)][0], exc.detail.get("ratio"), exc.code)
 
     def done(np=None, sd=None, w=None):
-        for name in order[len(checks):]:
+        for name, _ in REPORT_CHECKS[len(checks):]:
             add(name, None, "unavailable")
-        report = GeneralPositionReport(tuple(checks[name]
-                                             for name, _ in REPORT_CHECKS))
+        report = GeneralPositionReport(tuple(checks.values()))
         if errors:
             return Forward(pair, report, None, None, errors[0])
         return Forward(pair, report, np, sd, None, w)

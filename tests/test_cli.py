@@ -282,7 +282,7 @@ def test_check_subcommand(capsys):
     assert doc["passed"] is True
     assert [c["name"] for c in doc["checks"]] == [
         "determinant_a", "determinant_b", "eigenvalue_separation",
-        "gauge_entries", "divisor_denominator", "divisor_on_curve"]
+        "divisor_denominator", "divisor_on_curve", "gauge_entries"]
 
 
 @pytest.mark.parametrize("which, scale", [
@@ -318,8 +318,9 @@ def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
     checks = strict_loads(out)["checks"]
     assert len(checks) == 6
     assert [c["name"] for c in checks if not c["passed"]][:2] \
-        == ["determinant_b", "gauge_entries"]
-    assert [c["note"] for c in checks[3:5]] == ["unavailable", "singular_matrix"]
+        == ["determinant_b", "divisor_denominator"]
+    assert [c["note"] for c in checks[3:]] == [
+        "singular_matrix", "unavailable", "unavailable"]
 
 
 @pytest.mark.parametrize("argv", [

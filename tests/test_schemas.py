@@ -202,7 +202,7 @@ def test_overflowing_eigenbasis_matrix_is_a_coded_report(tmp_path, capsys):
     doc = strict_loads(out)
     validate(doc, "check")
     assert [(c["passed"], c["note"]) for c in doc["checks"][3:]] == [
-        (False, "unavailable"), (True, ""), (False, "invariant_violation")]
+        (True, ""), (False, "invariant_violation"), (False, "unavailable")]
 
 
 def test_nan_eigenvalues_are_a_coded_report(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import importlib.util
+import itertools
 import math
 import random
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import spectral_pair.spectral as spectral_module
+from spectral_pair import _kernels_py as kernels
+from spectral_pair import randgen
 from spectral_pair import (
     GaugeDegenerate,
     GeneralPositionError,
@@ -222,7 +225,7 @@ def test_divisor_margin_is_scale_free(fixture_pair):
     steps = range(-60, 61, 20)
     for pair in [fixture_pair, *map(random_pair, range(10))]:
         hs = spectral_data(pair).h
-        base = spectral_module.forward(pair).report.checks[4].margin
+        base = spectral_module.forward(pair).report.checks[3].margin
         for j in steps:
             for k in steps:
                 a, b = pair.a.scaled(2.0 ** j), pair.b.scaled(2.0 ** k)
@@ -230,7 +233,7 @@ def test_divisor_margin_is_scale_free(fixture_pair):
                 w = eigenvector(a, h[0], left=True)
                 _, margin = spectral_module._divisor(a.entries, b.entries, w, h)
                 assert math.isclose(margin, base, rel_tol=1e-12), (j, k)
-                check = general_position_report(MatrixPair(a, b)).checks[4]
+                check = general_position_report(MatrixPair(a, b)).checks[3]
                 assert check.margin is None or math.isclose(
                     check.margin, base, rel_tol=1e-12), (j, k)
                 try:
@@ -278,7 +281,7 @@ def test_divisor_stage_rejects_h1_in_a_close_pair():
     forward within 1e-8 of the reference (measured: 1.1e-9)."""
     with pytest.raises(DegenerateDivisor) as info:
         spectral_data(CLOSE_PAIR_FIRST)
-    check = general_position_report(CLOSE_PAIR_FIRST).checks[4]
+    check = general_position_report(CLOSE_PAIR_FIRST).checks[3]
     assert check.name == "divisor_denominator"
     assert (check.margin, check.note) == (info.value.detail["ratio"],
                                           "degenerate_divisor")
@@ -351,6 +354,28 @@ def test_report_gauge_failure():
     assert "gauge_entries" in report.failing()
 
 
+def test_report_gauge_entries_alone_when_b_nearly_shares_a_left_eigenvector():
+    """B = V U0 V^-1 whose U0 has its (1,2) and (1,3) entries scaled by eps,
+    so that B nearly shares A's left eigenvector at h1: the gauge check is
+    the report's only warning.  The divisor margin goes like
+    |u12 u13| / (|u12|^2 + |u13|^2), scale-free in B, so it sees one gauge
+    entry vanish against the other but not both against |U0|, and stays
+    above 1e-3 (measured: 0.0034 at least, seeds 0-39)."""
+    h = (-0.7 + 0.5j, 0.3 - 1.1j, 1 + 0.2j)
+    for eps, seed in itertools.product((1e-7, 1e-8, 1e-10), range(40)):
+        rng = random.Random(seed)
+        v, v_inv = randgen._well_conditioned_with_inverse(rng)
+        u0 = list(randgen._random_matrix(rng))
+        u0[1] *= eps
+        u0[2] *= eps
+        a, b = (Mat3(kernels.matmul3(kernels.matmul3(v, m), v_inv))
+                for m in ((h[0], 0j, 0j, 0j, h[1], 0j, 0j, 0j, h[2]), tuple(u0)))
+        report = general_position_report(MatrixPair(a, b))
+        assert report.failing() == ["gauge_entries"], (eps, seed)
+        divisor = next(c for c in report.checks if c.name == "divisor_denominator")
+        assert divisor.margin > 1e-3, (eps, seed)
+
+
 def test_report_repeated_eigenvalues():
     b = Mat3.from_rows([[2, 1, 1], [1, 3, 1], [1, 1, 4]])
     report = general_position_report(MatrixPair(Mat3.diagonal(1, 1, 2), b))
@@ -359,14 +384,14 @@ def test_report_repeated_eigenvalues():
 
 
 CHECK_NAMES = ["determinant_a", "determinant_b", "eigenvalue_separation",
-               "gauge_entries", "divisor_denominator", "divisor_on_curve"]
+               "divisor_denominator", "divisor_on_curve", "gauge_entries"]
 
 
 @pytest.mark.parametrize("b_rows, failing", [
-    # u12 = 0 in the eigenbasis of diag(1, 2, 3): the gauge fix raises and
-    # the stages after it cannot run
+    # u12 = 0 in the eigenbasis of diag(1, 2, 3): the divisor stage raises
+    # and the stages after it cannot run
     ([[2, 0, 1], [5, 3, -2], [7, 1, 4]],
-     ["gauge_entries", "divisor_denominator", "divisor_on_curve"]),
+     ["divisor_denominator", "divisor_on_curve", "gauge_entries"]),
     # singular B: its determinant check fails, the later stages still run
     ([[1, 1, 1], [1, 1, 1], [2, 3, 4]], ["determinant_b"]),
 ])
@@ -442,7 +467,7 @@ def test_report_matches_stage_by_stage_oracle(seeded_pairs, fixture_pair):
                                     abs_tol=0.0), g.name
     checks = report_by_stages(DEGENERATE_PAIRS["divisor"]).checks
     assert [c.name for c in checks] == CHECK_NAMES
-    assert [c.note for c in checks[-2:]] == ["degenerate_divisor", "unavailable"]
+    assert [c.note for c in checks[3:5]] == ["degenerate_divisor", "unavailable"]
 
 
 def outcome_key(fn, *args) -> str:
@@ -654,7 +679,7 @@ def test_report_lists_every_check_when_the_eigenbasis_matrix_overflows(k):
     assert [c.name for c in checks] == CHECK_NAMES
     assert None not in [c.margin for c in checks[:3]]
     assert [(c.passed, c.note) for c in checks[3:]] == [
-        (False, "unavailable"), (True, ""), (False, "invariant_violation")]
+        (True, ""), (False, "invariant_violation"), (False, "unavailable")]
 
 
 # an overflowing off-diagonal entry makes the diagonal A triangular: its
@@ -705,7 +730,7 @@ def test_the_report_fails_an_overflowing_stage_with_the_determinant_error():
     huge_a = MatrixPair(Mat3((1, 0, z, 0, 2, 0, 0, 0, 3.5)), random_pair(0).b)
     for pair, failed, notes in [
             (huge_b, "determinant_b",
-             ["", "unavailable", "singular_matrix", "unavailable"]),
+             ["", "singular_matrix", "unavailable", "unavailable"]),
             (huge_a, "determinant_a", ["rank_not_two"] + ["unavailable"] * 3)]:
         drawn = spectral_module.forward(pair)
         with pytest.raises(SingularMatrix) as raised:
@@ -716,7 +741,7 @@ def test_the_report_fails_an_overflowing_stage_with_the_determinant_error():
         checks = drawn.report.checks
         assert [c.name for c in checks if not c.passed][0] == failed
         assert [c.note for c in checks[2:]] == notes
-        assert checks[3].margin is None
+        assert checks[5].margin is None
 
 
 def test_forward_records_an_error_of_the_change_of_basis(fixture_pair,
@@ -732,9 +757,9 @@ def test_forward_records_an_error_of_the_change_of_basis(fixture_pair,
     drawn = spectral_module.forward(fixture_pair)
     checks = drawn.report.checks
     assert [c.name for c in checks] == CHECK_NAMES
-    assert [(c.passed, c.margin, c.note) for c in checks[3:4]] == [
+    assert [(c.passed, c.margin, c.note) for c in checks[5:]] == [
         (False, None, "singular_matrix")]
-    assert all(c.passed and c.note == "" for c in checks if c is not checks[3])
+    assert all(c.passed and c.note == "" for c in checks if c is not checks[5])
     assert (drawn.error, drawn.np) == (None, None)
     assert drawn.sd == spectral_data(fixture_pair)
     assert drawn.w == (1, 0, 0)
@@ -779,9 +804,9 @@ def test_forward_records_a_divisor_point_off_the_curve(fixture_pair,
     drawn = spectral_module.forward(fixture_pair)
     checks = drawn.report.checks
     assert [c.name for c in checks] == CHECK_NAMES
-    assert all(c.passed and c.note == "" for c in (*checks[:3], checks[4]))
-    assert [(c.passed, c.margin, c.note) for c in (checks[3], checks[5])] == [
-        (False, None, "unavailable"), (False, None, "invariant_violation")]
+    assert all(c.passed and c.note == "" for c in checks[:4])
+    assert [(c.passed, c.margin, c.note) for c in checks[4:]] == [
+        (False, None, "invariant_violation"), (False, None, "unavailable")]
     with pytest.raises(InvariantViolation) as info:
         spectral_data(fixture_pair)
     assert drawn.error.detail == info.value.detail
@@ -836,8 +861,14 @@ STAGE_CHECKS = {
 def assert_stage_check_fails(pair):
     """When the forward map raises, the report check of the stage that
     raised fails too.  A singular matrix is A's or B's determinant check.
-    The divisor margin is the ratio its error carries, the same float."""
+    The divisor margin is the ratio its error carries, the same float.
+    The checks are listed as their stages ran: those "unavailable" are the
+    last, and the check just before them carries an error code."""
     drawn = spectral_module.forward(pair)
+    notes = [c.note for c in drawn.report.checks]
+    first = notes.index("unavailable") if "unavailable" in notes else len(notes)
+    assert set(notes[first:]) <= {"unavailable"}, notes
+    assert first == len(notes) or notes[first - 1] not in ("", "unavailable"), notes
     if drawn.error is None:
         return
     if drawn.error.code == "singular_matrix":
