@@ -28,7 +28,7 @@ _EXPORTS = {
         "GaugeDegenerate", "GeneralPositionError", "InputsNotIncident",
         "IntermediateDegeneracy", "InvariantViolation", "LineOnCurve",
         "NonFiniteEntries", "RankNotTwo", "RepeatedEigenvalues",
-        "SchemaError", "SingularA", "SingularMatrix", "SpectralPairError",
+        "SchemaError", "SingularMatrix", "SpectralPairError",
         "SwappedPairDegenerate"),
     "cubic": ("chord_swap_divisor",),
     "gl2z": (

@@ -1,13 +1,13 @@
 """The package's numerical thresholds, one fixed module constant each.
 
 Each threshold is compared with a quantity over a scale: a norm, a
-magnitude or a spread.  Six hard checks floor that scale at 1, so they
-are not scale-free: both in ``invert_spectral``, ``reconstruct``'s
-agreement test, ``max_magnitude`` (the chord's ``cscale``),
-``curve_residual`` and ``validate_spectral_data`` (below max|h| = 1 at
-max|h|^k).  A seventh is not scale-free either: ``solve_cubic`` compares a
-monic cubic's exact leading 1 with its largest coefficient.  The modules
-that test a quantity import the constants they compare it with.
+magnitude or a spread.  Four hard checks floor that scale at 1, so they
+are not scale-free: ``reconstruct``'s agreement test, ``max_magnitude``
+(the chord's ``cscale``), ``curve_residual`` and ``validate_spectral_data``
+(below max|h| = 1 at max|h|^k).  A fifth is not scale-free either:
+``solve_cubic`` compares a monic cubic's exact leading 1 with its largest
+coefficient.  The modules that test a quantity import the constants they
+compare it with.
 """
 
 # core 3x3 numerics

@@ -65,10 +65,6 @@ class SwappedPairDegenerate(GeneralPositionError):
     code = "swapped_pair_degenerate"
 
 
-class SingularA(GeneralPositionError):
-    code = "singular_a"
-
-
 class InvariantViolation(GeneralPositionError):
     """Loaded or constructed spectral data fails its own consistency checks."""
 

@@ -11,22 +11,27 @@ test pins down.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import NamedTuple
 
-from ._kernels_py import modulus
-from .config import DIVISOR_DENOMINATOR, SINGULAR
+from .config import DIVISOR_DENOMINATOR
 from .cubic import chord_swap_divisor
 from .errors import (
     ClosedFormMismatch,
     DeterminantNotUnit,
     GeneralPositionError,
     IntermediateDegeneracy,
-    SingularA,
     SwappedPairDegenerate,
 )
-from .linalg import CubicPoly, Vec3, _Value, check_separation, inv3, solve_cubic
+from .linalg import (
+    CubicPoly,
+    Vec3,
+    _Value,
+    check_nonsingular_diagonal,
+    check_separation,
+    inv3,
+    solve_cubic,
+)
 from .reconstruct import _relisted, canonical_form
 from .spectral import (
     CurveCoefficients,
@@ -159,24 +164,26 @@ def swap_spectral(sd: SpectralData) -> SpectralData:
         xi, swapped, DivisorPoint(lam / mu, nu / mu)))
 
 
-def tilde_r_minus(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> complex:
-    """The one transformed coefficient that has no short expression.
-
-    Derived by eliminating U from the weighted principal-minor sum of the
-    inverted pair; equals (h1 h2 M12 + h1 h3 M13 + h2 h3 M23) / d1 in terms
-    of the minors of U.  Note the (L + M h2)(L + M h3) term enters with the
-    opposite sign from the rest.
-    """
+def _minor_sum(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> complex:
+    """h1 h2 M12 + h1 h3 M13 + h2 h3 M23 in terms of the minors of U,
+    derived by eliminating U from the weighted principal-minor sum of the
+    inverted pair.  Note the (L + M h2)(L + M h3) term enters with the
+    opposite sign from the rest."""
     h1, h2, h3 = h
     L, M = divisor.L, divisor.M
     qp, qm = coeffs.q_plus, coeffs.q_minus
     rp, rm = coeffs.r_plus, coeffs.r_minus
     t = coeffs.t
-    d1 = coeffs.d1
     ab = (h1 - h2) * (h1 - h3) * (L + M * h2) * (L + M * h3)
     l_term = L * (rp - t * h1 + qp * (h1 * h2 + h1 * h3 - h2 * h3))
     m_term = M * (rp * (h2 + h3 - h1) - t * h2 * h3 + qp * h1 * h2 * h3)
-    return (l_term + m_term + qm * h1 * (h2 + h3) - h1 * rm - ab) / d1
+    return l_term + m_term + qm * h1 * (h2 + h3) - h1 * rm - ab
+
+
+def tilde_r_minus(coeffs: CurveCoefficients, h: Vec3, divisor: DivisorPoint) -> complex:
+    """The inverted pair's r_minus, the one transformed coefficient that
+    has no short expression: ``_minor_sum`` over d1."""
+    return _minor_sum(coeffs, h, divisor) / coeffs.d1
 
 
 def invert_spectral(sd: SpectralData) -> SpectralData:
@@ -185,23 +192,12 @@ def invert_spectral(sd: SpectralData) -> SpectralData:
     Eigenvalues invert in place (ordering inherited, not re-sorted here);
     the second matrix's own coefficients are untouched; the rest transform
     by the closed-form table, all expressed in the original eigenvalues.
+    A first passes the relisting's test, ``check_nonsingular_diagonal``.
     """
     h1, h2, h3 = sd.h
     c = sd.coeffs
-    # a modulus or a cube that overflows reads inf; ``**`` keeps the
-    # finite bits
-    try:
-        moduli, det = (abs(h1), abs(h2), abs(h3)), abs(c.d1)
-    except OverflowError:
-        moduli, det = tuple(map(modulus, sd.h)), modulus(c.d1)
-    scale = max(1.0, max(moduli))
-    try:
-        cube = scale ** 3
-    except OverflowError:
-        cube = math.inf
-    if min(moduli) <= SINGULAR * scale or det <= SINGULAR * cube:
-        raise SingularA("first matrix is numerically singular", d1=det)
     d1 = c.d1
+    check_nonsingular_diagonal(sd.h, d1)
     L, M = sd.divisor.L, sd.divisor.M
     return validate_spectral_data(SpectralData(
         (1.0 / h1, 1.0 / h2, 1.0 / h3),
@@ -224,13 +220,11 @@ def shear_spectral(sd: SpectralData) -> SpectralData:
     The first matrix's data (eigenvalues, d1, p_plus, p_minus) are fixed;
     the remaining coefficients follow from rewriting the new pencil through
     the inverted one with lam and mu exchanged, which also exchanges the
-    roles of the divisor coordinates.  The closed form divides by d1, so
-    d1 = 0 raises ``SingularA``; no threshold is applied.
+    roles of the divisor coordinates.  (A, A B) needs no inverse of A: the
+    new q_minus is ``_minor_sum``, d1 ``tilde_r_minus``, so nothing divides.
     """
     h1, h2, h3 = sd.h
     c = sd.coeffs
-    if c.d1 == 0:
-        raise SingularA("first matrix is singular", d1=0.0)
     L, M = sd.divisor.L, sd.divisor.M
     return validate_spectral_data(SpectralData(
         sd.h,
@@ -240,7 +234,7 @@ def shear_spectral(sd: SpectralData) -> SpectralData:
             p_plus=c.p_plus,
             p_minus=c.p_minus,
             q_plus=c.q_plus * c.p_plus - c.t,
-            q_minus=c.d1 * tilde_r_minus(c, sd.h, sd.divisor),
+            q_minus=_minor_sum(c, sd.h, sd.divisor),
             r_plus=c.d1 * c.q_plus,
             r_minus=c.d1 * c.q_minus,
             t=c.p_minus * c.q_plus - c.r_plus),

@@ -231,14 +231,15 @@ def nonsingular_det(entries: tuple[complex, ...],
     return d
 
 
-def check_nonsingular_diagonal(h: Vec3, which: str | None = None) -> None:
-    """``nonsingular_det`` of diag(h) from its three entries: the
-    determinant h1 (h2 h3) and |diag(h)| with the squares summed in
-    ``frob3``'s order are the padded matrix's, up to the sign of a zero."""
+def check_nonsingular_diagonal(h: Vec3, d1: complex) -> None:
+    """SingularMatrix naming "A" unless h1 (h2 h3), as ``nonsingular_det``
+    of the padded diag(h) reads it, and d1 pass ``check_nonsingular``
+    against |diag(h)|; h and d1 carry A's one weight, so it is scale-free."""
     h1, h2, h3 = h
-    check_nonsingular(h1 * (h2 * h3), math.sqrt(
-        (h1 * h1.conjugate() + h2 * h2.conjugate() + h3 * h3.conjugate()).real),
-        which)
+    norm = math.sqrt(
+        (h1 * h1.conjugate() + h2 * h2.conjugate() + h3 * h3.conjugate()).real)
+    check_nonsingular(h1 * (h2 * h3), norm, "A")
+    check_nonsingular(d1, norm, "A")
 
 
 def inv3(m: Mat3) -> Mat3:

@@ -129,7 +129,8 @@ def canonical_form(sd: SpectralData) -> SpectralData:
     first.
 
     Both routes run the stratum's checks on the spectral data alone: the
-    relisted h is separated, diag(h) is nonsingular (named "A"), d2 = det U
+    relisted h is separated, diag(h) and d1 are nonsingular against
+    |diag(h)| (named "A"; ``invert_spectral`` runs the same test), d2 = det U
     is nonsingular against the scale max(|q_plus|, |q_minus|^(1/2),
     |d2|^(1/3)) that U's invariants give (named "B"), and the result passes
     ``validate_spectral_data``, since ``sd`` may come from outside.  When
@@ -154,8 +155,8 @@ def _relisted(sd: SpectralData) -> SpectralData:
     """
     h = canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
-    check_nonsingular_diagonal(h, "A")
     c = sd.coeffs
+    check_nonsingular_diagonal(h, c.d1)
     try:
         scale = max(abs(c.q_plus), abs(c.q_minus) ** 0.5, abs(c.d2) ** (1 / 3))
     except OverflowError:

@@ -36,9 +36,12 @@ clone and this checkout, uncommitted changes included.  It prints
 first few differences, and exits 1.  The table splits each item's lines
 into "values moved" (the same outcome with other numbers) and "outcome
 changed" (ok against an error, another error code, a check that passes
-on one side only, or a line printed on one side only).  The clone reads the local repository, so it needs no
-network.  The name does not match ``test_*.py``, so pytest does not
-collect it.
+on one side only, or a line printed on one side only); under an item
+with outcome changes, one line per (old outcome → new outcome) pair
+gives its count, an outcome being a described error's code, the class
+name of a value, or ``absent`` for a line printed on one side only.  The
+clone reads the local repository, so it needs no network.  The name does
+not match ``test_*.py``, so pytest does not collect it.
 """
 
 import argparse
@@ -259,21 +262,55 @@ def split(line: str) -> tuple[str, str, str]:
     return key, item, " ".join(words[label + width:])
 
 
-def summarize(old: list[str], new: list[str]) -> dict[str, Counter]:
-    """Item -> counts of its differing lines, "values moved" or "outcome
-    changed", over the lines of one section; lines pair by their key."""
+def differing(old: list[str], new: list[str]):
+    """(item, old value, new value, moved) for each differing line of one
+    section, lines paired by their key; a value is None on the side that
+    does not print the line, and ``moved`` tells whether the two values are
+    the same once every number is masked."""
     before = {key: (item, value) for key, item, value in map(split, old)}
     after = {key: (item, value) for key, item, value in map(split, new)}
-    table: dict[str, Counter] = {}
     for key in before.keys() | after.keys():
         item, old_value = before.get(key, (None, None))
         item, new_value = after.get(key, (item, None))
-        if old_value == new_value:
-            continue
-        same = (None not in (old_value, new_value)
+        if old_value != new_value:
+            yield item, old_value, new_value, (
+                None not in (old_value, new_value)
                 and NUMBER.sub("#", old_value) == NUMBER.sub("#", new_value))
+
+
+def summarize(old: list[str], new: list[str]) -> dict[str, Counter]:
+    """Item -> counts of its differing lines, "values moved" or "outcome
+    changed", over the lines of one section."""
+    table: dict[str, Counter] = {}
+    for item, _, _, moved in differing(old, new):
         table.setdefault(item, Counter())[
-            "values moved" if same else "outcome changed"] += 1
+            "values moved" if moved else "outcome changed"] += 1
+    return table
+
+
+#: the class name and the code, or None, of a described error
+DESCRIBED = re.compile(r"\('(\w+)', (?:'(\w+)'|None)")
+
+
+def outcome_name(value: str | None) -> str:
+    """A described error's code (its class name if it has none), the
+    class name that a value's ``repr`` starts with, or ``absent``."""
+    if value is None:
+        return "absent"
+    if error := DESCRIBED.match(value):
+        return error.group(2) or error.group(1)
+    name = re.match(r"\w+", value)
+    return name.group() if name else "value"
+
+
+def outcome_changes(old: list[str], new: list[str]) -> dict[str, Counter]:
+    """Item -> counts of (old outcome, new outcome) over its lines whose
+    outcome changed, over the lines of one section."""
+    table: dict[str, Counter] = {}
+    for item, old_value, new_value, moved in differing(old, new):
+        if not moved:
+            table.setdefault(item, Counter())[
+                outcome_name(old_value), outcome_name(new_value)] += 1
     return table
 
 
@@ -290,9 +327,12 @@ def compare(before: list[str], after: list[str]) -> int:
             None, old, new, autojunk=False).get_opcodes() if op[0] != "equal"]
         count = sum(max(i2 - i1, j2 - j1) for _, i1, i2, j1, j2 in changes)
         print(f"{name}: {count} differing lines")
+        pairs = outcome_changes(old, new)
         for item, counts in sorted(summarize(old, new).items()):
             print(f"  {item}: {counts['values moved']} values moved, "
                   f"{counts['outcome changed']} outcome changed")
+            for (was, now), n in pairs.get(item, Counter()).most_common():
+                print(f"    {was} → {now} {n}")
         shown = [(sign, line) for _, i1, i2, j1, j2 in changes
                  for sign, lines in (("-", old[i1:i2]), ("+", new[j1:j2]))
                  for line in lines]

@@ -401,6 +401,31 @@ def canonical_form_by_forward_map(sd):
     return spectral_data(reconstruct(sd).as_pair())
 
 
+# --- the weights of the data ---
+
+
+def rescaled(sd, e: int, f: int) -> SpectralData:
+    """The spectral data of (2^e A, 2^f B) from that of (A, B), exactly:
+    each part is multiplied by 2 to the power of its weight, by
+    ``math.ldexp`` on its real and imaginary parts, so nothing rounds
+    unless a part leaves the normal float range.  h has weight e; d1, p_plus
+    and p_minus 3e, e and 2e; d2, q_plus and q_minus 3f, f and 2f; r_plus,
+    r_minus and t 2e + f, e + 2f and e + f; the divisor point's L and M,
+    the point (L : M : 1) of the curve, f and f - e."""
+    def times(z, k):
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+    weights = dict(d1=3 * e, d2=3 * f, p_plus=e, p_minus=2 * e, q_plus=f,
+                   q_minus=2 * f, r_plus=2 * e + f, r_minus=e + 2 * f,
+                   t=e + f)
+    c = sd.coeffs
+    return SpectralData(
+        tuple(times(z, e) for z in sd.h),
+        c._replace(**{name: times(getattr(c, name), k)
+                      for name, k in weights.items()}),
+        DivisorPoint(times(sd.divisor.L, f), times(sd.divisor.M, f - e)))
+
+
 # --- a word relisted after every letter ---
 
 

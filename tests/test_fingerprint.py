@@ -1,6 +1,6 @@
 """The per-item summary of ``tests/fingerprint.py --against``."""
 
-from fingerprint import section, split, summarize
+from fingerprint import outcome_changes, section, split, summarize
 
 OK = "SpectralData(h=((1+2j), (-0.5+0j), (3e-08-1j)), divisor=(nan+infj))"
 
@@ -48,4 +48,29 @@ def test_moved_values_and_changed_outcomes_are_told_apart():
         "word ITS": {"outcome changed": 1},
         "report": {"outcome changed": 1},
         "spectral": {"values moved": 1},
+    }
+
+
+def test_changed_outcomes_are_counted_by_pair():
+    error = "('SingularMatrix', 'singular_matrix', 'matrix is singular', {'det': 0.0})"
+    uncoded = "('OverflowError', None, 'math range error', None)"
+    before = ["1 INVERT " + OK,
+              "2 INVERT " + OK,
+              "3 INVERT " + error,
+              "1 SHEAR " + error,
+              "1 SWAP " + uncoded,
+              "2 SWAP " + OK]
+    after = ["1 INVERT " + error,
+             "2 INVERT " + error.replace("0.0", "1e-300"),
+             "3 INVERT " + OK,
+             "1 SHEAR " + error.replace("0.0", "1e-300"),
+             "1 SWAP " + error,
+             "4 INVERT " + error]
+    assert {item: dict(counts)
+            for item, counts in outcome_changes(before, after).items()} == {
+        "INVERT": {("SpectralData", "singular_matrix"): 2,
+                   ("singular_matrix", "SpectralData"): 1,
+                   ("absent", "singular_matrix"): 1},
+        "SWAP": {("OverflowError", "singular_matrix"): 1,
+                 ("SpectralData", "absent"): 1},
     }

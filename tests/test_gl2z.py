@@ -19,7 +19,6 @@ from spectral_pair import (
     MatrixPair,
     NormalizedPair,
     RepeatedEigenvalues,
-    SingularA,
     SingularMatrix,
     SpectralData,
     SpectralPairError,
@@ -63,6 +62,7 @@ from oracles import (
     expanded_coefficients,
     exponent_sums,
     random_exact_normalized_pair,
+    rescaled,
     word_images,
 )
 
@@ -467,9 +467,33 @@ def test_intermediate_degeneracy_reports_prefix():
 def test_invert_spectral_rejects_zero_eigenvalue():
     npair = NormalizedPair((0, 1, 2), FIXTURE_B)
     sd = SpectralData(npair.h, curve_coefficients(npair), divisor_point(npair))
-    with pytest.raises(SingularA) as info:
+    with pytest.raises(SingularMatrix) as info:
         invert_spectral(sd)
-    assert info.value.code == "singular_a"
+    assert info.value.detail["which"] == "A"
+
+
+def test_invert_spectral_is_scale_free():
+    """I of the data of (2^k A, B) and of (2^k A, 2^k B), relisted, is the
+    data of (A^-1, B) rescaled to (2^-k A^-1, B) or (2^-k A^-1, 2^k B).
+    Each part is compared in its own weight: the result is rescaled back
+    to (A^-1, B), exactly, and compared there.  The test of A is scale-free,
+    so every A-scaled pair inverts, A x 2^-172 too; a both-scaled one may
+    end in a coded error, as 54 of these 170 end in the relisting's
+    ``degenerate_divisor``."""
+    for seed in range(10):
+        a, b = random_pair(seed)
+        want = spectral_data(MatrixPair(inv3(a), b))
+        for k in range(-172, 5, 11):
+            for f in (0, k):
+                sd = spectral_data(MatrixPair(a.scaled(2.0 ** k),
+                                              b.scaled(2.0 ** f)))
+                try:
+                    got = canonical_form(invert_spectral(sd))
+                except SpectralPairError as exc:
+                    assert f != 0, (seed, k, exc.code)
+                    continue
+                residuals = spectral_residuals(rescaled(got, k, -f), want)
+                assert all(r <= 1e-9 for r in residuals.values()), (seed, k, f)
 
 
 @pytest.mark.parametrize("name", ["t", "d1", "q_minus", "r_plus"])
@@ -550,30 +574,32 @@ def test_every_extreme_entry_pair_ends_ok_or_coded():
 
 
 def test_shear_spectral_rejects_a_zero_d1():
-    # the closed form divides by d1, and only by d1 = 0 can it not.  The
-    # symmetric-function test's scale follows max|h|^3 below 1, so data
-    # with nonzero h and d1 = 0 fails validation, even for A x 1e-5, and a
-    # word rejects it before its first letter
+    # the closed form divides by nothing, so it tests nothing of A.  The
+    # symmetric-function test's scale follows max|h|^3 below 1, so its
+    # output, which keeps nonzero h and d1 = 0, fails validation, even for
+    # A x 1e-5; a word rejects the input at the relisting's test of A,
+    # before its first letter
     pair = random_pair(4)
     sd = spectral_data(pair._replace(a=pair.a.scaled(1e-5)))
     zero = sd._replace(coeffs=sd.coeffs._replace(d1=0j))
-    with pytest.raises(SingularA) as info:
-        shear_spectral(zero)
-    assert info.value.detail == {"d1": 0.0}
     with pytest.raises(InvariantViolation) as info:
-        act_word_spectral((Generator.SHEAR,), zero)
+        shear_spectral(zero)
     assert info.value.detail["component"] == "d1"
+    with pytest.raises(SingularMatrix) as info:
+        act_word_spectral((Generator.SHEAR,), zero)
+    assert info.value.detail["which"] == "A"
     # data that small but nonzero still shears
     shear_spectral(sd)
 
 
 def test_invert_spectral_rejects_an_overflowing_cube():
-    # max|h|^3 overflows; the bound reads inf, so |d1| = 1.2e285 fails it
+    # |diag(h)|^3 overflows; the bound reads inf, so |d1| = 1.2e285 fails it
     npair = NormalizedPair((1e91, 2e91, 6e102), FIXTURE_B)
     sd = validate_spectral_data(SpectralData(
         npair.h, curve_coefficients(npair), divisor_point(npair)))
-    with pytest.raises(SingularA):
+    with pytest.raises(SingularMatrix) as info:
         invert_spectral(sd)
+    assert info.value.detail["which"] == "A"
 
 
 # hand-built spectral data off the general-position stratum, each consistent
@@ -585,6 +611,27 @@ OFF_STRATUM_SPECTRAL = {
         [[2, 1, 1], [2, 1, 1], [7, 1, 4]])), "singular_matrix"),
     "zero_h1": (NormalizedPair((0, 1, 2), FIXTURE_B), "singular_matrix"),
 }
+
+
+#: a document with d1 = 0 whose h passes the test of A: |h1 h2 h3| = 2e-10
+#: against 1e-12 |diag(h)|^3 = 1.1e-11
+ZERO_D1 = NormalizedPair((1, 2, 1e-10), Mat3.from_rows(
+    [[0.3 + 0.1j, 1, 1], [0.5, -0.2 + 0.4j, 0.7], [0.1 - 0.3j, 0.9, 0.6j]]))
+
+
+@pytest.mark.parametrize("word", ["", "S", "T", "I", "S,T"])
+def test_act_word_spectral_rejects_a_zero_d1(word):
+    """Such a document loads: the symmetric-function test's scale for d1
+    is 1 here, and |h1 h2 h3 - d1| = 2e-10 is below 1e-9 times it.  The
+    relisting tests d1 with h, so every word, the empty one too, rejects
+    it before its first letter, naming A."""
+    sd = SpectralData(ZERO_D1.h, curve_coefficients(ZERO_D1),
+                      divisor_point(ZERO_D1))
+    zero = sd._replace(coeffs=sd.coeffs._replace(d1=0j))
+    validate_spectral_data(zero)
+    with pytest.raises(SingularMatrix) as info:
+        act_word_spectral(parse_word(word), zero)
+    assert info.value.detail["which"] == "A"
 
 
 @pytest.mark.parametrize("word", ["", "S", "T", "I", "S,T"])

@@ -30,12 +30,10 @@ from spectral_pair import (
     curve_residual,
     eig3,
     inv3,
-    invert_spectral,
     kernel_vector,
     normalize_pair,
     random_pair,
     reconstruct,
-    shear_spectral,
     solve_cubic,
     spectral_data,
     swap_spectral,
@@ -206,8 +204,6 @@ def test_every_coded_raise_runs(monkeypatch):
         lambda: GL2ZMatrix(2, 0, 0, 1),
         swap_to_gauge_degenerate_pair,
         swap_with_repeated_second_spectrum,
-        lambda: invert_spectral(sd._replace(h=(0, 2, 3))),
-        lambda: shear_spectral(sd._replace(coeffs=sd.coeffs._replace(d1=0))),
         # the input's relisting passes through; the result's, h relisted
         # from (1, 1/2, 1/3) to (1/3, 1/2, 1), reconstructs
         biased_closed_form(monkeypatch, lambda: act_word_spectral(
@@ -220,7 +216,7 @@ def test_every_coded_raise_runs(monkeypatch):
     ]
     sites = raise_sites()
     seen = executed_lines(set(sites), triggers)
-    assert sum(map(len, sites.values())) == 21
+    assert sum(map(len, sites.values())) == 19
     assert unreached(sites, seen) == []
 
 
@@ -256,9 +252,6 @@ def test_every_overflow_guard_runs():
         # U's invariants
         lambda: reconstruct(sd._replace(h=(1e308 + 0j, -1e308 + 0j, sd.h[2]))),
         lambda: canonical_form(sd._replace(coeffs=sd.coeffs._replace(q_plus=z))),
-        # gl2z: the moduli, and the cube of 1e200
-        lambda: invert_spectral(sd._replace(h=(z, 2, 3))),
-        lambda: invert_spectral(sd._replace(h=(1e200, 2, 3))),
         # cubic: a point's moduli, and the curve's value at a point of a
         # curve whose p_plus is near z
         lambda: third_intersection(sd.coeffs, (z, -1, 0), (0.1, 0.2, 1)),
@@ -273,5 +266,5 @@ def test_every_overflow_guard_runs():
                 trigger()
             except SpectralPairError:
                 pass
-    assert sum(map(len, guards.values())) == 20
+    assert sum(map(len, guards.values())) == 18
     assert unreached(guards, seen) == []

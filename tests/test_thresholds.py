@@ -100,12 +100,10 @@ def readers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
     return found
 
 
-#: (constant, module, function): second readers that test a quantity other
-#: than the first reader's; merging either would change error codes, so it
-#: waits for the scale-free checks of ROADMAP item 3
+#: (constant, module, function): the one second reader, which tests a
+#: quantity other than the first reader's; merging it would change error
+#: codes, so it waits for the scale-free checks of ROADMAP item 3
 SECOND_READERS = {
-    # the singular_a test on h and d1, not a determinant against |M|^3
-    ("SINGULAR", "gl2z.py", "invert_spectral"),
     # the line-at-infinity test on the transported divisor point
     ("DIVISOR_DENOMINATOR", "gl2z.py", "swap_spectral"),
 }
