@@ -68,6 +68,8 @@ def _read_document(path: str):
                 text = fh.read()
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8: {exc}") from exc
     return jsonio.loads(text)
 
 

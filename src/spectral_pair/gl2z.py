@@ -324,7 +324,8 @@ def decompose_gl2z(m: GL2ZMatrix) -> Word:
         word += [S, I, S]
         c, d = -c, -d
 
-    assert (a, b, c, d) == (1, 0, 0, 1)
+    if (a, b, c, d) != (1, 0, 0, 1):
+        raise AssertionError(f"reduction left {(a, b, c, d)}, not the identity")
     # S and I are involutions, so adjacent repeats cancel exactly
     reduced: list[Generator] = []
     for g in word:
@@ -333,7 +334,8 @@ def decompose_gl2z(m: GL2ZMatrix) -> Word:
         else:
             reduced.append(g)
     result = tuple(reduced)
-    assert matrix_of_word(result) == m
+    if matrix_of_word(result) != m:
+        raise AssertionError(f"word {word_to_str(result)} does not multiply to {m}")
     return result
 
 

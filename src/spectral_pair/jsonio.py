@@ -113,5 +113,6 @@ def dumps(doc: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # RecursionError: nested deeper than the decoder recurses
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc

@@ -456,6 +456,29 @@ def _determinant_margin(entries: tuple[complex, ...]) -> float:
     return abs(kernels.det3(scaled)) / kernels.frob3(scaled) ** 3
 
 
+def _tested_margin(det: complex, norm: float) -> float | None:
+    """|det M| / |M|^3 from the ``det`` and ``norm``, |M|, that passed
+    ``check_nonsingular``, with the bits ``_determinant_margin`` gives M;
+    None where those bits are not assured, for the caller to prescale.
+
+    Scaling M by a power of two rounds only the values that leave the
+    normal range.  For |M| in [2^-64, 2^64] and |det| above SINGULAR |M|^3
+    those are too small to reach |M| or det, so the prescale only
+    multiplies |M| and det by powers of two.  The cube is left: the
+    prescaled |M| is m 2^j for |M| = m 2^e, m in [0.5, 1) and some j from
+    0 to 3, and ``**`` is not scale-equivariant, (2x) ** 3 and 8 (x ** 3)
+    differing in the last bit for about one x in 1,500 under glibc 2.36.
+    So m's cube serves only where it agrees with each (m 2^j) ** 3 / 8^j."""
+    if not 2.0 ** -64 <= norm <= 2.0 ** 64:
+        return None
+    m, e = math.frexp(norm)
+    cube = m ** 3
+    if ((m + m) ** 3 == 8.0 * cube and (4.0 * m) ** 3 == 64.0 * cube
+            and (8.0 * m) ** 3 == 512.0 * cube):
+        return abs(det) / math.ldexp(cube, 3 * e)
+    return None
+
+
 def forward(pair: MatrixPair) -> Forward:
     """Map the pair forward once, with the margin of every general-position
     check; never raises a GeneralPositionError.
@@ -505,8 +528,13 @@ class _Report:
             check_nonsingular(det, norm, which)
         except SingularMatrix as exc:
             self.errors.append(exc)
-        m = self.pair.a if which == "A" else self.pair.b
-        self.add("determinant_" + which.lower(), _determinant_margin(m.entries))
+            margin = None
+        else:
+            margin = _tested_margin(det, norm)
+        if margin is None:
+            m = self.pair.a if which == "A" else self.pair.b
+            margin = _determinant_margin(m.entries)
+        self.add("determinant_" + which.lower(), margin)
 
     def failed(self, exc) -> "_Report":
         # an uncoded error counts as the first determinant error, if any

@@ -63,7 +63,7 @@ LAYERS = {
     "Mat3": ("linalg.Mat3.__init__",),
     "random_pair": ("randgen.random_pair", "randgen.random_forward"),
     "forward": ("spectral.forward",),
-    "report_margins": ("spectral._determinant_margin",),
+    "report_margins": ("spectral._Report.determinant",),
     "draw": ("randgen._eigenvalue_triple",
              "randgen._well_conditioned_with_inverse",
              "randgen._random_matrix"),

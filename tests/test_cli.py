@@ -56,9 +56,14 @@ def test_spectral_gauge_degenerate(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "degenerate_divisor"
 
 
-def test_spectral_malformed_json(tmp_path, capsys):
+@pytest.mark.parametrize("content", [
+    b"{oops",
+    b"[" * 100_000,   # nested deeper than the JSON decoder recurses
+    b"\xff\xfe",      # not UTF-8
+], ids=["unparsable", "too_deep", "not_utf8"])
+def test_spectral_malformed_json(content, tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{oops")
+    path.write_bytes(content)
     code, _, err = run(capsys, "spectral", str(path))
     assert code == 2
     assert json.loads(err)["error"]["code"] == "schema"

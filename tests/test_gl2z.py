@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -696,6 +700,32 @@ def test_decompose_random_products():
         assert matrix_of_word(recovered) == m
         assert len(recovered) <= 4 * 40
         checked += 1
+
+
+#: run under ``python -O``: decompose (0 1; 1 0) with a ``matrix_of_word``
+#: that multiplies every word to T
+_WRONG_PRODUCT = """
+import sys
+from spectral_pair import gl2z
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+gl2z.matrix_of_word = lambda word: gl2z.GL2ZMatrix(1, 1, 0, 1)
+try:
+    gl2z.decompose_gl2z(gl2z.GL2ZMatrix(0, 1, 1, 0))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_decompose_checks_its_word_under_python_O():
+    # -O strips assert statements; the word's exact matrix check is no
+    # assert statement, so it still raises
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-O", "-c", _WRONG_PRODUCT], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "word S does not multiply to GL2ZMatrix(a=0, b=1, c=1, d=0)\n"
 
 
 def test_act_spectral_dispatch(seeded_pairs):

@@ -59,6 +59,11 @@ def test_malformed_json_rejected():
         jsonio.loads("{not json")
 
 
+def test_json_nested_past_the_recursion_limit_is_a_schema_error():
+    with pytest.raises(SchemaError, match="malformed JSON"):
+        jsonio.loads("[" * 100_000)
+
+
 def test_missing_keys_rejected():
     with pytest.raises(SchemaError):
         jsonio.doc_to_pair({"A": [[[0, 0]] * 3] * 3})

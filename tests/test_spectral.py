@@ -955,6 +955,77 @@ def test_determinant_margin_keeps_its_bits_past_an_overflowing_modulus():
         Mat3.diagonal(1.5 + 1.5j, 1.5 + 1.5j, 2.0 ** -1023).entries)
 
 
+def determinant_margins(report) -> list[float]:
+    return [c.margin for c in report.checks[:2]]
+
+
+def test_report_determinant_margins_are_the_prescaled_ones():
+    for seed in range(300):
+        pair = random_pair(seed)
+        assert determinant_margins(general_position_report(pair)) == [
+            spectral_module._determinant_margin(pair.a.entries),
+            spectral_module._determinant_margin(pair.b.entries)], seed
+
+
+@pytest.mark.parametrize("a", [
+    Mat3.diagonal(1, 1, 1).scaled(0.954357),
+    Mat3.from_rows([[1, 1, 1], [1, -1, 1], [1, 1, -1]]).scaled(0.957563),
+    Mat3.from_rows([[1 + 1j, 1 - 1j, 1 - 1j],
+                    [1 - 1j, -1 + 1j, 1 + 1j],
+                    [1 + 1j, 1 - 1j, -1 + 1j]]).scaled(0.967298),
+], ids=["norm_1.65", "norm_2.87", "norm_4.10"])
+def test_report_determinant_margin_keeps_its_bits_where_cubes_round_apart(a):
+    # the prescale leaves |A| as it is, in [1, 2), [2, 4) or [4, 8); with
+    # glibc 2.36's pow, the cube of |A| over 2, 4 or 8, times 8, 64 or 512,
+    # differs in the last bit from |A| ** 3, as does the cube of 2^k |A|
+    # from 2^3k |A| ** 3 at some of these k
+    for k in range(-60, 61):
+        pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B)
+        margin = determinant_margins(general_position_report(pair))[0]
+        assert margin == spectral_module._determinant_margin(pair.a.entries), k
+
+
+@pytest.mark.parametrize("x", [1.1e-155, 3e-162])
+def test_report_prescales_a_determinant_that_fails_the_hard_test(x):
+    # |A| is about 1, but det A = x^2 is subnormal or 0, and rounds to other
+    # bits once A is prescaled by 1/2: unscaled it reads 1.21e-310 or
+    # 1e-323, prescaled 1.20999999999997e-310 or 0
+    pair = MatrixPair(Mat3.diagonal(1, x, x), FIXTURE_B)
+    margin = determinant_margins(general_position_report(pair))[0]
+    assert margin == spectral_module._determinant_margin(pair.a.entries)
+
+
+@pytest.mark.parametrize("k, prescaled", [
+    (-700, 2), (-68, 2), (-67, 1), (-66, 1), (-65, 0),
+    (60, 0), (61, 1), (62, 1), (63, 2)])
+def test_report_prescales_only_outside_the_range(monkeypatch, k, prescaled):
+    # |A| = 3.74 and |B| = 10.5, so 2^k |A| leaves [2^-64, 2^64] below
+    # k = -65 and above k = 62, and 2^k |B| below k = -67 and above k = 60;
+    # inside, the margin is read off the determinant and norm of the hard
+    # test, with the same bits
+    calls = []
+    original = spectral_module._determinant_margin
+
+    def counting_determinant_margin(entries):
+        calls.append(1)
+        return original(entries)
+
+    monkeypatch.setattr(spectral_module, "_determinant_margin",
+                        counting_determinant_margin)
+    pair = MatrixPair(FIXTURE_A.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
+    assert determinant_margins(general_position_report(pair)) == [
+        original(pair.a.entries), original(pair.b.entries)]
+    assert len(calls) == prescaled
+
+
+def test_random_pair_report_does_not_prescale(monkeypatch):
+    def refuse(entries):
+        raise AssertionError("_determinant_margin was called")
+
+    monkeypatch.setattr(spectral_module, "_determinant_margin", refuse)
+    assert general_position_report(random_pair(0)).passed
+
+
 def test_report_decomposes_a_once(monkeypatch, fixture_pair):
     calls = []
     original = spectral_module.eigenvalues
