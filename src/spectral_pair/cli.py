@@ -62,15 +62,15 @@ def _read_document(path: str):
     from . import jsonio
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return jsonio.loads(data.decode("utf-8"))
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not UTF-8: {exc}") from exc
-    return jsonio.loads(text)
 
 
 class _IOFailure(Exception):

@@ -242,10 +242,13 @@ def check_nonsingular_diagonal(h: Vec3, d1: complex) -> None:
     check_nonsingular(d1, norm, "A")
 
 
+def inverse_entries(entries: tuple[complex, ...], det: complex) -> tuple[complex, ...]:
+    """adj(M) / det M, flat, by C division; the caller has tested ``det``."""
+    return tuple(map(det.__rtruediv__, kernels.adj3(entries)))
+
+
 def inv3(m: Mat3) -> Mat3:
-    d = nonsingular_det(m.entries)
-    # d.__rtruediv__(z) is the C division z / d
-    return Mat3(tuple(map(d.__rtruediv__, kernels.adj3(m.entries))))
+    return Mat3(inverse_entries(m.entries, nonsingular_det(m.entries)))
 
 
 def kernel_vector(entries: tuple[complex, ...]) -> Vec3:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from . import _kernels_py as kernels
-from .linalg import Mat3
+from .linalg import Mat3, inverse_entries
 from .spectral import Forward, MatrixPair, forward
 
 _MAX_ATTEMPTS = 1000
@@ -65,9 +65,7 @@ def _well_conditioned_with_inverse(
         d = kernels.det3(g)
         if f == 0.0 or abs(d) <= 1e-3 * f ** 3:
             continue
-        # adj(g) / det g, as ``inv3`` computes it; its determinant test,
-        # |det g| > 1e-12 |g|^3, holds a fortiori
-        g_inv = tuple(map(d.__rtruediv__, kernels.adj3(g)))
+        g_inv = inverse_entries(g, d)
         if f * kernels.frob3(g_inv) <= _MAX_CONDITION:
             return g, g_inv
     raise RuntimeError("could not draw a well-conditioned matrix")

@@ -44,6 +44,7 @@ from .linalg import (
     eig3,
     eigenvalues,
     eigenvector,
+    inverse_entries,
     nonsingular_det,
     separation,
 )
@@ -152,12 +153,10 @@ def _normal_form(pair: MatrixPair, h: Vec3 | None = None) -> tuple[NormalizedPai
 
 def _in_eigenbasis(b: Mat3, vectors) -> tuple[complex, ...]:
     """The flat entries of U0 = V^-1 B V, the second matrix in the
-    eigenbasis V whose columns are ``vectors``, checked to be finite.
-    V^-1 is adj(V) / det V, as ``inv3`` computes it."""
+    eigenbasis V whose columns are ``vectors``, checked to be finite."""
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = vectors
     v = (x0, y0, z0, x1, y1, z1, x2, y2, z2)
-    # d.__rtruediv__(c) is the C division c / d
-    v_inv = tuple(map(nonsingular_det(v).__rtruediv__, kernels.adj3(v)))
+    v_inv = inverse_entries(v, nonsingular_det(v))
     u0 = kernels.matmul3(kernels.matmul3(v_inv, b.entries), v)
     check_finite(u0)
     return u0

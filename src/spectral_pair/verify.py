@@ -114,8 +114,8 @@ def _prop_conjugation_invariance(drawn, rebuilt, seed):
 
 def _prop_word_consistency(drawn, rebuilt, seed):
     rng = random.Random((seed << 16) ^ 0xC0FF)
-    word = tuple(rng.choice(list(Generator))
-                 for _ in range(rng.randint(1, 6)))
+    letters = list(Generator)
+    word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
     lhs = act_word_spectral(word, drawn.sd)
     rhs = spectral_data(act_word_on_pair(word, drawn.pair))
     return spectral_residuals(lhs, rhs)

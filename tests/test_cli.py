@@ -416,10 +416,32 @@ def test_output_file_writing(tmp_path, capsys):
 
 def test_stdin_input(capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(Path(PAIR_FIXTURE).read_text()))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(Path(PAIR_FIXTURE).read_bytes()), encoding="utf-8"))
     code, out, _ = run(capsys, "spectral", "-")
     assert code == 0
     load_spectral(out)
+
+
+def test_stdin_not_utf8_is_the_files_schema_error(tmp_path, capsys,
+                                                  monkeypatch):
+    """Bytes that are not UTF-8 get the same exit code, error code and
+    message from stdin as from a file, whatever error handler the text
+    layer of stdin has: under a C or POSIX locale the interpreter reads
+    stdin with ``surrogateescape``, which decodes any bytes."""
+    import io
+    path = tmp_path / "broken.json"
+    path.write_bytes(b"\xff\xfe")
+    from_file = run(capsys, "spectral", str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="surrogateescape"))
+    from_stdin = run(capsys, "spectral", "-")
+    assert from_stdin == from_file
+    code, out, err = from_stdin
+    assert (code, out) == (2, "")
+    payload = strict_loads(err)["error"]
+    assert payload["code"] == "schema"
+    assert payload["message"].startswith("input is not UTF-8")
 
 
 @pytest.mark.skipif(shutil.which("spectral-pair") is None,

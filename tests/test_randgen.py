@@ -2,6 +2,9 @@ import hashlib
 import random
 
 from spectral_pair import general_position_report, generation_attempts, random_pair
+from spectral_pair import _kernels_py as kernels
+from spectral_pair import randgen
+from spectral_pair.linalg import inverse_entries
 from spectral_pair.randgen import _well_conditioned_with_inverse
 
 #: sha256 of the draws that ``test_draws_keep_their_bits`` lists
@@ -45,3 +48,24 @@ def test_draws_keep_their_bits():
         lines += [repr(g), repr(g_inv)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DRAWS_DIGEST
+
+
+def test_near_singular_candidates_are_drawn_again(monkeypatch):
+    """A zero and a singular candidate are passed over; the third
+    candidate comes back with ``inverse_entries``' inverse of it."""
+    good = (2, 1j, 0, 0, 1, -1, 1, 0, 1.5j)
+    candidates = iter([(0j,) * 9, (1, 2, 3, 2, 4, 6, 0, 1, 1), good])
+    drawn = []
+
+    def fake(rng):
+        drawn.append(next(candidates))
+        return tuple(map(complex, drawn[-1]))
+
+    monkeypatch.setattr(randgen, "_random_matrix", fake)
+    g, g_inv = _well_conditioned_with_inverse(random.Random(0))
+    assert len(drawn) == 3
+    assert g == tuple(map(complex, good))
+    assert g_inv == inverse_entries(g, kernels.det3(g))
+    identity = kernels.matmul3(g, g_inv)
+    assert max(abs(z - (1 if i % 4 == 0 else 0))
+               for i, z in enumerate(identity)) < 1e-14
