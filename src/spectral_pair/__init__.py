@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_kernels_py": ("BACKEND",),
     "errors": (
-        "ClosedFormMismatch", "CoincidentPoints", "DegenerateDivisor",
+        "CoincidentPoints", "DegenerateDivisor",
         "DegenerateLeadingCoefficient", "DeterminantNotUnit",
         "GaugeDegenerate", "GeneralPositionError", "InputsNotIncident",
         "IntermediateDegeneracy", "InvariantViolation", "LineOnCurve",

@@ -1,10 +1,10 @@
 """The package's numerical thresholds, one fixed module constant each.
 
 Each threshold is compared with a quantity over a scale: a norm, a
-magnitude or a spread.  Four hard checks floor that scale at 1, so they
-are not scale-free: ``reconstruct``'s agreement test, ``max_magnitude``
-(the chord's ``cscale``), ``curve_residual`` and ``validate_spectral_data``
-(below max|h| = 1 at max|h|^k).  A fifth is not scale-free either:
+magnitude or a spread.  Three hard checks floor that scale at 1, so they
+are not scale-free: ``max_magnitude`` (the chord's ``cscale``),
+``curve_residual`` and ``validate_spectral_data`` (below max|h| = 1 at
+max|h|^k).  A fourth is not scale-free either:
 ``solve_cubic`` compares a monic cubic's exact leading 1 with its largest
 coefficient.  The modules that test a quantity import the constants they
 compare it with.
@@ -29,8 +29,10 @@ INCIDENCE = 1e-6              # points claimed on the curve; coincident points
 DEFLATION = 1e-6              # restricted cubic vanishing on a line
 THIRD_POINT_ON_CURVE = 1e-8
 
-# reconstruction
-CLOSED_FORM_AGREEMENT = 1e-7  # closed forms vs linear solve
+# reconstruction: |det U - d2| vs |d2|, scale-free and so not floored; a
+# decade under verify's default 1e-6, since d2 is the one component of the
+# backward round trip that no equation of reconstruct's solve fixes
+RECONSTRUCTED_D2 = 1e-7
 
 # general-position report margins (pass/fail thresholds, not hard errors);
 # the eigenvalue gap is the report's one gap check, at 1e-3 because

@@ -66,22 +66,10 @@ class SwappedPairDegenerate(GeneralPositionError):
 
 
 class InvariantViolation(GeneralPositionError):
-    """Loaded or constructed spectral data fails its own consistency checks."""
+    """Loaded or constructed spectral data fails its own consistency checks,
+    or the U that ``reconstruct`` solves for misses d2 = det U."""
 
     code = "invariant_violation"
-
-
-class ClosedFormMismatch(SpectralPairError):
-    """The two independent routes for the lower-left entries disagree.
-
-    It is surfaced loudly rather than averaged away.  It signals either a
-    transcription bug in the closed forms or an ill-conditioned U: near an
-    eigenvalue gap the two routes lose accuracy differently and part by
-    more than the agreement tolerance, as on many pairs with a relative
-    eigenvalue gap between 1e-6 and 3e-4.
-    """
-
-    code = "closed_form_mismatch"
 
 
 class NonFiniteEntries(SpectralPairError, ValueError):

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .config import DIVISOR_DENOMINATOR
 from .cubic import chord_swap_divisor
 from .errors import (
-    ClosedFormMismatch,
     DeterminantNotUnit,
     GeneralPositionError,
     IntermediateDegeneracy,
@@ -265,8 +264,7 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
     permutes h.  An error from a letter, or
     from the final relisting, is raised as ``IntermediateDegeneracy``,
     whose detail holds the failing ``"prefix"`` and the error's code as
-    ``"cause"``; a ``ClosedFormMismatch`` keeps its class, and its detail
-    gains the ``"prefix"``."""
+    ``"cause"``."""
     current = canonical_form(sd)
     for i, g in enumerate(word):
         try:
@@ -278,9 +276,6 @@ def act_word_spectral(word: Word, sd: SpectralData) -> SpectralData:
             raise IntermediateDegeneracy(
                 f"word left general position after {prefix}",
                 prefix=prefix, cause=exc.code) from exc
-        except ClosedFormMismatch as exc:
-            raise ClosedFormMismatch(str(exc), **exc.detail,
-                                     prefix=word_to_str(word[:i + 1])) from exc
     return current
 
 

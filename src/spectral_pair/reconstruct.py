@@ -2,20 +2,20 @@
 
 The diagonal of U comes from a linear system in closed form, the first row
 is the gauge (u11, 1, 1), u23/u32 follow from the divisor point, and the
-remaining two entries (u21, u31) are computed twice: by long closed forms
-and by solving the two remaining coefficient equations, which are linear in
-them.  The linear solve is authoritative; disagreement raises.  It means
-a transcription bug in the closed forms, or an ill-conditioned U, as near
-an eigenvalue gap, where the two routes part by more than the tolerance.
+remaining two entries (u21, u31) solve the two remaining coefficient
+equations, which are linear in them.  That reads seven of the data; the
+eighth, d2 = det U, tests the result.  A U whose determinant misses d2
+raises ``InvariantViolation``: an ill-conditioned U, as near an eigenvalue
+gap, or a divisor point off the curve.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._kernels_py import canonical_order
-from .config import CLOSED_FORM_AGREEMENT
-from .errors import ClosedFormMismatch, RepeatedEigenvalues
+from . import _kernels_py as kernels
+from .config import RECONSTRUCTED_D2
+from .errors import InvariantViolation, RepeatedEigenvalues
 from .linalg import (
     Mat3,
     Vec3,
@@ -30,7 +30,6 @@ from .spectral import (
     SpectralData,
     _divisor,
     validate_spectral_data,
-    worst_residual,
 )
 
 
@@ -45,35 +44,17 @@ def diagonal_entries(coeffs: CurveCoefficients, h: Vec3) -> Vec3:
     return (u11, u22, u33)
 
 
-def _closed_form_lower_left(coeffs: CurveCoefficients, h: Vec3,
-                            L: complex, M: complex) -> tuple[complex, complex]:
-    """Long closed forms for (u21, u31); cross-check only."""
-    h1, h2, h3 = h
-    qp, qm = coeffs.q_plus, coeffs.q_minus
-    rp, rm = coeffs.r_plus, coeffs.r_minus
-    t = coeffs.t
-    ab = (L + h2 * M) * (L + h3 * M)
-    m_bracket = rp * (h1 - h2 - h3) - qp * h1 * h2 * h3 + t * h2 * h3
-    l_bracket = qp * (h2 * h3 - h1 * h2 - h1 * h3) - rp + t * h1
-
-    def corner(ha: complex, hb: complex) -> complex:
-        # ha plays the row's own eigenvalue (h2 for u21, h3 for u31)
-        return ((h1 - ha) / (ha - hb) * ab
-                + M / ((h1 - hb) * (ha - hb)) * m_bracket
-                + L / ((h1 - hb) * (ha - hb)) * l_bracket
-                + (rm - qm * ha) / (ha - hb)
-                + (qp * ha * ha - t * ha + rp) * (qp * h1 * h1 - t * h1 + rp)
-                / ((h1 - ha) ** 2 * (hb - h1) * (ha - hb)))
-
-    return corner(h2, h3), corner(h3, h2)
-
-
 def reconstruct(sd: SpectralData) -> NormalizedPair:
     """Normalized pair from spectral data, using the ordering carried by it.
 
     The divisor point is used as given; nothing is projected back onto the
-    curve, so feeding an off-curve point returns a pair whose own spectral
-    data differs from the input.
+    curve.  The solve reads U's seven free entries off seven data and never
+    reads d2 = det U, which then tests the result: unless |det U - d2| <
+    ``RECONSTRUCTED_D2`` |d2|, it raises ``InvariantViolation`` with
+    component "d2".  Since U meets the other equations, det U - d2 is minus
+    the curve's value at the divisor point, so an off-curve point fails the
+    test instead of returning a pair whose own spectral data differs from
+    the input.
     """
     h = sd.h
     h1, h2, h3 = h
@@ -96,24 +77,17 @@ def reconstruct(sd: SpectralData) -> NormalizedPair:
     u21 = (rhs2 - h2 * rhs1) / den
     u31 = (h3 * rhs1 - rhs2) / den
 
-    # as in ``relative_difference``, a modulus that overflows reads inf, and
-    # so does a closed form that overflows, whose values are then None
-    closed = None
-    try:
-        closed = u21_cf, u31_cf = _closed_form_lower_left(c, h, L, M)
-        mismatch = (worst_residual((abs(u21 - u21_cf), abs(u31 - u31_cf)))
-                    / max(1.0, abs(u21), abs(u31)))
-    except OverflowError:
-        mismatch = math.inf
-    if not mismatch <= CLOSED_FORM_AGREEMENT:
-        raise ClosedFormMismatch(
-            "closed forms for (u21, u31) disagree with the linear solve",
-            mismatch=mismatch, linear=(u21, u31), closed=closed)
-
-    u = Mat3((u11, 1.0, 1.0,
-              u21, u22, u23,
-              u31, u32, u33))
-    return NormalizedPair(h, u)
+    # d2 = det U is the one datum the solve does not read, so its residual
+    # tests the whole U; the comparison is strict, so that d2 = 0 fails, and
+    # a NaN fails, as does a determinant or a modulus that overflows to inf
+    entries = (u11, 1.0, 1.0, u21, u22, u23, u31, u32, u33)
+    residual = kernels.modulus(kernels.det3(entries) - c.d2)
+    size = kernels.modulus(c.d2)
+    if not residual < RECONSTRUCTED_D2 * size:
+        raise InvariantViolation(
+            "det U does not match d2", component="d2",
+            residual=residual / size if 0 < size < math.inf else math.inf)
+    return NormalizedPair(h, Mat3(entries))
 
 
 def canonical_form(sd: SpectralData) -> SpectralData:
@@ -153,7 +127,7 @@ def _relisted(sd: SpectralData) -> SpectralData:
     A first eigenvalue that moves from place k has its divisor point read
     off (diag(sd.h), U), in the data's own listing, at e_k.
     """
-    h = canonical_order(sd.h)
+    h = kernels.canonical_order(sd.h)
     check_separation(h, RepeatedEigenvalues)
     c = sd.coeffs
     check_nonsingular_diagonal(h, c.d1)

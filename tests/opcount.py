@@ -229,15 +229,19 @@ def counts_at(rev: str) -> dict:
 def harness_summary(path: str) -> dict:
     """Per workload and end-to-end metric, each side's median and quartiles
     over the runs in the JSON Lines file ``path``, and how many of the
-    pairs (one run of each side on one seed) the change won."""
+    pairs the change won.  A run is keyed by its seed and its place among
+    that side's runs of the seed, in line order, so runs that repeat a seed
+    all count, and the k-th run of a seed on each side makes one pair."""
     better = {m["name"]: m["better"] for m in
               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs: dict = {}
     for line in Path(path).read_text().splitlines():
         if line.strip():
             run = json.loads(line)
-            runs.setdefault(run["workload"], {}).setdefault(
-                run["side"], {})[run["seed"]] = run["result"]["metrics"]
+            side = runs.setdefault(run["workload"], {}).setdefault(
+                run["side"], {})
+            repeat = sum(seed == run["seed"] for seed, _ in side)
+            side[run["seed"], repeat] = run["result"]["metrics"]
     out = {}
     for workload, sides in runs.items():
         seeds = sorted(sides.get("parent", {}).keys()

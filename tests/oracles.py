@@ -4,8 +4,9 @@ Everything here recomputes expected values by a route disjoint from the
 library code under test: symbolic trivariate expansion for the curve
 coefficients, direct minor equations for the divisor point, the closed
 forms in the normal form (h, U) that the forward map used before it read
-the curve off the pair's trace invariants, a free-group word engine for the
-generator actions, and brute-force root matching.
+the curve off the pair's trace invariants, closed forms for U's lower-left
+entries from the spectral data, a free-group word engine for the generator
+actions, and brute-force root matching.
 """
 
 from __future__ import annotations
@@ -185,6 +186,30 @@ def closed_form_divisor(h, u) -> tuple[complex, complex]:
     det_b = u12 * u[2, 2] - u13 * u[2, 1]   # rows (1,3)
     return ((u12 * h3 * det_a + u13 * h2 * det_b) / den,
             -(u12 * det_a + u13 * det_b) / den)
+
+
+def closed_form_lower_left(coeffs, h, L, M) -> tuple[complex, complex]:
+    """(u21, u31) as long closed forms in the spectral data, the reference
+    for ``reconstruct``'s linear solve of the q_minus and r_minus
+    equations."""
+    h1, h2, h3 = h
+    qp, qm = coeffs.q_plus, coeffs.q_minus
+    rp, rm = coeffs.r_plus, coeffs.r_minus
+    t = coeffs.t
+    ab = (L + h2 * M) * (L + h3 * M)
+    m_bracket = rp * (h1 - h2 - h3) - qp * h1 * h2 * h3 + t * h2 * h3
+    l_bracket = qp * (h2 * h3 - h1 * h2 - h1 * h3) - rp + t * h1
+
+    def corner(ha, hb):
+        # ha plays the row's own eigenvalue (h2 for u21, h3 for u31)
+        return ((h1 - ha) / (ha - hb) * ab
+                + M / ((h1 - hb) * (ha - hb)) * m_bracket
+                + L / ((h1 - hb) * (ha - hb)) * l_bracket
+                + (rm - qm * ha) / (ha - hb)
+                + (qp * ha * ha - t * ha + rp) * (qp * h1 * h1 - t * h1 + rp)
+                / ((h1 - ha) ** 2 * (hb - h1) * (ha - hb)))
+
+    return corner(h2, h3), corner(h3, h2)
 
 
 # --- the divisor point from A's left eigenvector, with vectors ---

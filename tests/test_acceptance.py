@@ -35,10 +35,10 @@ from spectral_pair import (
     verify_commutation,
     well_conditioned_matrix,
 )
-from spectral_pair.reconstruct import _closed_form_lower_left
 
 from conftest import third_intersection
 from oracles import (
+    closed_form_lower_left,
     curve_point_near,
     expanded_coefficients,
     line_through,
@@ -101,7 +101,7 @@ def test_criterion_4_closed_form_cross_check(seeded_pairs):
     for pair in seeded_pairs:
         sd = spectral_data(pair)
         np_ = reconstruct(sd)
-        u21_cf, u31_cf = _closed_form_lower_left(
+        u21_cf, u31_cf = closed_form_lower_left(
             sd.coeffs, sd.h, sd.divisor.L, sd.divisor.M)
         ref = max(1.0, abs(np_.u[1, 0]), abs(np_.u[2, 0]))
         worst = max(worst,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from conftest import (
     scaled_pair_file,
     strict_loads,
 )
+from test_spectral import near_gap_pair
 
 
 def run(capsys, *argv):
@@ -339,28 +341,27 @@ def test_huge_matrix_is_a_coded_singular_matrix(argv, tmp_path, capsys):
     assert strict_loads(err)["error"]["code"] == "singular_matrix"
 
 
-@pytest.mark.parametrize("seed", [33, 38])
-def test_closed_form_mismatch_in_a_word_names_its_prefix(seed, tmp_path, capsys,
-                                                         monkeypatch):
-    # closed forms for (u21, u31) biased by 1e-6; on these seeds the final
-    # relisting of T,T,I moves the first eigenvalue, and so reconstructs
+@pytest.mark.parametrize("draw", [11, 48])
+def test_a_relisting_that_fails_the_d2_test_names_its_prefix(draw, tmp_path,
+                                                             capsys):
+    # near-gap pairs at a relative gap of 1e-4: the final relisting of
+    # T,T,I moves the first eigenvalue, and the U it reconstructs, with the
+    # close pair listed second and third, misses d2 by about 1e-4
+    rng = random.Random("near-gap word")
+    for _ in range(draw + 1):
+        pair = near_gap_pair(rng, 1e-4)
+    sd = spectral_pair.spectral_data(pair)
+    with pytest.raises(spectral_pair.IntermediateDegeneracy) as info:
+        spectral_pair.act_word_spectral(spectral_pair.parse_word("T,T,I"), sd)
+    assert info.value.__cause__.detail["component"] == "d2"
     path = tmp_path / "spectral.json"
-    path.write_text(jsonio.dumps(jsonio.spectral_to_doc(
-        spectral_pair.spectral_data(spectral_pair.random_pair(seed)))))
-    reconstruct_module = sys.modules["spectral_pair.reconstruct"]
-    original = reconstruct_module._closed_form_lower_left
-
-    def biased(*args):
-        u21, u31 = original(*args)
-        return u21 * (1 + 1e-6), u31
-
-    monkeypatch.setattr(reconstruct_module, "_closed_form_lower_left", biased)
+    path.write_text(jsonio.dumps(jsonio.spectral_to_doc(sd)))
     code, out, err = run(capsys, "act", "--word", "T,T,I", str(path))
     assert (code, out) == (3, "")
     error = strict_loads(err.splitlines()[-1])["error"]
-    assert error["code"] == "closed_form_mismatch"
-    assert error["detail"]["prefix"] == "T,T,I"
-    assert error["detail"]["mismatch"] > 1e-7
+    assert error["code"] == "intermediate_degeneracy"
+    assert error["detail"] == {"prefix": "T,T,I",
+                               "cause": "invariant_violation"}
 
 
 def test_intermediate_degeneracy_names_its_prefix_and_cause(tmp_path, capsys):

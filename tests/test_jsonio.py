@@ -211,12 +211,10 @@ def test_every_spectral_document_that_loads_ends_ok_or_coded():
     assert loaded == 168
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the on-curve test divides |C(L, M, 1)| by max(1, |L|, |M|)^3, and |M| "
-    "is about 1.1e5 here, so the document loads and reconstruct returns a "
-    "pair whose d2 is off by a relative 1.0; ROADMAP item 3 (scale) lists "
-    "the floors behind it"))
 def test_a_document_with_d2_set_to_0_fails_to_load_or_reconstruct():
+    # the on-curve test divides |C(L, M, 1)| by max(1, |L|, |M|)^3, and |M|
+    # is about 1.1e5 here, so the document loads; reconstruct's d2 test,
+    # which is scale-free, rejects it
     pair = random_pair(0)
     pair = pair._replace(a=pair.a.scaled(1e-5))
     doc = jsonio.spectral_to_doc(spectral_data(pair))

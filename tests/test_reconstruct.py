@@ -8,7 +8,6 @@ import pytest
 import spectral_pair.linalg
 import spectral_pair.spectral
 from spectral_pair import (
-    ClosedFormMismatch,
     CubicPoly,
     CurveCoefficients,
     DivisorPoint,
@@ -37,18 +36,21 @@ from spectral_pair import (
     validate_spectral_data,
     verify_commutation,
 )
-from spectral_pair._kernels_py import canonical_order
+from spectral_pair._kernels_py import canonical_order, eval_curve9
 from spectral_pair.linalg import nonsingular_det
-from spectral_pair.reconstruct import _closed_form_lower_left, _relisted
+from spectral_pair.reconstruct import _relisted
+from spectral_pair.spectral import relative_difference, worst_residual
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_H, recording_validations
 from oracles import (
     canonical_form_by_forward_map,
+    closed_form_lower_left,
     divisor_by_minor_equations,
     expanded_coefficients,
     match_roots,
     random_exact_normalized_pair,
 )
+from test_spectral import near_gap_pair
 
 
 def coeffs_for(**kw) -> CurveCoefficients:
@@ -155,45 +157,52 @@ def test_round_trip_backward_keeps_h_to_the_bit(seeded_pairs):
 def test_closed_forms_agree_with_linear_solve(seeded_pairs):
     for pair in seeded_pairs:
         sd = spectral_data(pair)
-        npair = reconstruct(sd)  # raises ClosedFormMismatch beyond 1e-7
-        u21_cf, u31_cf = _closed_form_lower_left(sd.coeffs, sd.h, sd.divisor.L,
-                                                 sd.divisor.M)
+        npair = reconstruct(sd)
+        u21_cf, u31_cf = closed_form_lower_left(sd.coeffs, sd.h, sd.divisor.L,
+                                                sd.divisor.M)
         ref = max(1.0, abs(npair.u[1, 0]), abs(npair.u[2, 0]))
         assert abs(npair.u[1, 0] - u21_cf) / ref < 1e-7
         assert abs(npair.u[2, 0] - u31_cf) / ref < 1e-7
 
 
-def test_a_nan_closed_form_fails_the_agreement_test(monkeypatch):
-    """A NaN difference in u31 fails the test although u21 agrees:
-    ``max`` would keep the finite difference and pass it."""
-    module = sys.modules["spectral_pair.reconstruct"]
-    closed_form = module._closed_form_lower_left
+def test_a_nan_residual_fails_the_d2_test():
+    """A NaN in the solve, here from a NaN q_minus, makes det U NaN, and
+    the strict comparison fails it rather than passing it."""
+    sd = spectral_data(random_pair(2))
+    sd = sd._replace(coeffs=sd.coeffs._replace(q_minus=complex(math.nan, 0)))
+    with pytest.raises(InvariantViolation) as info:
+        reconstruct(sd)
+    assert info.value.detail["component"] == "d2"
+    assert math.isnan(info.value.detail["residual"])
 
-    def nan_u31(*args):
-        return closed_form(*args)[0], complex(math.nan, 0.0)
-    monkeypatch.setattr(module, "_closed_form_lower_left", nan_u31)
-    with pytest.raises(ClosedFormMismatch) as info:
-        reconstruct(spectral_data(random_pair(2)))
-    assert math.isnan(info.value.detail["mismatch"])
+
+def test_d2_set_to_0_fails_the_d2_test():
+    """The comparison with tau |d2| is strict, so d2 = 0 fails it even
+    where det U is 0 too; the residual then reads inf."""
+    sd = spectral_data(random_pair(2))
+    with pytest.raises(InvariantViolation) as info:
+        reconstruct(sd._replace(coeffs=sd.coeffs._replace(d2=0j)))
+    assert info.value.detail == {"component": "d2", "residual": math.inf}
 
 
 @pytest.mark.parametrize("seed, name, value", [
     (4, "q_minus", 8e307), (18, "r_minus", 8e307), (5, "r_minus", 1.7e308),
     (11, "h", 1e308 + 0j)])
 def test_an_overflowing_modulus_fails_the_agreement_test(seed, name, value):
-    """Data that fails ``validate_spectral_data`` can overflow the
-    agreement test's moduli, or the closed forms themselves, at
-    (h1 - h2) ** 2 for h1 = -h2 = ``value``; as in ``relative_difference``
-    they read inf, and the test fails with its coded error instead of
-    ``OverflowError``."""
+    """Data that fails ``validate_spectral_data`` can overflow U's entries,
+    its determinant or the moduli of the test of det U against d2, at
+    (h1 - h2) ** 2 for h1 = -h2 = ``value``; ``kernels.modulus`` reads an
+    overflowing modulus as inf, and the test fails with its coded error
+    instead of ``OverflowError``."""
     sd = spectral_data(random_pair(seed))
     if name == "h":
         sd = sd._replace(h=(value, -value, sd.h[2]))
     else:
         sd = sd._replace(coeffs=sd.coeffs._replace(**{name: value}))
-    with pytest.raises(ClosedFormMismatch) as info:
+    with pytest.raises(InvariantViolation) as info:
         reconstruct(sd)
-    assert info.value.detail["mismatch"] == math.inf
+    assert info.value.detail["component"] == "d2"
+    assert not math.isfinite(info.value.detail["residual"])
 
 
 def test_reconstruct_rejects_nearly_equal_h2_h3():
@@ -211,13 +220,49 @@ def test_reconstruct_rejects_nearly_equal_h2_h3():
         reconstruct(sd)
 
 
+def test_near_gap_reconstructions_end_coded_or_accurate():
+    """300 near-gap pairs, at relative gaps log-uniform in 1e-6..3e-4,
+    where the solve's U loses accuracy like 1/gap^2.  Each pair that maps
+    forward either fails ``reconstruct`` with a coded
+    ``GeneralPositionError``, or gives a U within 1e-6 of
+    ``normalize_pair``'s and a backward round trip within 1e-6: no wrong
+    pair is returned uncoded."""
+    rng = random.Random("near-gap reconstructions")
+    outcomes = []
+    for _ in range(300):
+        gap = math.exp(rng.uniform(math.log(1e-6), math.log(3e-4)))
+        pair = near_gap_pair(rng, gap)
+        try:
+            sd = spectral_data(pair)
+        except GeneralPositionError:
+            continue
+        try:
+            back = reconstruct(sd)
+        except GeneralPositionError as exc:
+            outcomes.append(exc.code)
+            continue
+        want = normalize_pair(pair)
+        assert worst_residual(list(map(
+            relative_difference, (*back.h, *back.u.entries),
+            (*want.h, *want.u.entries)))) <= 1e-6
+        again = spectral_data(back.as_pair())
+        assert worst_residual(spectral_residuals(sd, again).values()) <= 1e-6
+        outcomes.append("ok")
+    assert {"ok", "invariant_violation"} <= set(outcomes)
+
+
 def test_off_curve_divisor_not_projected(fixture_pair):
+    """The point is not projected onto the curve, and the pair it gives
+    misses d2 by the curve's value there, so the d2 test rejects it."""
     sd = spectral_data(fixture_pair)
     bent = SpectralData(sd.h, sd.coeffs,
                         DivisorPoint(sd.divisor.L + 1e-2, sd.divisor.M))
-    npair = reconstruct(bent)  # still returns a pair, no silent projection
-    sd_back = spectral_data(npair.as_pair())
-    assert max(spectral_residuals(sd, sd_back).values()) > 1e-4
+    with pytest.raises(InvariantViolation) as info:
+        reconstruct(bent)
+    assert info.value.detail["component"] == "d2"
+    value = eval_curve9(sd.coeffs, *bent.divisor, 1.0)
+    assert math.isclose(info.value.detail["residual"] * abs(sd.coeffs.d2),
+                        abs(value), rel_tol=1e-6)
 
 
 def test_canonical_form_idempotent(seeded_pairs):
@@ -433,18 +478,20 @@ def test_moved_first_eigenvalue_tests_d2_before_reconstructing(
 
 
 def test_closed_forms_for_the_lower_left_are_exact():
-    """At random Gaussian-rational (h, U), the closed forms for (u21, u31),
-    fed the exact coefficients (by the Leibniz expansion) and the exact
-    divisor point (by the two minor equations), give U's entries exactly.
-    Two different rational functions agree at a random point only with
-    probability degree/N, so a few points pin the transcription."""
+    """At random Gaussian-rational (h, U), the oracle's closed forms for
+    (u21, u31), fed the exact coefficients (by the Leibniz expansion) and
+    the exact divisor point (by the two minor equations), give U's entries
+    exactly.  Two different rational functions agree at a random point only
+    with probability degree/N, so a few points pin the transcription, and
+    ``test_closed_forms_agree_with_linear_solve`` holds the linear solve to
+    them."""
     rng = random.Random("closed forms")
     for _ in range(4):
         h, u = random_exact_normalized_pair(rng)
         coeffs = expanded_coefficients(h, u)
         assert coeffs.pop("lam3") == 1
         L, M = divisor_by_minor_equations(h, u)
-        assert _closed_form_lower_left(CurveCoefficients(**coeffs), h, L, M) \
+        assert closed_form_lower_left(CurveCoefficients(**coeffs), h, L, M) \
             == (u[1, 0], u[2, 0])
 
 
@@ -497,11 +544,16 @@ def test_spectral_data_seeks_one_kernel_vector_and_no_eigenbasis(monkeypatch):
                                  {"_in_eigenbasis": 0, "_gauge_fix": 0})
 
 
-def test_reconstruction_jacobian_rank(seeded_pairs):
-    """Sensitivity: the reconstruction depends on exactly the 10 live input
-    coordinates (h, q_pm, r_pm, t, L, M) with full rank; the redundant
-    coordinates (d1, p_pm, d2) are never read."""
+def test_reconstruction_jacobian_rank(seeded_pairs, monkeypatch):
+    """Sensitivity: the solve depends on exactly the 10 live input
+    coordinates (h, q_pm, r_pm, t, L, M) with full rank, and never reads
+    the redundant coordinates (d1, p_pm, d2).  A step of 1e-5 moves det U
+    off d2 by far more than the d2 test allows, so the solve is
+    differentiated alone, with that test's tolerance made infinite; d2 is
+    read only by the test, which then rejects a moved d2."""
     sd = spectral_data(seeded_pairs[0])
+    module = sys.modules["spectral_pair.reconstruct"]
+    monkeypatch.setattr(module, "RECONSTRUCTED_D2", math.inf)
 
     live = ["h0", "h1", "h2", "q_plus", "q_minus", "r_plus", "r_minus", "t",
             "L", "M"]
@@ -537,8 +589,13 @@ def test_reconstruction_jacobian_rank(seeded_pairs):
     singular = np.linalg.svd(jac, compute_uv=False)
     assert singular[9] >= 1e-6 * singular[0]
 
-    # the four remaining coordinates are redundant for reconstruction
+    # the four remaining coordinates are redundant for the solve
     for name in ("d1", "p_plus", "p_minus", "d2"):
         up = dict(base)
         up[name] = up[name] + 1e-4
         assert np.allclose(outputs(up), outputs(base))
+    monkeypatch.undo()
+    up = dict(base)
+    up["d2"] = up["d2"] + 1e-4
+    with pytest.raises(InvariantViolation):
+        outputs(up)
