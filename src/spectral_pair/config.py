@@ -6,8 +6,12 @@ are not scale-free: ``max_magnitude`` (the chord's ``cscale``),
 ``curve_residual`` and ``validate_spectral_data`` (below max|h| = 1 at
 max|h|^k).  A fourth is not scale-free either:
 ``solve_cubic`` compares a monic cubic's exact leading 1 with its largest
-coefficient.  The modules that test a quantity import the constants they
-compare it with.
+coefficient.  ``check_nonsingular`` is scale-free only inside the float
+range: SINGULAR |M|^3 overflows above |M| = 5.64e106, failing every
+matrix, and is 0 below 1.35e-104, passing every nonzero determinant.  The
+report's determinant margin, |det M| / |M|^3, reads 0 where that cube
+overflows, above 5.64e102, or is 0, below 1.35e-108.  The modules that
+test a quantity import the constants they compare it with.
 """
 
 # core 3x3 numerics

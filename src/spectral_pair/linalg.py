@@ -209,9 +209,11 @@ def det3(m: Mat3) -> complex:
 def check_nonsingular(det: complex, scale: float,
                       which: str | None = None) -> None:
     """SingularMatrix naming the matrix ``which`` unless |det| > SINGULAR
-    scale^3.  A NaN or infinite determinant or cube fails: for a scale
-    above about 5.6e102 the cube overflows.  A determinant whose modulus
-    overflows reads inf."""
+    scale^3.  A NaN determinant fails, as does a product that overflows:
+    SINGULAR multiplies first, so that happens only for a scale above about
+    5.64e106.  Below about 1.35e-104 the product underflows to 0, and every
+    nonzero determinant passes.  A determinant whose modulus overflows reads
+    inf, and passes where the product is finite."""
     try:
         modulus = abs(det)
     except OverflowError:

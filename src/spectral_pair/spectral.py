@@ -12,8 +12,7 @@ eigenbasis, is what ``reconstruct`` inverts.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import attrgetter, mul, truediv
+from operator import mul, truediv
 from typing import NamedTuple
 
 from . import _kernels_py as kernels
@@ -119,7 +118,9 @@ class SpectralData(NamedTuple):
 #: with (report threshold, hard threshold): a margin passes above the first;
 #: the stage of ``spectral_data`` that tests the same float raises at the
 #: second, None where none does.  The ``divisor_on_curve`` margin is the hard
-#: threshold minus the residual.
+#: threshold minus the residual.  A determinant margin is |d| / |M|^3 of the
+#: d1 or d2 and |M| that ``check_nonsingular`` compares by SINGULAR, 0 where
+#: the cube is 0 or overflows.
 _CHECKS = {
     "determinant_a": (MARGIN_DETERMINANT, None),
     "determinant_b": (MARGIN_DETERMINANT, None),
@@ -413,7 +414,8 @@ class Forward(NamedTuple):
 
     ``report`` holds the margin of every general-position check; those of
     the gauge, divisor and on-curve checks are the floats their stages
-    tested.  ``error`` is the error ``spectral_data(pair)`` raises, the
+    tested, and the determinants' are formed from the floats their test
+    holds.  ``error`` is the error ``spectral_data(pair)`` raises, the
     first in its order of stages, or None; ``sd`` and ``w`` are the spectral
     data and A's left eigenvector at h1 when ``error`` is None, and ``np``
     the normal form, unless it failed; the others are None.
@@ -425,57 +427,6 @@ class Forward(NamedTuple):
     sd: SpectralData | None
     error: GeneralPositionError | None
     w: Vec3 | None = None
-
-
-_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
-
-
-def _determinant_margin(entries: tuple[complex, ...]) -> float:
-    """|det M| / |M|^3 for the flat entries of a 3x3 matrix, 0 for the zero
-    matrix.
-
-    M is first scaled by the power of two that brings its largest real or
-    imaginary part into [0.5, 1).  That scaling is exact in binary floating
-    point, and after it neither |M|, nor the determinant, nor the cube can
-    underflow or overflow.  |M| itself would not do as the scale: its
-    squares underflow below about 1e-154 and overflow above about 1e154;
-    nor would the largest |entry|, whose modulus overflows above about
-    1.8e308 although its parts are finite."""
-    re, im = tuple(map(_REAL, entries)), tuple(map(_IMAG, entries))
-    # the entries are a checked Mat3's, so every part is finite and the
-    # maximum of the parts does not depend on their order
-    largest = max(map(abs, re + im))
-    if largest == 0.0:
-        return 0.0
-    # ldexp on each part, because 2**-exponent itself overflows for a
-    # subnormal largest entry
-    shift = repeat(-math.frexp(largest)[1])
-    scaled = tuple(map(complex, map(math.ldexp, re, shift),
-                       map(math.ldexp, im, shift)))
-    return abs(kernels.det3(scaled)) / kernels.frob3(scaled) ** 3
-
-
-def _tested_margin(det: complex, norm: float) -> float | None:
-    """|det M| / |M|^3 from the ``det`` and ``norm``, |M|, that passed
-    ``check_nonsingular``, with the bits ``_determinant_margin`` gives M;
-    None where those bits are not assured, for the caller to prescale.
-
-    Scaling M by a power of two rounds only the values that leave the
-    normal range.  For |M| in [2^-64, 2^64] and |det| above SINGULAR |M|^3
-    those are too small to reach |M| or det, so the prescale only
-    multiplies |M| and det by powers of two.  The cube is left: the
-    prescaled |M| is m 2^j for |M| = m 2^e, m in [0.5, 1) and some j from
-    0 to 3, and ``**`` is not scale-equivariant, (2x) ** 3 and 8 (x ** 3)
-    differing in the last bit for about one x in 1,500 under glibc 2.36.
-    So m's cube serves only where it agrees with each (m 2^j) ** 3 / 8^j."""
-    if not 2.0 ** -64 <= norm <= 2.0 ** 64:
-        return None
-    m, e = math.frexp(norm)
-    cube = m ** 3
-    if ((m + m) ** 3 == 8.0 * cube and (4.0 * m) ** 3 == 64.0 * cube
-            and (8.0 * m) ** 3 == 512.0 * cube):
-        return abs(det) / math.ldexp(cube, 3 * e)
-    return None
 
 
 def forward(pair: MatrixPair) -> Forward:
@@ -522,18 +473,16 @@ class _Report:
             name, margin is not None and margin > threshold, margin, threshold, note)
 
     def determinant(self, det, norm, which):
-        # ``check_nonsingular``, its error recorded, with the report's margin
+        # ``check_nonsingular``, its error recorded, with the margin
+        # |det| / |M|^3 of the floats it tested; as in ``curve_residual``, a
+        # scale that overflows certifies nothing, nor does one that is 0
         try:
             check_nonsingular(det, norm, which)
         except SingularMatrix as exc:
             self.errors.append(exc)
-            margin = None
-        else:
-            margin = _tested_margin(det, norm)
-        if margin is None:
-            m = self.pair.a if which == "A" else self.pair.b
-            margin = _determinant_margin(m.entries)
-        self.add("determinant_" + which.lower(), margin)
+        cube = norm * norm * norm
+        self.add("determinant_" + which.lower(),
+                 abs(det) / cube if 0.0 < cube < math.inf else 0.0)
 
     def failed(self, exc) -> "_Report":
         # an uncoded error counts as the first determinant error, if any

@@ -864,10 +864,18 @@ def spectral_by_stages(pair) -> tuple:
     return validated_by_loop(sd)[0], w
 
 
+def determinant_margin(m) -> float:
+    """|det3(M)| / (|M| |M| |M|), 0 where that cube is 0 or overflows: the
+    report's determinant margin, from the floats ``check_nonsingular``
+    tests."""
+    cube = m.norm() * m.norm() * m.norm()
+    return abs(det3(m)) / cube if 0.0 < cube < math.inf else 0.0
+
+
 def forward_by_stages(pair) -> Forward:
     """``spectral.forward(pair)``, one stage at a time in the order of
     ``spectral_by_stages``, each check recorded where its stage completes:
-    the determinant tests, which stop nothing, with the prescaled margins;
+    the determinant tests, which stop nothing, with ``determinant_margin``;
     the eigenvalues with ``separation``'s margin; the divisor; the
     coefficients and the validation; then the normal form.  A stage's
     error fails the next check of ``REPORT_CHECKS``, and an uncoded error
@@ -900,8 +908,7 @@ def forward_by_stages(pair) -> Forward:
             nonsingular_det(m.entries, name)
         except SingularMatrix as exc:
             errors.append(exc)
-        add("determinant_" + name.lower(),
-            spectral_module._determinant_margin(m.entries))
+        add("determinant_" + name.lower(), determinant_margin(m))
     a, b = pair.a.entries, pair.b.entries
     try:
         h = eigenvalues(pair.a)

@@ -309,6 +309,23 @@ def test_check_tiny_matrix_prints_report(which, scale, tmp_path, capsys):
     assert len(json.loads(out)["checks"]) == 6
 
 
+@pytest.mark.parametrize("which, scale", [("a", 1e110), ("b", 1e-200)],
+                         ids=["a-1e110", "b-1e-200"])
+def test_check_fails_the_determinant_that_spectral_rejects(which, scale, tmp_path,
+                                                           capsys):
+    # |M|^3 overflows or underflows to 0: the hard test fails, and the
+    # report's margin, |det M| over that cube, reads 0
+    path = scaled_pair_file(tmp_path, which, scale)
+    code, out, _ = run(capsys, "check", path)
+    check = strict_loads(out)["checks"]["ab".index(which)]
+    assert (code, check["name"], check["passed"], check["margin"]) == (
+        3, "determinant_" + which, False, 0.0)
+    code, out, err = run(capsys, "spectral", path)
+    error = strict_loads(err)["error"]
+    assert (code, out, error["code"], error["detail"]["which"]) == (
+        3, "", "singular_matrix", which.upper())
+
+
 def test_check_reports_a_gauge_fix_that_overflows(tmp_path, capsys):
     # B's (1,2) and (1,3) entries have finite parts and moduli above
     # 1.8e308: B fails its determinant check, and the divisor stage's |g_j|

@@ -270,7 +270,8 @@ def test_overflowing_modulus_reads_inf():
     assert CubicPoly(1.0, big, 0, 0).max_coefficient() == math.inf
     with pytest.raises(DegenerateLeadingCoefficient):
         solve_cubic(CubicPoly(1.0, big, 0, 0))
-    # det = x^3 (1 + i) has parts near 1.3e308; |M|^3 stays finite
+    # det = x^3 (1 + i) has parts near 1.3e308; |M|^3 is about 1.04e309,
+    # but SINGULAR |M|^3, multiplied in that order, stays finite
     x = 1.3e308 ** (1 / 3)
     d = nonsingular_det(Mat3.diagonal(x * (1 + 1j), x, x).entries)
     assert math.isfinite(d.real) and math.isfinite(d.imag)

@@ -57,6 +57,7 @@ from oracles import (
     axis_points,
     closed_form_coefficients,
     closed_form_divisor,
+    determinant_margin,
     divisor_by_comprehensions,
     divisor_by_minor_equations,
     eigenvector_by_identity_shift,
@@ -661,10 +662,10 @@ def test_forward_raises_what_spectral_data_raises(seeded_pairs):
 
 @pytest.mark.parametrize("k", [1022, 1023])
 def test_report_lists_every_check_when_the_eigenbasis_matrix_overflows(k):
-    # B x 2^k fails the hard determinant test (its report margin is
-    # prescaled, and passes: ROADMAP item 3), and B k overflows in the
-    # divisor stage, so the divisor point misses the curve; the forward map
-    # forms no eigenbasis, and the normal form, after it, is unavailable
+    # B x 2^k fails the hard determinant test (its cube overflows, so its
+    # report margin reads 0), and B k overflows in the divisor stage, so the
+    # divisor point misses the curve; the forward map forms no eigenbasis,
+    # and the normal form, after it, is unavailable
     a, b = random_pair(3)
     pair = MatrixPair(a, b.scaled(2.0 ** k))
     drawn = spectral_module.forward(pair)
@@ -895,15 +896,14 @@ def test_no_stage_raises_while_its_report_check_passes(seeded_pairs):
         assert_stage_check_fails(pair)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the hard determinant test compares |det M| with |M|^3, which overflows "
-    "or underflows at these scales while the report's margin is prescaled; "
-    "see the FOUND line on it in CHANGES.md and ROADMAP item 3"))
 @pytest.mark.parametrize("pair", [
     MatrixPair(FIXTURE_A.scaled(1e110), FIXTURE_B),
     MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-110)),
-], ids=["a_huge", "b_tiny"])
+    MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-200)),
+], ids=["a_huge", "b_tiny", "b_1e-200"])
 def test_determinant_stage_fails_its_report_check(pair):
+    # at 1e110, |M|^3 and SINGULAR |M|^3 both overflow; at 1e-110 and
+    # 1e-200 both underflow to 0, and so does the determinant
     assert_stage_check_fails(pair)
 
 
@@ -917,113 +917,70 @@ def test_eig3_of_a_scaled_diagonal_returns_its_eigenvalues():
                in zip(values, (1e4, 2e4, 3.5e4))) <= 1e-9 * 3.5e4
 
 
-@pytest.mark.parametrize("pair", [
-    MatrixPair(FIXTURE_A.scaled(1e-110), FIXTURE_B),
-    MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-110)),
-    MatrixPair(FIXTURE_A, Mat3((0,) * 9)),
-], ids=["a_tiny", "b_tiny", "b_zero"])
-def test_report_survives_underflow(pair):
-    # |M|^3 underflows to 0 at these scales (and |U0| is 0 for B = 0); each
-    # margin is still a number
+@pytest.mark.parametrize("pair, zero", [
+    (MatrixPair(FIXTURE_A.scaled(1e-110), FIXTURE_B), 0),
+    (MatrixPair(FIXTURE_A, FIXTURE_B.scaled(1e-110)), 1),
+    (MatrixPair(FIXTURE_A, Mat3((0,) * 9)), 1),
+    (MatrixPair(Mat3.diagonal(1.5 * 2.0 ** 1023 * (1 + 1j),
+                              1.5 * 2.0 ** 1023 * (1 + 1j), 1.0), FIXTURE_B), 0),
+], ids=["a_tiny", "b_tiny", "b_zero", "a_overflowing"])
+def test_report_survives_underflow(pair, zero):
+    # |M|^3 underflows to 0 at these scales (and |U0| is 0 for B = 0), or
+    # overflows for entries whose parts are finite but moduli are not; each
+    # margin is still a number, and that matrix's determinant margin reads 0
     report = general_position_report(pair)
     assert [c.name for c in report.checks] == CHECK_NAMES
     assert all(c.margin is None or c.margin >= 0.0 for c in report.checks)
-
-
-def test_determinant_margin_is_scale_free():
-    report = general_position_report(MatrixPair(FIXTURE_A, FIXTURE_B))
-    # at 2^-700 every squared entry underflows, so |M| itself reads 0
-    for scale_a, scale_b in ((2.0 ** -360, 2.0 ** 300),
-                             (2.0 ** -700, 2.0 ** -700)):
-        scaled = general_position_report(MatrixPair(FIXTURE_A.scaled(scale_a),
-                                                    FIXTURE_B.scaled(scale_b)))
-        assert scaled.checks[:2] == report.checks[:2], (scale_a, scale_b)
-
-
-def test_determinant_margin_keeps_its_bits_past_an_overflowing_modulus():
-    # scaled by 2^341, A's entries near 8.7e102 are scaled by the largest
-    # part, whose modulus would overflow in the characteristic polynomial
-    a = random_pair(31).a
-    for scale in (2.0 ** 341, 2.0 ** 1000):
-        assert (spectral_module._determinant_margin(a.scaled(scale).entries)
-                == spectral_module._determinant_margin(a.entries))
-    # parts of 1.5 * 2^1023, whose moduli overflow
-    big = complex(1.5 * 2.0 ** 1023, 1.5 * 2.0 ** 1023)
-    margin = spectral_module._determinant_margin(
-        Mat3.diagonal(big, big, 1.0).entries)
-    assert margin == spectral_module._determinant_margin(
-        Mat3.diagonal(1.5 + 1.5j, 1.5 + 1.5j, 2.0 ** -1023).entries)
+    assert report.checks[zero].margin == 0.0
 
 
 def determinant_margins(report) -> list[float]:
     return [c.margin for c in report.checks[:2]]
 
 
-def test_report_determinant_margins_are_the_prescaled_ones():
+def test_determinant_margin_is_scale_free():
+    # the fixture's A, and three with |A| in [1, 2), [2, 4) and [4, 8) where
+    # glibc 2.36's pow rounds (2^k |A|) ** 3 and 2^3k |A| ** 3 apart in the
+    # last bit at some k; the margin's cube is a product, which rounds alike
+    # in every binade.  From 2^-336 to 2^336, |M|, d1, d2 and the cubes stay
+    # normal, so A and B scaled by 2^k keep both margins' bits.  At 2^-360
+    # d1 underflows to 0 (the cube to 0 or the least subnormal), and at
+    # 2^-700 |A| does too: the check fails where ``spectral_data`` raises
+    for a in (FIXTURE_A,
+              Mat3.diagonal(1, 1, 1).scaled(0.954357),
+              Mat3.from_rows([[1, 1, 1], [1, -1, 1], [1, 1, -1]]).scaled(0.957563),
+              Mat3.from_rows([[1 + 1j, 1 - 1j, 1 - 1j],
+                              [1 - 1j, -1 + 1j, 1 + 1j],
+                              [1 + 1j, 1 - 1j, -1 + 1j]]).scaled(0.967298)):
+        margins = determinant_margins(general_position_report(MatrixPair(a, FIXTURE_B)))
+        for k in range(-336, 337):
+            pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
+            assert determinant_margins(general_position_report(pair)) == margins, k
+        for k in (-360, -700):
+            pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
+            assert not general_position_report(pair).checks[0].passed, k
+            with pytest.raises(SingularMatrix) as raised:
+                spectral_data(pair)
+            assert raised.value.detail["which"] == "A"
+
+
+def test_report_determinant_margins_are_the_tested_ones():
     for seed in range(300):
         pair = random_pair(seed)
         assert determinant_margins(general_position_report(pair)) == [
-            spectral_module._determinant_margin(pair.a.entries),
-            spectral_module._determinant_margin(pair.b.entries)], seed
-
-
-@pytest.mark.parametrize("a", [
-    Mat3.diagonal(1, 1, 1).scaled(0.954357),
-    Mat3.from_rows([[1, 1, 1], [1, -1, 1], [1, 1, -1]]).scaled(0.957563),
-    Mat3.from_rows([[1 + 1j, 1 - 1j, 1 - 1j],
-                    [1 - 1j, -1 + 1j, 1 + 1j],
-                    [1 + 1j, 1 - 1j, -1 + 1j]]).scaled(0.967298),
-], ids=["norm_1.65", "norm_2.87", "norm_4.10"])
-def test_report_determinant_margin_keeps_its_bits_where_cubes_round_apart(a):
-    # the prescale leaves |A| as it is, in [1, 2), [2, 4) or [4, 8); with
-    # glibc 2.36's pow, the cube of |A| over 2, 4 or 8, times 8, 64 or 512,
-    # differs in the last bit from |A| ** 3, as does the cube of 2^k |A|
-    # from 2^3k |A| ** 3 at some of these k
-    for k in range(-60, 61):
-        pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B)
-        margin = determinant_margins(general_position_report(pair))[0]
-        assert margin == spectral_module._determinant_margin(pair.a.entries), k
+            determinant_margin(pair.a), determinant_margin(pair.b)], seed
 
 
 @pytest.mark.parametrize("x", [1.1e-155, 3e-162])
-def test_report_prescales_a_determinant_that_fails_the_hard_test(x):
-    # |A| is about 1, but det A = x^2 is subnormal or 0, and rounds to other
-    # bits once A is prescaled by 1/2: unscaled it reads 1.21e-310 or
-    # 1e-323, prescaled 1.20999999999997e-310 or 0
+def test_report_margin_of_a_determinant_that_fails_the_hard_test(x):
+    # |A| is about 1, but det A = x^2 is subnormal or 0, 1.21e-310 or
+    # 1e-323: the hard test fails, and the margin is that determinant over
+    # the cube of the same |A|
     pair = MatrixPair(Mat3.diagonal(1, x, x), FIXTURE_B)
-    margin = determinant_margins(general_position_report(pair))[0]
-    assert margin == spectral_module._determinant_margin(pair.a.entries)
-
-
-@pytest.mark.parametrize("k, prescaled", [
-    (-700, 2), (-68, 2), (-67, 1), (-66, 1), (-65, 0),
-    (60, 0), (61, 1), (62, 1), (63, 2)])
-def test_report_prescales_only_outside_the_range(monkeypatch, k, prescaled):
-    # |A| = 3.74 and |B| = 10.5, so 2^k |A| leaves [2^-64, 2^64] below
-    # k = -65 and above k = 62, and 2^k |B| below k = -67 and above k = 60;
-    # inside, the margin is read off the determinant and norm of the hard
-    # test, with the same bits
-    calls = []
-    original = spectral_module._determinant_margin
-
-    def counting_determinant_margin(entries):
-        calls.append(1)
-        return original(entries)
-
-    monkeypatch.setattr(spectral_module, "_determinant_margin",
-                        counting_determinant_margin)
-    pair = MatrixPair(FIXTURE_A.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
-    assert determinant_margins(general_position_report(pair)) == [
-        original(pair.a.entries), original(pair.b.entries)]
-    assert len(calls) == prescaled
-
-
-def test_random_pair_report_does_not_prescale(monkeypatch):
-    def refuse(entries):
-        raise AssertionError("_determinant_margin was called")
-
-    monkeypatch.setattr(spectral_module, "_determinant_margin", refuse)
-    assert general_position_report(random_pair(0)).passed
+    check = general_position_report(pair).checks[0]
+    assert (check.passed, check.margin) == (False, determinant_margin(pair.a))
+    with pytest.raises(SingularMatrix):
+        spectral_data(pair)
 
 
 def test_report_decomposes_a_once(monkeypatch, fixture_pair):
