@@ -938,30 +938,39 @@ def determinant_margins(report) -> list[float]:
     return [c.margin for c in report.checks[:2]]
 
 
+def assert_determinant_margins_scale_free(a):
+    # from 2^-336 to 2^336, |M|, d1, d2 and the cubes stay normal, so A and
+    # B scaled by 2^k keep both margins' bits.  At 2^-360 d1 underflows to 0
+    # (the cube to 0 or the least subnormal), and at 2^-700 |A| does too:
+    # the check fails where ``spectral_data`` raises
+    margins = determinant_margins(general_position_report(MatrixPair(a, FIXTURE_B)))
+    for k in range(-336, 337):
+        pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
+        assert determinant_margins(general_position_report(pair)) == margins, k
+    for k in (-360, -700):
+        pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
+        assert not general_position_report(pair).checks[0].passed, k
+        with pytest.raises(SingularMatrix) as raised:
+            spectral_data(pair)
+        assert raised.value.detail["which"] == "A"
+
+
 def test_determinant_margin_is_scale_free():
-    # the fixture's A, and three with |A| in [1, 2), [2, 4) and [4, 8) where
-    # glibc 2.36's pow rounds (2^k |A|) ** 3 and 2^3k |A| ** 3 apart in the
-    # last bit at some k; the margin's cube is a product, which rounds alike
-    # in every binade.  From 2^-336 to 2^336, |M|, d1, d2 and the cubes stay
-    # normal, so A and B scaled by 2^k keep both margins' bits.  At 2^-360
-    # d1 underflows to 0 (the cube to 0 or the least subnormal), and at
-    # 2^-700 |A| does too: the check fails where ``spectral_data`` raises
-    for a in (FIXTURE_A,
-              Mat3.diagonal(1, 1, 1).scaled(0.954357),
-              Mat3.from_rows([[1, 1, 1], [1, -1, 1], [1, 1, -1]]).scaled(0.957563),
-              Mat3.from_rows([[1 + 1j, 1 - 1j, 1 - 1j],
-                              [1 - 1j, -1 + 1j, 1 + 1j],
-                              [1 + 1j, 1 - 1j, -1 + 1j]]).scaled(0.967298)):
-        margins = determinant_margins(general_position_report(MatrixPair(a, FIXTURE_B)))
-        for k in range(-336, 337):
-            pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
-            assert determinant_margins(general_position_report(pair)) == margins, k
-        for k in (-360, -700):
-            pair = MatrixPair(a.scaled(2.0 ** k), FIXTURE_B.scaled(2.0 ** k))
-            assert not general_position_report(pair).checks[0].passed, k
-            with pytest.raises(SingularMatrix) as raised:
-                spectral_data(pair)
-            assert raised.value.detail["which"] == "A"
+    assert_determinant_margins_scale_free(FIXTURE_A)
+
+
+@pytest.mark.parametrize("a", [
+    Mat3.diagonal(1, 1, 1).scaled(0.954357),
+    Mat3.from_rows([[1, 1, 1], [1, -1, 1], [1, 1, -1]]).scaled(0.957563),
+    Mat3.from_rows([[1 + 1j, 1 - 1j, 1 - 1j],
+                    [1 - 1j, -1 + 1j, 1 + 1j],
+                    [1 + 1j, 1 - 1j, -1 + 1j]]).scaled(0.967298),
+], ids=["norm_1.65", "norm_2.87", "norm_4.10"])
+def test_report_determinant_margin_keeps_its_bits_where_cubes_round_apart(a):
+    # |A| in [1, 2), [2, 4) or [4, 8), where glibc 2.36's pow rounds
+    # (2^k |A|) ** 3 and 2^3k |A| ** 3 apart in the last bit at some k; the
+    # margin's cube is a product, which rounds alike in every binade
+    assert_determinant_margins_scale_free(a)
 
 
 def test_report_determinant_margins_are_the_tested_ones():
